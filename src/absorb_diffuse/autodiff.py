@@ -336,28 +336,64 @@ def softmax(a: Node, axis: int = -1) -> Node:
     return Node(p, parents=(a,), backward=backward)
 
 
-def _token_log_losses(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-token negative log softmax probability of the target class.
+def log_softmax(values: np.ndarray) -> np.ndarray:
+    """Stable log softmax over the last axis, returned in float64.
 
-    Shared by the loss kernels and by reporting code so both see identical
-    float64 bits for the same logits.
+    The max is subtracted in the storage dtype before the upcast. The loss
+    kernels, reporting code and decoders all call this one function, so
+    they see identical float64 bits for the same logits.
     """
     m = values.max(axis=-1, keepdims=True)
     z = (values - m).astype(np.float64)
-    lse = np.log(np.exp(z).sum(axis=-1))
-    picked = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
-    return lse - picked
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _check_targets(targets: np.ndarray, k: int) -> None:
+    if targets.size and (targets.min() < 0 or targets.max() >= k):
+        raise ValueError(
+            f"targets out of range [0, {k}): min {targets.min()}, max {targets.max()}"
+        )
 
 
 def token_log_losses(logits, targets) -> np.ndarray:
     """Public detached view of per-token cross entropy (float64)."""
     values = logits.value if isinstance(logits, Node) else np.asarray(logits)
     targets = np.asarray(targets)
-    if targets.size and (targets.min() < 0 or targets.max() >= values.shape[-1]):
+    _check_targets(targets, values.shape[-1])
+    return -np.take_along_axis(log_softmax(values), targets[..., None], axis=-1)[..., 0]
+
+
+def _ce_inputs(logits: Node, targets, weights):
+    """Validate [n, k] logits, int [n] targets and float [n] weights, and
+    compute the float64 log-probs and token losses u once."""
+    targets = np.asarray(targets)
+    weights = np.asarray(weights, dtype=np.float64)
+    values = logits.value
+    if values.ndim != 2:
+        raise ValueError(f"cross entropy expects [n, k] logits, got {values.shape}")
+    if targets.shape != (values.shape[0],) or weights.shape != (values.shape[0],):
         raise ValueError(
-            f"targets out of range [0, {values.shape[-1]}): min {targets.min()}, max {targets.max()}"
+            f"targets/weights shape mismatch: logits {values.shape}, "
+            f"targets {targets.shape}, weights {weights.shape}"
         )
-    return _token_log_losses(values, targets)
+    _check_targets(targets, values.shape[1])
+    logp = log_softmax(values)
+    u = -logp[np.arange(len(targets)), targets]
+    return targets, weights, logp, u
+
+
+def _ce_node(logits: Node, targets, logp, total, coef) -> Node:
+    """Scalar loss node whose gradient row i is coef_i * (softmax_i -
+    onehot(target_i)); the softmax is rebuilt from the forward's log-probs."""
+    values = logits.value
+
+    def backward(g):
+        c = coef.astype(values.dtype)
+        grad = np.exp(logp).astype(values.dtype) * c[:, None]
+        grad[np.arange(len(targets)), targets] -= c
+        return ((logits, grad * values.dtype.type(g)),)
+
+    return Node(np.asarray(total, dtype=np.float64), parents=(logits,), backward=backward)
 
 
 def softmax_cross_entropy(logits: Node, targets, weights) -> Node:
@@ -367,34 +403,8 @@ def softmax_cross_entropy(logits: Node, targets, weights) -> Node:
     contribute exactly zero to both the value and the gradient. The scalar
     output stays float64 regardless of storage dtype.
     """
-    targets = np.asarray(targets)
-    weights = np.asarray(weights, dtype=np.float64)
-    values = logits.value
-    if values.ndim != 2:
-        raise ValueError(f"softmax_cross_entropy expects [n, k] logits, got {values.shape}")
-    if targets.shape != (values.shape[0],) or weights.shape != (values.shape[0],):
-        raise ValueError(
-            f"targets/weights shape mismatch: logits {values.shape}, "
-            f"targets {targets.shape}, weights {weights.shape}"
-        )
-    if targets.size and (targets.min() < 0 or targets.max() >= values.shape[1]):
-        raise ValueError(
-            f"targets out of range [0, {values.shape[1]}): min {targets.min()}, max {targets.max()}"
-        )
-    u = _token_log_losses(values, targets)
-    total = (weights * u).sum(dtype=np.float64)
-    out = np.asarray(total, dtype=np.float64)
-
-    def backward(g):
-        m = values.max(axis=-1, keepdims=True)
-        e = np.exp(values - m)
-        p = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(values.dtype)
-        p = p.astype(values.dtype, copy=False)
-        grad = p * weights[:, None].astype(values.dtype)
-        np.subtract.at(grad, (np.arange(len(targets)), targets), weights.astype(values.dtype))
-        return ((logits, grad * values.dtype.type(g)),)
-
-    return Node(out, parents=(logits,), backward=backward)
+    targets, weights, logp, u = _ce_inputs(logits, targets, weights)
+    return _ce_node(logits, targets, logp, (weights * u).sum(dtype=np.float64), weights)
 
 
 def softmax_focal_cross_entropy(
@@ -406,31 +416,14 @@ def softmax_focal_cross_entropy(
     Unlike the detached-weight path this differentiates through the
     (1 - p)^beta factor, so hard tokens also feel the pull of the modifier.
     """
-    targets = np.asarray(targets)
-    weights = np.asarray(weights, dtype=np.float64)
-    values = logits.value
-    if values.ndim != 2:
-        raise ValueError(f"focal cross entropy expects [n, k] logits, got {values.shape}")
-    u = _token_log_losses(values, targets)
+    targets, weights, logp, u = _ce_inputs(logits, targets, weights)
     p = np.exp(-u)
     onemp = 1.0 - p
     total = (weights * alpha * np.power(onemp, beta) * u).sum(dtype=np.float64)
-    out = np.asarray(total, dtype=np.float64)
-
-    def backward(g):
-        # d/du [a (1-p)^b u] = a [(1-p)^b + b (1-p)^(b-1) p u], p = exp(-u)
-        safe = np.maximum(onemp, 1e-12)
-        du = alpha * (np.power(onemp, beta) + beta * np.power(safe, beta - 1.0) * p * u)
-        coef = (weights * du).astype(values.dtype)
-        m = values.max(axis=-1, keepdims=True)
-        e = np.exp(values - m)
-        sm = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(values.dtype)
-        sm = sm.astype(values.dtype, copy=False)
-        grad = sm * coef[:, None]
-        np.subtract.at(grad, (np.arange(len(targets)), targets), coef)
-        return ((logits, grad * values.dtype.type(g)),)
-
-    return Node(out, parents=(logits,), backward=backward)
+    # d/du [a (1-p)^b u] = a [(1-p)^b + b (1-p)^(b-1) p u], p = exp(-u)
+    safe = np.maximum(onemp, 1e-12)
+    du = alpha * (np.power(onemp, beta) + beta * np.power(safe, beta - 1.0) * p * u)
+    return _ce_node(logits, targets, logp, total, weights * du)
 
 
 # ---------------------------------------------------------------------------

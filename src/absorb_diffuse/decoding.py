@@ -6,9 +6,11 @@ given temperature, keeps the most confident ceil(s * L / steps) positions
 (so the final step keeps everything), and re-masks the rest. Because the
 reverse model is the forward posterior evaluated at the network's prediction,
 already-revealed positions carry over as point masses (confidence 1); the
-keep set is still recomputed from scratch every step. `freeze_committed`
-switches to the variant where a revealed position is locked outright, which
-differs observably under the random-order strategy.
+keep set is still recomputed from scratch every step. Under "topk" a
+revealed position holds the highest possible confidence, so it stays
+revealed (barring exact ties at log 1, which break toward the lowest index).
+Under "random" the keep set is redrawn every step, so a revealed position
+can be re-masked and sampled again.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import log_softmax
 from .data import Batch
 
 STRATEGIES = ("topk", "random")
@@ -29,7 +32,6 @@ class DecodeConfig:
     temperature: float = 0.5
     strategy: str = "topk"
     seed: int = 0
-    freeze_committed: bool = False
 
     def __post_init__(self):
         if self.steps < 1:
@@ -43,12 +45,6 @@ class DecodeConfig:
 def default_steps(avg_output_len: float) -> int:
     """House rule: 20 refinement steps for long outputs, 10 for short ones."""
     return 20 if avg_output_len > 20 else 10
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=-1, keepdims=True)
-    z = (logits - m).astype(np.float64)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int, pad_id: int,
@@ -67,11 +63,10 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int, pad_i
     x = batch.tokens.copy()
     x[batch.target_mask] = mask_id
     lengths = batch.target_lengths()
-    committed = np.zeros_like(batch.target_mask)
 
     for s in range(1, cfg.steps + 1):
         logits = model.forward(x, batch.pad_mask).value
-        logp = _log_softmax(logits / cfg.temperature)
+        logp = log_softmax(logits / cfg.temperature)
         gumbel = rng.gumbel(size=logp.shape)
         sampled = np.argmax(logp + gumbel, axis=-1)
         conf = np.take_along_axis(logp, sampled[..., None], axis=-1)[..., 0]
@@ -85,8 +80,6 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int, pad_i
         if cfg.strategy == "random":
             conf = rng.random(conf.shape)
         conf = np.where(batch.target_mask, conf, -np.inf)
-        if cfg.freeze_committed:
-            conf = np.where(committed, np.inf, conf)
 
         keep = np.ceil(s * lengths / cfg.steps).astype(np.int64)
         order = np.argsort(-conf, axis=1, kind="stable")  # ties: lowest index first
@@ -94,13 +87,8 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int, pad_i
         np.put_along_axis(ranks, order, np.arange(x.shape[1])[None, :].repeat(x.shape[0], 0), axis=1)
         chosen = (ranks < keep[:, None]) & batch.target_mask
 
-        if cfg.freeze_committed:
-            newly = chosen & ~committed
-            x = np.where(newly, sampled, x).astype(x.dtype)
-            committed = chosen
-        else:
-            x = np.where(batch.target_mask, mask_id, x).astype(x.dtype)
-            x = np.where(chosen, sampled, x).astype(x.dtype)
+        x = np.where(batch.target_mask, mask_id, x).astype(x.dtype)
+        x = np.where(chosen, sampled, x).astype(x.dtype)
         if trace is not None:
             trace.append(chosen.copy())
 
@@ -135,7 +123,7 @@ def ar_decode(model, batch: Batch, cfg: DecodeConfig, pad_id: int,
     for j in range(int(max_new.max()) if b else 0):
         pos = w + j
         logits = model.forward(x, pad_mask).value[:, pos - 1]
-        logp = _log_softmax(logits / cfg.temperature)
+        logp = log_softmax(logits / cfg.temperature)
         gumbel = rng.gumbel(size=logp.shape)
         sampled = np.argmax(logp + gumbel, axis=-1)
         active = ~done & (j < max_new)
@@ -168,8 +156,7 @@ def throughput_probe(model, batch: Batch, steps_grid, cfg: DecodeConfig,
     rows = []
     for steps in steps_grid:
         c = DecodeConfig(steps=int(steps), temperature=cfg.temperature,
-                         strategy=cfg.strategy, seed=cfg.seed,
-                         freeze_committed=cfg.freeze_committed)
+                         strategy=cfg.strategy, seed=cfg.seed)
         t0 = time.perf_counter()
         decoded = None
         for _ in range(repeats):

@@ -260,19 +260,13 @@ def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
     seq_w = sequence_weight(schedule, cbatch.t, reweight.sequence_mode)
     base = np.where(mask, np.repeat(seq_w, s), 0.0)
     n = int(mask.sum())
-    if n == 0:
-        zero = ad.scale(ad.softmax_cross_entropy(flat, targets, np.zeros(b * s)), 1.0)
-        report = LossReport(0.0, cbatch.t, np.zeros((b, s)), np.zeros((b, s)),
-                            seq_w, cbatch.corrupted, 0)
-        return zero, report
-
+    v_flat = np.where(mask, token_weight(u_flat, reweight.token_alpha, reweight.token_beta), 0.0)
+    denom = max(n, 1)  # base is all zero when nothing is corrupted: the loss is 0
     if reweight.full_gradient:
         loss = ad.softmax_focal_cross_entropy(
-            flat, targets, base / n, reweight.token_alpha, reweight.token_beta)
-        v_flat = np.where(mask, token_weight(u_flat, reweight.token_alpha, reweight.token_beta), 0.0)
+            flat, targets, base / denom, reweight.token_alpha, reweight.token_beta)
     else:
-        v_flat = np.where(mask, token_weight(u_flat, reweight.token_alpha, reweight.token_beta), 0.0)
-        loss = ad.softmax_cross_entropy(flat, targets, base * v_flat / n)
+        loss = ad.softmax_cross_entropy(flat, targets, base * v_flat / denom)
 
     report = LossReport(
         loss=float(loss.value),

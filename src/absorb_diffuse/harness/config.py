@@ -7,9 +7,9 @@ import json
 import os
 from dataclasses import dataclass
 
-from ..decoding import STRATEGIES, DecodeConfig
-from ..diffusion import SEQUENCE_MODES, ReweightConfig
-from ..model import PRESETS, ModelConfig
+from ..decoding import DecodeConfig
+from ..diffusion import ReweightConfig
+from ..model import ModelConfig
 from ..tasks import get_task
 
 THREADS_ENV = "ABSORB_DIFFUSE_THREADS"
@@ -38,8 +38,7 @@ class ExperimentConfig:
     eval_path: str = ""
     model_kind: str = "diffusion"
     seed: int = 0
-    # model size: preset wins when set, otherwise the explicit dims apply
-    preset: str = ""
+    # model size
     n_layers: int = 3
     n_heads: int = 4
     hidden_dim: int = 128
@@ -66,30 +65,23 @@ class ExperimentConfig:
         get_task(self.task)
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
-        if self.preset and self.preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}")
-        if self.sequence_mode not in SEQUENCE_MODES:
-            raise ValueError(f"unknown sequence_mode {self.sequence_mode!r}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
         for f in ("schedule_T", "batch_size", "train_steps", "log_every"):
             if getattr(self, f) < 1:
                 raise ValueError(f"{f} must be >= 1")
-        for f in ("lr", "temperature", "token_alpha"):
-            if not getattr(self, f) > 0:
-                raise ValueError(f"{f} must be positive")
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
         if self.warmup_steps < 0 or self.eval_every < 0 or self.decode_steps < 0:
             raise ValueError("warmup_steps, eval_every and decode_steps must be >= 0")
+        # the loss and decoder settings are checked by the configs built from them
+        self.reweight_config()
+        self.decode_config()
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         task = get_task(self.task)
         attention = "causal" if self.model_kind == "ar" else "bidirectional"
-        if self.preset:
-            dims = PRESETS[self.preset]
-        else:
-            dims = dict(n_layers=self.n_layers, n_heads=self.n_heads, hidden_dim=self.hidden_dim)
         return ModelConfig(vocab_size=vocab_size, max_seq_len=task.seq_len,
-                           attention=attention, **dims)
+                           attention=attention, n_layers=self.n_layers,
+                           n_heads=self.n_heads, hidden_dim=self.hidden_dim)
 
     def reweight_config(self) -> ReweightConfig:
         return ReweightConfig(sequence_mode=self.sequence_mode,

@@ -1,8 +1,9 @@
 """Append-only JSONL metrics with schema validation.
 
-Every record is validated against the published schema before it is
-appended. wall_time and samples_per_sec carry wall-clock measurements and
-are the only fields allowed to differ between same-seed runs.
+Every record is validated against the published schema when it is appended
+and again when it is read back. wall_time and samples_per_sec carry
+wall-clock measurements and are the only fields allowed to differ between
+same-seed runs.
 """
 
 from __future__ import annotations
@@ -65,12 +66,18 @@ def append_record(path: str, record: "MetricsRecord | dict") -> None:
 
 
 def read_records(path: str) -> list[dict]:
+    """Parse a metrics file, validating every record against the schema."""
     out = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if line:
-                out.append(json.loads(line))
+                record = json.loads(line)
+                try:
+                    validate_record(record)
+                except ValueError as e:
+                    raise ValueError(f"{path}:{lineno}: {e}") from None
+                out.append(record)
     return out
 
 

@@ -182,15 +182,15 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
         loss_val = float(loss.value)
         if not np.isfinite(loss_val):
             diverged(step, loss_val, idx)
+        lr_t = cfg.lr * min(1.0, (step + 1) / cfg.warmup_steps) if cfg.warmup_steps else cfg.lr
         if not skip:
             loss.backward()
-            lr_t = cfg.lr * min(1.0, (step + 1) / cfg.warmup_steps) if cfg.warmup_steps else cfg.lr
             opt.step(lr_t)
         if (step + 1) % cfg.log_every == 0 or step + 1 == cfg.train_steps:
             append_record(metrics_path, MetricsRecord(
                 kind="train_step", step=step + 1, task=task.name,
                 model_kind=cfg.model_kind, seed=cfg.seed, loss=loss_val,
-                lr=cfg.lr * min(1.0, (step + 1) / cfg.warmup_steps) if cfg.warmup_steps else cfg.lr,
+                lr=lr_t,
                 epoch=sampler.epoch))
             if not quiet:
                 log(f"step {step + 1}/{cfg.train_steps}: loss {loss_val:.4f}")

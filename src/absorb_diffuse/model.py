@@ -18,13 +18,6 @@ from . import autodiff as ad
 
 ATTENTION_MODES = ("bidirectional", "causal")
 
-# layers, heads, hidden width; roughly 6M / 85M / 303M backbone parameters
-PRESETS = {
-    "tiny": dict(n_layers=3, n_heads=12, hidden_dim=384),
-    "base": dict(n_layers=12, n_heads=12, hidden_dim=768),
-    "medium": dict(n_layers=24, n_heads=16, hidden_dim=1024),
-}
-
 INIT_STD = 0.02
 NEG_INF = -1e9
 
@@ -66,14 +59,6 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(**d)
-
-
-def preset_config(name: str, vocab_size: int, max_seq_len: int,
-                  attention: str = "bidirectional") -> ModelConfig:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}, choose from {sorted(PRESETS)}")
-    return ModelConfig(vocab_size=vocab_size, max_seq_len=max_seq_len,
-                       attention=attention, **PRESETS[name])
 
 
 class DenoiserModel:

@@ -7,8 +7,6 @@ only) can use a contiguous [0, n) target space.
 
 from __future__ import annotations
 
-import json
-
 
 class Vocabulary:
     def __init__(self, chars):
@@ -19,13 +17,6 @@ class Vocabulary:
             raise ValueError("content tokens must be single characters")
         self.chars = sorted(chars)
         self._to_id = {c: i for i, c in enumerate(self.chars)}
-
-    @classmethod
-    def from_corpus(cls, texts) -> "Vocabulary":
-        seen = set()
-        for t in texts:
-            seen.update(t)
-        return cls(sorted(seen))
 
     @property
     def mask_id(self) -> int:
@@ -64,13 +55,6 @@ class Vocabulary:
                 raise ValueError(f"id {i} outside vocabulary of size {self.size}")
             out.append(self.chars[i])
         return "".join(out)
-
-    def to_json(self) -> str:
-        return json.dumps({"chars": self.chars})
-
-    @classmethod
-    def from_json(cls, s: str) -> "Vocabulary":
-        return cls(json.loads(s)["chars"])
 
     def __eq__(self, other):
         return isinstance(other, Vocabulary) and self.chars == other.chars

@@ -246,6 +246,10 @@ def test_cross_entropy_rejects_bad_shapes_and_targets():
         ad.softmax_cross_entropy(node, np.array([0, 1, 4]), np.ones(3))
     with pytest.raises(ValueError):
         ad.token_log_losses(np.zeros((2, 3)), np.array([0, 3]))
+    with pytest.raises(ValueError):
+        ad.softmax_focal_cross_entropy(node, np.array([0, 1, -1]), np.ones(3), 1.0, 2.0)
+    with pytest.raises(ValueError):
+        ad.softmax_focal_cross_entropy(node, np.array([0, 1, 2]), np.ones(2), 1.0, 2.0)
 
 
 def test_focal_beta_zero_matches_plain_ce_bitwise():

@@ -140,34 +140,6 @@ def test_random_strategy_recovers_with_oracle():
     np.testing.assert_array_equal(out, want)
 
 
-def test_freeze_committed_locks_positions():
-    # an adversarial oracle that changes its prediction once positions commit:
-    # truth on the first call, all-zeros afterwards
-    batch = _oracle_batch(rows=1, cond=2, width=6, lengths=(6,))
-
-    class FlipFlop(OracleDenoiser):
-        def forward(self, tokens, pad_mask=None):
-            node = super().forward(tokens, pad_mask)
-            if self.calls > 1:
-                # later calls push token 0 everywhere
-                v = node.value.copy()
-                v[:] = np.log(0.001 / (VOCAB - 3))
-                v[:, :, 0] = np.log(0.999)
-                return ad.constant(v, dtype=np.float64)
-            return node
-
-    model = FlipFlop(batch.tokens)
-    cfg = DecodeConfig(steps=3, temperature=1e-6, strategy="topk", seed=6,
-                       freeze_committed=True)
-    trace = []
-    out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, trace=trace)
-    cw = batch.cond_width
-    first_revealed = np.flatnonzero(trace[0][0, cw:])
-    # frozen positions keep their first-step (true) values
-    for pos in first_revealed:
-        assert out[0, pos] == batch.tokens[0, cw + pos]
-
-
 def test_decode_determinism_same_seed():
     batch = _oracle_batch()
     model = OracleDenoiser(batch.tokens, conf_fn=lambda pos: 0.6)

@@ -61,13 +61,13 @@ def test_config_rejects_unknown_fields():
 @pytest.mark.parametrize("kw", [
     {"task": "chess"},
     {"model_kind": "rnn"},
-    {"preset": "giant"},
     {"sequence_mode": "quadratic"},
     {"strategy": "beam"},
     {"lr": 0.0},
     {"batch_size": 0},
     {"schedule_T": 0},
     {"warmup_steps": -1},
+    {"token_beta": -1.0},
 ])
 def test_config_validation(kw):
     base = dict(task="planning", out_dir="/tmp/x")
@@ -116,6 +116,17 @@ def test_metrics_append_and_read(tmp_path):
     recs = read_records(path)
     assert [r["kind"] for r in recs] == ["train_step", "eval"]
     assert recs[1]["per_pd"] == {"0": 0.5}
+
+
+def test_read_records_rejects_malformed_record(tmp_path):
+    path = str(tmp_path / "m.jsonl")
+    append_record(path, MetricsRecord(kind="train_step", step=1, task="planning",
+                                      model_kind="diffusion", seed=0, loss=1.5))
+    with open(path, "a") as f:
+        f.write(json.dumps({"kind": "eval", "step": "two", "task": "planning",
+                            "model_kind": "diffusion", "seed": 0}) + "\n")
+    with pytest.raises(ValueError, match=r"m\.jsonl:2"):
+        read_records(path)
 
 
 def test_metrics_schema_rejects_bad_records():

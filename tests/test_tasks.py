@@ -358,7 +358,6 @@ def test_vocab_roundtrip_and_specials():
     assert v.decode([0, v.pad_id, 1]) == v.chars[0] + v.chars[1]
     with pytest.raises(ValueError):
         v.decode([0, v.pad_id, 1], strip_pad=False)
-    assert Vocabulary.from_json(v.to_json()) == v
 
 
 def test_vocab_rejects_duplicates_and_strings():
@@ -366,11 +365,6 @@ def test_vocab_rejects_duplicates_and_strings():
         Vocabulary(["a", "a"])
     with pytest.raises(ValueError):
         Vocabulary(["ab"])
-
-
-def test_vocab_from_corpus():
-    v = Vocabulary.from_corpus(["101", "2,3"])
-    assert v.chars == [",", "0", "1", "2", "3"]
 
 
 # ---------------------------------------------------------------------------
