@@ -3,7 +3,7 @@
 Subpackages:
     autodiff    reverse-mode automatic differentiation over numpy arrays
     model       transformer denoiser (bidirectional) and autoregressive baseline
-    diffusion   forward corruption process, posteriors, training losses
+    diffusion   forward corruption process, training losses, ELBO
     decoding    parallel easy-first decoding and left-to-right sampling
     tasks       synthetic task generators, verifiers, tokenization
     harness     experiment configs, training loop, evaluation, analysis, CLI

@@ -363,9 +363,9 @@ def token_log_losses(logits, targets) -> np.ndarray:
     return -np.take_along_axis(log_softmax(values), targets[..., None], axis=-1)[..., 0]
 
 
-def _ce_inputs(logits: Node, targets, weights):
+def _ce_inputs(logits: Node, targets, weights, logp):
     """Validate [n, k] logits, int [n] targets and float [n] weights, and
-    compute the float64 log-probs and token losses u once."""
+    compute the float64 log-probs (unless given) and token losses u once."""
     targets = np.asarray(targets)
     weights = np.asarray(weights, dtype=np.float64)
     values = logits.value
@@ -377,7 +377,10 @@ def _ce_inputs(logits: Node, targets, weights):
             f"targets {targets.shape}, weights {weights.shape}"
         )
     _check_targets(targets, values.shape[1])
-    logp = log_softmax(values)
+    if logp is None:
+        logp = log_softmax(values)
+    elif logp.shape != values.shape:
+        raise ValueError(f"log-probs {logp.shape} do not match logits {values.shape}")
     u = -logp[np.arange(len(targets)), targets]
     return targets, weights, logp, u
 
@@ -396,27 +399,29 @@ def _ce_node(logits: Node, targets, logp, total, coef) -> Node:
     return Node(np.asarray(total, dtype=np.float64), parents=(logits,), backward=backward)
 
 
-def softmax_cross_entropy(logits: Node, targets, weights) -> Node:
+def softmax_cross_entropy(logits: Node, targets, weights, logp=None) -> Node:
     """Weighted sum of per-token cross entropies, accumulated in float64.
 
     logits: [n, k]; targets: int [n]; weights: float [n]. Zero-weight tokens
     contribute exactly zero to both the value and the gradient. The scalar
-    output stays float64 regardless of storage dtype.
+    output stays float64 regardless of storage dtype. A caller that already
+    holds log_softmax(logits.value) passes it as logp to skip recomputing it.
     """
-    targets, weights, logp, u = _ce_inputs(logits, targets, weights)
+    targets, weights, logp, u = _ce_inputs(logits, targets, weights, logp)
     return _ce_node(logits, targets, logp, (weights * u).sum(dtype=np.float64), weights)
 
 
 def softmax_focal_cross_entropy(
-    logits: Node, targets, weights, alpha: float, beta: float
+    logits: Node, targets, weights, alpha: float, beta: float, logp=None
 ) -> Node:
     """Focal-style cross entropy: sum_i w_i * alpha * (1 - p_i)^beta * u_i
     where u_i is the token cross entropy and p_i = exp(-u_i).
 
     Unlike the detached-weight path this differentiates through the
     (1 - p)^beta factor, so hard tokens also feel the pull of the modifier.
+    logp is as in softmax_cross_entropy.
     """
-    targets, weights, logp, u = _ce_inputs(logits, targets, weights)
+    targets, weights, logp, u = _ce_inputs(logits, targets, weights, logp)
     p = np.exp(-u)
     onemp = 1.0 - p
     total = (weights * alpha * np.power(onemp, beta) * u).sum(dtype=np.float64)

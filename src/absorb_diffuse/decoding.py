@@ -102,6 +102,11 @@ def ar_decode(model, batch: Batch, cfg: DecodeConfig, pad_id: int,
               rng: np.random.Generator | None = None) -> np.ndarray:
     """Sample the target region left to right with a causal model.
 
+    The first forward runs the condition prefix and fills a key/value
+    cache; each later forward feeds only the token sampled last. The last
+    logits row of each forward scores the next token. The cache lives for
+    this call only.
+
     max_new: per-row token budget (defaults to each row's target length).
     An emitted eos_id, when given, ends a row without being written.
     Returns int32 [B, target_width] with pad_id beyond what was generated.
@@ -120,9 +125,10 @@ def ar_decode(model, batch: Batch, cfg: DecodeConfig, pad_id: int,
     pad_mask = batch.pad_mask & ~batch.target_mask
     done = max_new <= 0
     emitted = np.zeros(b, dtype=np.int64)
+    cache = {}
     for j in range(int(max_new.max()) if b else 0):
         pos = w + j
-        logits = model.forward(x, pad_mask).value[:, pos - 1]
+        logits = model.forward(x[:, :pos], pad_mask[:, :pos], cache=cache).value[:, -1]
         logp = log_softmax(logits / cfg.temperature)
         gumbel = rng.gumbel(size=logp.shape)
         sampled = np.argmax(logp + gumbel, axis=-1)

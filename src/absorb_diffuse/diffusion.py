@@ -1,10 +1,11 @@
-"""Absorbing-state discrete diffusion: corruption process and training losses.
+"""Absorbing-state discrete diffusion: corruption process, training losses, ELBO.
 
 The forward process replaces tokens with a dedicated mask id and never
 un-masks: under the cumulative schedule alpha, a token survives to step t
-with probability alpha_t and shows the mask otherwise. All closed forms
-below (marginal, posterior, KL) are the absorbing-chain specializations and
-are validated in the tests against brute-force chain enumeration.
+with probability alpha_t and shows the mask otherwise. The chain's
+closed-form marginal, posterior and KL live in tests/helpers.py as oracles
+for the loss and ELBO below, and are themselves checked against brute-force
+chain enumeration.
 
 Notation used throughout: alpha[t] is the survival probability after t
 steps (alpha[0] = 1), and lam[t] = (alpha[t-1] - alpha[t]) / (1 - alpha[t])
@@ -70,65 +71,6 @@ class NoiseSchedule:
         if t.size and (t.min() < 1 or t.max() > self.T):
             raise ValueError(f"t out of range [1, {self.T}]: min {t.min()}, max {t.max()}")
         return t
-
-
-def forward_marginal(schedule: NoiseSchedule, t: int, x0: int, vocab: int, mask_id: int) -> np.ndarray:
-    """Distribution of x_t given x_0, as a length-`vocab` probability vector."""
-    _check_token(x0, vocab, mask_id, "x0")
-    t = int(schedule._check_t(t))
-    out = np.zeros(vocab, dtype=np.float64)
-    a = schedule.alpha[t]
-    out[x0] = a
-    out[mask_id] += 1.0 - a
-    return out
-
-
-def posterior(schedule: NoiseSchedule, t: int, xt: int, x0: int, vocab: int, mask_id: int) -> np.ndarray:
-    """Distribution of x_{t-1} given x_t and x_0.
-
-    Two cases only: a surviving token pins x_{t-1} to itself, and a masked
-    token was either still alive at t-1 (prob lam_t, value x_0) or already
-    masked. Any other (xt, x0) pair has zero forward probability.
-    """
-    _check_token(x0, vocab, mask_id, "x0")
-    t = int(schedule._check_t(t))
-    out = np.zeros(vocab, dtype=np.float64)
-    if xt == mask_id:
-        lam = float(schedule.survival(t))
-        out[x0] = lam
-        out[mask_id] = 1.0 - lam
-    elif xt == x0:
-        out[x0] = 1.0
-    else:
-        raise ValueError(
-            f"impossible forward event: xt={xt} is neither mask ({mask_id}) nor x0={x0}"
-        )
-    return out
-
-
-def kl_term(schedule: NoiseSchedule, t: int, x0: int, xt: int, model_probs, mask_id: int) -> float:
-    """KL(q(x_{t-1}|x_t,x_0) || p(x_{t-1}|x_t)) for one position.
-
-    p is the posterior with x_0 marginalized under the model's content
-    distribution `model_probs` (which never scores the mask), so the mask
-    branch cancels and only -log p(x_0) survives, scaled by lam_t. A
-    surviving token pins both posteriors to the same point mass: zero.
-    """
-    t = int(schedule._check_t(t))
-    if xt != mask_id:
-        if xt != x0:
-            raise ValueError(f"impossible forward event: xt={xt}, x0={x0}")
-        return 0.0
-    probs = np.asarray(model_probs, dtype=np.float64)
-    lam = float(schedule.survival(t))
-    return lam * -np.log(probs[x0])
-
-
-def _check_token(tok: int, vocab: int, mask_id: int, name: str) -> None:
-    if not 0 <= tok < vocab:
-        raise ValueError(f"{name}={tok} outside vocab [0, {vocab})")
-    if tok == mask_id and name == "x0":
-        raise ValueError("x0 cannot be the mask token")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +198,8 @@ def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
     if mask.any() and targets[mask].max() >= k:
         raise ValueError("corrupted positions must hold content tokens")
 
-    u_flat = ad.token_log_losses(flat.value, targets)
+    logp = ad.log_softmax(flat.value)  # shared with the loss kernel below
+    u_flat = -logp[np.arange(b * s), targets]
     seq_w = sequence_weight(schedule, cbatch.t, reweight.sequence_mode)
     base = np.where(mask, np.repeat(seq_w, s), 0.0)
     n = int(mask.sum())
@@ -264,9 +207,9 @@ def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
     denom = max(n, 1)  # base is all zero when nothing is corrupted: the loss is 0
     if reweight.full_gradient:
         loss = ad.softmax_focal_cross_entropy(
-            flat, targets, base / denom, reweight.token_alpha, reweight.token_beta)
+            flat, targets, base / denom, reweight.token_alpha, reweight.token_beta, logp=logp)
     else:
-        loss = ad.softmax_cross_entropy(flat, targets, base * v_flat / denom)
+        loss = ad.softmax_cross_entropy(flat, targets, base * v_flat / denom, logp=logp)
 
     report = LossReport(
         loss=float(loss.value),

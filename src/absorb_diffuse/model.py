@@ -130,37 +130,56 @@ class DenoiserModel:
     def param_arrays(self) -> dict:
         return {k: p.value for k, p in self.params.items()}
 
-    def _attention_bias(self, pad_mask, seq_len: int, dtype) -> np.ndarray:
-        """Additive [B_or_1, 1, S, S] bias: NEG_INF on forbidden keys."""
+    def _attention_bias(self, pad_mask, seq_len: int, dtype, start: int) -> np.ndarray:
+        """Additive [B_or_1, 1, S - start, S] bias for the queries at
+        positions start..S-1: NEG_INF on forbidden keys."""
         if self.config.attention == "causal":
             base = np.triu(np.full((seq_len, seq_len), NEG_INF, dtype=dtype), k=1)
         else:
             base = np.zeros((seq_len, seq_len), dtype=dtype)
-        bias = base[None, None]
+        bias = base[None, None, start:]
         if pad_mask is not None:
             key_block = np.where(pad_mask[:, None, None, :], 0.0, NEG_INF).astype(dtype)
             bias = bias + key_block
         return bias
 
-    def forward(self, tokens, pad_mask=None) -> ad.Node:
+    def forward(self, tokens, pad_mask=None, cache: dict | None = None) -> ad.Node:
         """Score content tokens at every position.
 
-        tokens: int [B, S]; pad_mask: optional bool [B, S], False at padding.
-        Returns logits over the content vocabulary, shape [B, S, content].
+        tokens: int [B, N]; pad_mask: optional bool [B, N], False at padding.
+        Returns logits over the content vocabulary, shape [B, N, content].
+
+        cache (causal models only) belongs to one caller and maps layer
+        index -> (keys, values) of the first m positions, each [B, H, m, hd];
+        pass {} on the first call. Only positions m..N-1 are then embedded,
+        their keys and values are appended to the cache, and the logits
+        cover those positions only, [B, N - m, content]. They equal the
+        full forward's logits there for two reasons: causal attention makes
+        a position's hidden states independent of every later position, and
+        a position's pad_mask entry never changes after it has been fed, so
+        its cached key stays masked or unmasked for good.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be [batch, seq], got {tokens.shape}")
-        b, s = tokens.shape
-        if s > self.config.max_seq_len:
-            raise ValueError(f"sequence length {s} exceeds max_seq_len {self.config.max_seq_len}")
+        b, n = tokens.shape
+        if n > self.config.max_seq_len:
+            raise ValueError(f"sequence length {n} exceeds max_seq_len {self.config.max_seq_len}")
         p = self.params
         c = self.config
         d, nh, hd = c.hidden_dim, c.n_heads, c.head_dim
+        m = 0
+        if cache is not None:
+            if c.attention != "causal":
+                raise ValueError("a key/value cache needs a causal model")
+            m = cache[0][0].shape[2] if cache else 0
+            if m >= n:
+                raise ValueError(f"the cache already holds {m} of the {n} positions")
+        s = n - m
 
-        x = ad.add(ad.embedding_lookup(p["tok_emb"], tokens),
-                   ad.embedding_lookup(p["pos_emb"], np.arange(s)))
-        bias = ad.constant(self._attention_bias(pad_mask, s, x.value.dtype))
+        x = ad.add(ad.embedding_lookup(p["tok_emb"], tokens[:, m:]),
+                   ad.embedding_lookup(p["pos_emb"], np.arange(m, n)))
+        bias = ad.constant(self._attention_bias(pad_mask, n, x.value.dtype, start=m))
 
         for i in range(c.n_layers):
             h = f"h{i}"
@@ -174,6 +193,12 @@ class DenoiserModel:
             q = heads(f"{h}.attn.wq", f"{h}.attn.bq")
             k = heads(f"{h}.attn.wk", f"{h}.attn.bk")
             v = heads(f"{h}.attn.wv", f"{h}.attn.bv")
+            if cache is not None:
+                if m:
+                    ck, cv = cache[i]
+                    k = ad.concat([ad.constant(ck, ck.dtype), k], axis=2)
+                    v = ad.concat([ad.constant(cv, cv.dtype), v], axis=2)
+                cache[i] = (k.value, v.value)
             scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
             att = ad.softmax(ad.add(scores, bias), axis=-1)
             ctx = ad.matmul(att, v)

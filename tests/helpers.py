@@ -1,10 +1,13 @@
-"""Shared test utilities: finite-difference gradient checking and tiny fixtures."""
+"""Shared test utilities: finite-difference gradient checking, tiny fixtures,
+and reference implementations that the library's fast paths are checked
+against."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from absorb_diffuse import autodiff as ad
+from absorb_diffuse.diffusion import NoiseSchedule
 
 
 def rel_err(got: np.ndarray, want: np.ndarray, floor: float = 1.0) -> float:
@@ -63,3 +66,110 @@ def check_gradient(build, params: dict[str, np.ndarray], tol: float,
 def random_logits(rng: np.random.Generator, shape, scale: float = 2.0,
                   dtype=np.float32) -> np.ndarray:
     return (rng.standard_normal(shape) * scale).astype(dtype)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the absorbing chain
+
+
+def forward_marginal(schedule: NoiseSchedule, t: int, x0: int, vocab: int, mask_id: int) -> np.ndarray:
+    """Distribution of x_t given x_0, as a length-`vocab` probability vector."""
+    _check_token(x0, vocab, mask_id, "x0")
+    t = int(schedule._check_t(t))
+    out = np.zeros(vocab, dtype=np.float64)
+    a = schedule.alpha[t]
+    out[x0] = a
+    out[mask_id] += 1.0 - a
+    return out
+
+
+def posterior(schedule: NoiseSchedule, t: int, xt: int, x0: int, vocab: int, mask_id: int) -> np.ndarray:
+    """Distribution of x_{t-1} given x_t and x_0.
+
+    Two cases only: a surviving token pins x_{t-1} to itself, and a masked
+    token was either still alive at t-1 (prob lam_t, value x_0) or already
+    masked. Any other (xt, x0) pair has zero forward probability.
+    """
+    _check_token(x0, vocab, mask_id, "x0")
+    t = int(schedule._check_t(t))
+    out = np.zeros(vocab, dtype=np.float64)
+    if xt == mask_id:
+        lam = float(schedule.survival(t))
+        out[x0] = lam
+        out[mask_id] = 1.0 - lam
+    elif xt == x0:
+        out[x0] = 1.0
+    else:
+        raise ValueError(
+            f"impossible forward event: xt={xt} is neither mask ({mask_id}) nor x0={x0}"
+        )
+    return out
+
+
+def kl_term(schedule: NoiseSchedule, t: int, x0: int, xt: int, model_probs, mask_id: int) -> float:
+    """KL(q(x_{t-1}|x_t,x_0) || p(x_{t-1}|x_t)) for one position.
+
+    p is the posterior with x_0 marginalized under the model's content
+    distribution `model_probs` (which never scores the mask), so the mask
+    branch cancels and only -log p(x_0) survives, scaled by lam_t. A
+    surviving token pins both posteriors to the same point mass: zero.
+    """
+    t = int(schedule._check_t(t))
+    if xt != mask_id:
+        if xt != x0:
+            raise ValueError(f"impossible forward event: xt={xt}, x0={x0}")
+        return 0.0
+    probs = np.asarray(model_probs, dtype=np.float64)
+    lam = float(schedule.survival(t))
+    return lam * -np.log(probs[x0])
+
+
+def _check_token(tok: int, vocab: int, mask_id: int, name: str) -> None:
+    if not 0 <= tok < vocab:
+        raise ValueError(f"{name}={tok} outside vocab [0, {vocab})")
+    if tok == mask_id and name == "x0":
+        raise ValueError("x0 cannot be the mask token")
+
+
+# ---------------------------------------------------------------------------
+# left-to-right decoding without a key/value cache
+
+
+def ar_decode_full_canvas(model, batch, cfg, pad_id: int, max_new=None,
+                          eos_id: int | None = None, rng=None) -> np.ndarray:
+    """`decoding.ar_decode` as a full-canvas loop: every step runs the
+    model over the whole canvas and reads the logits one slot before the
+    position being generated. Same arguments, sampling order and output."""
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    b, s = batch.tokens.shape
+    w = batch.cond_width
+    if max_new is None:
+        max_new = batch.target_lengths()
+    max_new = np.minimum(np.asarray(max_new, dtype=np.int64), s - w)
+
+    x = batch.tokens.copy()
+    pad_mask = batch.pad_mask & ~batch.target_mask
+    done = max_new <= 0
+    emitted = np.zeros(b, dtype=np.int64)
+    for j in range(int(max_new.max()) if b else 0):
+        pos = w + j
+        logits = model.forward(x, pad_mask).value[:, pos - 1]
+        logp = ad.log_softmax(logits / cfg.temperature)
+        sampled = np.argmax(logp + rng.gumbel(size=logp.shape), axis=-1)
+        active = ~done & (j < max_new)
+        if eos_id is not None:
+            hit = active & (sampled == eos_id)
+            done |= hit
+            active &= ~hit
+        x[active, pos] = sampled[active]
+        pad_mask[active, pos] = True
+        emitted[active] += 1
+        done |= emitted >= max_new
+        if done.all():
+            break
+
+    out = np.full((b, s - w), pad_id, dtype=x.dtype)
+    for i in range(b):
+        out[i, :emitted[i]] = x[i, w:w + emitted[i]]
+    return out

@@ -24,9 +24,6 @@ from absorb_diffuse.diffusion import (
     diffusion_loss,
     draw_t,
     elbo,
-    forward_marginal,
-    kl_term,
-    posterior,
     sample_xt,
     subgoal_loss_profile,
     token_weight,
@@ -43,7 +40,7 @@ from absorb_diffuse.tasks.registry import TASKS, encode_instances
 from absorb_diffuse.tasks.sat import clause_count
 
 from conftest import record_criterion
-from helpers import check_gradient
+from helpers import check_gradient, forward_marginal, kl_term, posterior
 from test_tasks import (
     GOLD_CD3,
     GOLD_CD4,
@@ -145,7 +142,7 @@ class _TableModel:
         self.seed = seed
         self.cache = {}
 
-    def forward(self, tokens, pad_mask=None):
+    def forward(self, tokens, pad_mask=None, cache=None):
         tokens = np.asarray(tokens)
         b, s = tokens.shape
         out = np.zeros((b, s, 2))
@@ -352,7 +349,7 @@ class _OracleDenoiser:
         self.truth = truth  # [B, S] int, correct token at every position
         self.content = content
 
-    def forward(self, tokens, pad_mask=None):
+    def forward(self, tokens, pad_mask=None, cache=None):
         b, s = np.asarray(tokens).shape
         logits = np.zeros((b, s, self.content))
         rows = np.arange(b)[:, None], np.arange(s)[None, :], self.truth

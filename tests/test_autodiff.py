@@ -250,6 +250,25 @@ def test_cross_entropy_rejects_bad_shapes_and_targets():
         ad.softmax_focal_cross_entropy(node, np.array([0, 1, -1]), np.ones(3), 1.0, 2.0)
     with pytest.raises(ValueError):
         ad.softmax_focal_cross_entropy(node, np.array([0, 1, 2]), np.ones(2), 1.0, 2.0)
+    with pytest.raises(ValueError):
+        ad.softmax_cross_entropy(node, np.array([0, 1, 2]), np.ones(3), logp=np.zeros((3, 5)))
+
+
+def test_cross_entropy_with_given_log_probs_is_bit_identical():
+    logits = _p((9, 13), scale=2.5)
+    targets = RNG.integers(0, 13, size=9)
+    weights = RNG.random(9)
+    logp = ad.log_softmax(logits)
+    for kernel in (ad.softmax_cross_entropy,
+                   lambda *a, **k: ad.softmax_focal_cross_entropy(*a, 0.5, 2.0, **k)):
+        a = ad.parameter(logits.copy())
+        b = ad.parameter(logits.copy())
+        own = kernel(a, targets, weights)
+        given = kernel(b, targets, weights, logp=logp)
+        assert float(own.value) == float(given.value)
+        own.backward()
+        given.backward()
+        np.testing.assert_array_equal(a.grad, b.grad)
 
 
 def test_focal_beta_zero_matches_plain_ce_bitwise():

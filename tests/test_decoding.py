@@ -14,6 +14,8 @@ from absorb_diffuse.decoding import (
 )
 from absorb_diffuse.model import ModelConfig, DenoiserModel
 
+from helpers import ar_decode_full_canvas
+
 RNG = np.random.default_rng(515)
 
 VOCAB = 9          # 7 content + mask + pad
@@ -35,7 +37,7 @@ class OracleDenoiser:
         self.conf_fn = conf_fn or (lambda pos: 0.999)
         self.calls = 0
 
-    def forward(self, tokens, pad_mask=None):
+    def forward(self, tokens, pad_mask=None, cache=None):
         self.calls += 1
         b, s = tokens.shape
         k = VOCAB - 2
@@ -171,12 +173,12 @@ class OracleCausal:
         self.truth = truth
         self.config = type("C", (), {"attention": "causal"})()
 
-    def forward(self, tokens, pad_mask=None):
+    def forward(self, tokens, pad_mask=None, cache=None):
         b, s = tokens.shape
         k = VOCAB - 2
         logits = np.full((b, s, k), np.log(0.001 / (k - 1)), dtype=np.float64)
         for i in range(b):
-            for pos in range(s - 1):
+            for pos in range(min(s, self.truth.shape[1] - 1)):
                 nxt = int(self.truth[i, pos + 1])
                 if nxt < k:
                     logits[i, pos, nxt] = np.log(0.999)
@@ -213,6 +215,31 @@ def test_ar_decode_stops_at_eos():
     out = ar_decode(model, batch, cfg, PAD_ID, eos_id=eos)
     assert (out[0, 2:] == PAD_ID).all()
     np.testing.assert_array_equal(out[0, :2], truth[0, batch.cond_width:batch.cond_width + 2])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"max_new": np.array([2, 0, 6, 8, 1, 8, 3, 5])},
+    {"eos_id": 4},
+])
+def test_ar_decode_matches_full_canvas_loop(kwargs):
+    rng = np.random.default_rng(8)
+    # every width of left padding, targets shorter and longer than max_new
+    conds = [list(rng.integers(0, VOCAB - 2, size=n)) for n in (4, 2, 1, 3, 4, 1, 2, 3)]
+    outs = [list(rng.integers(0, VOCAB - 2, size=n)) for n in (8, 5, 8, 2, 1, 7, 4, 6)]
+    batch = pack_rows(conds, outs, 4, 8, PAD_ID)
+    cfg = ModelConfig(vocab_size=VOCAB, max_seq_len=batch.width, n_layers=2,
+                      n_heads=2, hidden_dim=16, attention="causal")
+    with ad.using_dtype(np.float64):
+        model = DenoiserModel(cfg, seed=6)
+    for param in model.params.values():
+        param.value *= 5.0  # above init scale, so a wrong key or position moves the draws
+    dcfg = DecodeConfig(steps=1, temperature=1.0, seed=4)
+    got = ar_decode(model, batch, dcfg, PAD_ID, **kwargs)
+    want = ar_decode_full_canvas(model, batch, dcfg, PAD_ID, **kwargs)
+    np.testing.assert_array_equal(got, want)
+    if "eos_id" in kwargs:  # some row must actually stop early
+        assert ((got != PAD_ID).sum(axis=1) < batch.target_lengths()).any()
 
 
 def test_ar_decode_requires_causal_model():

@@ -13,15 +13,14 @@ from absorb_diffuse.diffusion import (
     diffusion_loss,
     draw_t,
     elbo,
-    forward_marginal,
-    kl_term,
-    posterior,
     sample_xt,
     sequence_weight,
     subgoal_loss_profile,
     token_weight,
 )
 from absorb_diffuse.model import ModelConfig, DenoiserModel
+
+from helpers import forward_marginal, kl_term, posterior
 
 RNG = np.random.default_rng(20240818)
 
@@ -377,7 +376,7 @@ class StubModel:
     def __init__(self, probs: np.ndarray):
         self.probs = np.asarray(probs, dtype=np.float64)
 
-    def forward(self, tokens, pad_mask=None):
+    def forward(self, tokens, pad_mask=None, cache=None):
         b, s = np.asarray(tokens).shape
         logits = np.tile(np.log(self.probs)[None, None, :], (b, s, 1))
         return ad.constant(logits.astype(np.float64), dtype=np.float64)

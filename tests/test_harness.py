@@ -170,13 +170,13 @@ class LookupOracle:
         self.config = type("C", (), {"attention": "causal" if causal else "bidirectional"})()
         self.causal = causal
 
-    def forward(self, tokens, pad_mask=None):
+    def forward(self, tokens, pad_mask=None, cache=None):
         b, s = tokens.shape
         logits = np.full((b, s, self.k), np.log((1 - self.p) / (self.k - 1)))
         for i in range(b):
             row = self.truth[tokens[i, :self.w].tobytes()]
             for pos in range(s):
-                if self.causal and pos + 1 >= s:
+                if self.causal and pos + 1 >= len(row):
                     continue
                 want = row[pos + 1] if self.causal else row[pos]
                 if want < self.k:

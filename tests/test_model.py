@@ -61,6 +61,42 @@ def test_causal_model_ignores_future_tokens():
     assert not np.allclose(la[0, 7:], lb[0, 7:], atol=1e-6)
 
 
+@pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_kv_cache_logits_match_full_forward(dtype, atol):
+    cfg = tiny_config("causal")
+    with ad.using_dtype(dtype):
+        model = DenoiserModel(cfg, seed=4)
+    pad_id = cfg.vocab_size - 1
+    # different left padding in the condition and different target lengths
+    conds = [[1, 2, 3, 4], [5, 6], [7]]
+    outs = [[1, 2, 3, 4, 5, 6, 7, 8], [3, 1, 4, 1, 5], [2, 7, 1]]
+    batch = pack_rows(conds, outs, 4, 8, pad_id)
+    full = model.forward(batch.tokens, batch.pad_mask).value
+
+    cache = {}
+    pieces = [model.forward(batch.tokens[:, :n], batch.pad_mask[:, :n], cache=cache).value
+              for n in (4, 6, *range(7, cfg.max_seq_len + 1))]
+    assert [piece.shape[1] for piece in pieces] == [4, 2] + [1] * 6
+    assert sorted(cache) == list(range(cfg.n_layers))
+    assert cache[0][0].shape == (3, cfg.n_heads, cfg.max_seq_len, cfg.head_dim)
+    inc = np.concatenate(pieces, axis=1)
+    assert inc.dtype == full.dtype == dtype
+    # padded queries attend to nothing real; only real positions must agree
+    np.testing.assert_allclose(inc[batch.pad_mask], full[batch.pad_mask], rtol=0, atol=atol)
+
+
+def test_kv_cache_rejected_where_invalid():
+    tokens = RNG.integers(0, 9, size=(2, 6)).astype(np.int32)
+    bidir = DenoiserModel(tiny_config("bidirectional"), seed=5)
+    with pytest.raises(ValueError, match="causal"):
+        bidir.forward(tokens, cache={})
+    causal = DenoiserModel(tiny_config("causal"), seed=5)
+    cache = {}
+    causal.forward(tokens, cache=cache)
+    with pytest.raises(ValueError, match="already holds"):
+        causal.forward(tokens, cache=cache)
+
+
 def test_bidirectional_model_sees_future_tokens():
     cfg = tiny_config("bidirectional")
     model = DenoiserModel(cfg, seed=2)
