@@ -97,9 +97,6 @@ class Node:
                 else:
                     grads[pid] = piece
 
-    def detach(self) -> np.ndarray:
-        return self.value
-
 
 def _toposort(root: Node) -> list[Node]:
     # Iterative DFS; graphs from deep unrolled decodes overflow recursion limits.
@@ -122,7 +119,7 @@ def _toposort(root: Node) -> list[Node]:
     return order
 
 
-def parameter(value, name=None) -> Node:
+def parameter(value) -> Node:
     """Wrap an array as a trainable leaf in the default storage dtype."""
     arr = np.asarray(value, dtype=_DEFAULT_DTYPE)
     return Node(arr, requires_grad=True)

@@ -1,114 +1,117 @@
 """Checkpoint directory format.
 
-A checkpoint is a directory holding `manifest.json` plus one raw
-little-endian float32 file per named parameter under `params/`. The manifest
-records the schema version, parameter names and shapes, storage dtype,
-whether optimizer state is present, and the RNG bookkeeping needed to resume
-a run deterministically. Adam moments, when saved, live under `opt/` in the
-same raw format.
+A checkpoint is a directory holding `manifest.json` plus one numpy archive,
+`arrays-<sha256[:16]>.npz`, with every parameter (`param/<name>`) and both
+Adam moments (`m/<name>`, `v/<name>`) as little-endian float32. The manifest
+records the schema version, dtype tag, the archive's name and full sha256,
+the model config, Adam's step count, the RNG state needed to resume a run
+deterministically, the step and caller metadata. Renaming the manifest into
+place is the only commit point: a save killed before it leaves the previous
+manifest naming the previous archive, deleted only after the new manifest.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DTYPE_TAG = "f32le"
 _DTYPE = np.dtype("<f4")
+MANIFEST = "manifest.json"
+_KEYS = ("arrays", "sha256", "model_config", "adam_t", "rng_state", "step", "extra")
 
 
-def _write_raw(path: str, arr: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        f.write(np.ascontiguousarray(arr, dtype=_DTYPE).tobytes())
+def _write_durable(dir_path: str, tmp_name: str, name: str, data: bytes) -> None:
+    """Write `data` to `tmp_name` under `dir_path`, fsync it, rename it to
+    `name` and fsync the directory so the rename persists. A save killed
+    midway leaves at most the temporary file, which the next save reuses."""
+    tmp = os.path.join(dir_path, tmp_name)
+    with open(tmp, "wb") as f:
+        f.write(data)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, os.path.join(dir_path, name))
+    fd = os.open(dir_path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
-def _read_raw(path: str, shape) -> np.ndarray:
-    with open(path, "rb") as f:
-        buf = f.read()
-    arr = np.frombuffer(buf, dtype=_DTYPE)
-    expected = int(np.prod(shape)) if shape else 1
-    if arr.size != expected:
-        raise ValueError(f"{path}: expected {expected} float32 values, found {arr.size}")
-    return arr.reshape(shape).copy()
-
-
-def save_checkpoint(path: str, params: dict, model_config: dict | None = None,
-                    optimizer_state: dict | None = None, rng_state: dict | None = None,
-                    seed: int | None = None, step: int | None = None,
-                    extra: dict | None = None) -> None:
-    """Write parameters (name -> Node or ndarray) and metadata to `path`."""
-    os.makedirs(os.path.join(path, "params"), exist_ok=True)
-    arrays = {k: (v.value if hasattr(v, "value") else np.asarray(v)) for k, v in params.items()}
+def save_checkpoint(path: str, params: dict, model_config: dict, optimizer_state: dict,
+                    rng_state: dict, step: int, extra: dict) -> None:
+    """Write parameters (name -> Node), Adam state and metadata to `path`."""
+    os.makedirs(path, exist_ok=True)
+    arrays = {}
+    for name, p in params.items():
+        arrays["param/" + name] = np.asarray(p.value, _DTYPE)
+        arrays["m/" + name] = np.asarray(optimizer_state["m"][name], _DTYPE)
+        arrays["v/" + name] = np.asarray(optimizer_state["v"][name], _DTYPE)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    data = buf.getvalue()
+    sha = hashlib.sha256(data).hexdigest()
+    archive = f"arrays-{sha[:16]}.npz"
+    _write_durable(path, "arrays.tmp", archive, data)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "dtype": DTYPE_TAG,
-        "params": [{"name": k, "shape": list(a.shape)} for k, a in sorted(arrays.items())],
-        "has_optimizer": optimizer_state is not None,
-        "seed": seed,
-        "rng_state": rng_state,
+        "arrays": archive,
+        "sha256": sha,
         "model_config": model_config,
-        "step": step,
-        "extra": extra or {},
+        "adam_t": int(optimizer_state["t"]),
+        "rng_state": rng_state,
+        "step": int(step),
+        "extra": extra,
     }
-    for name, arr in arrays.items():
-        _write_raw(os.path.join(path, "params", name + ".bin"), arr)
-    if optimizer_state is not None:
-        opt_dir = os.path.join(path, "opt")
-        os.makedirs(opt_dir, exist_ok=True)
-        manifest["adam_t"] = int(optimizer_state["t"])
-        for name, arr in optimizer_state["m"].items():
-            _write_raw(os.path.join(opt_dir, name + ".m.bin"), arr)
-        for name, arr in optimizer_state["v"].items():
-            _write_raw(os.path.join(opt_dir, name + ".v.bin"), arr)
-    tmp = os.path.join(path, "manifest.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, os.path.join(path, "manifest.json"))
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_durable(path, MANIFEST + ".tmp", MANIFEST, text.encode())
+    for f in os.listdir(path):
+        if f.startswith("arrays-") and f.endswith(".npz") and f != archive:
+            os.remove(os.path.join(path, f))
 
 
 class Checkpoint:
-    def __init__(self, manifest: dict, params: dict, optimizer_state: dict | None):
+    def __init__(self, manifest: dict, params: dict, optimizer_state: dict):
         self.manifest = manifest
         self.params = params
         self.optimizer_state = optimizer_state
-
-    @property
-    def model_config(self) -> dict | None:
-        return self.manifest.get("model_config")
-
-    @property
-    def rng_state(self) -> dict | None:
-        return self.manifest.get("rng_state")
-
-    @property
-    def step(self) -> int | None:
-        return self.manifest.get("step")
+        self.model_config = manifest["model_config"]
+        self.rng_state = manifest["rng_state"]
+        self.step = manifest["step"]
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(os.path.join(path, "manifest.json")) as f:
+    manifest_path = os.path.join(path, MANIFEST)
+    with open(manifest_path) as f:
         manifest = json.load(f)
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
-            f"unsupported checkpoint schema {manifest.get('schema_version')}, "
+            f"{manifest_path}: unsupported checkpoint schema {manifest.get('schema_version')}, "
             f"this build reads version {SCHEMA_VERSION}"
         )
     if manifest.get("dtype") != DTYPE_TAG:
-        raise ValueError(f"unsupported parameter dtype {manifest.get('dtype')!r}")
-    params = {}
-    for entry in manifest["params"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        params[name] = _read_raw(os.path.join(path, "params", name + ".bin"), shape)
-    optimizer_state = None
-    if manifest.get("has_optimizer"):
-        m, v = {}, {}
-        for entry in manifest["params"]:
-            name, shape = entry["name"], tuple(entry["shape"])
-            m[name] = _read_raw(os.path.join(path, "opt", name + ".m.bin"), shape)
-            v[name] = _read_raw(os.path.join(path, "opt", name + ".v.bin"), shape)
-        optimizer_state = {"t": manifest["adam_t"], "m": m, "v": v}
-    return Checkpoint(manifest, params, optimizer_state)
+        raise ValueError(f"{manifest_path}: unsupported parameter dtype {manifest.get('dtype')!r}")
+    missing = [k for k in _KEYS if k not in manifest]
+    if missing:
+        raise ValueError(f"{manifest_path}: missing keys {missing}")
+    archive = os.path.join(path, manifest["arrays"])
+    try:
+        with open(archive, "rb") as f:
+            data = f.read()
+    except FileNotFoundError:
+        raise ValueError(f"{archive}: archive named by the manifest is missing") from None
+    if hashlib.sha256(data).hexdigest() != manifest["sha256"]:
+        raise ValueError(f"{archive}: sha256 does not match the manifest")
+    groups = {"param": {}, "m": {}, "v": {}}
+    with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+        for key in npz.files:
+            kind, name = key.split("/", 1)
+            groups[kind][name] = npz[key]
+    return Checkpoint(manifest, groups["param"],
+                      {"t": manifest["adam_t"], "m": groups["m"], "v": groups["v"]})

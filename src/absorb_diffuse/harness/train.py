@@ -26,8 +26,8 @@ from .metrics import MetricsRecord, append_record
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss stops being finite; a diagnostic snapshot of the
-    model and step context is written before raising."""
+    """Raised when the loss or a gradient stops being finite; a snapshot of
+    the model as it was before the step, and the step context, is written first."""
 
 
 @dataclass
@@ -41,41 +41,38 @@ class TrainResult:
 
 
 class _Sampler:
-    """Epoch-shuffled batch index stream with a resumable cursor."""
+    """Epoch-shuffled batch index stream with a resumable cursor. It owns
+    the data rng; its state keeps that rng's state from before the current
+    epoch's shuffle, so a restore draws the same permutation again."""
 
     def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
         self.n = n
         self.batch_size = min(batch_size, n)
         self.rng = rng
         self.epoch = 0
+        self._shuffle()
+
+    def _shuffle(self) -> None:
+        self.rng_before = self.rng.bit_generator.state
+        self.perm = self.rng.permutation(self.n)
         self.pos = 0
-        self.perm = rng.permutation(n)
 
     def next_batch(self) -> np.ndarray:
         if self.pos + self.batch_size > self.n:
-            self.perm = self.rng.permutation(self.n)
-            self.pos = 0
+            self._shuffle()
             self.epoch += 1
         out = self.perm[self.pos:self.pos + self.batch_size]
         self.pos += self.batch_size
         return out
 
     def state(self) -> dict:
-        return {"epoch": self.epoch, "pos": self.pos, "perm": self.perm.tolist()}
+        return {"epoch": self.epoch, "pos": self.pos, "rng": self.rng_before}
 
     def restore(self, state: dict) -> None:
+        self.rng.bit_generator.state = state["rng"]
+        self._shuffle()
         self.epoch = int(state["epoch"])
         self.pos = int(state["pos"])
-        self.perm = np.asarray(state["perm"], dtype=np.int64)
-
-
-def _rng_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
-
-def _restore_rng(state: dict) -> np.random.Generator:
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng
 
 
 def load_model(checkpoint_dir: str):
@@ -105,40 +102,36 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
     seeds = np.random.SeedSequence(cfg.seed).generate_state(4)
     model_cfg = cfg.model_config(vocab.size)
     model = DenoiserModel(model_cfg, seed=int(seeds[0]))
-    data_rng = np.random.default_rng(int(seeds[1]))
     noise_rng = np.random.default_rng(int(seeds[2]))
     opt = Adam(model.params, lr=cfg.lr)
     schedule = NoiseSchedule.linear(cfg.schedule_T)
     reweight = cfg.reweight_config()
-    sampler = _Sampler(dataset.size, cfg.batch_size, data_rng)
+    sampler = _Sampler(dataset.size, cfg.batch_size, np.random.default_rng(int(seeds[1])))
     start_step = 0
 
     if resume_from is not None:
         loaded = ckpt.load_checkpoint(resume_from)
-        for name, arr in loaded.params.items():
-            model.params[name].value[...] = arr
-        if loaded.optimizer_state is not None:
+        try:
+            saved, now = loaded.manifest["extra"]["experiment"], cfg.to_dict()
+            # a resumed run may write elsewhere and train further, nothing else
+            differ = sorted(k for k in now.keys() | saved.keys() if k not in
+                            ("out_dir", "train_steps") and now.get(k) != saved.get(k))
+            if differ:
+                raise ValueError(f"{resume_from}: config differs from the checkpoint's in {differ}")
+            for name, p in model.params.items():
+                p.value[...] = loaded.params[name]
             opt.load_state_dict(loaded.optimizer_state)
-        rs = loaded.rng_state or {}
-        if "data" in rs:
-            data_rng = _restore_rng(rs["data"])
-            sampler.rng = data_rng
-        if "noise" in rs:
-            noise_rng = _restore_rng(rs["noise"])
-        if "sampler" in rs:
-            sampler.restore(rs["sampler"])
-        start_step = int(loaded.step or 0)
+            noise_rng.bit_generator.state = loaded.rng_state["noise"]
+            sampler.restore(loaded.rng_state["sampler"])
+        except KeyError as e:
+            raise ValueError(f"{resume_from}: checkpoint lacks resume key {e}") from None
+        start_step = loaded.step
 
     def save(to_dir: str, step: int) -> None:
         ckpt.save_checkpoint(
-            to_dir, model.params,
-            model_config=model_cfg.to_dict(),
-            optimizer_state=opt.state_dict(),
-            rng_state={"data": _rng_state(data_rng), "noise": _rng_state(noise_rng),
-                       "sampler": sampler.state()},
-            seed=cfg.seed, step=step,
-            extra={"experiment": cfg.to_dict(), "vocab_chars": vocab.chars,
-                   "task": task.name},
+            to_dir, model.params, model_cfg.to_dict(), opt.state_dict(),
+            {"noise": noise_rng.bit_generator.state, "sampler": sampler.state()}, step,
+            {"experiment": cfg.to_dict(), "vocab_chars": vocab.chars, "task": task.name},
         )
 
     def run_eval(step: int) -> dict | None:
@@ -157,17 +150,15 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
                 + (f"per_pd {res.per_pd}" if res.per_pd else ""))
         return res.to_metrics()
 
-    def diverged(step: int, loss_val: float, batch_idx: np.ndarray):
+    def diverged(step: int, reason: str, loss_val: float, batch_idx: np.ndarray):
         snap = os.path.join(cfg.out_dir, "diverged")
         save(snap, step)
         with open(os.path.join(snap, "context.json"), "w") as f:
-            json.dump({"step": step, "loss": loss_val, "batch_indices": batch_idx.tolist()},
-                      f, indent=2)
-        raise TrainingDiverged(
-            f"non-finite loss {loss_val} at step {step}; snapshot written to {snap}")
+            json.dump({"step": step, "reason": reason, "loss": loss_val,
+                       "batch_indices": batch_idx.tolist()}, f, indent=2)
+        raise TrainingDiverged(f"{reason} at step {step}; snapshot written to {snap}")
 
     loss_val = float("nan")
-    final_eval = None
     for step in range(start_step, cfg.train_steps):
         idx = sampler.next_batch()
         rows = dataset.take(idx)
@@ -181,10 +172,13 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
             skip = False
         loss_val = float(loss.value)
         if not np.isfinite(loss_val):
-            diverged(step, loss_val, idx)
+            diverged(step, f"non-finite loss {loss_val}", loss_val, idx)
         lr_t = cfg.lr * min(1.0, (step + 1) / cfg.warmup_steps) if cfg.warmup_steps else cfg.lr
         if not skip:
             loss.backward()
+            bad = [k for k, p in model.params.items() if not np.isfinite(p.grad).all()]
+            if bad:
+                diverged(step, f"non-finite gradient in {bad}", loss_val, idx)
             opt.step(lr_t)
         if (step + 1) % cfg.log_every == 0 or step + 1 == cfg.train_steps:
             append_record(metrics_path, MetricsRecord(

@@ -121,27 +121,21 @@ class DenoiserModel:
                 f"unexpected {extra}, shape mismatches {bad}"
             )
 
-    def num_params(self) -> int:
-        return sum(p.value.size for p in self.params.values())
-
     def zero_grad(self) -> None:
         ad.zero_grads(self.params)
 
-    def param_arrays(self) -> dict:
-        return {k: p.value for k, p in self.params.items()}
-
     def _attention_bias(self, pad_mask, seq_len: int, dtype, start: int) -> np.ndarray:
         """Additive [B_or_1, 1, S - start, S] bias for the queries at
-        positions start..S-1: NEG_INF on forbidden keys."""
+        positions start..S-1: NEG_INF on forbidden keys. Pad keys are
+        forbidden, except that every query may attend to itself: a causal
+        pad query then depends on no later token."""
+        allowed = np.ones((seq_len, seq_len), dtype=bool)
         if self.config.attention == "causal":
-            base = np.triu(np.full((seq_len, seq_len), NEG_INF, dtype=dtype), k=1)
-        else:
-            base = np.zeros((seq_len, seq_len), dtype=dtype)
-        bias = base[None, None, start:]
+            allowed = np.tril(allowed)
+        allowed = allowed[None, start:]
         if pad_mask is not None:
-            key_block = np.where(pad_mask[:, None, None, :], 0.0, NEG_INF).astype(dtype)
-            bias = bias + key_block
-        return bias
+            allowed = allowed & (pad_mask[:, None, :] | np.eye(seq_len, dtype=bool)[start:])
+        return np.where(allowed, 0.0, NEG_INF).astype(dtype)[:, None]
 
     def forward(self, tokens, pad_mask=None, cache: dict | None = None) -> ad.Node:
         """Score content tokens at every position.

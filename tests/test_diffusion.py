@@ -317,7 +317,7 @@ def test_loss_full_gradient_matches_detached_value():
     t = draw_t(sched, batch.size, rng)
     cb = sample_xt(sched, batch, t, rng, mask_id=7)
     m1 = _tiny_model(seed=3)
-    m2 = DenoiserModel(m1.config, params=m1.param_arrays())
+    m2 = DenoiserModel(m1.config, params={k: p.value for k, p in m1.params.items()})
     detached = ReweightConfig(token_alpha=0.5, token_beta=1.5, full_gradient=False)
     full = ReweightConfig(token_alpha=0.5, token_beta=1.5, full_gradient=True)
     l1, r1 = diffusion_loss(m1, cb, sched, detached)

@@ -347,6 +347,27 @@ def test_resume_is_bit_identical(tmp_path):
     assert res_one.final_loss == res_two.final_loss
 
 
+def test_resume_refuses_a_changed_config(tmp_path):
+    first = _tiny_cfg(tmp_path, train_steps=4, eval_path="", eval_every=0)
+    train(first)
+    ckpt = os.path.join(first.out_dir, "checkpoint")
+    changed = first.replace(train_steps=8, lr=first.lr * 2)
+    with pytest.raises(ValueError, match=r"\['lr'\]"):
+        train(changed, resume_from=ckpt)
+
+
+def test_resume_refuses_a_checkpoint_without_sampler_state(tmp_path):
+    first = _tiny_cfg(tmp_path, train_steps=4, eval_path="", eval_every=0)
+    train(first)
+    manifest_path = tmp_path / "run" / "checkpoint" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["rng_state"]["sampler"]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="sampler"):
+        train(first.replace(train_steps=8),
+              resume_from=os.path.join(first.out_dir, "checkpoint"))
+
+
 def test_train_divergence_abort(tmp_path, monkeypatch):
     import importlib
     train_mod = importlib.import_module("absorb_diffuse.harness.train")
@@ -371,6 +392,54 @@ def test_train_divergence_abort(tmp_path, monkeypatch):
     assert len(ctx["batch_indices"]) == cfg.batch_size
     loaded = load_checkpoint(snap)
     assert loaded.step == 2
+
+
+def test_train_stops_on_non_finite_gradient(tmp_path, monkeypatch):
+    import importlib
+    train_mod = importlib.import_module("absorb_diffuse.harness.train")
+    models = []
+    real_model = train_mod.DenoiserModel
+
+    def capture(*a, **kw):
+        models.append(real_model(*a, **kw))
+        return models[-1]
+
+    real_backward = ad.Node.backward
+    state = {"n": 0}
+
+    def poisoned(self, *a, **kw):
+        real_backward(self, *a, **kw)
+        state["n"] += 1
+        if state["n"] == 3:
+            params = models[0].params
+            state["before"] = {k: p.value.copy() for k, p in params.items()}
+            params["h0.mlp.w1"].grad[0, 0] = np.nan
+
+    monkeypatch.setattr(train_mod, "DenoiserModel", capture)
+    monkeypatch.setattr(ad.Node, "backward", poisoned)
+    cfg = _tiny_cfg(tmp_path, train_steps=40, eval_path="", eval_every=0)
+    with pytest.raises(TrainingDiverged, match=r"non-finite gradient in \['h0.mlp.w1'\]"):
+        train(cfg)
+    snap = os.path.join(cfg.out_dir, "diverged")
+    with open(os.path.join(snap, "context.json")) as f:
+        ctx = json.load(f)
+    assert ctx["step"] == 2 and "gradient" in ctx["reason"]
+    loaded = load_checkpoint(snap)
+    assert loaded.step == 2
+    for name, arr in state["before"].items():
+        np.testing.assert_array_equal(loaded.params[name], arr, err_msg=name)
+
+
+def test_desk_checkpoint_is_two_files_with_a_small_manifest(tmp_path):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = ExperimentConfig.from_json(os.path.join(
+        repo, "src", "absorb_diffuse", "profiles", "desk_planning_diffusion.json"))
+    cfg = cfg.replace(out_dir=str(tmp_path / "desk"), train_steps=1, eval_path="",
+                      train_path=os.path.join(repo, cfg.train_path))
+    res = train(cfg)
+    files = os.listdir(res.checkpoint_dir)
+    assert len(files) == 2 and "manifest.json" in files
+    assert os.path.getsize(os.path.join(res.checkpoint_dir, "manifest.json")) < 4096
 
 
 def test_train_rejects_empty_dataset(tmp_path):

@@ -1,5 +1,8 @@
 """Transformer denoiser: shapes, masking semantics, training signal, checkpoints."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -50,15 +53,21 @@ def test_forward_shapes_and_head_excludes_specials():
 
 
 def test_causal_model_ignores_future_tokens():
+    # at every cut, and at left-pad positions too, no position sees a later token
     cfg = tiny_config("causal")
     model = DenoiserModel(cfg, seed=2)
-    a = RNG.integers(0, cfg.content_vocab, size=(1, cfg.max_seq_len)).astype(np.int32)
-    b = a.copy()
-    b[0, 7:] = (b[0, 7:] + 1) % cfg.content_vocab  # only positions >= 7 differ
-    la = model.forward(a).value
-    lb = model.forward(b).value
-    np.testing.assert_allclose(la[0, :7], lb[0, :7], rtol=0, atol=1e-6)
-    assert not np.allclose(la[0, 7:], lb[0, 7:], atol=1e-6)
+    n = cfg.max_seq_len
+    a = RNG.integers(0, cfg.content_vocab, size=(3, n)).astype(np.int32)
+    pad_mask = np.ones((3, n), dtype=bool)
+    pad_mask[1, :3] = False
+    pad_mask[2, :7] = False
+    la = model.forward(a, pad_mask).value
+    for j in range(1, n):
+        b = a.copy()
+        b[:, j:] = (b[:, j:] + 1) % cfg.content_vocab  # only positions >= j differ
+        lb = model.forward(b, pad_mask).value
+        np.testing.assert_allclose(la[:, :j], lb[:, :j], rtol=0, atol=1e-6, err_msg=f"cut {j}")
+        assert not np.allclose(la[0, j:], lb[0, j:], atol=1e-6)
 
 
 @pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -81,8 +90,7 @@ def test_kv_cache_logits_match_full_forward(dtype, atol):
     assert cache[0][0].shape == (3, cfg.n_heads, cfg.max_seq_len, cfg.head_dim)
     inc = np.concatenate(pieces, axis=1)
     assert inc.dtype == full.dtype == dtype
-    # padded queries attend to nothing real; only real positions must agree
-    np.testing.assert_allclose(inc[batch.pad_mask], full[batch.pad_mask], rtol=0, atol=atol)
+    np.testing.assert_allclose(inc, full, rtol=0, atol=atol)
 
 
 def test_kv_cache_rejected_where_invalid():
@@ -125,7 +133,7 @@ def test_pad_mask_blocks_attention():
 def test_params_reconstruct_exactly():
     cfg = tiny_config()
     model = DenoiserModel(cfg, seed=4)
-    arrays = model.param_arrays()
+    arrays = {k: p.value for k, p in model.params.items()}
     clone = DenoiserModel(cfg, params={k: v.copy() for k, v in arrays.items()})
     tokens = RNG.integers(0, cfg.vocab_size, size=(2, cfg.max_seq_len)).astype(np.int32)
     np.testing.assert_array_equal(model.forward(tokens).value,
@@ -222,9 +230,9 @@ def test_composed_model_gradient_fd():
         assert abs(fd - norm) / max(norm, 1.0) < 1e-3, (name, fd, norm)
 
 
-def test_checkpoint_roundtrip_bit_identical(tmp_path):
+def _trained_tiny(seed):
     cfg = tiny_config()
-    model = DenoiserModel(cfg, seed=9)
+    model = DenoiserModel(cfg, seed=seed)
     opt = ad.Adam(model.params, lr=1e-3)
     batch_tokens = RNG.integers(0, cfg.content_vocab, size=(2, cfg.max_seq_len)).astype(np.int32)
     logits = model.forward(batch_tokens)
@@ -234,18 +242,27 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     model.zero_grad()
     loss.backward()
     opt.step()
+    return model, opt, batch_tokens
 
+
+def _save(path, model, opt, step, rng_state=None, extra=None):
+    save_checkpoint(str(path), model.params, model.config.to_dict(), opt.state_dict(),
+                    rng_state or {}, step, extra or {})
+
+
+def test_checkpoint_roundtrip_bit_identical(tmp_path):
+    model, opt, batch_tokens = _trained_tiny(seed=9)
     path = tmp_path / "ckpt"
     rng_state = {"probe": 123}
-    save_checkpoint(str(path), model.param_arrays(), cfg.to_dict(),
-                    optimizer_state=opt.state_dict(), rng_state=rng_state,
-                    seed=9, step=1, extra={"note": "test"})
+    _save(path, model, opt, 1, rng_state, {"note": "test"})
     ck = load_checkpoint(str(path))
     assert ck.step == 1
     assert ck.manifest["extra"]["note"] == "test"
     assert ck.rng_state == rng_state
-    for name, arr in model.param_arrays().items():
-        np.testing.assert_array_equal(ck.params[name], arr)
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(ck.params[name], p.value)
+        np.testing.assert_array_equal(ck.optimizer_state["m"][name], opt.m[name])
+        np.testing.assert_array_equal(ck.optimizer_state["v"][name], opt.v[name])
     restored = DenoiserModel(ModelConfig.from_dict(ck.model_config), params=ck.params)
     np.testing.assert_array_equal(restored.forward(batch_tokens).value,
                                   model.forward(batch_tokens).value)
@@ -255,13 +272,70 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
 
 
 def test_checkpoint_rejects_corrupt_manifest(tmp_path):
-    cfg = tiny_config()
-    model = DenoiserModel(cfg, seed=10)
+    model, opt, _ = _trained_tiny(seed=10)
     path = tmp_path / "ckpt"
-    save_checkpoint(str(path), model.param_arrays(), cfg.to_dict(),
-                    optimizer_state=None, rng_state=None, seed=0, step=0)
+    _save(path, model, opt, 0)
     manifest = path / "manifest.json"
     text = manifest.read_text().replace('"f32le"', '"f64be"')
     manifest.write_text(text)
     with pytest.raises(ValueError):
         load_checkpoint(str(path))
+
+
+def test_checkpoint_save_killed_at_manifest_rename_keeps_previous(tmp_path, monkeypatch):
+    model, opt, _ = _trained_tiny(seed=11)
+    path = tmp_path / "ckpt"
+    _save(path, model, opt, 1)
+    before = {k: p.value.copy() for k, p in model.params.items()}
+    for p in model.params.values():
+        p.value += 1.0
+    real_replace = os.replace
+
+    def killed(src, dst):
+        if os.path.basename(dst) == "manifest.json":
+            raise KeyboardInterrupt("killed")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        _save(path, model, opt, 2)
+    monkeypatch.undo()
+    ck = load_checkpoint(str(path))
+    assert ck.step == 1
+    assert set(ck.params) == set(before)
+    for name, arr in before.items():
+        np.testing.assert_array_equal(ck.params[name], arr)
+    _save(path, model, opt, 2)
+    assert len([f for f in os.listdir(path) if f.endswith(".npz")]) == 1
+
+
+@pytest.mark.parametrize("damage", ["flip", "truncate", "delete"])
+def test_checkpoint_rejects_damaged_archive(tmp_path, damage):
+    model, opt, _ = _trained_tiny(seed=12)
+    path = tmp_path / "ckpt"
+    _save(path, model, opt, 1)
+    archive = path / json.loads((path / "manifest.json").read_text())["arrays"]
+    data = bytearray(archive.read_bytes())
+    if damage == "flip":
+        data[len(data) // 2] ^= 0x01
+        archive.write_bytes(bytes(data))
+    elif damage == "truncate":
+        archive.write_bytes(bytes(data[:-10]))
+    else:
+        archive.unlink()
+    with pytest.raises(ValueError, match=archive.name):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_saves_into_one_directory_leave_one_archive(tmp_path):
+    model, opt, _ = _trained_tiny(seed=13)
+    path = tmp_path / "ckpt"
+    path.mkdir()
+    (path / "context.json").write_text("{}")  # a diverged/ snapshot keeps its context
+    _save(path, model, opt, 1)
+    for p in model.params.values():
+        p.value *= 0.5
+    _save(path, model, opt, 2)
+    assert sorted(os.listdir(path)) == sorted(
+        ["context.json", "manifest.json", load_checkpoint(str(path)).manifest["arrays"]])
+    assert load_checkpoint(str(path)).step == 2
