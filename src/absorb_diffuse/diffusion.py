@@ -1,4 +1,5 @@
-"""Absorbing-state discrete diffusion: corruption process, training losses, ELBO.
+"""Absorbing-state discrete diffusion: corruption process, training losses,
+per-level loss profile and Monte Carlo ELBO.
 
 The forward process replaces tokens with a dedicated mask id and never
 un-masks: under the cumulative schedule alpha, a token survives to step t
@@ -15,8 +16,7 @@ the coefficient on the reconstruction term at level t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,12 +53,6 @@ class NoiseSchedule:
         if T < 1:
             raise ValueError(f"T must be >= 1, got {T}")
         return cls(1.0 - np.arange(T + 1, dtype=np.float64) / T)
-
-    def beta(self, t) -> np.ndarray:
-        """Per-step masking probability beta_t = 1 - alpha_t / alpha_{t-1}."""
-        t = self._check_t(t)
-        prev = self.alpha[t - 1]
-        return np.where(prev > 0, 1.0 - self.alpha[t] / np.where(prev > 0, prev, 1.0), 1.0)
 
     def survival(self, t) -> np.ndarray:
         """lam_t: prob. a token masked at t carried a real value at t-1."""
@@ -224,93 +218,24 @@ def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
 
 
 # ---------------------------------------------------------------------------
-# evidence bound
-
-
-def elbo(model, batch: Batch, schedule: NoiseSchedule, mask_id: int,
-         n_samples: int = 0, rng: np.random.Generator | None = None) -> float:
-    """Negative evidence lower bound in nats, summed over the batch.
-
-    An upper bound on the exact negative log likelihood of the targets given
-    the conditions. n_samples = 0 enumerates every corruption pattern
-    exactly (only sensible for short targets); otherwise Monte Carlo with
-    n_samples draws per noise level. Requires alpha_T = 0 so the terminal
-    state carries no information.
-    """
-    if schedule.alpha[-1] != 0.0:
-        raise ValueError("elbo requires alpha[T] == 0 (fully absorbed terminal state)")
-    total = 0.0
-    for i in range(batch.size):
-        row = batch.take(slice(i, i + 1))
-        if n_samples == 0:
-            total += _elbo_exact_row(model, row, schedule, mask_id)
-        else:
-            if rng is None:
-                raise ValueError("Monte Carlo elbo needs an rng")
-            total += _elbo_mc_row(model, row, schedule, mask_id, n_samples, rng)
-    return total
-
-
-def _row_term(model, row: Batch, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """u at the given masked positions for one corrupted canvas."""
-    logits = model.forward(tokens, row.pad_mask)
-    x0 = row.tokens[0, positions]
-    u = ad.token_log_losses(logits.value[0, positions], x0)
-    return u
-
-
-def _elbo_exact_row(model, row: Batch, schedule: NoiseSchedule, mask_id: int) -> float:
-    positions = np.flatnonzero(row.target_mask[0])
-    L = positions.size
-    if L > 16:
-        raise ValueError(f"exact elbo enumerates 2^L patterns; L={L} is too long")
-    lam = schedule.survival(np.arange(1, schedule.T + 1))
-    masked_prob = 1.0 - schedule.alpha[1:]  # P(token masked at t)
-    total = 0.0
-    for pattern in itertools.product((False, True), repeat=L):
-        pat = np.array(pattern)
-        if not pat.any():
-            continue
-        tokens = row.tokens.copy()
-        tokens[0, positions[pat]] = mask_id
-        u = _row_term(model, row, tokens, positions[pat])
-        # weight of this pattern at each t, times lam_t, summed over t
-        for ti in range(1, schedule.T + 1):
-            p_mask = masked_prob[ti - 1]
-            w = (p_mask ** pat.sum()) * ((1.0 - p_mask) ** (L - pat.sum()))
-            total += lam[ti - 1] * w * u.sum()
-    return total
-
-
-def _elbo_mc_row(model, row: Batch, schedule: NoiseSchedule, mask_id: int,
-                 n_samples: int, rng: np.random.Generator) -> float:
-    lam = schedule.survival(np.arange(1, schedule.T + 1))
-    total = 0.0
-    for ti in range(1, schedule.T + 1):
-        acc = 0.0
-        for _ in range(n_samples):
-            cb = sample_xt(schedule, row, ti, rng, mask_id)
-            pos = np.flatnonzero(cb.corrupted[0])
-            if pos.size:
-                acc += _row_term(model, row, cb.tokens, pos).sum()
-        total += lam[ti - 1] * acc / n_samples
-    return total
-
-
-# ---------------------------------------------------------------------------
 # diagnostics
 
 
 def subgoal_loss_profile(model, batch: Batch, schedule: NoiseSchedule, mask_id: int,
                          rng: np.random.Generator, n_samples: int = 4,
                          segments: np.ndarray | None = None) -> dict:
-    """Mean reconstruction loss per noise level (and per output segment).
+    """Mean reconstruction loss per noise level (and per output segment),
+    and the Monte Carlo negative ELBO.
 
-    For each t, corrupt the batch n_samples times and average u over the
-    corrupted positions. With a [B, S] integer segment map (e.g. equation
-    index within each target), also break the average out by segment.
+    For each t, corrupt the batch n_samples times and read u at the
+    corrupted positions from `diffusion_loss`. With a [B, S] integer segment
+    map (e.g. equation index within each target), also break the average
+    out by segment. The NELBO, in nats summed over the batch, is
+    sum_t lam_t * E[sum of u at level t]: an upper bound on the targets'
+    negative log likelihood given the conditions when alpha_T = 0 (the
+    terminal state carries no information), else None.
     Returns {"t": [T], "mean_u": [T], "segments": sorted ids or None,
-    "per_segment": [T, n_segments] or None}.
+    "per_segment": [T, n_segments] or None, "nelbo": float or None}.
     """
     T = schedule.T
     seg_ids = None
@@ -321,36 +246,32 @@ def subgoal_loss_profile(model, batch: Batch, schedule: NoiseSchedule, mask_id: 
                 f"segment map shape {segments.shape} != batch shape {batch.tokens.shape}"
             )
         seg_ids = np.unique(segments[batch.target_mask])
-    mean_u = np.zeros(T)
-    per_seg = np.zeros((T, seg_ids.size)) if seg_ids is not None else None
+        seg_sum = np.zeros((T, seg_ids.size))
+        seg_count = np.zeros((T, seg_ids.size))
+    u_sum = np.zeros(T)
+    count = np.zeros(T, dtype=np.int64)
+    plain_bound = ReweightConfig()
     for ti in range(1, T + 1):
-        num = 0.0
-        den = 0
-        seg_num = np.zeros(seg_ids.size) if seg_ids is not None else None
-        seg_den = np.zeros(seg_ids.size) if seg_ids is not None else None
         for _ in range(n_samples):
             cb = sample_xt(schedule, batch, ti, rng, mask_id)
             if cb.n_corrupted == 0:
                 continue
-            logits = model.forward(cb.tokens, cb.pad_mask)
-            flat = logits.value.reshape(-1, logits.value.shape[-1])
-            mask = cb.corrupted.reshape(-1)
-            targets = np.where(mask, cb.x0.reshape(-1), 0)
-            u = ad.token_log_losses(flat, targets)
-            num += u[mask].sum()
-            den += int(mask.sum())
+            # keep `loss` bound: its tape stays alive into the next forward,
+            # so the allocator reuses those pages instead of faulting new ones
+            loss, report = diffusion_loss(model, cb, schedule, plain_bound)
+            u = report.u[report.corrupted]
+            u_sum[ti - 1] += u.sum()
+            count[ti - 1] += u.size
             if seg_ids is not None:
-                segs = segments.reshape(-1)[mask]
-                for j, sid in enumerate(seg_ids):
-                    pick = segs == sid
-                    seg_num[j] += u[mask][pick].sum()
-                    seg_den[j] += int(pick.sum())
-        mean_u[ti - 1] = num / max(den, 1)
-        if seg_ids is not None:
-            per_seg[ti - 1] = seg_num / np.maximum(seg_den, 1)
+                j = np.searchsorted(seg_ids, segments[report.corrupted])
+                seg_sum[ti - 1] += np.bincount(j, weights=u, minlength=seg_ids.size)
+                seg_count[ti - 1] += np.bincount(j, minlength=seg_ids.size)
+    lam = schedule.survival(np.arange(1, T + 1))
     return {
         "t": np.arange(1, T + 1),
-        "mean_u": mean_u,
+        "mean_u": u_sum / np.maximum(count, 1),
         "segments": seg_ids,
-        "per_segment": per_seg,
+        "per_segment": None if seg_ids is None else seg_sum / np.maximum(seg_count, 1),
+        # a running total in t order (np.sum would pair the terms)
+        "nelbo": float(sum(lam * u_sum / n_samples)) if schedule.alpha[-1] == 0.0 else None,
     }

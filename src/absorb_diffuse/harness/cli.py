@@ -124,14 +124,11 @@ def _cmd_analyze(args) -> int:
                                     segments=segs)
         with open(args.out, "w", newline="") as f:
             w = csv.writer(f)
-            seg_ids = [int(s) for s in prof["segments"] if s >= 0]
-            w.writerow(["t", "mean_u"] + [f"segment_{s}" for s in seg_ids])
-            keepcols = [i for i, s in enumerate(prof["segments"]) if s >= 0]
-            for i, t in enumerate(prof["t"]):
-                row = [int(t), f"{prof['mean_u'][i]:.6f}"]
-                row += [f"{prof['per_segment'][i][j]:.6f}" for j in keepcols]
-                w.writerow(row)
+            w.writerow(["t", "mean_u"] + [f"segment_{s}" for s in prof["segments"]])
+            for t, mean_u, per_seg in zip(prof["t"], prof["mean_u"], prof["per_segment"]):
+                w.writerow([int(t), f"{mean_u:.6f}"] + [f"{x:.6f}" for x in per_seg])
         print(f"profile over t=1..{cfg.schedule_T} -> {args.out}")
+        print(f"NELBO {prof['nelbo'] / batch.size:.4f} nats per instance")
     elif args.what == "throughput":
         grid = [int(x) for x in args.grid.split(",")]
         batch = encode_instances(task, instances, vocab)

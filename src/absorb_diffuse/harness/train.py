@@ -89,7 +89,6 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
           log=print, quiet: bool = True) -> TrainResult:
     task = get_task(cfg.task)
     vocab = task.vocabulary()
-    os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, "metrics.jsonl")
     ckpt_dir = os.path.join(cfg.out_dir, "checkpoint")
 
@@ -126,6 +125,10 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
         except KeyError as e:
             raise ValueError(f"{resume_from}: checkpoint lacks resume key {e}") from None
         start_step = loaded.step
+        if cfg.train_steps < start_step:
+            raise ValueError(f"{resume_from}: train_steps {cfg.train_steps} is below the "
+                             f"checkpoint's step {start_step}")
+    os.makedirs(cfg.out_dir, exist_ok=True)
 
     def save(to_dir: str, step: int) -> None:
         ckpt.save_checkpoint(

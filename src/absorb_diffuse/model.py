@@ -121,9 +121,6 @@ class DenoiserModel:
                 f"unexpected {extra}, shape mismatches {bad}"
             )
 
-    def zero_grad(self) -> None:
-        ad.zero_grads(self.params)
-
     def _attention_bias(self, pad_mask, seq_len: int, dtype, start: int) -> np.ndarray:
         """Additive [B_or_1, 1, S - start, S] bias for the queries at
         positions start..S-1: NEG_INF on forbidden keys. Pad keys are

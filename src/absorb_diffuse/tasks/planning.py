@@ -137,46 +137,6 @@ def _solve(edges, start, goal):
     return None
 
 
-def lookahead_solve(input_text: str, lookahead: int) -> str | None:
-    """Greedy left-to-right walk with a bounded peek.
-
-    At a fork, a candidate edge qualifies if the goal is reachable within
-    `lookahead` edges counting the candidate itself; the walk proceeds only
-    when exactly one candidate qualifies. Returns the emitted path text, or
-    None when the walk stalls. An instance at planning distance pd is
-    solvable exactly when lookahead >= pd.
-    """
-    edges, start, goal = parse_input(input_text)
-    adj = defaultdict(list)
-    for a, b in edges:
-        adj[a].append(b)
-
-    def reachable(node: str, depth: int) -> bool:
-        if node == goal:
-            return True
-        if depth == 0:
-            return False
-        return any(reachable(b, depth - 1) for b in adj[node])
-
-    node = start
-    visited = {start}
-    path = []
-    while node != goal and len(path) < len(edges):
-        cands = [b for b in adj[node] if b not in visited]
-        if not cands:
-            return None
-        if len(cands) > 1:
-            cands = [b for b in cands if lookahead >= 1 and reachable(b, lookahead - 1)]
-            if len(cands) != 1:
-                return None
-        path.append((node, cands[0]))
-        node = cands[0]
-        visited.add(node)
-    if node != goal:
-        return None
-    return "/".join(f"{a},{b}" for a, b in path)
-
-
 def output_segments(output_text: str) -> list[int]:
     """Per-character edge index; separators belong to the edge they follow."""
     seg, out = 0, []

@@ -31,24 +31,19 @@ class Vocabulary:
         """Full vocabulary size including mask and pad."""
         return len(self.chars) + 2
 
-    @property
-    def content_size(self) -> int:
-        return len(self.chars)
-
     def encode(self, text: str) -> list[int]:
         try:
             return [self._to_id[c] for c in text]
         except KeyError as e:
             raise ValueError(f"character {e.args[0]!r} not in vocabulary") from None
 
-    def decode(self, ids, strip_pad: bool = True) -> str:
+    def decode(self, ids) -> str:
+        """Content ids to text; pad ids are skipped."""
         out = []
         for i in ids:
             i = int(i)
             if i == self.pad_id:
-                if strip_pad:
-                    continue
-                raise ValueError("pad id in decoded sequence")
+                continue
             if i == self.mask_id:
                 raise ValueError("mask id in decoded sequence")
             if not 0 <= i < len(self.chars):

@@ -4,10 +4,14 @@ against."""
 
 from __future__ import annotations
 
+from collections import defaultdict
+import itertools
+
 import numpy as np
 
 from absorb_diffuse import autodiff as ad
 from absorb_diffuse.diffusion import NoiseSchedule
+from absorb_diffuse.tasks.planning import parse_input
 
 
 def rel_err(got: np.ndarray, want: np.ndarray, floor: float = 1.0) -> float:
@@ -72,6 +76,13 @@ def random_logits(rng: np.random.Generator, shape, scale: float = 2.0,
 # closed forms of the absorbing chain
 
 
+def beta(schedule: NoiseSchedule, t) -> np.ndarray:
+    """Per-step masking probability beta_t = 1 - alpha_t / alpha_{t-1}."""
+    t = schedule._check_t(t)
+    prev = schedule.alpha[t - 1]
+    return np.where(prev > 0, 1.0 - schedule.alpha[t] / np.where(prev > 0, prev, 1.0), 1.0)
+
+
 def forward_marginal(schedule: NoiseSchedule, t: int, x0: int, vocab: int, mask_id: int) -> np.ndarray:
     """Distribution of x_t given x_0, as a length-`vocab` probability vector."""
     _check_token(x0, vocab, mask_id, "x0")
@@ -129,6 +140,87 @@ def _check_token(tok: int, vocab: int, mask_id: int, name: str) -> None:
         raise ValueError(f"{name}={tok} outside vocab [0, {vocab})")
     if tok == mask_id and name == "x0":
         raise ValueError("x0 cannot be the mask token")
+
+
+# ---------------------------------------------------------------------------
+# the bound by exhaustive enumeration
+
+
+def elbo_exact(model, batch, schedule: NoiseSchedule, mask_id: int) -> float:
+    """Negative ELBO in nats summed over the batch, by enumerating every
+    corruption pattern of each row's targets (2^L forwards per row, so only
+    for L <= 16). Requires alpha_T = 0, so the terminal state carries no
+    information."""
+    if schedule.alpha[-1] != 0.0:
+        raise ValueError("elbo requires alpha[T] == 0 (fully absorbed terminal state)")
+    lam = schedule.survival(np.arange(1, schedule.T + 1))
+    masked_prob = 1.0 - schedule.alpha[1:]  # P(token masked at t)
+    total = 0.0
+    for i in range(batch.size):
+        row = batch.take(slice(i, i + 1))
+        positions = np.flatnonzero(row.target_mask[0])
+        L = positions.size
+        if L > 16:
+            raise ValueError(f"exact elbo enumerates 2^L patterns; L={L} is too long")
+        for pattern in itertools.product((False, True), repeat=L):
+            pat = np.array(pattern)
+            if not pat.any():
+                continue
+            tokens = row.tokens.copy()
+            masked = positions[pat]
+            tokens[0, masked] = mask_id
+            logits = model.forward(tokens, row.pad_mask)
+            u = ad.token_log_losses(logits.value[0, masked], row.tokens[0, masked])
+            # weight of this pattern at each t, times lam_t, summed over t
+            for ti in range(1, schedule.T + 1):
+                p_mask = masked_prob[ti - 1]
+                w = (p_mask ** pat.sum()) * ((1.0 - p_mask) ** (L - pat.sum()))
+                total += lam[ti - 1] * w * u.sum()
+    return total
+
+
+# ---------------------------------------------------------------------------
+# planning with a bounded lookahead
+
+
+def lookahead_solve(input_text: str, lookahead: int) -> str | None:
+    """Greedy left-to-right walk with a bounded peek.
+
+    At a fork, a candidate edge qualifies if the goal is reachable within
+    `lookahead` edges counting the candidate itself; the walk proceeds only
+    when exactly one candidate qualifies. Returns the emitted path text, or
+    None when the walk stalls. An instance at planning distance pd is
+    solvable exactly when lookahead >= pd.
+    """
+    edges, start, goal = parse_input(input_text)
+    adj = defaultdict(list)
+    for a, b in edges:
+        adj[a].append(b)
+
+    def reachable(node: str, depth: int) -> bool:
+        if node == goal:
+            return True
+        if depth == 0:
+            return False
+        return any(reachable(b, depth - 1) for b in adj[node])
+
+    node = start
+    visited = {start}
+    path = []
+    while node != goal and len(path) < len(edges):
+        cands = [b for b in adj[node] if b not in visited]
+        if not cands:
+            return None
+        if len(cands) > 1:
+            cands = [b for b in cands if lookahead >= 1 and reachable(b, lookahead - 1)]
+            if len(cands) != 1:
+                return None
+        path.append((node, cands[0]))
+        node = cands[0]
+        visited.add(node)
+    if node != goal:
+        return None
+    return "/".join(f"{a},{b}" for a, b in path)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from absorb_diffuse.diffusion import (
     ReweightConfig,
     diffusion_loss,
     draw_t,
-    elbo,
     sample_xt,
     subgoal_loss_profile,
     token_weight,
@@ -40,7 +39,7 @@ from absorb_diffuse.tasks.registry import TASKS, encode_instances
 from absorb_diffuse.tasks.sat import clause_count
 
 from conftest import record_criterion
-from helpers import check_gradient, forward_marginal, kl_term, posterior
+from helpers import check_gradient, elbo_exact, forward_marginal, kl_term, posterior
 from test_tasks import (
     GOLD_CD3,
     GOLD_CD4,
@@ -170,7 +169,7 @@ def test_criterion_2_elbo_soundness():
             pad_mask=np.array([[True, True]]),
             cond_width=1,
         )
-        nelbo = elbo(model, batch, sched, mask_id, n_samples=0)
+        nelbo = elbo_exact(model, batch, sched, mask_id)
         # exact NLL by enumerating every reverse chain: each factor evaluates
         # the net on the masked canvas, and content states carry over, so the
         # chain sum collapses to the model's masked-canvas probability of g

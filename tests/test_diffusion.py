@@ -12,7 +12,6 @@ from absorb_diffuse.diffusion import (
     ReweightConfig,
     diffusion_loss,
     draw_t,
-    elbo,
     sample_xt,
     sequence_weight,
     subgoal_loss_profile,
@@ -20,7 +19,7 @@ from absorb_diffuse.diffusion import (
 )
 from absorb_diffuse.model import ModelConfig, DenoiserModel
 
-from helpers import forward_marginal, kl_term, posterior
+from helpers import beta, elbo_exact, forward_marginal, kl_term, posterior
 
 RNG = np.random.default_rng(20240818)
 
@@ -44,14 +43,14 @@ def chained_marginal(schedule: NoiseSchedule, t: int, x0: int, vocab: int,
     dist = np.zeros(vocab)
     dist[x0] = 1.0
     for step in range(1, t + 1):
-        dist = dist @ transition_matrix(float(schedule.beta(step)), vocab, mask_id)
+        dist = dist @ transition_matrix(float(beta(schedule, step)), vocab, mask_id)
     return dist
 
 
 def bayes_posterior(schedule: NoiseSchedule, t: int, xt: int, x0: int,
                     vocab: int, mask_id: int) -> np.ndarray:
     """P(x_{t-1} | x_t, x_0) by explicit Bayes rule over all x_{t-1}."""
-    q_t = transition_matrix(float(schedule.beta(t)), vocab, mask_id)
+    q_t = transition_matrix(float(beta(schedule, t)), vocab, mask_id)
     prior = chained_marginal(schedule, t - 1, x0, vocab, mask_id) if t > 1 else None
     if prior is None:
         prior = np.zeros(vocab)
@@ -305,7 +304,7 @@ def test_loss_zero_when_nothing_corrupted():
     loss, report = diffusion_loss(model, cb, sched, rw)
     assert float(loss.value) == 0.0
     assert report.n_corrupted == 0
-    model.zero_grad()
+    ad.zero_grads(model.params)
     loss.backward()  # must not raise
 
 
@@ -394,7 +393,7 @@ def test_elbo_uniform_model_telescopes_to_ln2():
     stub = StubModel(np.array([0.5, 0.5]))
     for T in (2, 3, 7):
         sched = NoiseSchedule.linear(T)
-        got = elbo(stub, batch, sched, mask_id=2)
+        got = elbo_exact(stub, batch, sched, mask_id=2)
         assert abs(got - np.log(2)) < 1e-12, (T, got)
 
 
@@ -402,7 +401,7 @@ def test_elbo_perfect_model_is_zero():
     batch = _single_token_batch(value=0)
     stub = StubModel(np.array([1.0 - 1e-15, 1e-15]))
     sched = NoiseSchedule.linear(3)
-    assert abs(elbo(stub, batch, sched, mask_id=2)) < 1e-10
+    assert abs(elbo_exact(stub, batch, sched, mask_id=2)) < 1e-10
 
 
 def test_elbo_requires_fully_absorbed_schedule():
@@ -410,18 +409,24 @@ def test_elbo_requires_fully_absorbed_schedule():
     stub = StubModel(np.array([0.5, 0.5]))
     sched = NoiseSchedule(np.array([1.0, 0.4, 0.1]))
     with pytest.raises(ValueError):
-        elbo(stub, batch, sched, mask_id=2)
+        elbo_exact(stub, batch, sched, mask_id=2)
+    prof = subgoal_loss_profile(stub, batch, sched, mask_id=2,
+                                rng=np.random.default_rng(0), n_samples=50)
+    assert prof["nelbo"] is None
+    np.testing.assert_allclose(prof["mean_u"], np.log(2), atol=1e-12)
 
 
 def test_elbo_exact_matches_monte_carlo():
+    # three rows of different target lengths: the profile's NELBO is the
+    # Monte Carlo estimate of the sum of the per-row exact bounds
     model = _tiny_model(vocab=6, seq=8)
-    pad = 5
-    batch = pack_rows([[0, 1]], [[2, 0, 3]], 2, 6, pad)
+    batch = pack_rows([[0, 1], [1], [2, 2]], [[2, 0, 3], [1, 1], [0, 3, 1]], 2, 6, 5)
     sched = NoiseSchedule.linear(4)
-    exact = elbo(model, batch, sched, mask_id=4)
-    mc = elbo(model, batch, sched, mask_id=4, n_samples=4000,
-              rng=np.random.default_rng(17))
-    assert abs(mc - exact) / max(exact, 1.0) < 0.05, (exact, mc)
+    exact = sum(elbo_exact(model, batch.take(slice(i, i + 1)), sched, mask_id=4)
+                for i in range(batch.size))
+    prof = subgoal_loss_profile(model, batch, sched, mask_id=4,
+                                rng=np.random.default_rng(17), n_samples=1500)
+    assert abs(prof["nelbo"] - exact) / max(exact, 1.0) < 0.05, (exact, prof["nelbo"])
 
 
 def reverse_chain_nll(model, batch, schedule: NoiseSchedule, mask_id: int) -> float:
@@ -492,7 +497,7 @@ def test_elbo_upper_bounds_exact_nll_single_token():
         stub = StubModel(probs)
         value = int(rng.integers(0, 2))
         batch = _single_token_batch(value=value)
-        bound = elbo(stub, batch, sched, mask_id=2)
+        bound = elbo_exact(stub, batch, sched, mask_id=2)
         nll = reverse_chain_nll(stub, batch, sched, mask_id=2)
         worst_gap = min(worst_gap, bound - nll)
     assert worst_gap >= -1e-7, worst_gap
@@ -504,7 +509,7 @@ def test_elbo_upper_bounds_exact_nll_two_tokens_strictly():
     model = _tiny_model(vocab=5, seq=4, seed=11)
     pad = 4
     batch = pack_rows([[0]], [[1, 2]], 1, 3, pad)
-    bound = elbo(model, batch, sched, mask_id=3)
+    bound = elbo_exact(model, batch, sched, mask_id=3)
     nll = reverse_chain_nll(model, batch, sched, mask_id=3)
     assert bound >= nll - 1e-9
     assert bound > 0
@@ -526,12 +531,26 @@ def test_subgoal_profile_shapes_and_flat_for_stub():
 
 
 def test_subgoal_profile_per_segment():
-    batch = _planning_like_batch(rows=3, cond=4, width=8, vocab=9)
+    outs = [[0, 1, 2, 3, 4, 5], [6, 5, 4, 3], [1, 1, 2, 2, 3, 3, 4, 4], [2, 0, 6]]
+    batch = pack_rows([[0, 1, 2, 3]] * 4, outs, 4, 8, 8)
     sched = NoiseSchedule.linear(3)
     segments = np.where(batch.target_mask,
-                        np.arange(batch.tokens.shape[1])[None, :] % 2, -1)
+                        np.arange(batch.tokens.shape[1])[None, :] % 3, -1)
     model = _tiny_model()
     prof = subgoal_loss_profile(model, batch, sched, mask_id=7,
                                 rng=np.random.default_rng(4), n_samples=3,
                                 segments=segments)
-    assert prof["per_segment"].shape == (3, prof["segments"].size)
+    np.testing.assert_array_equal(prof["segments"], [0, 1, 2])
+    # the same draws, scored straight from the model's logits
+    rng = np.random.default_rng(4)
+    for ti in range(1, sched.T + 1):
+        us, segs = [], []
+        for _ in range(3):
+            cb = sample_xt(sched, batch, ti, rng, mask_id=7)
+            logits = model.forward(cb.tokens, cb.pad_mask).value
+            us.append(ad.token_log_losses(logits[cb.corrupted], cb.x0[cb.corrupted]))
+            segs.append(segments[cb.corrupted])
+        u, seg = np.concatenate(us), np.concatenate(segs)
+        assert abs(prof["mean_u"][ti - 1] - u.mean()) < 1e-12
+        for j in range(3):
+            assert abs(prof["per_segment"][ti - 1, j] - u[seg == j].mean()) < 1e-12

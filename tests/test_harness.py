@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ class LookupOracle:
         self.w = batch.cond_width
         self.truth = {batch.tokens[i, :self.w].tobytes(): batch.tokens[i]
                       for i in range(batch.size)}
-        self.k = vocab.content_size
+        self.k = len(vocab.chars)
         self.p = p
         self.config = type("C", (), {"attention": "causal" if causal else "bidirectional"})()
         self.causal = causal
@@ -356,6 +357,19 @@ def test_resume_refuses_a_changed_config(tmp_path):
         train(changed, resume_from=ckpt)
 
 
+def test_resume_refuses_fewer_steps_than_the_checkpoint_and_writes_nothing(tmp_path):
+    first = _tiny_cfg(tmp_path, train_steps=12, eval_path="", eval_every=0)
+    train(first)
+    ckpt = os.path.join(first.out_dir, "checkpoint")
+    names = sorted(os.listdir(ckpt))
+    paths = [os.path.join(ckpt, f) for f in names] + [first.out_dir + "/metrics.jsonl"]
+    before = [open(p, "rb").read() for p in paths]
+    with pytest.raises(ValueError, match=r"train_steps 6 .* step 12"):
+        train(first.replace(train_steps=6), resume_from=ckpt)
+    assert sorted(os.listdir(ckpt)) == names
+    assert [open(p, "rb").read() for p in paths] == before
+
+
 def test_resume_refuses_a_checkpoint_without_sampler_state(tmp_path):
     first = _tiny_cfg(tmp_path, train_steps=4, eval_path="", eval_every=0)
     train(first)
@@ -533,9 +547,10 @@ def test_cli_train_eval_sample_analyze(tmp_path, capsys):
     rc = cli_main(["analyze", "--what", "profile", "--checkpoint", ckpt,
                    "--data", cfg.eval_path, "--out", prof_csv, "--limit", "4"])
     assert rc == 0
-    capsys.readouterr()
-    header = open(prof_csv).readline().strip().split(",")
-    assert header[:2] == ["t", "mean_u"]
+    out = capsys.readouterr().out
+    assert re.search(r"^NELBO \d+\.\d{4} nats per instance$", out, re.M), out
+    header, *rows = open(prof_csv).read().strip().splitlines()
+    assert header == "t,mean_u,segment_0,segment_1" and len(rows) == cfg.schedule_T
 
     thr_csv = str(tmp_path / "thr.csv")
     rc = cli_main(["analyze", "--what", "throughput", "--checkpoint", ckpt,

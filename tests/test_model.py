@@ -186,7 +186,7 @@ def test_ar_nll_decreases_when_memorizing():
         loss, _ = ar_nll(model, batch)
         if first is None:
             first = float(loss.value)
-        model.zero_grad()
+        ad.zero_grads(model.params)
         loss.backward()
         opt.step()
     last, _ = ar_nll(model, batch)
@@ -208,7 +208,7 @@ def test_composed_model_gradient_fd():
         return ad.softmax_cross_entropy(flat, targets.reshape(-1), weights.reshape(-1))
 
     loss = loss_value()
-    model.zero_grad()
+    ad.zero_grads(model.params)
     loss.backward()
 
     # directional central differences along the analytic gradient: one clean
@@ -239,7 +239,7 @@ def _trained_tiny(seed):
     flat = ad.reshape(logits, (-1, cfg.content_vocab))
     n = flat.value.shape[0]
     loss = ad.softmax_cross_entropy(flat, np.zeros(n, np.int64), np.ones(n) / n)
-    model.zero_grad()
+    ad.zero_grads(model.params)
     loss.backward()
     opt.step()
     return model, opt, batch_tokens
