@@ -68,16 +68,12 @@ class Node:
             self.grad = np.zeros_like(self.value)
         self.grad += g.astype(self.value.dtype, copy=False)
 
-    def backward(self, seed=None):
-        """Backpropagate from this node. Scalar nodes default to seed 1."""
-        if seed is None:
-            if self.value.ndim != 0:
-                raise ValueError(
-                    f"backward() without a seed needs a scalar, got shape {self.value.shape}"
-                )
-            seed = np.ones((), dtype=self.value.dtype)
+    def backward(self):
+        """Backpropagate from this scalar node with seed 1."""
+        if self.value.ndim != 0:
+            raise ValueError(f"backward() needs a scalar, got shape {self.value.shape}")
         order = _toposort(self)
-        grads: dict[int, np.ndarray] = {id(self): np.asarray(seed, dtype=self.value.dtype)}
+        grads: dict[int, np.ndarray] = {id(self): np.ones((), dtype=self.value.dtype)}
         for node in order:
             g = grads.pop(id(node), None)
             if g is None:

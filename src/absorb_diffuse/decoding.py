@@ -15,7 +15,6 @@ can be re-masked and sampled again.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +41,14 @@ class DecodeConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
 
 
-def default_steps(avg_output_len: float) -> int:
-    """House rule: 20 refinement steps for long outputs, 10 for short ones."""
-    return 20 if avg_output_len > 20 else 10
+def _sample(logits: np.ndarray, temperature: float, rng: np.random.Generator):
+    """Gumbel-max draw from softmax(logits / temperature) over the last axis.
+
+    -> (ids, log-probability of each drawn id).
+    """
+    logp = log_softmax(logits / temperature)
+    ids = np.argmax(logp + rng.gumbel(size=logp.shape), axis=-1)
+    return ids, np.take_along_axis(logp, ids[..., None], axis=-1)[..., 0]
 
 
 def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int, pad_id: int,
@@ -65,11 +69,7 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int, pad_i
     lengths = batch.target_lengths()
 
     for s in range(1, cfg.steps + 1):
-        logits = model.forward(x, batch.pad_mask).value
-        logp = log_softmax(logits / cfg.temperature)
-        gumbel = rng.gumbel(size=logp.shape)
-        sampled = np.argmax(logp + gumbel, axis=-1)
-        conf = np.take_along_axis(logp, sampled[..., None], axis=-1)[..., 0]
+        sampled, conf = _sample(model.forward(x, batch.pad_mask).value, cfg.temperature, rng)
         # The reverse model is the forward posterior with the network's
         # prediction in place of the clean sequence, so at positions already
         # revealed the predictive distribution is a point mass on the current
@@ -92,88 +92,34 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int, pad_i
         if trace is not None:
             trace.append(chosen.copy())
 
-    out = x[:, batch.cond_width:].copy()
-    out[~batch.target_mask[:, batch.cond_width:]] = pad_id
-    return out
+    w = batch.cond_width
+    return np.where(batch.target_mask[:, w:], x[:, w:], pad_id)
 
 
 def ar_decode(model, batch: Batch, cfg: DecodeConfig, pad_id: int,
-              max_new=None, eos_id: int | None = None,
               rng: np.random.Generator | None = None) -> np.ndarray:
-    """Sample the target region left to right with a causal model.
+    """Sample each row's target region left to right with a causal model.
 
     The first forward runs the condition prefix and fills a key/value
     cache; each later forward feeds only the token sampled last. The last
     logits row of each forward scores the next token. The cache lives for
     this call only.
 
-    max_new: per-row token budget (defaults to each row's target length).
-    An emitted eos_id, when given, ends a row without being written.
-    Returns int32 [B, target_width] with pad_id beyond what was generated.
+    Returns int32 [B, target_width] with pad_id beyond each row's length.
     """
     if model.config.attention != "causal":
         raise ValueError("ar_decode requires a causal model")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    b, s = batch.tokens.shape
     w = batch.cond_width
-    if max_new is None:
-        max_new = batch.target_lengths()
-    max_new = np.minimum(np.asarray(max_new, dtype=np.int64), s - w)
+    lengths = batch.target_lengths()
 
     x = batch.tokens.copy()
     pad_mask = batch.pad_mask & ~batch.target_mask
-    done = max_new <= 0
-    emitted = np.zeros(b, dtype=np.int64)
     cache = {}
-    for j in range(int(max_new.max()) if b else 0):
-        pos = w + j
+    for pos in range(w, w + int(lengths.max(initial=0))):
         logits = model.forward(x[:, :pos], pad_mask[:, :pos], cache=cache).value[:, -1]
-        logp = log_softmax(logits / cfg.temperature)
-        gumbel = rng.gumbel(size=logp.shape)
-        sampled = np.argmax(logp + gumbel, axis=-1)
-        active = ~done & (j < max_new)
-        if eos_id is not None:
-            hit = active & (sampled == eos_id)
-            done |= hit
-            active &= ~hit
-        x[active, pos] = sampled[active]
-        pad_mask[active, pos] = True
-        emitted[active] += 1
-        done |= emitted >= max_new
-        if done.all():
-            break
-
-    out = np.full((b, s - w), pad_id, dtype=x.dtype)
-    for i in range(b):
-        n = int(emitted[i])
-        out[i, :n] = x[i, w:w + n]
-    return out
-
-
-def throughput_probe(model, batch: Batch, steps_grid, cfg: DecodeConfig,
-                     mask_id: int, pad_id: int, repeats: int = 1,
-                     scorer=None) -> list[dict]:
-    """Time parallel decoding across a grid of refinement-step counts.
-
-    Returns one row per grid point: steps, wall seconds, samples/sec, and
-    (when a scorer callback is given) accuracy over the decoded batch.
-    """
-    rows = []
-    for steps in steps_grid:
-        c = DecodeConfig(steps=int(steps), temperature=cfg.temperature,
-                         strategy=cfg.strategy, seed=cfg.seed)
-        t0 = time.perf_counter()
-        decoded = None
-        for _ in range(repeats):
-            decoded = diffusion_decode(model, batch, c, mask_id, pad_id)
-        dt = time.perf_counter() - t0
-        row = {
-            "steps": int(steps),
-            "seconds": dt,
-            "samples_per_sec": batch.size * repeats / dt,
-        }
-        if scorer is not None:
-            row["accuracy"] = float(scorer(decoded))
-        rows.append(row)
-    return rows
+        # a row past its length draws too; the slot stays a pad key and is not returned
+        x[:, pos], _ = _sample(logits, cfg.temperature, rng)
+        pad_mask[:, pos] = batch.target_mask[:, pos]
+    return np.where(batch.target_mask[:, w:], x[:, w:], pad_id)

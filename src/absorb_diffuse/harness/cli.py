@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import dataclasses
 import os
 import sys
+import time
 
 import numpy as np
 
-from ..decoding import DecodeConfig, throughput_probe
+from ..decoding import STRATEGIES
 from ..diffusion import NoiseSchedule, subgoal_loss_profile
 from ..tasks import encode_instances, get_task, read_instances, write_instances
 from ..tasks.registry import segment_map
@@ -60,21 +61,20 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _decode_cfg(args, cfg: ExperimentConfig, task) -> DecodeConfig:
-    steps = args.steps or cfg.decode_steps or task.default_decode_steps()
-    return DecodeConfig(steps=steps,
-                        temperature=args.temperature or cfg.temperature,
-                        strategy=args.strategy or cfg.strategy,
-                        seed=args.seed if args.seed is not None else cfg.seed)
+def _load(args):
+    """-> (model, vocab, config, task, instances, decode config) for the
+    commands that read a checkpoint; a decode flag that is given overrides
+    the checkpoint's config."""
+    model, vocab, cfg = load_model(args.checkpoint)
+    instances = read_instances(args.data)[: args.limit or None]
+    flags = {k: getattr(args, k) for k in ("steps", "temperature", "strategy", "seed")}
+    dc = dataclasses.replace(cfg.decode_config(),
+                             **{k: v for k, v in flags.items() if v is not None})
+    return model, vocab, cfg, get_task(cfg.task), instances, dc
 
 
 def _cmd_eval(args) -> int:
-    model, vocab, cfg = load_model(args.checkpoint)
-    task = get_task(cfg.task)
-    instances = read_instances(args.data)
-    if args.limit:
-        instances = instances[: args.limit]
-    dc = _decode_cfg(args, cfg, task)
+    model, vocab, cfg, task, instances, dc = _load(args)
     res = evaluate_model(model, cfg.model_kind, task, vocab, instances, dc)
     print(f"accuracy {res.accuracy:.4f} over {res.n} instances (steps={dc.steps})")
     if res.per_pd:
@@ -88,10 +88,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    model, vocab, cfg = load_model(args.checkpoint)
-    task = get_task(cfg.task)
-    instances = read_instances(args.data)[: args.n]
-    dc = _decode_cfg(args, cfg, task)
+    model, vocab, cfg, task, instances, dc = _load(args)
     res = evaluate_model(model, cfg.model_kind, task, vocab, instances, dc)
     for inst, out, v in zip(instances, res.outputs, res.verdicts):
         status = "ok" if v.ok else f"{v.kind}" + (f"@{v.step}" if v.step else "")
@@ -101,12 +98,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    model, vocab, cfg = load_model(args.checkpoint)
-    task = get_task(cfg.task)
-    instances = read_instances(args.data)
-    if args.limit:
-        instances = instances[: args.limit]
-    dc = _decode_cfg(args, cfg, task)
+    model, vocab, cfg, task, instances, dc = _load(args)
 
     if args.what == "taxonomy":
         res = evaluate_model(model, cfg.model_kind, task, vocab, instances, dc)
@@ -116,6 +108,9 @@ def _cmd_analyze(args) -> int:
             step = "" if r.step is None else f" step {r.step}"
             print(f"{r.kind}{step}: {r.count} ({r.rate:.1%})")
     elif args.what == "profile":
+        if cfg.model_kind != "diffusion":
+            raise SystemExit(f"analyze --what profile needs a diffusion checkpoint, "
+                             f"got model_kind {cfg.model_kind!r}")
         batch = encode_instances(task, instances, vocab)
         segs = segment_map(task, batch, instances)
         rng = np.random.default_rng(dc.seed)
@@ -131,23 +126,20 @@ def _cmd_analyze(args) -> int:
         print(f"NELBO {prof['nelbo'] / batch.size:.4f} nats per instance")
     elif args.what == "throughput":
         grid = [int(x) for x in args.grid.split(",")]
-        batch = encode_instances(task, instances, vocab)
-
-        def scorer(ids):
-            outs = [vocab.decode(row) for row in ids]
-            return np.mean([task.verify(i.input_text, o).ok
-                            for i, o in zip(instances, outs)])
-
-        rows = throughput_probe(model, batch, grid, dc, vocab.mask_id, vocab.pad_id,
-                                repeats=args.repeats, scorer=scorer)
+        if args.repeats < 1:
+            raise SystemExit(f"--repeats must be >= 1, got {args.repeats}")
         with open(args.out, "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=["steps", "seconds", "samples_per_sec", "accuracy"])
-            w.writeheader()
-            for r in rows:
-                w.writerow(r)
-        for r in rows:
-            print(f"steps {r['steps']:>3}: {r['samples_per_sec']:.2f} samples/s "
-                  f"accuracy {r.get('accuracy', float('nan')):.3f}")
+            w = csv.writer(f)
+            w.writerow(["steps", "seconds", "samples_per_sec", "accuracy"])
+            for steps in grid:
+                step_cfg = dataclasses.replace(dc, steps=steps)
+                t0 = time.perf_counter()
+                for _ in range(args.repeats):
+                    res = evaluate_model(model, cfg.model_kind, task, vocab, instances, step_cfg)
+                dt = time.perf_counter() - t0
+                rate = len(instances) * args.repeats / dt
+                w.writerow([steps, dt, rate, res.accuracy])
+                print(f"steps {steps:>3}: {rate:.2f} samples/s accuracy {res.accuracy:.3f}")
     return 0
 
 
@@ -189,41 +181,31 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--verbose", dest="quiet", action="store_false")
     t.set_defaults(fn=_cmd_train, quiet=True)
 
-    shared = dict(steps=("--steps", int), temperature=("--temperature", float))
+    # eval, sample and analyze: a decode flag left out keeps the checkpoint's value
+    ckpt = argparse.ArgumentParser(add_help=False)
+    ckpt.add_argument("--checkpoint", required=True)
+    ckpt.add_argument("--data", required=True)
+    ckpt.add_argument("--steps", type=int)
+    ckpt.add_argument("--temperature", type=float)
+    ckpt.add_argument("--strategy", choices=STRATEGIES)
+    ckpt.add_argument("--seed", type=int)
 
-    e = sub.add_parser("eval", help="verifier accuracy of a checkpoint")
-    for name, (flag, typ) in shared.items():
-        e.add_argument(flag, type=typ, default=0)
-    e.add_argument("--checkpoint", required=True)
-    e.add_argument("--data", required=True)
+    e = sub.add_parser("eval", parents=[ckpt], help="verifier accuracy of a checkpoint")
     e.add_argument("--limit", type=int, default=0)
-    e.add_argument("--strategy", choices=["topk", "random"])
-    e.add_argument("--seed", type=int)
     e.add_argument("--metrics-out")
     e.set_defaults(fn=_cmd_eval)
 
-    s = sub.add_parser("sample", help="print decoded samples")
-    for name, (flag, typ) in shared.items():
-        s.add_argument(flag, type=typ, default=0)
-    s.add_argument("--checkpoint", required=True)
-    s.add_argument("--data", required=True)
-    s.add_argument("--n", type=int, default=5)
-    s.add_argument("--strategy", choices=["topk", "random"])
-    s.add_argument("--seed", type=int)
+    s = sub.add_parser("sample", parents=[ckpt], help="print decoded samples")
+    s.add_argument("--n", dest="limit", type=int, default=5)
     s.set_defaults(fn=_cmd_sample)
 
-    a = sub.add_parser("analyze", help="taxonomy, loss profile, or throughput probe")
+    a = sub.add_parser("analyze", parents=[ckpt],
+                       help="taxonomy, loss profile, or throughput grid")
     a.add_argument("--what", choices=["taxonomy", "profile", "throughput"], required=True)
-    for name, (flag, typ) in shared.items():
-        a.add_argument(flag, type=typ, default=0)
-    a.add_argument("--checkpoint", required=True)
-    a.add_argument("--data", required=True)
     a.add_argument("--out", required=True)
     a.add_argument("--limit", type=int, default=0)
     a.add_argument("--grid", default="1,5,10,20")
     a.add_argument("--repeats", type=int, default=1)
-    a.add_argument("--strategy", choices=["topk", "random"])
-    a.add_argument("--seed", type=int)
     a.set_defaults(fn=_cmd_analyze)
 
     w = sub.add_parser("sweep", help="data-scaling or reweighting ablation sweep")

@@ -57,7 +57,7 @@ class ExperimentConfig:
     eval_every: int = 0       # 0: only the final evaluation
     eval_limit: int = 200
     # decoding
-    decode_steps: int = 0     # 0: task default rule
+    decode_steps: int = 0     # 0: the task's default
     temperature: float = 0.5
     strategy: str = "topk"
 
@@ -90,7 +90,7 @@ class ExperimentConfig:
                               full_gradient=self.full_gradient)
 
     def decode_config(self) -> DecodeConfig:
-        steps = self.decode_steps or get_task(self.task).default_decode_steps()
+        steps = self.decode_steps or get_task(self.task).decode_steps
         return DecodeConfig(steps=steps, temperature=self.temperature,
                             strategy=self.strategy, seed=self.seed)
 

@@ -125,9 +125,9 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
         except KeyError as e:
             raise ValueError(f"{resume_from}: checkpoint lacks resume key {e}") from None
         start_step = loaded.step
-        if cfg.train_steps < start_step:
-            raise ValueError(f"{resume_from}: train_steps {cfg.train_steps} is below the "
-                             f"checkpoint's step {start_step}")
+        if cfg.train_steps <= start_step:
+            raise ValueError(f"{resume_from}: train_steps {cfg.train_steps} leaves nothing to "
+                             f"train past the checkpoint's step {start_step}")
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     def save(to_dir: str, step: int) -> None:

@@ -32,6 +32,17 @@ class Verdict:
         return self.kind == VALID
 
 
+def split_segments(output_text: str, sep: str) -> list[int]:
+    """Per-character segment index; a separator belongs to the segment it
+    closes (edges split by "/", equations and variables by ",")."""
+    seg, out = 0, []
+    for ch in output_text:
+        out.append(seg)
+        if ch == sep:
+            seg += 1
+    return out
+
+
 def write_instances(path: str, instances) -> None:
     """One `input<TAB>output` per line, UTF-8, LF."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:

@@ -151,13 +151,3 @@ def verify_countdown(input_text: str, output_text: str) -> Verdict:
         leftover = sorted(pool.elements())
         return Verdict(PLAN_ERROR, step=last, detail=f"unused operands {leftover}")
     return Verdict(VALID)
-
-
-def output_segments(output_text: str) -> list[int]:
-    """Per-character equation index; commas close the equation they follow."""
-    seg, out = 0, []
-    for ch in output_text:
-        out.append(seg)
-        if ch == ",":
-            seg += 1
-    return out

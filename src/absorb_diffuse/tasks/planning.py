@@ -18,7 +18,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .base import FORMAT_ERROR, INVALID, PLAN_ERROR, VALID, TaskInstance, Verdict
+from .base import FORMAT_ERROR, PLAN_ERROR, VALID, TaskInstance, Verdict
 
 CHARSET = "0123456789,-/"
 N_LABELS = 12          # label alphabet 0..11
@@ -135,13 +135,3 @@ def _solve(edges, start, goal):
             if b not in {a for a, _ in path} and (not path or b != path[0][0]):
                 stack.append((b, path + [(node, b)]))
     return None
-
-
-def output_segments(output_text: str) -> list[int]:
-    """Per-character edge index; separators belong to the edge they follow."""
-    seg, out = 0, []
-    for ch in output_text:
-        out.append(seg)
-        if ch == "/":
-            seg += 1
-    return out

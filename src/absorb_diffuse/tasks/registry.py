@@ -1,8 +1,8 @@
 """Task registry: canvas widths, vocab, generation and verification hooks.
 
 Canvas widths are fixed per task so checkpoints stay shape-compatible with
-any dataset of that task. avg_output_len is a pinned measured constant used
-only by the refinement-step default rule.
+any dataset of that task. decode_steps is the task's default number of
+refinement steps: 20 where outputs average over 20 characters, else 10.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from functools import partial
 import numpy as np
 
 from ..data import Batch, pack_rows
-from ..decoding import default_steps
 from . import countdown, planning, sat, sudoku
+from .base import split_segments
 from .vocab import Vocabulary
 
 
@@ -24,7 +24,7 @@ class TaskSpec:
     charset: str
     cond_width: int
     target_width: int
-    avg_output_len: float
+    decode_steps: int
     generate: object        # (n_train, n_test, seed, **kw) -> (train, test)
     verify: object          # (input_text, output_text) -> Verdict
     segments: object        # output_text -> list[int]
@@ -35,9 +35,6 @@ class TaskSpec:
     @property
     def seq_len(self) -> int:
         return self.cond_width + self.target_width
-
-    def default_decode_steps(self) -> int:
-        return default_steps(self.avg_output_len)
 
 
 def _gen_planning_pools(n_train, n_test, seed, pds=(0, 1, 2, 3, 4, 5)):
@@ -72,31 +69,34 @@ def _sat_widths(n_vars):
     return cond, tgt
 
 
+_by_slash = partial(split_segments, sep="/")
+_by_comma = partial(split_segments, sep=",")
+
 TASKS = {
     "planning": TaskSpec(
-        "planning", planning.CHARSET, 49, 23, 21.0,
-        _gen_planning_pools, planning.verify_planning, planning.output_segments),
+        "planning", planning.CHARSET, 49, 23, 20,
+        _gen_planning_pools, planning.verify_planning, _by_slash),
     "countdown3": TaskSpec(
-        "countdown3", countdown.CHARSET, 12, 22, 16.0,
-        partial(_gen_countdown_pools, 3), countdown.verify_countdown, countdown.output_segments),
+        "countdown3", countdown.CHARSET, 12, 22, 10,
+        partial(_gen_countdown_pools, 3), countdown.verify_countdown, _by_comma),
     "countdown4": TaskSpec(
-        "countdown4", countdown.CHARSET, 15, 35, 25.0,
-        partial(_gen_countdown_pools, 4), countdown.verify_countdown, countdown.output_segments),
+        "countdown4", countdown.CHARSET, 15, 35, 20,
+        partial(_gen_countdown_pools, 4), countdown.verify_countdown, _by_comma),
     "countdown5": TaskSpec(
-        "countdown5", countdown.CHARSET, 18, 52, 35.0,
-        partial(_gen_countdown_pools, 5), countdown.verify_countdown, countdown.output_segments),
+        "countdown5", countdown.CHARSET, 18, 52, 20,
+        partial(_gen_countdown_pools, 5), countdown.verify_countdown, _by_comma),
     "sudoku": TaskSpec(
-        "sudoku", sudoku.CHARSET, 81, 81, 81.0,
+        "sudoku", sudoku.CHARSET, 81, 81, 20,
         _gen_sudoku_pools, sudoku.verify_sudoku, sudoku.output_segments),
     "sat5": TaskSpec(
-        "sat5", sat.CHARSET, *_sat_widths(5), 9.0,
-        partial(_gen_sat_pools, 5), sat.verify_sat, sat.output_segments),
+        "sat5", sat.CHARSET, *_sat_widths(5), 10,
+        partial(_gen_sat_pools, 5), sat.verify_sat, _by_comma),
     "sat7": TaskSpec(
-        "sat7", sat.CHARSET, *_sat_widths(7), 13.0,
-        partial(_gen_sat_pools, 7), sat.verify_sat, sat.output_segments),
+        "sat7", sat.CHARSET, *_sat_widths(7), 10,
+        partial(_gen_sat_pools, 7), sat.verify_sat, _by_comma),
     "sat9": TaskSpec(
-        "sat9", sat.CHARSET, *_sat_widths(9), 17.0,
-        partial(_gen_sat_pools, 9), sat.verify_sat, sat.output_segments),
+        "sat9", sat.CHARSET, *_sat_widths(9), 10,
+        partial(_gen_sat_pools, 9), sat.verify_sat, _by_comma),
 }
 
 

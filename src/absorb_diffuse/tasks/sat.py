@@ -83,13 +83,3 @@ def verify_sat(input_text: str, output_text: str) -> Verdict:
         if not any(truth[abs(l)] == (l > 0) for l in cl):
             return Verdict(INVALID, step=k, detail=f"clause {k} unsatisfied")
     return Verdict(VALID)
-
-
-def output_segments(output_text: str) -> list[int]:
-    """Per-character variable index within the assignment."""
-    seg, out = 0, []
-    for ch in output_text:
-        out.append(seg)
-        if ch == ",":
-            seg += 1
-    return out

@@ -227,41 +227,29 @@ def lookahead_solve(input_text: str, lookahead: int) -> str | None:
 # left-to-right decoding without a key/value cache
 
 
-def ar_decode_full_canvas(model, batch, cfg, pad_id: int, max_new=None,
-                          eos_id: int | None = None, rng=None) -> np.ndarray:
+def ar_decode_full_canvas(model, batch, cfg, pad_id: int, rng=None) -> np.ndarray:
     """`decoding.ar_decode` as a full-canvas loop: every step runs the
     model over the whole canvas and reads the logits one slot before the
     position being generated. Same arguments, sampling order and output."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    b, s = batch.tokens.shape
     w = batch.cond_width
-    if max_new is None:
-        max_new = batch.target_lengths()
-    max_new = np.minimum(np.asarray(max_new, dtype=np.int64), s - w)
+    lengths = batch.target_lengths()
 
     x = batch.tokens.copy()
     pad_mask = batch.pad_mask & ~batch.target_mask
-    done = max_new <= 0
-    emitted = np.zeros(b, dtype=np.int64)
-    for j in range(int(max_new.max()) if b else 0):
+    emitted = np.zeros(len(lengths), dtype=np.int64)
+    for j in range(int(lengths.max(initial=0))):
         pos = w + j
         logits = model.forward(x, pad_mask).value[:, pos - 1]
         logp = ad.log_softmax(logits / cfg.temperature)
         sampled = np.argmax(logp + rng.gumbel(size=logp.shape), axis=-1)
-        active = ~done & (j < max_new)
-        if eos_id is not None:
-            hit = active & (sampled == eos_id)
-            done |= hit
-            active &= ~hit
+        active = j < lengths
         x[active, pos] = sampled[active]
         pad_mask[active, pos] = True
         emitted[active] += 1
-        done |= emitted >= max_new
-        if done.all():
-            break
 
-    out = np.full((b, s - w), pad_id, dtype=x.dtype)
-    for i in range(b):
+    out = np.full((x.shape[0], x.shape[1] - w), pad_id, dtype=x.dtype)
+    for i in range(x.shape[0]):
         out[i, :emitted[i]] = x[i, w:w + emitted[i]]
     return out

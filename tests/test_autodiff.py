@@ -193,6 +193,12 @@ def test_diamond_graph_accumulates_both_paths():
     assert abs(float(a.grad) - 7.0) < 1e-6
 
 
+def test_backward_requires_a_scalar_root():
+    a = ad.parameter(np.ones(3, np.float32))
+    with pytest.raises(ValueError, match="scalar"):
+        ad.add(a, a).backward()
+
+
 # ---------------------------------------------------------------------------
 # loss kernels
 

@@ -28,7 +28,7 @@ from absorb_diffuse.harness.metrics import (
 from absorb_diffuse.harness.sweep import reweight_ablation
 from absorb_diffuse.harness.taxonomy import error_taxonomy, taxonomy_csv
 from absorb_diffuse.harness.train import TrainingDiverged, load_model, train
-from absorb_diffuse.tasks import get_task
+from absorb_diffuse.tasks import TASKS, get_task
 from absorb_diffuse.tasks.base import (
     CALC_ERROR,
     PLAN_ERROR,
@@ -357,15 +357,16 @@ def test_resume_refuses_a_changed_config(tmp_path):
         train(changed, resume_from=ckpt)
 
 
-def test_resume_refuses_fewer_steps_than_the_checkpoint_and_writes_nothing(tmp_path):
+@pytest.mark.parametrize("steps", [6, 12])
+def test_resume_refuses_fewer_steps_than_the_checkpoint_and_writes_nothing(tmp_path, steps):
     first = _tiny_cfg(tmp_path, train_steps=12, eval_path="", eval_every=0)
     train(first)
     ckpt = os.path.join(first.out_dir, "checkpoint")
     names = sorted(os.listdir(ckpt))
     paths = [os.path.join(ckpt, f) for f in names] + [first.out_dir + "/metrics.jsonl"]
     before = [open(p, "rb").read() for p in paths]
-    with pytest.raises(ValueError, match=r"train_steps 6 .* step 12"):
-        train(first.replace(train_steps=6), resume_from=ckpt)
+    with pytest.raises(ValueError, match=rf"train_steps {steps} leaves nothing .* step 12"):
+        train(first.replace(train_steps=steps), resume_from=ckpt)
     assert sorted(os.listdir(ckpt)) == names
     assert [open(p, "rb").read() for p in paths] == before
 
@@ -561,3 +562,63 @@ def test_cli_train_eval_sample_analyze(tmp_path, capsys):
     lines = open(thr_csv).read().strip().splitlines()
     assert lines[0] == "steps,seconds,samples_per_sec,accuracy"
     assert len(lines) == 3
+
+
+@pytest.fixture(scope="module")
+def ar_checkpoint(tmp_path_factory):
+    """A 2-step AR countdown3 checkpoint whose config has seed 7 and 3 decode steps."""
+    root = tmp_path_factory.mktemp("ar_ckpt")
+    cfg = _tiny_cfg(root, model_kind="ar", seed=7, train_steps=2, decode_steps=3)
+    train(cfg)
+    return os.path.join(cfg.out_dir, "checkpoint"), cfg.eval_path
+
+
+def test_cli_decode_flags_override_the_checkpoint_config(ar_checkpoint, tmp_path, capsys):
+    ckpt, data = ar_checkpoint
+    rec = str(tmp_path / "ev.jsonl")
+    cli_main(["eval", "--checkpoint", ckpt, "--data", data, "--seed", "0", "--metrics-out", rec])
+    assert "(steps=3)" in capsys.readouterr().out
+    assert read_records(rec)[0]["seed"] == 0
+    for flag in ("--temperature", "--steps"):
+        with pytest.raises(ValueError):
+            cli_main(["eval", "--checkpoint", ckpt, "--data", data, flag, "0"])
+
+
+def test_analyze_throughput_decodes_an_ar_checkpoint_with_ar_decode(
+        ar_checkpoint, tmp_path, capsys, monkeypatch):
+    import dataclasses
+    import importlib
+    evaluate_mod = importlib.import_module("absorb_diffuse.harness.evaluate")
+    calls = {"ar_decode": 0, "diffusion_decode": 0}
+    for name in calls:
+        def counted(*a, _name=name, _real=getattr(evaluate_mod, name), **kw):
+            calls[_name] += 1
+            return _real(*a, **kw)
+        monkeypatch.setattr(evaluate_mod, name, counted)
+    # an untrained model solves nothing; this verifier's accuracy depends on the outputs
+    def by_parity(inp, out):
+        return Verdict(VALID if sum(map(ord, out)) % 2 else PLAN_ERROR)
+    monkeypatch.setitem(TASKS, "countdown3",
+                        dataclasses.replace(TASKS["countdown3"], verify=by_parity))
+    ckpt, data = ar_checkpoint
+    out_csv = str(tmp_path / "thr.csv")
+    cli_main(["analyze", "--what", "throughput", "--checkpoint", ckpt, "--data", data,
+              "--out", out_csv, "--grid", "1,2", "--seed", "5"])
+    assert calls == {"ar_decode": 2, "diffusion_decode": 0}
+    capsys.readouterr()
+    # same seed and steps: the accuracy column is what eval reports
+    cli_main(["eval", "--checkpoint", ckpt, "--data", data, "--seed", "5", "--steps", "2"])
+    accuracy = capsys.readouterr().out.split()[1]
+    last = open(out_csv).read().strip().splitlines()[-1].split(",")
+    assert last[0] == "2" and f"{float(last[3]):.4f}" == accuracy
+    assert 0 < float(accuracy) < 1
+    with pytest.raises(SystemExit, match="repeats"):
+        cli_main(["analyze", "--what", "throughput", "--checkpoint", ckpt, "--data", data,
+                  "--out", out_csv, "--repeats", "0"])
+
+
+def test_analyze_profile_refuses_an_ar_checkpoint(ar_checkpoint, tmp_path):
+    ckpt, data = ar_checkpoint
+    with pytest.raises(SystemExit, match="model_kind 'ar'"):
+        cli_main(["analyze", "--what", "profile", "--checkpoint", ckpt, "--data", data,
+                  "--out", str(tmp_path / "prof.csv")])

@@ -165,7 +165,7 @@ def test_planning_rejects_revisit():
 
 
 def test_planning_segments():
-    assert planning.output_segments("8,2/2,0") == [0, 0, 0, 0, 1, 1, 1]
+    assert get_task("planning").segments("8,2/2,0") == [0, 0, 0, 0, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,8 @@ def test_countdown_generator_invariants(n_ops):
 
 
 def test_countdown_segments():
-    assert countdown.output_segments("1+2=3,3*4=12") == [0] * 6 + [1] * 6
+    for name in ("countdown3", "countdown4", "countdown5"):
+        assert get_task(name).segments("1+2=3,3*4=12") == [0] * 6 + [1] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +283,7 @@ def test_sudoku_verifier_rejections():
 
 
 def test_sudoku_segments():
-    seg = sudoku.output_segments("1" * 81)
+    seg = get_task("sudoku").segments("1" * 81)
     assert seg[:9] == [0] * 9 and seg[-9:] == [8] * 9
 
 
@@ -340,7 +341,8 @@ def test_sat_unsat_clause_step_is_first_failure():
 
 
 def test_sat_segments():
-    assert sat.output_segments("1,-2,3") == [0, 0, 1, 1, 1, 2]
+    for name in ("sat5", "sat7", "sat9"):
+        assert get_task(name).segments("1,-2,3") == [0, 0, 1, 1, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +379,10 @@ def test_get_task_unknown():
 
 
 def test_registry_default_steps():
-    assert get_task("planning").default_decode_steps() == 20
-    assert get_task("countdown3").default_decode_steps() == 10
-    assert get_task("sudoku").default_decode_steps() == 20
+    # 20 refinement steps where outputs average over 20 characters, else 10
+    assert {name: task.decode_steps for name, task in TASKS.items()} == {
+        "planning": 20, "countdown3": 10, "countdown4": 20, "countdown5": 20,
+        "sudoku": 20, "sat5": 10, "sat7": 10, "sat9": 10}
 
 
 def test_planning_pool_prefix_is_balanced():
