@@ -64,12 +64,15 @@ def _cmd_train(args) -> int:
 def _load(args):
     """-> (model, vocab, config, task, instances, decode config) for the
     commands that read a checkpoint; a decode flag that is given overrides
-    the checkpoint's config."""
+    the checkpoint's config, and an invalid one exits with its message."""
     model, vocab, cfg = load_model(args.checkpoint)
     instances = read_instances(args.data)[: args.limit or None]
     flags = {k: getattr(args, k) for k in ("steps", "temperature", "strategy", "seed")}
-    dc = dataclasses.replace(cfg.decode_config(),
-                             **{k: v for k, v in flags.items() if v is not None})
+    try:
+        dc = dataclasses.replace(cfg.decode_config(),
+                                 **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as e:
+        raise SystemExit(f"invalid decode flag: {e}") from None
     return model, vocab, cfg, get_task(cfg.task), instances, dc
 
 

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
+import glob
 import json
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..decoding import DecodeConfig
 from ..diffusion import ReweightConfig
@@ -14,10 +20,14 @@ from ..tasks import get_task
 
 THREADS_ENV = "ABSORB_DIFFUSE_THREADS"
 MODEL_KINDS = ("diffusion", "ar")
+# thread-count getter and setter of the OpenBLAS that numpy wheels bundle
+OPENBLAS_SYMBOLS = ("scipy_openblas_get_num_threads64_",
+                    "scipy_openblas_set_num_threads64_")
 
 
 def resolve_threads() -> int:
-    """Worker cap for batched evaluation, from the environment."""
+    """Worker cap for batched evaluation: the environment's value, else the
+    number of CPUs this process may run on."""
     raw = os.environ.get(THREADS_ENV, "")
     if raw:
         try:
@@ -27,7 +37,47 @@ def resolve_threads() -> int:
         if n < 1:
             raise ValueError(f"{THREADS_ENV} must be >= 1, got {n}")
         return n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None when numpy links another BLAS."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = (getattr(lib, name) for name in OPENBLAS_SYMBOLS)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the body with BLAS limited to n threads, then restore the previous
+    count. A no-op when numpy's bundled OpenBLAS is not found.
+
+    The count is global to the process: BLAS calls that other threads make
+    while the body runs use it too.
+    """
+    fns = _openblas()
+    if fns is None:
+        yield
+        return
+    get, set_ = fns
+    before = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 @dataclass

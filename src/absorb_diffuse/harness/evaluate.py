@@ -11,7 +11,7 @@ from ..data import Batch
 from ..decoding import DecodeConfig, ar_decode, diffusion_decode
 from ..tasks import TaskSpec, encode_instances
 from ..tasks import planning as planning_task
-from .config import resolve_threads
+from .config import blas_threads, resolve_threads
 
 EVAL_CHUNK = 64
 
@@ -50,6 +50,10 @@ def evaluate_model(model, model_kind: str, task: TaskSpec, vocab, instances,
 
     Decoding is chunked; chunk results are deterministic functions of the
     chunk index, so the worker count never changes the outcome.
+
+    With more than one worker over more than one chunk, BLAS runs one thread
+    per worker while the pool runs (see `blas_threads`). That count is global
+    to the process, so this must not run beside another BLAS user.
     """
     instances = list(instances)
     if not instances:
@@ -62,7 +66,7 @@ def evaluate_model(model, model_kind: str, task: TaskSpec, vocab, instances,
 
     n_workers = threads if threads is not None else resolve_threads()
     if n_workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with blas_threads(1), ThreadPoolExecutor(max_workers=n_workers) as pool:
             decoded = list(pool.map(run, range(len(batches))))
     else:
         decoded = [run(i) for i in range(len(batches))]

@@ -10,10 +10,13 @@ import pytest
 from absorb_diffuse import autodiff as ad
 from absorb_diffuse.checkpoint import load_checkpoint
 from absorb_diffuse.decoding import DecodeConfig
+from absorb_diffuse.harness import config as config_mod
+from absorb_diffuse.harness import evaluate as evaluate_mod
 from absorb_diffuse.harness.cli import main as cli_main
 from absorb_diffuse.harness.config import (
     THREADS_ENV,
     ExperimentConfig,
+    blas_threads,
     resolve_threads,
 )
 from absorb_diffuse.harness.evaluate import evaluate_model
@@ -28,6 +31,7 @@ from absorb_diffuse.harness.metrics import (
 from absorb_diffuse.harness.sweep import reweight_ablation
 from absorb_diffuse.harness.taxonomy import error_taxonomy, taxonomy_csv
 from absorb_diffuse.harness.train import TrainingDiverged, load_model, train
+from absorb_diffuse.model import DenoiserModel, ModelConfig
 from absorb_diffuse.tasks import TASKS, get_task
 from absorb_diffuse.tasks.base import (
     CALC_ERROR,
@@ -101,6 +105,49 @@ def test_resolve_threads(monkeypatch):
         resolve_threads()
     monkeypatch.delenv(THREADS_ENV)
     assert resolve_threads() >= 1
+    # only the CPUs this process may run on count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert resolve_threads() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_threads() == 4
+
+
+def _blas_count():
+    """numpy's OpenBLAS thread-count getter; skips where numpy links another BLAS."""
+    fns = config_mod._openblas()
+    if fns is None:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    return fns[0]
+
+
+def test_blas_threads_restores_the_previous_count():
+    get = _blas_count()
+    with blas_threads(2):
+        outer = get()
+        with blas_threads(1):
+            assert get() == 1
+        assert get() == outer
+        with pytest.raises(RuntimeError):
+            with blas_threads(1):
+                assert get() == 1
+                raise RuntimeError("body failed")
+        assert get() == outer
+
+
+def test_blas_threads_is_a_no_op_without_the_symbols(monkeypatch):
+    get = _blas_count()
+    before = get()
+    monkeypatch.setattr(config_mod, "OPENBLAS_SYMBOLS", ("absent_get", "absent_set"))
+    config_mod._openblas.cache_clear()
+    try:
+        assert config_mod._openblas() is None
+        with blas_threads(before + 1):
+            assert get() == before
+    finally:
+        monkeypatch.undo()
+        config_mod._openblas.cache_clear()
+    assert config_mod._openblas() is not None
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +174,15 @@ def test_read_records_rejects_malformed_record(tmp_path):
         f.write(json.dumps({"kind": "eval", "step": "two", "task": "planning",
                             "model_kind": "diffusion", "seed": 0}) + "\n")
     with pytest.raises(ValueError, match=r"m\.jsonl:2"):
+        read_records(path)
+
+
+def test_read_records_rejects_a_record_kind_no_code_writes(tmp_path):
+    path = str(tmp_path / "m.jsonl")
+    with open(path, "w") as f:
+        f.write(json.dumps({"kind": "probe", "step": 0, "task": "planning",
+                            "model_kind": "diffusion", "seed": 0}) + "\n")
+    with pytest.raises(ValueError, match=r"m\.jsonl:1"):
         read_records(path)
 
 
@@ -218,6 +274,43 @@ def test_evaluate_chunking_is_worker_invariant(planning_eval_set):
     b = evaluate_model(model, "diffusion", task, vocab, insts, cfg, threads=4, chunk=5)
     assert a.outputs == b.outputs
     assert a.accuracy == b.accuracy
+
+
+@pytest.mark.parametrize("threads,expect_one", [(2, True), (1, False)])
+def test_evaluate_pool_runs_one_blas_thread_per_worker(planning_eval_set, monkeypatch,
+                                                       threads, expect_one):
+    get = _blas_count()
+    default = get()
+    task, insts = planning_eval_set
+    vocab = task.vocabulary()
+    seen = []
+
+    def recording(*a, _real=evaluate_mod._decode_chunk, **kw):
+        seen.append(get())
+        return _real(*a, **kw)
+
+    monkeypatch.setattr(evaluate_mod, "_decode_chunk", recording)
+    evaluate_model(LookupOracle(task, insts, vocab), "diffusion", task, vocab, insts,
+                   DecodeConfig(steps=2, seed=0), threads=threads, chunk=5)
+    assert seen == [1 if expect_one else default] * 3
+    assert get() == default
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "ar"])
+def test_evaluate_outputs_do_not_depend_on_the_blas_thread_count(kind):
+    """threads=1 decodes at the default BLAS count, threads=2 at one BLAS
+    thread per worker; a real float32 model must decode the same either way."""
+    task = get_task("planning")
+    vocab = task.vocabulary()
+    insts = [inst for pd in (1, 2) for inst in gen_planning(12, pd, seed=5)]
+    model = DenoiserModel(ModelConfig(
+        vocab_size=vocab.size, max_seq_len=task.seq_len, n_layers=2, n_heads=4,
+        hidden_dim=96, attention="causal" if kind == "ar" else "bidirectional"), seed=3)
+    cfg = DecodeConfig(steps=4, temperature=1.0, seed=2)
+    a = evaluate_model(model, kind, task, vocab, insts, cfg, threads=1, chunk=8)
+    b = evaluate_model(model, kind, task, vocab, insts, cfg, threads=2, chunk=8)
+    assert a.outputs == b.outputs
+    assert len(set(a.outputs)) > 1
 
 
 def test_evaluate_ar_path(planning_eval_set):
@@ -579,8 +672,8 @@ def test_cli_decode_flags_override_the_checkpoint_config(ar_checkpoint, tmp_path
     cli_main(["eval", "--checkpoint", ckpt, "--data", data, "--seed", "0", "--metrics-out", rec])
     assert "(steps=3)" in capsys.readouterr().out
     assert read_records(rec)[0]["seed"] == 0
-    for flag in ("--temperature", "--steps"):
-        with pytest.raises(ValueError):
+    for flag, name in (("--temperature", "temperature"), ("--steps", "steps")):
+        with pytest.raises(SystemExit, match=f"invalid decode flag: {name} must be"):
             cli_main(["eval", "--checkpoint", ckpt, "--data", data, flag, "0"])
 
 
