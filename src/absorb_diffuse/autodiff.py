@@ -68,18 +68,33 @@ class Node:
             self.grad = np.zeros_like(self.value)
         self.grad += g.astype(self.value.dtype, copy=False)
 
-    def backward(self):
-        """Backpropagate from this scalar node with seed 1."""
+    def backward(self, grads: dict | None = None):
+        """Backpropagate from this scalar node with seed 1.
+
+        Leaf gradients accumulate into each leaf's .grad, or, when grads is
+        given, into grads[leaf], a dict the caller owns; the leaves' .grad
+        are then left alone, so graphs that share leaves can run backward
+        on several threads at once.
+        """
         if self.value.ndim != 0:
             raise ValueError(f"backward() needs a scalar, got shape {self.value.shape}")
+
+        def accumulate(leaf, g):
+            if grads is None:
+                leaf._accumulate(g)
+            elif leaf in grads:
+                grads[leaf] += g.astype(leaf.value.dtype, copy=False)
+            else:
+                grads[leaf] = g.astype(leaf.value.dtype)  # a copy: g may be shared
+
         order = _toposort(self)
-        grads: dict[int, np.ndarray] = {id(self): np.ones((), dtype=self.value.dtype)}
+        pending: dict[int, np.ndarray] = {id(self): np.ones((), dtype=self.value.dtype)}
         for node in order:
-            g = grads.pop(id(node), None)
+            g = pending.pop(id(node), None)
             if g is None:
                 continue
             if node.requires_grad and node._backward is None:
-                node._accumulate(g)
+                accumulate(node, g)
             if node._backward is None:
                 continue
             for parent, piece in node._backward(g):
@@ -87,11 +102,11 @@ class Node:
                     continue
                 pid = id(parent)
                 if parent._backward is None:
-                    parent._accumulate(piece)
-                elif pid in grads:
-                    grads[pid] = grads[pid] + piece
+                    accumulate(parent, piece)
+                elif pid in pending:
+                    pending[pid] = pending[pid] + piece
                 else:
-                    grads[pid] = piece
+                    pending[pid] = piece
 
 
 def _toposort(root: Node) -> list[Node]:

@@ -26,8 +26,9 @@ OPENBLAS_SYMBOLS = ("scipy_openblas_get_num_threads64_",
 
 
 def resolve_threads() -> int:
-    """Worker cap for batched evaluation: the environment's value, else the
-    number of CPUs this process may run on."""
+    """Worker cap for batched evaluation and for the training step's shards
+    (at most two run at once): the environment's value, else the number of
+    CPUs this process may run on."""
     raw = os.environ.get(THREADS_ENV, "")
     if raw:
         try:

@@ -39,6 +39,7 @@ class MetricsRecord:
     seed: int
     loss: float | None = None
     lr: float | None = None
+    grad_norm: float | None = None
     accuracy: float | None = None
     per_pd: dict | None = None
     n_eval: int | None = None

@@ -1,5 +1,9 @@
 """Finite-difference checks and unit tests for the autodiff kernels."""
 
+import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -191,6 +195,80 @@ def test_diamond_graph_accumulates_both_paths():
     y = ad.add(ad.mul(a, a), a)
     y.backward()
     assert abs(float(a.grad) - 7.0) < 1e-6
+
+
+def _shared_leaf_graph(params=None):
+    """Parameters (w, b, a), new unless given, and a scalar loss that reaches
+    w twice and a through an embedding lookup with a repeated id. Its own
+    rng leaves RNG's stream to the other tests."""
+    rng = np.random.default_rng(11)
+    head, w, b, a = (rng.standard_normal(s).astype(np.float32)
+                     for s in ((4, 6), (4, 3), (3,), (5, 4)))
+    w, b, a = params or (ad.parameter(w), ad.parameter(b), ad.parameter(a))
+    x = ad.embedding_lookup(a, np.array([0, 2, 2]))
+    h = ad.add(ad.matmul(x, w), b)
+    h = ad.matmul(ad.gelu(h), ad.transpose(w, (1, 0)))
+    logits = ad.matmul(h, ad.constant(head))
+    loss = ad.softmax_cross_entropy(logits, np.array([1, 5, 0]), np.array([0.5, 1.0, 2.0]))
+    return (w, b, a), loss
+
+
+def test_backward_into_a_dict_leaves_grad_alone():
+    params, loss = _shared_leaf_graph()
+    grads = {}
+    loss.backward(grads)
+    assert set(grads) == set(params)
+    assert all(p.grad is None for p in params)
+    loss.backward()  # the same graph, into .grad
+    for p in params:
+        assert grads[p].dtype == p.value.dtype and grads[p].shape == p.value.shape
+        np.testing.assert_array_equal(grads[p], p.grad)
+
+
+def test_backward_without_a_dict_accumulates_into_grad():
+    params, loss = _shared_leaf_graph()
+    loss.backward()
+    once = [p.grad.copy() for p in params]
+    loss.backward()
+    for p, g in zip(params, once):
+        np.testing.assert_allclose(p.grad, 2 * g, rtol=1e-6, atol=0)
+    # a second backward into a dict adds up there too, and leaves .grad as it was
+    grads = {}
+    loss.backward(grads)
+    loss.backward(grads)
+    for p, g in zip(params, once):
+        np.testing.assert_allclose(grads[p], 2 * g, rtol=1e-6, atol=0)
+        np.testing.assert_allclose(p.grad, 2 * g, rtol=1e-6, atol=0)
+
+
+def test_concurrent_backwards_into_dicts_do_not_interfere():
+    # graphs that share their leaves, run backward on more threads than
+    # cores with a short switch interval, as training shards do
+    params, loss = _shared_leaf_graph()
+    want = {}
+    loss.backward(want)
+
+    def worker():
+        out = []
+        for _ in range(30):
+            grads = {}
+            _shared_leaf_graph(params)[1].backward(grads)
+            out.append(grads)
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(worker) for _ in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(p.grad is None for p in params)
+    for grads in itertools.chain.from_iterable(results):
+        assert set(grads) == set(params)
+        for p in params:
+            np.testing.assert_array_equal(grads[p], want[p])
 
 
 def test_backward_requires_a_scalar_root():

@@ -1,8 +1,11 @@
 """Experiment harness: config, metrics, evaluation, training loop, CLI."""
 
+import importlib
+import itertools
 import json
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from absorb_diffuse import autodiff as ad
 from absorb_diffuse.checkpoint import load_checkpoint
 from absorb_diffuse.decoding import DecodeConfig
+from absorb_diffuse.diffusion import NoiseSchedule, diffusion_loss, draw_t, sample_xt
 from absorb_diffuse.harness import config as config_mod
 from absorb_diffuse.harness import evaluate as evaluate_mod
 from absorb_diffuse.harness.cli import main as cli_main
@@ -31,7 +35,7 @@ from absorb_diffuse.harness.metrics import (
 from absorb_diffuse.harness.sweep import reweight_ablation
 from absorb_diffuse.harness.taxonomy import error_taxonomy, taxonomy_csv
 from absorb_diffuse.harness.train import TrainingDiverged, load_model, train
-from absorb_diffuse.model import DenoiserModel, ModelConfig
+from absorb_diffuse.model import DenoiserModel, ModelConfig, ar_nll
 from absorb_diffuse.tasks import TASKS, get_task
 from absorb_diffuse.tasks.base import (
     CALC_ERROR,
@@ -43,6 +47,9 @@ from absorb_diffuse.tasks.base import (
 )
 from absorb_diffuse.tasks.planning import find_pd, gen_planning
 from absorb_diffuse.tasks.registry import encode_instances
+
+# the harness package re-exports a train() that shadows this module's name
+train_mod = importlib.import_module("absorb_diffuse.harness.train")
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +484,12 @@ def test_resume_refuses_a_checkpoint_without_sampler_state(tmp_path):
 
 
 def test_train_divergence_abort(tmp_path, monkeypatch):
-    import importlib
-    train_mod = importlib.import_module("absorb_diffuse.harness.train")
     real = train_mod.diffusion_loss
-    calls = {"n": 0}
+    calls = itertools.count(1)  # next() is atomic: the shards call from two threads
 
     def tripwire(*a, **kw):
         loss, report = real(*a, **kw)
-        calls["n"] += 1
-        if calls["n"] >= 3:
+        if next(calls) > 2 * train_mod.SHARDS:  # every shard from step 2 on
             loss = ad.constant(np.asarray(float("nan")))
         return loss, report
 
@@ -495,7 +499,8 @@ def test_train_divergence_abort(tmp_path, monkeypatch):
         train(cfg)
     snap = os.path.join(cfg.out_dir, "diverged")
     assert os.path.isdir(snap)
-    ctx = json.load(open(os.path.join(snap, "context.json")))
+    with open(os.path.join(snap, "context.json")) as f:
+        ctx = json.load(f)
     assert ctx["step"] == 2
     assert len(ctx["batch_indices"]) == cfg.batch_size
     loaded = load_checkpoint(snap)
@@ -503,8 +508,6 @@ def test_train_divergence_abort(tmp_path, monkeypatch):
 
 
 def test_train_stops_on_non_finite_gradient(tmp_path, monkeypatch):
-    import importlib
-    train_mod = importlib.import_module("absorb_diffuse.harness.train")
     models = []
     real_model = train_mod.DenoiserModel
 
@@ -513,15 +516,15 @@ def test_train_stops_on_non_finite_gradient(tmp_path, monkeypatch):
         return models[-1]
 
     real_backward = ad.Node.backward
-    state = {"n": 0}
+    calls = itertools.count(1)  # next() is atomic: the shards call from two threads
+    state = {}
 
-    def poisoned(self, *a, **kw):
-        real_backward(self, *a, **kw)
-        state["n"] += 1
-        if state["n"] == 3:
+    def poisoned(self, grads=None):
+        real_backward(self, grads)
+        if next(calls) == 2 * train_mod.SHARDS + 1:  # one shard of step 2
             params = models[0].params
             state["before"] = {k: p.value.copy() for k, p in params.items()}
-            params["h0.mlp.w1"].grad[0, 0] = np.nan
+            grads[params["h0.mlp.w1"]][0, 0] = np.nan
 
     monkeypatch.setattr(train_mod, "DenoiserModel", capture)
     monkeypatch.setattr(ad.Node, "backward", poisoned)
@@ -536,6 +539,136 @@ def test_train_stops_on_non_finite_gradient(tmp_path, monkeypatch):
     assert loaded.step == 2
     for name, arr in state["before"].items():
         np.testing.assert_array_equal(loaded.params[name], arr, err_msg=name)
+
+
+def _desk_cfg(kind: str) -> ExperimentConfig:
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return ExperimentConfig.from_json(os.path.join(
+        repo, "src", "absorb_diffuse", "profiles", f"desk_planning_{kind}.json"))
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "ar"])
+def test_shard_gradients_sum_to_the_full_batch_gradient(kind):
+    cfg = _desk_cfg(kind)
+    task = get_task("planning")
+    vocab = task.vocabulary()
+    instances, _ = task.generate(15, 0, 7)  # odd: shards of 8 and 7 rows
+    rows = encode_instances(task, instances, vocab)
+    with ad.using_dtype(np.float64):
+        model = DenoiserModel(cfg.model_config(vocab.size), seed=3)
+    schedule = NoiseSchedule.linear(cfg.schedule_T)
+    reweight = cfg.reweight_config()
+    if kind == "diffusion":
+        assert reweight.token_beta > 0  # per-token weights v are part of the loss
+        rng = np.random.default_rng(5)
+        batch = sample_xt(schedule, rows, draw_t(schedule, rows.size, rng), rng, vocab.mask_id)
+        full = diffusion_loss(model, batch, schedule, reweight)[0]
+    else:
+        batch = rows
+        full = ar_nll(model, rows)[0]
+    shards = train_mod._run_shards(None, [None] * train_mod.SHARDS, model, kind, batch,
+                                   schedule, reweight)
+    assert len(shards) == 2
+    norm = train_mod._gather_grads(model.params, [grads for _, grads in shards])
+    summed = {k: p.grad for k, p in model.params.items()}
+    ad.zero_grads(model.params)
+    full.backward()
+    assert sum(value for value, _ in shards) == pytest.approx(float(full.value), rel=1e-12)
+    full_norm = np.sqrt(sum(np.square(p.grad).sum() for p in model.params.values()))
+    assert norm == pytest.approx(full_norm, rel=1e-10)
+    for name, p in model.params.items():
+        if name.endswith(".attn.bk"):
+            continue  # its exact gradient is 0: a key bias shifts a query's scores evenly
+        scale = np.abs(p.grad).max()
+        assert scale > 0, name
+        assert np.abs(summed[name] - p.grad).max() <= 1e-10 * scale, name
+
+
+def _record_shard_calls(monkeypatch, kind: str) -> list:
+    """Wrap the loss that each shard calls; -> list of (thread name, BLAS
+    thread count or None) per call."""
+    attr = "diffusion_loss" if kind == "diffusion" else "ar_nll"
+    real = getattr(train_mod, attr)
+    fns = config_mod._openblas()
+    calls = []
+
+    def recorded(*a, **kw):
+        calls.append((threading.current_thread().name, fns and fns[0]()))
+        return real(*a, **kw)
+
+    monkeypatch.setattr(train_mod, attr, recorded)
+    return calls
+
+
+def _checkpoint_arrays(checkpoint_dir: str) -> dict:
+    loaded = load_checkpoint(checkpoint_dir)
+    out = {f"param:{k}": v for k, v in loaded.params.items()}
+    for moment in ("m", "v"):
+        out.update({f"{moment}:{k}": v for k, v in loaded.optimizer_state[moment].items()})
+    return out
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "ar"])
+def test_train_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, kind):
+    calls = _record_shard_calls(monkeypatch, kind)
+    runs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv(THREADS_ENV, workers)
+        calls.clear()
+        res = train(_tiny_cfg(tmp_path, model_kind=kind, batch_size=7,
+                              out_dir=str(tmp_path / f"w{workers}")))
+        runs[workers] = (strip_wall_clock(read_records(res.metrics_path)),
+                         _checkpoint_arrays(res.checkpoint_dir))
+        threads = {name for name, _ in calls}
+        if workers == "1":
+            assert threads == {"MainThread"}
+        else:
+            assert threads and all(n.startswith("train-shard") for n in threads)
+            assert {count for _, count in calls} <= {1, None}
+    (recs_1, arrays_1), (recs_2, arrays_2) = runs["1"], runs["2"]
+    assert recs_1 == recs_2
+    steps = [r for r in recs_1 if r["kind"] == "train_step"]
+    assert steps and all(r["grad_norm"] > 0 for r in steps)
+    assert arrays_1.keys() == arrays_2.keys()
+    for name in arrays_1:
+        np.testing.assert_array_equal(arrays_1[name], arrays_2[name], err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "ar"])
+@pytest.mark.parametrize("batch_size", [7, 1])
+def test_train_runs_odd_and_single_row_batches(tmp_path, monkeypatch, kind, batch_size):
+    monkeypatch.setenv(THREADS_ENV, "2")
+    calls = _record_shard_calls(monkeypatch, kind)
+    cfg = _tiny_cfg(tmp_path, model_kind=kind, batch_size=batch_size, eval_path="")
+    res = train(cfg)
+    assert np.isfinite(res.final_loss)
+    steps = [r for r in read_records(res.metrics_path) if r["kind"] == "train_step"]
+    assert len(steps) == cfg.train_steps // cfg.log_every
+    for r in steps:
+        assert np.isfinite(r["loss"])
+        assert r["grad_norm"] is None or np.isfinite(r["grad_norm"])
+    # one row leaves the second shard empty: at most one shard runs per step
+    assert len(calls) <= cfg.train_steps * (1 if batch_size == 1 else train_mod.SHARDS)
+
+
+def test_train_restores_the_blas_thread_count(tmp_path, monkeypatch):
+    get = _blas_count()
+    before = get()
+    monkeypatch.setenv(THREADS_ENV, "2")
+    train(_tiny_cfg(tmp_path, train_steps=3, eval_path=""))
+    assert get() == before
+    real = train_mod.diffusion_loss
+    calls = itertools.count(1)
+
+    def failing(*a, **kw):
+        if next(calls) == 3:
+            raise RuntimeError("shard failed")
+        return real(*a, **kw)
+
+    monkeypatch.setattr(train_mod, "diffusion_loss", failing)
+    with pytest.raises(RuntimeError, match="shard failed"):
+        train(_tiny_cfg(tmp_path, out_dir=str(tmp_path / "fails"), eval_path=""))
+    assert get() == before
 
 
 def test_desk_checkpoint_is_two_files_with_a_small_manifest(tmp_path):
