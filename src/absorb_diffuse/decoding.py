@@ -60,40 +60,44 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int, pad_i
     (the model cannot emit pad or mask, so output length is fixed up front).
     Returns int32 [B, target_width] with pad_id beyond each row's length.
     If `trace` is a list, one bool [B, S] array of revealed positions is
-    appended per step.
+    appended per step (False in the condition columns).
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    w = batch.cond_width
+    target = batch.target_mask[:, w:]
     x = batch.tokens.copy()
     x[batch.target_mask] = mask_id
+    xt = x[:, w:]  # a view: writing it writes x
     lengths = batch.target_lengths()
 
     for s in range(1, cfg.steps + 1):
-        sampled, conf = _sample(model.forward(x, batch.pad_mask).value, cfg.temperature, rng)
+        # the model scores, and the sampler draws for, the target columns only
+        logits = model.forward(x, batch.pad_mask, queries_from=w).value
+        sampled, conf = _sample(logits, cfg.temperature, rng)
         # The reverse model is the forward posterior with the network's
         # prediction in place of the clean sequence, so at positions already
         # revealed the predictive distribution is a point mass on the current
         # token: the draw returns it and its confidence is log 1 = 0.
-        visible = batch.target_mask & (x != mask_id)
-        sampled = np.where(visible, x, sampled)
+        visible = target & (xt != mask_id)
+        sampled = np.where(visible, xt, sampled)
         conf = np.where(visible, 0.0, conf)
         if cfg.strategy == "random":
             conf = rng.random(conf.shape)
-        conf = np.where(batch.target_mask, conf, -np.inf)
+        conf = np.where(target, conf, -np.inf)
 
         keep = np.ceil(s * lengths / cfg.steps).astype(np.int64)
         order = np.argsort(-conf, axis=1, kind="stable")  # ties: lowest index first
         ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.arange(x.shape[1])[None, :].repeat(x.shape[0], 0), axis=1)
-        chosen = (ranks < keep[:, None]) & batch.target_mask
+        np.put_along_axis(ranks, order, np.arange(xt.shape[1])[None, :].repeat(xt.shape[0], 0), axis=1)
+        chosen = (ranks < keep[:, None]) & target
 
-        x = np.where(batch.target_mask, mask_id, x).astype(x.dtype)
-        x = np.where(chosen, sampled, x).astype(x.dtype)
+        xt[target] = mask_id
+        xt[chosen] = sampled[chosen]
         if trace is not None:
-            trace.append(chosen.copy())
+            trace.append(np.pad(chosen, ((0, 0), (w, 0))))
 
-    w = batch.cond_width
-    return np.where(batch.target_mask[:, w:], x[:, w:], pad_id)
+    return np.where(target, xt, pad_id)
 
 
 def ar_decode(model, batch: Batch, cfg: DecodeConfig, pad_id: int,
@@ -118,7 +122,9 @@ def ar_decode(model, batch: Batch, cfg: DecodeConfig, pad_id: int,
     pad_mask = batch.pad_mask & ~batch.target_mask
     cache = {}
     for pos in range(w, w + int(lengths.max(initial=0))):
-        logits = model.forward(x[:, :pos], pad_mask[:, :pos], cache=cache).value[:, -1]
+        # only the last position's logits are read: the prefill runs one query
+        logits = model.forward(x[:, :pos], pad_mask[:, :pos], cache=cache,
+                               queries_from=pos - 1).value[:, -1]
         # a row past its length draws too; the slot stays a pad key and is not returned
         x[:, pos], _ = _sample(logits, cfg.temperature, rng)
         pad_mask[:, pos] = batch.target_mask[:, pos]

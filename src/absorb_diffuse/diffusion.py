@@ -184,18 +184,22 @@ def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
     coefficient, so the scalar equals the simplified KL objective.
     """
     b, s = cbatch.tokens.shape
-    logits = model.forward(cbatch.tokens, cbatch.pad_mask)
+    w = cbatch.cond_width
+    if cbatch.corrupted[:, :w].any():
+        raise ValueError("corrupted positions must lie in the target region")
+    logits = model.forward(cbatch.tokens, cbatch.pad_mask, queries_from=w)
     k = logits.value.shape[-1]
-    flat = ad.reshape(logits, (b * s, k))
-    mask = cbatch.corrupted.reshape(-1)
-    targets = np.where(mask, cbatch.x0.reshape(-1), 0)
+    st = s - w  # the target columns, the only ones the model scores here
+    flat = ad.reshape(logits, (b * st, k))
+    mask = cbatch.corrupted[:, w:].reshape(-1)
+    targets = np.where(mask, cbatch.x0[:, w:].reshape(-1), 0)
     if mask.any() and targets[mask].max() >= k:
         raise ValueError("corrupted positions must hold content tokens")
 
     logp = ad.log_softmax(flat.value)  # shared with the loss kernel below
-    u_flat = -logp[np.arange(b * s), targets]
+    u_flat = -logp[np.arange(b * st), targets]
     seq_w = sequence_weight(schedule, cbatch.t, reweight.sequence_mode)
-    base = np.where(mask, np.repeat(seq_w, s), 0.0)
+    base = np.where(mask, np.repeat(seq_w, st), 0.0)
     n = int(mask.sum())
     v_flat = np.where(mask, token_weight(u_flat, reweight.token_alpha, reweight.token_beta), 0.0)
     denom = max(n, 1)  # base is all zero when nothing is corrupted: the loss is 0
@@ -205,11 +209,14 @@ def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
     else:
         loss = ad.softmax_cross_entropy(flat, targets, base * v_flat / denom, logp=logp)
 
+    def canvas(a):  # [B * st] -> [B, S], zero in the condition columns
+        return np.pad(a.reshape(b, st), ((0, 0), (w, 0)))
+
     report = LossReport(
         loss=float(loss.value),
         t=cbatch.t,
-        u=np.where(mask, u_flat, 0.0).reshape(b, s),
-        v=v_flat.reshape(b, s),
+        u=canvas(np.where(mask, u_flat, 0.0)),
+        v=canvas(v_flat),
         seq_weight=seq_w,
         corrupted=cbatch.corrupted,
         n_corrupted=n,

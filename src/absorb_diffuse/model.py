@@ -134,21 +134,28 @@ class DenoiserModel:
             allowed = allowed & (pad_mask[:, None, :] | np.eye(seq_len, dtype=bool)[start:])
         return np.where(allowed, 0.0, NEG_INF).astype(dtype)[:, None]
 
-    def forward(self, tokens, pad_mask=None, cache: dict | None = None) -> ad.Node:
-        """Score content tokens at every position.
+    def forward(self, tokens, pad_mask=None, cache: dict | None = None,
+                queries_from: int = 0) -> ad.Node:
+        """Score content tokens at positions q0..N-1, q0 = max(m, queries_from).
 
         tokens: int [B, N]; pad_mask: optional bool [B, N], False at padding.
-        Returns logits over the content vocabulary, shape [B, N, content].
+        Returns logits over the content vocabulary, shape [B, N - q0, content].
+
+        queries_from skips the logits a caller never reads, such as those
+        of the condition. Keys and values still cover every position; only
+        the last block's queries, attention rows, output projection, MLP
+        and the head run on fewer positions. The logits are the full
+        forward's bit for bit while at least two positions remain (BLAS
+        rounds a single-row product differently).
 
         cache (causal models only) belongs to one caller and maps layer
         index -> (keys, values) of the first m positions, each [B, H, m, hd];
-        pass {} on the first call. Only positions m..N-1 are then embedded,
-        their keys and values are appended to the cache, and the logits
-        cover those positions only, [B, N - m, content]. They equal the
-        full forward's logits there for two reasons: causal attention makes
-        a position's hidden states independent of every later position, and
-        a position's pad_mask entry never changes after it has been fed, so
-        its cached key stays masked or unmasked for good.
+        pass {} on the first call (m = 0). Only positions m..N-1 are then
+        embedded and their keys and values are appended to the cache. The
+        logits equal the full forward's for two reasons: causal attention
+        makes a position's hidden states independent of every later
+        position, and a position's pad_mask entry never changes after it
+        has been fed, so its cached key stays masked or unmasked for good.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
@@ -156,6 +163,8 @@ class DenoiserModel:
         b, n = tokens.shape
         if n > self.config.max_seq_len:
             raise ValueError(f"sequence length {n} exceeds max_seq_len {self.config.max_seq_len}")
+        if not 0 <= queries_from < n:
+            raise ValueError(f"queries_from {queries_from} is outside [0, {n})")
         p = self.params
         c = self.config
         d, nh, hd = c.hidden_dim, c.n_heads, c.head_dim
@@ -166,24 +175,32 @@ class DenoiserModel:
             m = cache[0][0].shape[2] if cache else 0
             if m >= n:
                 raise ValueError(f"the cache already holds {m} of the {n} positions")
-        s = n - m
+        s = n - m  # positions embedded, and the query rows of every block but the last
 
         x = ad.add(ad.embedding_lookup(p["tok_emb"], tokens[:, m:]),
                    ad.embedding_lookup(p["pos_emb"], np.arange(m, n)))
-        bias = ad.constant(self._attention_bias(pad_mask, n, x.value.dtype, start=m))
+        bias = self._attention_bias(pad_mask, n, x.value.dtype, start=m)
 
         for i in range(c.n_layers):
             h = f"h{i}"
             ln = ad.layer_norm(x, p[f"{h}.ln1.gain"], p[f"{h}.ln1.bias"])
             flat = ad.reshape(ln, (b * s, d))
+            rows, qflat = s, flat
+            skip = max(queries_from - m, 0) if i == c.n_layers - 1 else 0
+            if skip:
+                # the last block's output feeds only the head: keep its query rows
+                rows = s - skip
+                qflat = ad.reshape(ad.narrow(ln, 1, skip, rows), (b * rows, d))
+                x = ad.narrow(x, 1, skip, rows)
+                bias = bias[:, :, skip:]
 
-            def heads(proj, bname):
-                y = ad.add(ad.matmul(flat, p[proj]), p[bname])
-                return ad.transpose(ad.reshape(y, (b, s, nh, hd)), (0, 2, 1, 3))
+            def heads(src, n_pos, proj, bname):
+                y = ad.add(ad.matmul(src, p[proj]), p[bname])
+                return ad.transpose(ad.reshape(y, (b, n_pos, nh, hd)), (0, 2, 1, 3))
 
-            q = heads(f"{h}.attn.wq", f"{h}.attn.bq")
-            k = heads(f"{h}.attn.wk", f"{h}.attn.bk")
-            v = heads(f"{h}.attn.wv", f"{h}.attn.bv")
+            q = heads(qflat, rows, f"{h}.attn.wq", f"{h}.attn.bq")
+            k = heads(flat, s, f"{h}.attn.wk", f"{h}.attn.bk")
+            v = heads(flat, s, f"{h}.attn.wv", f"{h}.attn.bv")
             if cache is not None:
                 if m:
                     ck, cv = cache[i]
@@ -191,21 +208,21 @@ class DenoiserModel:
                     v = ad.concat([ad.constant(cv, cv.dtype), v], axis=2)
                 cache[i] = (k.value, v.value)
             scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-            att = ad.softmax(ad.add(scores, bias), axis=-1)
+            att = ad.softmax(ad.add(scores, ad.constant(bias)), axis=-1)
             ctx = ad.matmul(att, v)
-            ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * s, d))
+            ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * rows, d))
             proj = ad.add(ad.matmul(ctx, p[f"{h}.attn.wo"]), p[f"{h}.attn.bo"])
-            x = ad.add(x, ad.reshape(proj, (b, s, d)))
+            x = ad.add(x, ad.reshape(proj, (b, rows, d)))
 
             ln2 = ad.layer_norm(x, p[f"{h}.ln2.gain"], p[f"{h}.ln2.bias"])
-            flat2 = ad.reshape(ln2, (b * s, d))
+            flat2 = ad.reshape(ln2, (b * rows, d))
             hmid = ad.gelu(ad.add(ad.matmul(flat2, p[f"{h}.mlp.w1"]), p[f"{h}.mlp.b1"]))
             hout = ad.add(ad.matmul(hmid, p[f"{h}.mlp.w2"]), p[f"{h}.mlp.b2"])
-            x = ad.add(x, ad.reshape(hout, (b, s, d)))
+            x = ad.add(x, ad.reshape(hout, (b, rows, d)))
 
         xf = ad.layer_norm(x, p["ln_f.gain"], p["ln_f.bias"])
-        logits = ad.add(ad.matmul(ad.reshape(xf, (b * s, d)), p["out.w"]), p["out.b"])
-        return ad.reshape(logits, (b, s, c.content_vocab))
+        logits = ad.add(ad.matmul(ad.reshape(xf, (b * rows, d)), p["out.w"]), p["out.b"])
+        return ad.reshape(logits, (b, rows, c.content_vocab))
 
 
 def ar_nll(model: DenoiserModel, batch) -> tuple[ad.Node, int]:
@@ -216,11 +233,13 @@ def ar_nll(model: DenoiserModel, batch) -> tuple[ad.Node, int]:
     """
     if model.config.attention != "causal":
         raise ValueError("ar_nll requires a causal model")
-    logits = model.forward(batch.tokens, batch.pad_mask)
+    # position j predicts token j + 1, so the logits start one slot before the target
+    q0 = max(batch.cond_width - 1, 0)
+    logits = model.forward(batch.tokens, batch.pad_mask, queries_from=q0)
     b, s, k = logits.value.shape
     pred = ad.reshape(ad.narrow(logits, 1, 0, s - 1), ((s - 1) * b, k))
-    targets = batch.tokens[:, 1:].reshape(-1)
-    weights = batch.target_mask[:, 1:].reshape(-1).astype(np.float64)
+    targets = batch.tokens[:, q0 + 1:].reshape(-1)
+    weights = batch.target_mask[:, q0 + 1:].reshape(-1).astype(np.float64)
     n_tok = int(weights.sum())
     if n_tok == 0:
         raise ValueError("batch contains no target tokens")

@@ -141,7 +141,7 @@ class _TableModel:
         self.seed = seed
         self.cache = {}
 
-    def forward(self, tokens, pad_mask=None, cache=None):
+    def forward(self, tokens, pad_mask=None, cache=None, queries_from=0):
         tokens = np.asarray(tokens)
         b, s = tokens.shape
         out = np.zeros((b, s, 2))
@@ -152,7 +152,7 @@ class _TableModel:
                     [self.seed, *tokens[i].astype(np.int64)])
                 self.cache[key] = mix.standard_normal((s, 2)) * 2.0
             out[i] = self.cache[key]
-        return ad.constant(out, dtype=np.float64)
+        return ad.constant(out[:, queries_from:], dtype=np.float64)
 
 
 def test_criterion_2_elbo_soundness():
@@ -296,13 +296,14 @@ def test_criterion_3_gradient_correctness():
 
 def _mirrored_weighted_ce(model, cbatch, schedule):
     # independent rendering; reduction order mirrors the production kernel
-    logits = model.forward(cbatch.tokens, cbatch.pad_mask).value
+    cw = cbatch.cond_width  # the kernel sums over the target columns only
+    logits = model.forward(cbatch.tokens, cbatch.pad_mask).value[:, cw:]
     b, s, k = logits.shape
     flat = logits.reshape(b * s, k)
     z = (flat - flat.max(axis=-1, keepdims=True)).astype(np.float64)
     logsumexp = np.log(np.exp(z).sum(axis=-1))
-    mask = cbatch.corrupted.reshape(-1)
-    targ = np.where(mask, cbatch.x0.reshape(-1), 0)
+    mask = cbatch.corrupted[:, cw:].reshape(-1)
+    targ = np.where(mask, cbatch.x0[:, cw:].reshape(-1), 0)
     u = logsumexp - z[np.arange(b * s), targ]
     lam = schedule.survival(cbatch.t)
     w = np.where(mask, np.repeat(lam, s), 0.0) / mask.sum()
@@ -348,12 +349,12 @@ class _OracleDenoiser:
         self.truth = truth  # [B, S] int, correct token at every position
         self.content = content
 
-    def forward(self, tokens, pad_mask=None, cache=None):
+    def forward(self, tokens, pad_mask=None, cache=None, queries_from=0):
         b, s = np.asarray(tokens).shape
         logits = np.zeros((b, s, self.content))
         rows = np.arange(b)[:, None], np.arange(s)[None, :], self.truth
         logits[rows] = 9.0
-        return ad.constant(logits, dtype=np.float64)
+        return ad.constant(logits[:, queries_from:], dtype=np.float64)
 
 
 def test_criterion_5_decoder_contract():

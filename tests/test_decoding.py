@@ -31,7 +31,7 @@ class OracleDenoiser:
         self.conf_fn = conf_fn or (lambda pos: 0.999)
         self.calls = 0
 
-    def forward(self, tokens, pad_mask=None, cache=None):
+    def forward(self, tokens, pad_mask=None, cache=None, queries_from=0):
         self.calls += 1
         b, s = tokens.shape
         k = VOCAB - 2
@@ -45,7 +45,7 @@ class OracleDenoiser:
                 true_tok = int(self.truth[i, pos])
                 if true_tok < k:
                     logits[i, pos, true_tok] = np.log(p_true)
-        return ad.constant(logits, dtype=np.float64)
+        return ad.constant(logits[:, queries_from:], dtype=np.float64)
 
 
 def _oracle_batch(rows=3, cond=3, width=8, lengths=(8, 5, 8)):
@@ -161,7 +161,7 @@ class OracleCausal:
         self.truth = truth
         self.config = type("C", (), {"attention": "causal"})()
 
-    def forward(self, tokens, pad_mask=None, cache=None):
+    def forward(self, tokens, pad_mask=None, cache=None, queries_from=0):
         b, s = tokens.shape
         k = VOCAB - 2
         logits = np.full((b, s, k), np.log(0.001 / (k - 1)), dtype=np.float64)
@@ -170,7 +170,7 @@ class OracleCausal:
                 nxt = int(self.truth[i, pos + 1])
                 if nxt < k:
                     logits[i, pos, nxt] = np.log(0.999)
-        return ad.constant(logits, dtype=np.float64)
+        return ad.constant(logits[:, queries_from:], dtype=np.float64)
 
 
 def test_ar_decode_recovers_truth():

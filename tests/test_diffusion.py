@@ -244,16 +244,17 @@ def mirrored_weighted_ce(model, cbatch, schedule) -> float:
     """Independent rendering of the simplified bound: sum lam_t * u / n.
 
     Reduction order intentionally mirrors the production kernel (shift in
-    storage dtype, accumulate float64 over the flattened batch) so equality
-    is exact, not approximate.
+    storage dtype, accumulate float64 over the flattened target columns) so
+    equality is exact, not approximate.
     """
-    logits = model.forward(cbatch.tokens, cbatch.pad_mask).value
+    cw = cbatch.cond_width  # the kernel sums over the target columns only
+    logits = model.forward(cbatch.tokens, cbatch.pad_mask).value[:, cw:]
     b, s, k = logits.shape
     flat = logits.reshape(b * s, k)
     z = (flat - flat.max(axis=-1, keepdims=True)).astype(np.float64)
     logsumexp = np.log(np.exp(z).sum(axis=-1))
-    mask = cbatch.corrupted.reshape(-1)
-    targets = np.where(mask, cbatch.x0.reshape(-1), 0)
+    mask = cbatch.corrupted[:, cw:].reshape(-1)
+    targets = np.where(mask, cbatch.x0[:, cw:].reshape(-1), 0)
     u = logsumexp - z[np.arange(b * s), targets]
     lam = schedule.survival(cbatch.t)
     w = np.where(mask, np.repeat(lam, s), 0.0) / mask.sum()
@@ -306,6 +307,21 @@ def test_loss_zero_when_nothing_corrupted():
     assert report.n_corrupted == 0
     ad.zero_grads(model.params)
     loss.backward()  # must not raise
+
+
+def test_loss_rejects_corrupted_condition_positions():
+    # the model scores only the target columns, so a corrupted condition
+    # token would be dropped silently
+    model = _tiny_model()
+    batch = _planning_like_batch(rows=2, cond=4, width=10)
+    corrupted = batch.target_mask.copy()
+    corrupted[0, batch.cond_width - 1] = True
+    cb = CorruptedBatch(
+        tokens=np.where(corrupted, 7, batch.tokens), x0=batch.tokens.copy(),
+        corrupted=corrupted, t=np.array([1, 2]), target_mask=batch.target_mask,
+        pad_mask=batch.pad_mask, cond_width=batch.cond_width)
+    with pytest.raises(ValueError, match="target region"):
+        diffusion_loss(model, cb, NoiseSchedule.linear(5), ReweightConfig())
 
 
 def test_loss_full_gradient_matches_detached_value():
@@ -375,10 +391,10 @@ class StubModel:
     def __init__(self, probs: np.ndarray):
         self.probs = np.asarray(probs, dtype=np.float64)
 
-    def forward(self, tokens, pad_mask=None, cache=None):
+    def forward(self, tokens, pad_mask=None, cache=None, queries_from=0):
         b, s = np.asarray(tokens).shape
         logits = np.tile(np.log(self.probs)[None, None, :], (b, s, 1))
-        return ad.constant(logits.astype(np.float64), dtype=np.float64)
+        return ad.constant(logits[:, queries_from:].astype(np.float64), dtype=np.float64)
 
 
 def _single_token_batch(value=0, vocab=4):

@@ -32,7 +32,7 @@ from absorb_diffuse.harness.metrics import (
     strip_wall_clock,
     validate_record,
 )
-from absorb_diffuse.harness.sweep import reweight_ablation
+from absorb_diffuse.harness.sweep import data_scaling_sweep, reweight_ablation
 from absorb_diffuse.harness.taxonomy import error_taxonomy, taxonomy_csv
 from absorb_diffuse.harness.train import TrainingDiverged, load_model, train
 from absorb_diffuse.model import DenoiserModel, ModelConfig, ar_nll
@@ -234,7 +234,7 @@ class LookupOracle:
         self.config = type("C", (), {"attention": "causal" if causal else "bidirectional"})()
         self.causal = causal
 
-    def forward(self, tokens, pad_mask=None, cache=None):
+    def forward(self, tokens, pad_mask=None, cache=None, queries_from=0):
         b, s = tokens.shape
         logits = np.full((b, s, self.k), np.log((1 - self.p) / (self.k - 1)))
         for i in range(b):
@@ -245,7 +245,7 @@ class LookupOracle:
                 want = row[pos + 1] if self.causal else row[pos]
                 if want < self.k:
                     logits[i, pos, want] = np.log(self.p)
-        return ad.constant(logits, dtype=np.float64)
+        return ad.constant(logits[:, queries_from:], dtype=np.float64)
 
 
 @pytest.fixture(scope="module")
@@ -708,6 +708,30 @@ def test_reweight_ablation_smoke(tmp_path):
     lines = open(out_csv).read().strip().splitlines()
     assert lines[0] == "sequence_mode,token_alpha,token_beta,accuracy,loss"
     assert len(lines) == 3
+
+
+def test_data_scaling_sweep_smoke(tmp_path):
+    base = _tiny_cfg(tmp_path, task="planning", train_steps=3, log_every=3)
+
+    def sweep(threshold, name):
+        cfg = base.replace(out_dir=str(tmp_path / name))
+        out_csv = str(tmp_path / f"{name}.csv")
+        rows = data_scaling_sweep(cfg, pds=(1,), sizes=(16, 8), threshold=threshold,
+                                  out_csv=out_csv, n_test=4, log=lambda *a: None)
+        return rows, open(out_csv).read().strip().splitlines()
+
+    # a 3-step model never reaches accuracy 1: both sizes run, smallest first
+    rows, lines = sweep(1.0, "unmet")
+    assert [(r["pd"], r["size"], r["met"]) for r in rows] == [
+        (1, 8, False), (1, 16, False), (1, None, False)]
+    assert all(0.0 <= r["accuracy"] < 1.0 for r in rows[:2])
+    assert rows[-1]["accuracy"] is None
+    assert lines[0] == "pd,size,accuracy,met"
+    assert len(lines) == 4 and lines[-1] == "1,,,False"
+    # every size clears threshold 0: the sweep stops at the smallest one
+    rows, lines = sweep(0.0, "met")
+    assert [(r["pd"], r["size"], r["met"]) for r in rows] == [(1, 8, True), (1, 8, True)]
+    assert len(lines) == 3 and lines[-1] == "1,8,,True"
 
 
 # ---------------------------------------------------------------------------

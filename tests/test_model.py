@@ -93,6 +93,98 @@ def test_kv_cache_logits_match_full_forward(dtype, atol):
     np.testing.assert_allclose(inc, full, rtol=0, atol=atol)
 
 
+def _padded_batch(cfg, cond=5):
+    # left-padded conditions, targets of several lengths, a row with one target token
+    pad_id = cfg.vocab_size - 1
+    conds = [[1, 2, 3, 4, 5], [6, 7], [8], [2, 4, 6]]
+    outs = [[1, 2, 3, 4, 5, 6, 7], [3, 1, 4], [2], [5, 5, 5, 5, 5, 5]]
+    return pack_rows(conds, outs, cond, cfg.max_seq_len - cond, pad_id)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("attention", ["bidirectional", "causal"])
+def test_queries_from_logits_equal_full_forward_bitwise(attention, dtype):
+    cfg = tiny_config(attention)
+    with ad.using_dtype(dtype):
+        model = DenoiserModel(cfg, seed=14)
+    batch = _padded_batch(cfg)
+    full = model.forward(batch.tokens, batch.pad_mask).value
+    w = batch.cond_width
+    # the diffusion loss and decoder start at the target, ar_nll one slot before
+    for q0 in (w, w - 1, 1, cfg.max_seq_len - 2):
+        part = model.forward(batch.tokens, batch.pad_mask, queries_from=q0).value
+        assert part.dtype == full.dtype == dtype
+        assert part.shape == (batch.size, cfg.max_seq_len - q0, cfg.content_vocab)
+        np.testing.assert_array_equal(part, full[:, q0:], err_msg=f"queries_from {q0}")
+
+
+@pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_queries_from_with_kv_cache_matches_full_forward(dtype, atol):
+    cfg = tiny_config("causal")
+    with ad.using_dtype(dtype):
+        model = DenoiserModel(cfg, seed=15)
+    batch = _padded_batch(cfg)
+    tokens, pad_mask, w = batch.tokens, batch.pad_mask, batch.cond_width
+    full = model.forward(tokens, pad_mask).value
+
+    # as in ar_decode: each call, the prefill too, runs only its last query
+    cache, plain = {}, {}
+    model.forward(tokens[:, :w], pad_mask[:, :w], cache=plain)
+    rows = []
+    for n in range(w, cfg.max_seq_len + 1):
+        rows.append(model.forward(tokens[:, :n], pad_mask[:, :n], cache=cache,
+                                  queries_from=n - 1).value)
+        if n == w:  # keys and values still cover every position of the prefix
+            for i in range(cfg.n_layers):
+                np.testing.assert_array_equal(cache[i][0], plain[i][0])
+                np.testing.assert_array_equal(cache[i][1], plain[i][1])
+    assert [r.shape[1] for r in rows] == [1] * len(rows)
+    np.testing.assert_allclose(np.concatenate(rows, axis=1), full[:, w - 1:],
+                               rtol=0, atol=atol)
+
+    # a cached call that keeps several queries matches the cached call without
+    # queries_from bit for bit
+    n = cfg.max_seq_len
+    with_q = model.forward(tokens, pad_mask, cache=dict(plain), queries_from=w + 2).value
+    without = model.forward(tokens, pad_mask, cache=dict(plain)).value
+    assert with_q.shape[1] == n - w - 2
+    np.testing.assert_array_equal(with_q, without[:, 2:])
+
+
+@pytest.mark.parametrize("attention", ["bidirectional", "causal"])
+def test_queries_from_gradients_match_the_full_forward(attention):
+    cfg = tiny_config(attention)
+    with ad.using_dtype(np.float64):
+        model = DenoiserModel(cfg, seed=16)
+    batch = _padded_batch(cfg)
+    q0 = batch.cond_width - (attention == "causal")
+    n = batch.size * (cfg.max_seq_len - q0)
+    targets = RNG.integers(0, cfg.content_vocab, size=n)
+    weights = RNG.random(n)
+
+    def grads(logits):
+        flat = ad.reshape(logits, (n, cfg.content_vocab))
+        ad.zero_grads(model.params)
+        ad.softmax_cross_entropy(flat, targets, weights).backward()
+        return {k: p.grad for k, p in model.params.items()}
+
+    full = model.forward(batch.tokens, batch.pad_mask)
+    want = grads(ad.narrow(full, 1, q0, cfg.max_seq_len - q0))
+    got = grads(model.forward(batch.tokens, batch.pad_mask, queries_from=q0))
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-9, atol=1e-15, err_msg=name)
+
+
+def test_queries_from_outside_the_canvas_is_rejected():
+    model = DenoiserModel(tiny_config("causal"), seed=17)
+    tokens = RNG.integers(0, 9, size=(2, 6)).astype(np.int32)
+    for q0 in (-1, 6, 7):
+        with pytest.raises(ValueError, match="queries_from"):
+            model.forward(tokens, queries_from=q0)
+        with pytest.raises(ValueError, match="queries_from"):
+            model.forward(tokens, cache={}, queries_from=q0)
+
+
 def test_kv_cache_rejected_where_invalid():
     tokens = RNG.integers(0, 9, size=(2, 6)).astype(np.int32)
     bidir = DenoiserModel(tiny_config("bidirectional"), seed=5)
