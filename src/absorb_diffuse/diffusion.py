@@ -263,9 +263,7 @@ def subgoal_loss_profile(model, batch: Batch, schedule: NoiseSchedule, mask_id: 
             cb = sample_xt(schedule, batch, ti, rng, mask_id)
             if cb.n_corrupted == 0:
                 continue
-            # keep `loss` bound: its tape stays alive into the next forward,
-            # so the allocator reuses those pages instead of faulting new ones
-            loss, report = diffusion_loss(model, cb, schedule, plain_bound)
+            report = diffusion_loss(model, cb, schedule, plain_bound)[1]
             u = report.u[report.corrupted]
             u_sum[ti - 1] += u.sum()
             count[ti - 1] += u.size

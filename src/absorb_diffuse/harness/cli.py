@@ -65,6 +65,8 @@ def _load(args):
     """-> (model, vocab, config, task, instances, decode config) for the
     commands that read a checkpoint; a decode flag that is given overrides
     the checkpoint's config, and an invalid one exits with its message."""
+    if args.limit < 0:
+        raise SystemExit(f"--limit/--n must be >= 0, got {args.limit}")
     model, vocab, cfg = load_model(args.checkpoint)
     instances = read_instances(args.data)[: args.limit or None]
     flags = {k: getattr(args, k) for k in ("steps", "temperature", "strategy", "seed")}

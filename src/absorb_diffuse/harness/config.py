@@ -9,6 +9,7 @@ import functools
 import glob
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,16 @@ MODEL_KINDS = ("diffusion", "ar")
 # thread-count getter and setter of the OpenBLAS that numpy wheels bundle
 OPENBLAS_SYMBOLS = ("scipy_openblas_get_num_threads64_",
                     "scipy_openblas_set_num_threads64_")
+WORKER_PREFIX = "absorb-worker"
+# glibc mallopt settings, so each forward reuses the pages the last one freed:
+# M_ARENA_MAX 1; M_MMAP_THRESHOLD 32 MiB, glibc's 64-bit cap (a rejected value
+# would mmap every large array); M_TRIM_THRESHOLD 1 GiB
+MALLOC_OPTIONS = ((-8, 1), (-3, 32 << 20), (-1, 1 << 30))
 
 
 def resolve_threads() -> int:
-    """Worker cap for batched evaluation and for the training step's shards
-    (at most two run at once): the environment's value, else the number of
-    CPUs this process may run on."""
+    """Worker cap for `run_jobs`: the environment's value, else the number
+    of CPUs this process may run on."""
     raw = os.environ.get(THREADS_ENV, "")
     if raw:
         try:
@@ -81,6 +86,31 @@ def blas_threads(n: int):
         set_(before)
 
 
+def run_jobs(jobs: list) -> list:
+    """Call the jobs; -> their results in order. With two or more workers
+    (`resolve_threads`, one per job at most) they run on WORKER_PREFIX threads
+    with the process-wide BLAS count pinned to 1 until all end; else here, in turn."""
+    workers = min(len(jobs), resolve_threads())
+    if workers < 2:
+        return [job() for job in jobs]
+    with blas_threads(1), ThreadPoolExecutor(workers, thread_name_prefix=WORKER_PREFIX) as pool:
+        futures = [pool.submit(job) for job in jobs]
+    return [f.result() for f in futures]
+
+
+def tune_malloc(libc=None) -> bool:
+    """Set MALLOC_OPTIONS through the mallopt of libc (default: this
+    process's); -> whether all were accepted. A no-op without mallopt."""
+    mallopt = getattr(ctypes.CDLL(None) if libc is None else libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return all([mallopt(param, value) == 1 for param, value in MALLOC_OPTIONS])
+
+
+tune_malloc()
+
+
 @dataclass
 class ExperimentConfig:
     task: str
@@ -121,8 +151,9 @@ class ExperimentConfig:
                 raise ValueError(f"{f} must be >= 1")
         if not self.lr > 0:
             raise ValueError("lr must be positive")
-        if self.warmup_steps < 0 or self.eval_every < 0 or self.decode_steps < 0:
-            raise ValueError("warmup_steps, eval_every and decode_steps must be >= 0")
+        for f in ("warmup_steps", "eval_every", "eval_limit", "decode_steps"):
+            if getattr(self, f) < 0:
+                raise ValueError(f"{f} must be >= 0")
         # the loss and decoder settings are checked by the configs built from them
         self.reweight_config()
         self.decode_config()

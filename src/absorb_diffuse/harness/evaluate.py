@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +11,7 @@ from ..data import Batch
 from ..decoding import DecodeConfig, ar_decode, diffusion_decode
 from ..tasks import TaskSpec, encode_instances
 from ..tasks import planning as planning_task
-from .config import blas_threads, resolve_threads
+from .config import run_jobs
 
 EVAL_CHUNK = 64
 
@@ -43,33 +43,22 @@ def _decode_chunk(model, model_kind: str, batch: Batch, cfg: DecodeConfig,
 
 
 def evaluate_model(model, model_kind: str, task: TaskSpec, vocab, instances,
-                   decode_cfg: DecodeConfig, threads: int | None = None,
-                   chunk: int = EVAL_CHUNK) -> EvalResult:
+                   decode_cfg: DecodeConfig, chunk: int = EVAL_CHUNK) -> EvalResult:
     """Decode all instances (target length taken from each reference output)
     and score them with the task verifier.
 
-    Decoding is chunked; chunk results are deterministic functions of the
-    chunk index, so the worker count never changes the outcome.
-
-    With more than one worker over more than one chunk, BLAS runs one thread
-    per worker while the pool runs (see `blas_threads`). That count is global
-    to the process, so this must not run beside another BLAS user.
+    Decoding is chunked and the chunks run through `run_jobs`; chunk
+    results are deterministic functions of the chunk index, so the worker
+    count never changes the outcome.
     """
     instances = list(instances)
     if not instances:
         raise ValueError("no instances to evaluate")
-    chunks = [instances[i:i + chunk] for i in range(0, len(instances), chunk)]
-    batches = [encode_instances(task, c, vocab) for c in chunks]
-
-    def run(i: int) -> list:
-        return _decode_chunk(model, model_kind, batches[i], decode_cfg, vocab, i)
-
-    n_workers = threads if threads is not None else resolve_threads()
-    if n_workers > 1 and len(batches) > 1:
-        with blas_threads(1), ThreadPoolExecutor(max_workers=n_workers) as pool:
-            decoded = list(pool.map(run, range(len(batches))))
-    else:
-        decoded = [run(i) for i in range(len(batches))]
+    decoded = run_jobs([
+        functools.partial(_decode_chunk, model, model_kind,
+                          encode_instances(task, instances[lo:lo + chunk], vocab),
+                          decode_cfg, vocab, i)
+        for i, lo in enumerate(range(0, len(instances), chunk))])
     outputs = [text for block in decoded for text in block]
 
     verdicts = [task.verify(inst.input_text, out)

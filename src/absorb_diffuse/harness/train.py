@@ -12,14 +12,12 @@ accumulate theirs. Two shards run on two threads when two CPUs are allowed.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from ..autodiff import Adam
 from ..diffusion import NoiseSchedule, diffusion_loss, draw_t, sample_xt
 from ..model import DenoiserModel, ModelConfig, ar_nll
 from ..tasks import Vocabulary, encode_instances, get_task, read_instances
-from .config import ExperimentConfig, blas_threads, resolve_threads
+from .config import ExperimentConfig, run_jobs
 from .evaluate import evaluate_model
 from .metrics import MetricsRecord, append_record
 
@@ -97,50 +95,34 @@ def _rows(batch, lo: int, hi: int):
         if isinstance(getattr(batch, f.name), np.ndarray)})
 
 
-def _shard_step(model, kind: str, shard, share: float, schedule, reweight,
-                tapes: list, slot: int):
+def _shard_step(model, kind: str, shard, share: float, schedule, reweight):
     """Forward and backward of one shard, its loss weighted by its share of
-    the batch's scored tokens. -> (weighted loss value, {parameter: grad}).
-
-    The weighted loss node replaces tapes[slot] once the forward is done:
-    the previous step's tape in that slot stays alive through this forward,
-    so the allocator reuses its pages rather than faulting in new ones, and
-    is freed before this backward.
-    """
-    if kind == "diffusion":
-        loss, _ = diffusion_loss(model, shard, schedule, reweight)
-    else:
-        loss, _ = ar_nll(model, shard)
-    loss = tapes[slot] = ad.scale(loss, share)
+    the batch's scored tokens. -> (weighted loss value, {parameter: grad})."""
+    loss = (diffusion_loss(model, shard, schedule, reweight) if kind == "diffusion"
+            else ar_nll(model, shard))[0]
+    loss = ad.scale(loss, share)
     grads: dict = {}
     loss.backward(grads)
     return float(loss.value), grads
 
 
-def _run_shards(pool, tapes: list, model, kind: str, batch, schedule, reweight) -> list:
+def _run_shards(model, kind: str, batch, schedule, reweight) -> list:
     """Forward and backward of each row shard of a CorruptedBatch (diffusion)
     or Batch (AR), in shard order: -> [(weighted loss value, {param: grad})].
 
     Each shard's loss is weighted by its share of the tokens the loss scores
     in the whole batch, so the weighted losses and their gradients add up
     to the whole batch's. A shard that scores nothing adds nothing and is
-    not run. With a pool and two shards to run, they run on the pool's
-    threads with BLAS pinned to one thread, restored once both have ended;
-    else they run here, one after the other.
+    not run; the rest run through `run_jobs`.
     """
     scored = batch.corrupted if kind == "diffusion" else batch.target_mask[:, 1:]
     per_row = scored.sum(axis=1)
     total = int(per_row.sum())
     cuts = [-(-len(per_row) * i // SHARDS) for i in range(SHARDS + 1)]
     jobs = [functools.partial(_shard_step, model, kind, _rows(batch, lo, hi),
-                              int(per_row[lo:hi].sum()) / total, schedule, reweight, tapes, i)
-            for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if per_row[lo:hi].any()]
-    if pool is None or len(jobs) < 2:
-        return [job() for job in jobs]
-    with blas_threads(1):
-        futures = [pool.submit(job) for job in jobs]
-        wait(futures)
-    return [f.result() for f in futures]
+                              int(per_row[lo:hi].sum()) / total, schedule, reweight)
+            for lo, hi in zip(cuts, cuts[1:]) if per_row[lo:hi].any()]
+    return run_jobs(jobs)
 
 
 def _gather_grads(params: dict, shard_grads: list) -> float:
@@ -176,7 +158,8 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
     if not instances:
         raise ValueError(f"empty training set {cfg.train_path}")
     dataset = encode_instances(task, instances, vocab)
-    eval_instances = read_instances(cfg.eval_path) if cfg.eval_path else []
+    eval_instances = (read_instances(cfg.eval_path)[: cfg.eval_limit or None]
+                      if cfg.eval_path else [])
 
     seeds = np.random.SeedSequence(cfg.seed).generate_state(4)
     model_cfg = cfg.model_config(vocab.size)
@@ -220,9 +203,8 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
     def run_eval(step: int) -> dict | None:
         if not eval_instances:
             return None
-        subset = eval_instances[: cfg.eval_limit] if cfg.eval_limit else eval_instances
         t0 = time.perf_counter()
-        res = evaluate_model(model, cfg.model_kind, task, vocab, subset, cfg.decode_config())
+        res = evaluate_model(model, cfg.model_kind, task, vocab, eval_instances, cfg.decode_config())
         dt = time.perf_counter() - t0
         append_record(metrics_path, MetricsRecord(
             kind="eval", step=step, task=task.name, model_kind=cfg.model_kind,
@@ -241,44 +223,40 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
                        "batch_indices": batch_idx.tolist()}, f, indent=2)
         raise TrainingDiverged(f"{reason} at step {step}; snapshot written to {snap}")
 
-    workers = min(SHARDS, resolve_threads())
-    tapes: list = [None] * SHARDS  # each shard's last loss node: see _shard_step
     loss_val = float("nan")
-    with (ThreadPoolExecutor(workers, thread_name_prefix="train-shard") if workers > 1
-          else contextlib.nullcontext()) as pool:
-        for step in range(start_step, cfg.train_steps):
-            idx = sampler.next_batch()
-            rows = dataset.take(idx)
-            if cfg.model_kind == "diffusion":
-                t = draw_t(schedule, rows.size, noise_rng)
-                batch = sample_xt(schedule, rows, t, noise_rng, vocab.mask_id)
-            else:
-                batch = rows
-            shards = _run_shards(pool, tapes, model, cfg.model_kind, batch, schedule, reweight)
-            loss_val = sum((value for value, _ in shards), 0.0)
-            if not np.isfinite(loss_val):
-                diverged(step, f"non-finite loss {loss_val}", loss_val, idx)
-            lr_t = cfg.lr * min(1.0, (step + 1) / cfg.warmup_steps) if cfg.warmup_steps else cfg.lr
-            grad_norm = None
-            if shards:
-                grad_norm = _gather_grads(model.params, [grads for _, grads in shards])
-                if not math.isfinite(grad_norm):
-                    bad = [k for k, p in model.params.items()
-                           if p.grad is not None and not np.isfinite(p.grad).all()]
-                    diverged(step, f"non-finite gradient in {bad}", loss_val, idx)
-                opt.step(lr_t)
-            if (step + 1) % cfg.log_every == 0 or step + 1 == cfg.train_steps:
-                append_record(metrics_path, MetricsRecord(
-                    kind="train_step", step=step + 1, task=task.name,
-                    model_kind=cfg.model_kind, seed=cfg.seed, loss=loss_val,
-                    lr=lr_t, grad_norm=grad_norm,
-                    epoch=sampler.epoch))
-                if not quiet:
-                    log(f"step {step + 1}/{cfg.train_steps}: loss {loss_val:.4f}")
-            if cfg.eval_every and (step + 1) % cfg.eval_every == 0 and step + 1 < cfg.train_steps:
-                run_eval(step + 1)
-                # long runs stay resumable: the eval cadence bounds lost work
-                save(ckpt_dir, step + 1)
+    for step in range(start_step, cfg.train_steps):
+        idx = sampler.next_batch()
+        rows = dataset.take(idx)
+        if cfg.model_kind == "diffusion":
+            t = draw_t(schedule, rows.size, noise_rng)
+            batch = sample_xt(schedule, rows, t, noise_rng, vocab.mask_id)
+        else:
+            batch = rows
+        shards = _run_shards(model, cfg.model_kind, batch, schedule, reweight)
+        loss_val = sum((value for value, _ in shards), 0.0)
+        if not np.isfinite(loss_val):
+            diverged(step, f"non-finite loss {loss_val}", loss_val, idx)
+        lr_t = cfg.lr * min(1.0, (step + 1) / cfg.warmup_steps) if cfg.warmup_steps else cfg.lr
+        grad_norm = None
+        if shards:
+            grad_norm = _gather_grads(model.params, [grads for _, grads in shards])
+            if not math.isfinite(grad_norm):
+                bad = [k for k, p in model.params.items()
+                       if p.grad is not None and not np.isfinite(p.grad).all()]
+                diverged(step, f"non-finite gradient in {bad}", loss_val, idx)
+            opt.step(lr_t)
+        if (step + 1) % cfg.log_every == 0 or step + 1 == cfg.train_steps:
+            append_record(metrics_path, MetricsRecord(
+                kind="train_step", step=step + 1, task=task.name,
+                model_kind=cfg.model_kind, seed=cfg.seed, loss=loss_val,
+                lr=lr_t, grad_norm=grad_norm,
+                epoch=sampler.epoch))
+            if not quiet:
+                log(f"step {step + 1}/{cfg.train_steps}: loss {loss_val:.4f}")
+        if cfg.eval_every and (step + 1) % cfg.eval_every == 0 and step + 1 < cfg.train_steps:
+            run_eval(step + 1)
+            # long runs stay resumable: the eval cadence bounds lost work
+            save(ckpt_dir, step + 1)
 
     final_eval = run_eval(cfg.train_steps)
     save(ckpt_dir, cfg.train_steps)

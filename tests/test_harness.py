@@ -19,6 +19,7 @@ from absorb_diffuse.harness import evaluate as evaluate_mod
 from absorb_diffuse.harness.cli import main as cli_main
 from absorb_diffuse.harness.config import (
     THREADS_ENV,
+    WORKER_PREFIX,
     ExperimentConfig,
     blas_threads,
     resolve_threads,
@@ -88,6 +89,13 @@ def test_config_validation(kw):
         ExperimentConfig(**base)
 
 
+def test_config_rejects_a_negative_eval_limit():
+    # a negative limit would slice the last instances off the eval set
+    with pytest.raises(ValueError, match="eval_limit must be >= 0"):
+        ExperimentConfig(task="planning", out_dir="/tmp/x", eval_limit=-3)
+    assert ExperimentConfig(task="planning", out_dir="/tmp/x", eval_limit=0).eval_limit == 0
+
+
 def test_config_model_attention_follows_kind():
     base = dict(task="countdown3", out_dir="/tmp/x")
     assert ExperimentConfig(model_kind="ar", **base).model_config(18).attention == "causal"
@@ -155,6 +163,42 @@ def test_blas_threads_is_a_no_op_without_the_symbols(monkeypatch):
         monkeypatch.undo()
         config_mod._openblas.cache_clear()
     assert config_mod._openblas() is not None
+
+
+def test_tune_malloc_is_a_no_op_without_mallopt():
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    assert config_mod.tune_malloc(type("Libc", (), {"mallopt": staticmethod(mallopt)})())
+    assert calls == list(config_mod.MALLOC_OPTIONS)
+    assert config_mod.tune_malloc(object()) is False
+
+
+def test_run_jobs_keeps_job_order_and_restores_blas(monkeypatch):
+    get = _blas_count()
+    before = get()
+    seen = []
+
+    def job(i):
+        seen.append((threading.current_thread().name, get()))
+        if i == 3:
+            raise RuntimeError("job failed")
+        return i
+
+    monkeypatch.setenv(THREADS_ENV, "1")
+    assert config_mod.run_jobs([lambda i=i: job(i) for i in range(3)]) == [0, 1, 2]
+    assert seen == [("MainThread", before)] * 3
+    monkeypatch.setenv(THREADS_ENV, "2")
+    seen.clear()
+    assert config_mod.run_jobs([lambda i=i: job(i) for i in range(3)]) == [0, 1, 2]
+    assert len(seen) == 3 and all(n.startswith(WORKER_PREFIX) and c == 1 for n, c in seen)
+    with pytest.raises(RuntimeError, match="job failed"):
+        config_mod.run_jobs([lambda i=i: job(i) for i in range(5)])
+    assert len(seen) == 3 + 5  # the other jobs ran to the end
+    assert get() == before
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +303,13 @@ def planning_eval_set():
     return task, insts
 
 
-def test_evaluate_oracle_reaches_full_accuracy(planning_eval_set):
+def test_evaluate_oracle_reaches_full_accuracy(planning_eval_set, monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "1")
     task, insts = planning_eval_set
     vocab = task.vocabulary()
     model = LookupOracle(task, insts, vocab)
     res = evaluate_model(model, "diffusion", task, vocab, insts,
-                         DecodeConfig(steps=5, seed=0), threads=1)
+                         DecodeConfig(steps=5, seed=0))
     assert res.accuracy == 1.0
     assert res.n == len(insts)
     assert set(res.per_pd) == {"0", "1", "2"}
@@ -272,13 +317,15 @@ def test_evaluate_oracle_reaches_full_accuracy(planning_eval_set):
     assert all(v.ok for v in res.verdicts)
 
 
-def test_evaluate_chunking_is_worker_invariant(planning_eval_set):
+def test_evaluate_chunking_is_worker_invariant(planning_eval_set, monkeypatch):
     task, insts = planning_eval_set
     vocab = task.vocabulary()
     model = LookupOracle(task, insts, vocab, p=0.7)  # noisy: outputs vary
     cfg = DecodeConfig(steps=5, seed=3)
-    a = evaluate_model(model, "diffusion", task, vocab, insts, cfg, threads=1, chunk=5)
-    b = evaluate_model(model, "diffusion", task, vocab, insts, cfg, threads=4, chunk=5)
+    monkeypatch.setenv(THREADS_ENV, "1")
+    a = evaluate_model(model, "diffusion", task, vocab, insts, cfg, chunk=5)
+    monkeypatch.setenv(THREADS_ENV, "4")
+    b = evaluate_model(model, "diffusion", task, vocab, insts, cfg, chunk=5)
     assert a.outputs == b.outputs
     assert a.accuracy == b.accuracy
 
@@ -297,16 +344,17 @@ def test_evaluate_pool_runs_one_blas_thread_per_worker(planning_eval_set, monkey
         return _real(*a, **kw)
 
     monkeypatch.setattr(evaluate_mod, "_decode_chunk", recording)
+    monkeypatch.setenv(THREADS_ENV, str(threads))
     evaluate_model(LookupOracle(task, insts, vocab), "diffusion", task, vocab, insts,
-                   DecodeConfig(steps=2, seed=0), threads=threads, chunk=5)
+                   DecodeConfig(steps=2, seed=0), chunk=5)
     assert seen == [1 if expect_one else default] * 3
     assert get() == default
 
 
 @pytest.mark.parametrize("kind", ["diffusion", "ar"])
-def test_evaluate_outputs_do_not_depend_on_the_blas_thread_count(kind):
-    """threads=1 decodes at the default BLAS count, threads=2 at one BLAS
-    thread per worker; a real float32 model must decode the same either way."""
+def test_evaluate_outputs_do_not_depend_on_the_blas_thread_count(kind, monkeypatch):
+    """One worker decodes at the default BLAS count, two at one BLAS thread
+    per worker; a real float32 model must decode the same either way."""
     task = get_task("planning")
     vocab = task.vocabulary()
     insts = [inst for pd in (1, 2) for inst in gen_planning(12, pd, seed=5)]
@@ -314,18 +362,21 @@ def test_evaluate_outputs_do_not_depend_on_the_blas_thread_count(kind):
         vocab_size=vocab.size, max_seq_len=task.seq_len, n_layers=2, n_heads=4,
         hidden_dim=96, attention="causal" if kind == "ar" else "bidirectional"), seed=3)
     cfg = DecodeConfig(steps=4, temperature=1.0, seed=2)
-    a = evaluate_model(model, kind, task, vocab, insts, cfg, threads=1, chunk=8)
-    b = evaluate_model(model, kind, task, vocab, insts, cfg, threads=2, chunk=8)
+    monkeypatch.setenv(THREADS_ENV, "1")
+    a = evaluate_model(model, kind, task, vocab, insts, cfg, chunk=8)
+    monkeypatch.setenv(THREADS_ENV, "2")
+    b = evaluate_model(model, kind, task, vocab, insts, cfg, chunk=8)
     assert a.outputs == b.outputs
     assert len(set(a.outputs)) > 1
 
 
-def test_evaluate_ar_path(planning_eval_set):
+def test_evaluate_ar_path(planning_eval_set, monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "1")
     task, insts = planning_eval_set
     vocab = task.vocabulary()
     model = LookupOracle(task, insts, vocab, causal=True)
     res = evaluate_model(model, "ar", task, vocab, insts,
-                         DecodeConfig(steps=1, temperature=0.1, seed=0), threads=1)
+                         DecodeConfig(steps=1, temperature=0.1, seed=0))
     assert res.accuracy == 1.0
 
 
@@ -566,8 +617,7 @@ def test_shard_gradients_sum_to_the_full_batch_gradient(kind):
     else:
         batch = rows
         full = ar_nll(model, rows)[0]
-    shards = train_mod._run_shards(None, [None] * train_mod.SHARDS, model, kind, batch,
-                                   schedule, reweight)
+    shards = train_mod._run_shards(model, kind, batch, schedule, reweight)
     assert len(shards) == 2
     norm = train_mod._gather_grads(model.params, [grads for _, grads in shards])
     summed = {k: p.grad for k, p in model.params.items()}
@@ -623,7 +673,7 @@ def test_train_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, kind):
         if workers == "1":
             assert threads == {"MainThread"}
         else:
-            assert threads and all(n.startswith("train-shard") for n in threads)
+            assert threads and all(n.startswith(WORKER_PREFIX) for n in threads)
             assert {count for _, count in calls} <= {1, None}
     (recs_1, arrays_1), (recs_2, arrays_2) = runs["1"], runs["2"]
     assert recs_1 == recs_2
@@ -832,6 +882,14 @@ def test_cli_decode_flags_override_the_checkpoint_config(ar_checkpoint, tmp_path
     for flag, name in (("--temperature", "temperature"), ("--steps", "steps")):
         with pytest.raises(SystemExit, match=f"invalid decode flag: {name} must be"):
             cli_main(["eval", "--checkpoint", ckpt, "--data", data, flag, "0"])
+
+
+def test_cli_rejects_a_negative_limit(ar_checkpoint):
+    # a negative limit would slice the last instances off the data
+    ckpt, data = ar_checkpoint
+    for cmd, flag in (("eval", "--limit"), ("sample", "--n")):
+        with pytest.raises(SystemExit, match="must be >= 0, got -1"):
+            cli_main([cmd, "--checkpoint", ckpt, "--data", data, flag, "-1"])
 
 
 def test_analyze_throughput_decodes_an_ar_checkpoint_with_ar_decode(
