@@ -1,7 +1,11 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 Small tape-based engine: each op builds a Node holding the forward value and
-a closure that routes the output gradient to its parents. Values are stored
+a closure that routes the output gradient to its parents. Under `no_grad()`
+an op's Node keeps neither, so a forward-only caller frees each temporary as
+soon as it moves past it. An op writes in place only into arrays it
+allocated itself: never into an input's value, a view of one, or the
+incoming gradient, which `add` hands to both of its parents. Values are stored
 in float32 by default; reductions (layer norm statistics, softmax
 normalizers, loss sums) accumulate in float64 so that finite-difference
 gradient checks stay meaningful at float32 storage. Loss scalars are always
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 
 import numpy as np
 
@@ -43,6 +48,27 @@ def using_dtype(dtype):
         set_default_dtype(prev)
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph on this thread: new op Nodes keep no parents and no
+    backward closure, and do not require grad. Leaves made by parameter()
+    still do. Forward values are bit for bit those of a recording forward.
+    The mode is per thread; a worker thread must enter it itself."""
+    prev = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = prev
+
+
 class Node:
     """A value in the computation graph plus the plumbing for backprop."""
 
@@ -51,6 +77,8 @@ class Node:
     def __init__(self, value, requires_grad=False, parents=(), backward=None):
         self.value = value
         self.grad = None
+        if not _GRAD_MODE.enabled:
+            parents, backward = (), None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = tuple(parents)
         self._backward = backward
@@ -78,6 +106,9 @@ class Node:
         """
         if self.value.ndim != 0:
             raise ValueError(f"backward() needs a scalar, got shape {self.value.shape}")
+        if not self.requires_grad:
+            raise ValueError("backward() needs a root that requires grad; this one was "
+                             "built under no_grad() or from constants only")
 
         def accumulate(leaf, g):
             if grads is None:
@@ -164,7 +195,8 @@ def add(a, b) -> Node:
     out = a.value + b.value
 
     def backward(g):
-        return ((a, _unbroadcast(g, a.value.shape)), (b, _unbroadcast(g, b.value.shape)))
+        # no piece for a constant parent, such as the attention mask
+        return tuple((p, _unbroadcast(g, p.value.shape)) for p in (a, b) if p.requires_grad)
 
     return Node(out, parents=(a, b), backward=backward)
 
@@ -174,10 +206,8 @@ def mul(a, b) -> Node:
     out = a.value * b.value
 
     def backward(g):
-        return (
-            (a, _unbroadcast(g * b.value, a.value.shape)),
-            (b, _unbroadcast(g * a.value, b.value.shape)),
-        )
+        return tuple((p, _unbroadcast(g * other.value, p.value.shape))
+                     for p, other in ((a, b), (b, a)) if p.requires_grad)
 
     return Node(out, parents=(a, b), backward=backward)
 
@@ -245,10 +275,12 @@ def concat(nodes, axis: int) -> Node:
     return Node(out, parents=tuple(nodes), backward=backward)
 
 
-def matmul(a: Node, b: Node) -> Node:
-    """Matrix product. Supports 2-D @ 2-D, batched with identical leading
-    dims, and N-D @ 2-D; anything else is rejected so a silent broadcast
-    never produces a wrong gradient."""
+def matmul(a: Node, b: Node, bias: Node | None = None) -> Node:
+    """Matrix product, plus an optional bias row added over the last axis.
+
+    Supports 2-D @ 2-D, batched with identical leading dims, and N-D @ 2-D;
+    anything else is rejected so a silent broadcast never produces a wrong
+    gradient. The bias is added into the product's own fresh array."""
     av, bv = a.value, b.value
     if av.ndim < 2 or bv.ndim < 2:
         raise ValueError(f"matmul needs >=2-D operands, got {av.shape} and {bv.shape}")
@@ -256,75 +288,109 @@ def matmul(a: Node, b: Node) -> Node:
         raise ValueError(f"matmul inner dimensions differ: {av.shape} vs {bv.shape}")
     if bv.ndim > 2 and av.shape[:-2] != bv.shape[:-2]:
         raise ValueError(f"matmul batch dimensions differ: {av.shape} vs {bv.shape}")
+    n = bv.shape[-1]
+    if bias is not None and bias.value.shape != (n,):
+        raise ValueError(f"matmul bias must have shape ({n},), got {bias.value.shape}")
     out = av @ bv
+    if bias is not None:
+        out += bias.value
 
     def backward(g):
         if bv.ndim == 2 and av.ndim > 2:
-            k, n = bv.shape
             ga = g @ bv.T
-            gb = av.reshape(-1, k).T @ g.reshape(-1, n)
+            gb = av.reshape(-1, bv.shape[0]).T @ g.reshape(-1, n)
         else:
             ga = g @ np.swapaxes(bv, -1, -2)
             gb = np.swapaxes(av, -1, -2) @ g
-        return ((a, ga), (b, gb))
+        if bias is None:
+            return ((a, ga), (b, gb))
+        return ((a, ga), (b, gb), (bias, g.reshape(-1, n).sum(axis=0)))
 
-    return Node(out, parents=(a, b), backward=backward)
+    parents = (a, b) if bias is None else (a, b, bias)
+    return Node(out, parents=parents, backward=backward)
 
 
 def embedding_lookup(table: Node, ids) -> Node:
     """Gather rows of an embedding table by integer id."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.value.shape[0]):
+    rows = table.value.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
         raise ValueError(
-            f"embedding ids out of range [0, {table.value.shape[0]}): "
-            f"min {ids.min()}, max {ids.max()}"
+            f"embedding ids out of range [0, {rows}): min {ids.min()}, max {ids.max()}"
         )
     out = table.value[ids]
 
     def backward(g):
-        gt = np.zeros_like(table.value)
-        np.add.at(gt, ids, g)
-        return ((table, gt),)
+        # one-hot [rows, n] @ g [n, width] sums each row's gradients in one product
+        flat = ids.reshape(-1)
+        onehot = (np.arange(rows)[:, None] == flat).astype(g.dtype)
+        gt = onehot @ g.reshape(flat.size, math.prod(table.value.shape[1:]))
+        return ((table, gt.reshape(table.value.shape)),)
 
     return Node(out, parents=(table,), backward=backward)
 
 
 def gelu(a: Node) -> Node:
-    """Gaussian error linear unit, tanh approximation."""
+    """Gaussian error linear unit, tanh approximation. The backward keeps
+    only tanh(inner)."""
     x = a.value
     k = x.dtype.type(math.sqrt(2.0 / math.pi))
     c = x.dtype.type(0.044715)
-    inner = k * (x + c * x * x * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
-    out = out.astype(x.dtype, copy=False)
+    t = c * x
+    t *= x
+    t *= x
+    t += x
+    t *= k
+    np.tanh(t, out=t)  # tanh(k (x + c x^3))
+    out = t + 1.0
+    out *= x
+    out *= 0.5
 
     def backward(g):
-        sech2 = 1.0 - t * t
-        dinner = k * (1.0 + 3.0 * c * x * x)
-        dx = 0.5 * (1.0 + t) + 0.5 * x * sech2 * dinner
-        return ((a, g * dx.astype(x.dtype, copy=False)),)
+        # 0.5 (1 + t) + 0.5 x (1 - t^2) k (1 + 3 c x^2)
+        dx = x * x
+        dx *= 3.0 * c
+        dx += 1.0
+        dx *= k
+        dx *= x
+        sech2 = t * t
+        np.subtract(1.0, sech2, out=sech2)
+        dx *= sech2
+        dx += t
+        dx += 1.0
+        dx *= 0.5
+        dx *= g
+        return ((a, dx),)
 
     return Node(out, parents=(a,), backward=backward)
 
 
 def layer_norm(a: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+    The mean and variance accumulate in float64 over the stored values."""
     x = a.value
     mean = x.mean(axis=-1, keepdims=True, dtype=np.float64)
-    var = np.square(x.astype(np.float64) - mean).mean(axis=-1, keepdims=True)
+    xhat = x - mean.astype(x.dtype)
+    out = np.square(xhat)
+    var = out.mean(axis=-1, keepdims=True, dtype=np.float64)
     inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
-    xhat = ((x - mean.astype(x.dtype)) * inv).astype(x.dtype, copy=False)
-    out = xhat * gain.value + bias.value
+    xhat *= inv
+    np.multiply(xhat, gain.value, out=out)
+    out += bias.value
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=lead)
         gbias = g.sum(axis=lead)
-        gd = g * gain.value
-        m1 = gd.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
-        m2 = (gd * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
-        dx = inv * (gd - m1 - xhat * m2)
+        t = g * xhat
+        ggain = t.sum(axis=lead)
+        t *= gain.value  # gd * xhat
+        m2 = t.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+        dx = g * gain.value  # gd
+        m1 = dx.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+        np.multiply(xhat, m2, out=t)
+        dx -= m1
+        dx -= t
+        dx *= inv
         return ((a, dx), (gain, ggain), (bias, gbias))
 
     return Node(out, parents=(a, gain, bias), backward=backward)
@@ -332,14 +398,16 @@ def layer_norm(a: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
 
 def softmax(a: Node, axis: int = -1) -> Node:
     x = a.value
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    denom = e.sum(axis=axis, keepdims=True, dtype=np.float64).astype(x.dtype)
-    p = (e / denom).astype(x.dtype, copy=False)
+    p = x - x.max(axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True, dtype=np.float64).astype(x.dtype)
 
     def backward(g):
-        dot = (g * p).sum(axis=axis, keepdims=True)
-        return ((a, p * (g - dot)),)
+        ga = g * p
+        dot = ga.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=ga)
+        ga *= p
+        return ((a, ga),)
 
     return Node(p, parents=(a,), backward=backward)
 

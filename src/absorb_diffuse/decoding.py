@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import log_softmax
+from .autodiff import log_softmax, no_grad
 from .data import Batch
 
 STRATEGIES = ("topk", "random")
@@ -73,7 +73,8 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int, pad_i
 
     for s in range(1, cfg.steps + 1):
         # the model scores, and the sampler draws for, the target columns only
-        logits = model.forward(x, batch.pad_mask, queries_from=w).value
+        with no_grad():  # on the thread that decodes: the mode is per thread
+            logits = model.forward(x, batch.pad_mask, queries_from=w).value
         sampled, conf = _sample(logits, cfg.temperature, rng)
         # The reverse model is the forward posterior with the network's
         # prediction in place of the clean sequence, so at positions already
@@ -123,8 +124,9 @@ def ar_decode(model, batch: Batch, cfg: DecodeConfig, pad_id: int,
     cache = {}
     for pos in range(w, w + int(lengths.max(initial=0))):
         # only the last position's logits are read: the prefill runs one query
-        logits = model.forward(x[:, :pos], pad_mask[:, :pos], cache=cache,
-                               queries_from=pos - 1).value[:, -1]
+        with no_grad():
+            logits = model.forward(x[:, :pos], pad_mask[:, :pos], cache=cache,
+                                   queries_from=pos - 1).value[:, -1]
         # a row past its length draws too; the slot stays a pad key and is not returned
         x[:, pos], _ = _sample(logits, cfg.temperature, rng)
         pad_mask[:, pos] = batch.target_mask[:, pos]

@@ -263,7 +263,8 @@ def subgoal_loss_profile(model, batch: Batch, schedule: NoiseSchedule, mask_id: 
             cb = sample_xt(schedule, batch, ti, rng, mask_id)
             if cb.n_corrupted == 0:
                 continue
-            report = diffusion_loss(model, cb, schedule, plain_bound)[1]
+            with ad.no_grad():
+                report = diffusion_loss(model, cb, schedule, plain_bound)[1]
             u = report.u[report.corrupted]
             u_sum[ti - 1] += u.sum()
             count[ti - 1] += u.size

@@ -194,34 +194,35 @@ class DenoiserModel:
                 x = ad.narrow(x, 1, skip, rows)
                 bias = bias[:, :, skip:]
 
-            def heads(src, n_pos, proj, bname):
-                y = ad.add(ad.matmul(src, p[proj]), p[bname])
+            def heads(y, n_pos):
                 return ad.transpose(ad.reshape(y, (b, n_pos, nh, hd)), (0, 2, 1, 3))
 
-            q = heads(qflat, rows, f"{h}.attn.wq", f"{h}.attn.bq")
-            k = heads(flat, s, f"{h}.attn.wk", f"{h}.attn.bk")
-            v = heads(flat, s, f"{h}.attn.wv", f"{h}.attn.bv")
+            # the 1/sqrt(hd) score scale goes on q, which is smaller than the scores
+            q = heads(ad.scale(ad.matmul(qflat, p[f"{h}.attn.wq"], p[f"{h}.attn.bq"]),
+                               1.0 / np.sqrt(hd)), rows)
+            k = heads(ad.matmul(flat, p[f"{h}.attn.wk"], p[f"{h}.attn.bk"]), s)
+            v = heads(ad.matmul(flat, p[f"{h}.attn.wv"], p[f"{h}.attn.bv"]), s)
             if cache is not None:
                 if m:
                     ck, cv = cache[i]
                     k = ad.concat([ad.constant(ck, ck.dtype), k], axis=2)
                     v = ad.concat([ad.constant(cv, cv.dtype), v], axis=2)
                 cache[i] = (k.value, v.value)
-            scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+            scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
             att = ad.softmax(ad.add(scores, ad.constant(bias)), axis=-1)
             ctx = ad.matmul(att, v)
             ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * rows, d))
-            proj = ad.add(ad.matmul(ctx, p[f"{h}.attn.wo"]), p[f"{h}.attn.bo"])
+            proj = ad.matmul(ctx, p[f"{h}.attn.wo"], p[f"{h}.attn.bo"])
             x = ad.add(x, ad.reshape(proj, (b, rows, d)))
 
             ln2 = ad.layer_norm(x, p[f"{h}.ln2.gain"], p[f"{h}.ln2.bias"])
             flat2 = ad.reshape(ln2, (b * rows, d))
-            hmid = ad.gelu(ad.add(ad.matmul(flat2, p[f"{h}.mlp.w1"]), p[f"{h}.mlp.b1"]))
-            hout = ad.add(ad.matmul(hmid, p[f"{h}.mlp.w2"]), p[f"{h}.mlp.b2"])
+            hmid = ad.gelu(ad.matmul(flat2, p[f"{h}.mlp.w1"], p[f"{h}.mlp.b1"]))
+            hout = ad.matmul(hmid, p[f"{h}.mlp.w2"], p[f"{h}.mlp.b2"])
             x = ad.add(x, ad.reshape(hout, (b, rows, d)))
 
         xf = ad.layer_norm(x, p["ln_f.gain"], p["ln_f.bias"])
-        logits = ad.add(ad.matmul(ad.reshape(xf, (b * rows, d)), p["out.w"]), p["out.b"])
+        logits = ad.matmul(ad.reshape(xf, (b * rows, d)), p["out.w"], p["out.b"])
         return ad.reshape(logits, (b, rows, c.content_vocab))
 
 
@@ -235,14 +236,15 @@ def ar_nll(model: DenoiserModel, batch) -> tuple[ad.Node, int]:
         raise ValueError("ar_nll requires a causal model")
     # position j predicts token j + 1, so the logits start one slot before the target
     q0 = max(batch.cond_width - 1, 0)
-    logits = model.forward(batch.tokens, batch.pad_mask, queries_from=q0)
-    b, s, k = logits.value.shape
-    pred = ad.reshape(ad.narrow(logits, 1, 0, s - 1), ((s - 1) * b, k))
     targets = batch.tokens[:, q0 + 1:].reshape(-1)
     weights = batch.target_mask[:, q0 + 1:].reshape(-1).astype(np.float64)
     n_tok = int(weights.sum())
     if n_tok == 0:
         raise ValueError("batch contains no target tokens")
+    # the last position predicts nothing; causal attention lets the rest ignore it
+    logits = model.forward(batch.tokens[:, :-1], batch.pad_mask[:, :-1], queries_from=q0)
+    b, s, k = logits.value.shape
+    pred = ad.reshape(logits, (b * s, k))
     # pad ids sit outside the content vocab; zero-weight slots get a dummy target
     targets = np.where(weights > 0, targets, 0)
     loss = ad.softmax_cross_entropy(pred, targets, weights / n_tok)

@@ -206,6 +206,7 @@ def test_criterion_3_gradient_correctness():
     y34 = rng.standard_normal((3, 4)).astype(np.float32)
     y14 = rng.standard_normal((1, 4)).astype(np.float32)
     m45 = rng.standard_normal((4, 5)).astype(np.float32)
+    b5 = rng.standard_normal(5).astype(np.float32)
     tbl = rng.standard_normal((6, 4)).astype(np.float32)
     gain = np.ones(4, dtype=np.float32) + 0.1 * rng.standard_normal(4).astype(np.float32)
     bias = 0.1 * rng.standard_normal(4).astype(np.float32)
@@ -230,6 +231,8 @@ def test_criterion_3_gradient_correctness():
                    lambda n: reduce_scalar(ad.concat([n["a"], n["b"]], 1))),
         "matmul": ({"a": x34, "b": m45},
                    lambda n: reduce_scalar(ad.matmul(n["a"], n["b"]))),
+        "matmul+bias": ({"a": x34, "b": m45, "c": b5},
+                        lambda n: reduce_scalar(ad.matmul(n["a"], n["b"], n["c"]))),
         "embedding_lookup": ({"t": tbl},
                              lambda n: reduce_scalar(ad.embedding_lookup(n["t"], ids))),
         "gelu": ({"a": x34},

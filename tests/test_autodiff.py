@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -79,6 +80,32 @@ def test_matmul_nd_by_2d_gradient():
         return ad.reshape(ad.matmul(flat, ad.constant(np.ones((30, 1), np.float32))), ())
 
     check_gradient(build, params, TOL_F32)
+
+
+@pytest.mark.parametrize("a_shape", [(3, 4), (2, 3, 4)])
+def test_matmul_bias_gradient_float64(a_shape):
+    params = {"a": _p(a_shape, dtype=np.float64), "w": _p((4, 5), dtype=np.float64),
+              "c": _p((5,), dtype=np.float64)}
+    n = int(np.prod(a_shape[:-1])) * 5
+    probe = _p((n, 1), dtype=np.float64)
+
+    def build(nodes):
+        out = ad.matmul(nodes["a"], nodes["w"], nodes["c"])
+        flat = ad.reshape(out, (1, n))
+        return ad.reshape(ad.matmul(flat, ad.constant(probe, np.float64)), ())
+
+    with ad.using_dtype(np.float64):
+        check_gradient(build, params, TOL_F64, eps=1e-6)
+        got = ad.matmul(ad.constant(params["a"]), ad.constant(params["w"]),
+                        ad.constant(params["c"])).value
+    np.testing.assert_array_equal(got, params["a"] @ params["w"] + params["c"])
+
+
+def test_matmul_rejects_a_bias_that_is_not_one_output_row():
+    a = ad.constant(np.zeros((2, 3), np.float32))
+    w = ad.constant(np.zeros((3, 4), np.float32))
+    with pytest.raises(ValueError, match="bias"):
+        ad.matmul(a, w, ad.constant(np.zeros((2, 4), np.float32)))
 
 
 def test_matmul_shape_errors_name_both_shapes():
@@ -189,6 +216,30 @@ def test_embedding_lookup_gradient_accumulates_repeated_ids():
     np.testing.assert_allclose(node.grad, expect, rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("ids", [np.array([[1, 3, 1], [1, 0, 5]]), np.arange(2, 6)],
+                         ids=["repeated", "arange"])
+def test_embedding_backward_matches_an_add_at_oracle(ids):
+    # token ids repeat; pos_emb looks up arange(m, n)
+    rng = np.random.default_rng(5)
+    with ad.using_dtype(np.float64):
+        table = ad.parameter(rng.standard_normal((7, 4)))
+    out = ad.embedding_lookup(table, ids)
+    g = rng.standard_normal(out.value.shape)
+    want = np.zeros_like(table.value)
+    np.add.at(want, ids, g)
+    ((_, got),) = out._backward(g)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_add_and_mul_build_no_piece_for_a_constant_parent():
+    a = ad.parameter(_p((2, 3)))
+    mask = ad.constant(_p((2, 3)))
+    g = np.ones((2, 3), np.float32)
+    for op in (ad.add, ad.mul):
+        assert [p for p, _ in op(a, mask)._backward(g)] == [a]
+        assert [p for p, _ in op(mask, a)._backward(g)] == [a]
+
+
 def test_diamond_graph_accumulates_both_paths():
     # y = a*a + a  (two paths into a): dy/da = 2a + 1
     a = ad.parameter(np.array(3.0, np.float32))
@@ -275,6 +326,91 @@ def test_backward_requires_a_scalar_root():
     a = ad.parameter(np.ones(3, np.float32))
     with pytest.raises(ValueError, match="scalar"):
         ad.add(a, a).backward()
+
+
+def test_backward_rejects_a_root_that_does_not_require_grad():
+    a = ad.parameter(np.ones((1, 3), np.float32))
+    ones = np.ones((3, 1), np.float32)
+    with ad.no_grad():
+        loss = ad.reshape(ad.matmul(a, ad.constant(ones)), ())
+    with pytest.raises(ValueError, match="requires grad"):
+        loss.backward()
+    consts = ad.reshape(ad.matmul(ad.constant(np.ones((1, 3), np.float32)), ad.constant(ones)), ())
+    with pytest.raises(ValueError, match="requires grad"):
+        consts.backward({})
+    assert a.grad is None
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+
+
+def _small_graph():
+    """(leaf, output Node) of a graph through the model's elementwise and
+    matmul kernels."""
+    rng = np.random.default_rng(12)
+    a = ad.parameter(rng.standard_normal((3, 4)).astype(np.float32))
+    w = ad.parameter(rng.standard_normal((4, 4)).astype(np.float32))
+    gain, bias = ad.parameter(np.ones(4)), ad.parameter(np.zeros(4))
+    x = ad.embedding_lookup(a, np.array([[0, 2], [2, 1]]))
+    h = ad.gelu(ad.matmul(x, w, bias))
+    h = ad.layer_norm(ad.add(h, ad.constant(np.ones(4))), gain, bias)
+    return a, ad.softmax(ad.scale(h, 0.5))
+
+
+def test_no_grad_nodes_keep_no_parents_and_no_backward():
+    _, want = _small_graph()
+    assert want._parents and want._backward is not None and want.requires_grad
+    with ad.no_grad():
+        a, out = _small_graph()
+        leaf = ad.parameter(np.zeros(2))
+    assert out._parents == () and out._backward is None and not out.requires_grad
+    assert a.requires_grad and leaf.requires_grad  # leaves stay trainable
+    np.testing.assert_array_equal(out.value, want.value)
+    # recording resumes on exit
+    _, again = _small_graph()
+    assert again._parents and again._backward is not None
+
+
+def test_no_grad_is_per_thread():
+    inside, done = threading.Event(), threading.Event()
+
+    def hold():
+        with ad.no_grad():
+            inside.set()
+            done.wait(timeout=30)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert inside.wait(timeout=30)
+        with ThreadPoolExecutor(1) as pool:  # a third thread records while hold() is inside
+            a, out = pool.submit(_small_graph).result(timeout=30)
+        assert out._backward is not None
+        ad.reshape(ad.narrow(ad.reshape(out, (-1,)), 0, 0, 1), ()).backward()
+        assert a.grad is not None and np.abs(a.grad).sum() > 0
+    finally:
+        done.set()
+        holder.join(timeout=30)
+    assert not holder.is_alive()
+
+
+def test_no_grad_nests_and_is_restored_after_an_exception():
+    a = ad.parameter(np.ones(2))
+
+    def recording():
+        return ad.add(a, a)._backward is not None
+
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not recording()
+        assert not recording()
+    assert recording()
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            with ad.no_grad():
+                raise RuntimeError("inside")
+    assert recording()
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,21 @@ def test_elbo_exact_matches_monte_carlo():
     assert abs(prof["nelbo"] - exact) / max(exact, 1.0) < 0.05, (exact, prof["nelbo"])
 
 
+def test_subgoal_loss_profile_builds_no_graph():
+    model = _tiny_model(vocab=6, seq=8)
+    batch = pack_rows([[0, 1], [1]], [[2, 0, 3], [1, 1]], 2, 6, 5)
+    seen = []
+
+    def forward(*a, _real=model.forward, **kw):
+        seen.append(_real(*a, **kw))
+        return seen[-1]
+
+    model.forward = forward
+    subgoal_loss_profile(model, batch, NoiseSchedule.linear(3), mask_id=4,
+                         rng=np.random.default_rng(1), n_samples=2)
+    assert seen and all(out._backward is None and not out.requires_grad for out in seen)
+
+
 def reverse_chain_nll(model, batch, schedule: NoiseSchedule, mask_id: int) -> float:
     """-log p(x_0) by summing over every reverse trajectory.
 

@@ -370,6 +370,29 @@ def test_evaluate_outputs_do_not_depend_on_the_blas_thread_count(kind, monkeypat
     assert len(set(a.outputs)) > 1
 
 
+@pytest.mark.parametrize("kind", ["diffusion", "ar"])
+def test_evaluate_decodes_without_a_graph_on_worker_threads(kind, monkeypatch):
+    # the grad mode is per thread, so each decoder enters no_grad() itself
+    task = get_task("planning")
+    vocab = task.vocabulary()
+    insts = gen_planning(6, 1, seed=7)
+    model = DenoiserModel(ModelConfig(
+        vocab_size=vocab.size, max_seq_len=task.seq_len, n_layers=1, n_heads=2,
+        hidden_dim=16, attention="causal" if kind == "ar" else "bidirectional"), seed=3)
+    seen = []
+
+    def forward(*a, _real=model.forward, **kw):
+        out = _real(*a, **kw)
+        seen.append((threading.current_thread().name, out._backward, out.requires_grad))
+        return out
+
+    model.forward = forward
+    monkeypatch.setenv(THREADS_ENV, "2")
+    evaluate_model(model, kind, task, vocab, insts, DecodeConfig(steps=2, seed=0), chunk=3)
+    assert seen and all(name.startswith(WORKER_PREFIX) for name, *_ in seen)
+    assert all(back is None and not grad for _, back, grad in seen)
+
+
 def test_evaluate_ar_path(planning_eval_set, monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "1")
     task, insts = planning_eval_set
@@ -541,7 +564,7 @@ def test_train_divergence_abort(tmp_path, monkeypatch):
     def tripwire(*a, **kw):
         loss, report = real(*a, **kw)
         if next(calls) > 2 * train_mod.SHARDS:  # every shard from step 2 on
-            loss = ad.constant(np.asarray(float("nan")))
+            loss = ad.scale(loss, float("nan"))  # still on the graph: backward() needs that
         return loss, report
 
     monkeypatch.setattr(train_mod, "diffusion_loss", tripwire)

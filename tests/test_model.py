@@ -1,5 +1,6 @@
 """Transformer denoiser: shapes, masking semantics, training signal, checkpoints."""
 
+import dataclasses
 import json
 import os
 
@@ -175,6 +176,36 @@ def test_queries_from_gradients_match_the_full_forward(attention):
         np.testing.assert_allclose(got[name], want[name], rtol=1e-9, atol=1e-15, err_msg=name)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("attention", ["bidirectional", "causal"])
+def test_no_grad_forward_is_bit_identical(attention, dtype):
+    # desk shape: a 72-token canvas, 2 layers, d=96, 4 heads
+    cfg = ModelConfig(vocab_size=17, max_seq_len=72, n_layers=2, n_heads=4,
+                      hidden_dim=96, attention=attention)
+    with ad.using_dtype(dtype):
+        model = DenoiserModel(cfg, seed=18)
+    batch = _padded_batch(cfg, cond=49)
+    tokens, pad_mask, w = batch.tokens, batch.pad_mask, batch.cond_width
+
+    def forwards():
+        out = [model.forward(tokens, pad_mask).value,
+               model.forward(tokens, pad_mask, queries_from=w).value]
+        if attention == "causal":
+            cache = {}
+            model.forward(tokens[:, :w], pad_mask[:, :w], cache=cache)
+            out.append(model.forward(tokens, pad_mask, cache=cache, queries_from=w + 3).value)
+            out.extend(cache[i][j] for i in range(cfg.n_layers) for j in (0, 1))
+        return out
+
+    want = forwards()
+    with ad.no_grad():
+        got = forwards()
+    assert len(got) == len(want)
+    for g, x in zip(got, want):
+        assert g.dtype == x.dtype == dtype
+        np.testing.assert_array_equal(g, x)
+
+
 def test_queries_from_outside_the_canvas_is_rejected():
     model = DenoiserModel(tiny_config("causal"), seed=17)
     tokens = RNG.integers(0, 9, size=(2, 6)).astype(np.int32)
@@ -266,6 +297,40 @@ def test_ar_nll_counts_target_tokens_only():
     assert n_tok == int(batch.target_mask.sum())
     assert loss.value.dtype == np.float64
     assert float(loss.value) > 0
+
+
+def test_ar_nll_matches_the_full_canvas_computation():
+    # ar_nll drops the last column, whose logits predict nothing
+    cfg = tiny_config("causal")
+    with ad.using_dtype(np.float64):
+        model = DenoiserModel(cfg, seed=19)
+    batch = _padded_batch(cfg)
+    q0 = batch.cond_width - 1
+    logits = model.forward(batch.tokens, batch.pad_mask, queries_from=q0)
+    b, s, k = logits.value.shape
+    pred = ad.reshape(ad.narrow(logits, 1, 0, s - 1), (b * (s - 1), k))
+    weights = batch.target_mask[:, q0 + 1:].reshape(-1).astype(np.float64)
+    targets = np.where(weights > 0, batch.tokens[:, q0 + 1:].reshape(-1), 0)
+    want = ad.softmax_cross_entropy(pred, targets, weights / weights.sum())
+    got, n_tok = ar_nll(model, batch)
+    assert n_tok == int(weights.sum())
+    np.testing.assert_allclose(float(got.value), float(want.value), rtol=1e-13, atol=0)
+    want_grads, got_grads = {}, {}
+    want.backward(want_grads)
+    got.backward(got_grads)
+    for name, p in model.params.items():
+        np.testing.assert_allclose(got_grads[p], want_grads[p], rtol=1e-9, atol=1e-15,
+                                   err_msg=name)
+
+
+def test_ar_nll_rejects_a_batch_without_target_tokens():
+    model = DenoiserModel(tiny_config("causal"), seed=20)
+    batch = _padded_batch(model.config)
+    no_targets = dataclasses.replace(batch, target_mask=np.zeros_like(batch.target_mask))
+    all_condition = dataclasses.replace(batch, cond_width=batch.tokens.shape[1])
+    for bad in (no_targets, all_condition):
+        with pytest.raises(ValueError, match="no target tokens"):
+            ar_nll(model, bad)
 
 
 def test_ar_nll_decreases_when_memorizing():
