@@ -224,9 +224,12 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
         raise TrainingDiverged(f"{reason} at step {step}; snapshot written to {snap}")
 
     loss_val = float("nan")
+    # each train_step record times the interval since the previous one
+    last_log, rows_trained = time.perf_counter(), 0
     for step in range(start_step, cfg.train_steps):
         idx = sampler.next_batch()
         rows = dataset.take(idx)
+        rows_trained += rows.size
         if cfg.model_kind == "diffusion":
             t = draw_t(schedule, rows.size, noise_rng)
             batch = sample_xt(schedule, rows, t, noise_rng, vocab.mask_id)
@@ -246,11 +249,14 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
                 diverged(step, f"non-finite gradient in {bad}", loss_val, idx)
             opt.step(lr_t)
         if (step + 1) % cfg.log_every == 0 or step + 1 == cfg.train_steps:
+            now = time.perf_counter()
+            dt = now - last_log
             append_record(metrics_path, MetricsRecord(
                 kind="train_step", step=step + 1, task=task.name,
                 model_kind=cfg.model_kind, seed=cfg.seed, loss=loss_val,
-                lr=lr_t, grad_norm=grad_norm,
-                epoch=sampler.epoch))
+                lr=lr_t, grad_norm=grad_norm, epoch=sampler.epoch,
+                wall_time=dt, samples_per_sec=rows_trained / dt if dt > 0 else None))
+            last_log, rows_trained = now, 0
             if not quiet:
                 log(f"step {step + 1}/{cfg.train_steps}: loss {loss_val:.4f}")
         if cfg.eval_every and (step + 1) % cfg.eval_every == 0 and step + 1 < cfg.train_steps:

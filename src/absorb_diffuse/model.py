@@ -209,7 +209,7 @@ class DenoiserModel:
                     v = ad.concat([ad.constant(cv, cv.dtype), v], axis=2)
                 cache[i] = (k.value, v.value)
             scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
-            att = ad.softmax(ad.add(scores, ad.constant(bias)), axis=-1)
+            att = ad.softmax(scores, bias)
             ctx = ad.matmul(att, v)
             ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * rows, d))
             proj = ad.matmul(ctx, p[f"{h}.attn.wo"], p[f"{h}.attn.bo"])

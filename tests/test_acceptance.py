@@ -33,7 +33,7 @@ from absorb_diffuse.harness.evaluate import evaluate_model
 from absorb_diffuse.harness.metrics import read_records, strip_wall_clock
 from absorb_diffuse.harness.sweep import reweight_ablation
 from absorb_diffuse.harness.train import load_model
-from absorb_diffuse.model import DenoiserModel, ModelConfig
+from absorb_diffuse.model import NEG_INF, DenoiserModel, ModelConfig
 from absorb_diffuse.tasks import get_task, read_instances, write_instances
 from absorb_diffuse.tasks.registry import TASKS, encode_instances
 from absorb_diffuse.tasks.sat import clause_count
@@ -211,6 +211,8 @@ def test_criterion_3_gradient_correctness():
     gain = np.ones(4, dtype=np.float32) + 0.1 * rng.standard_normal(4).astype(np.float32)
     bias = 0.1 * rng.standard_normal(4).astype(np.float32)
     ids = np.array([1, 0, 5, 2])
+    # an attention-style mask: forbidden keys get NEG_INF, every row keeps one
+    mask34 = np.where([[1, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0]], 0.0, NEG_INF).astype(np.float32)
     targets = np.array([0, 2, 1])
     weights = rng.random(3)
 
@@ -241,6 +243,8 @@ def test_criterion_3_gradient_correctness():
                        lambda n: reduce_scalar(ad.layer_norm(n["a"], n["g"], n["b"]))),
         "softmax": ({"a": x34},
                     lambda n: reduce_scalar(ad.softmax(n["a"]))),
+        "softmax+bias": ({"a": x34},
+                         lambda n: reduce_scalar(ad.softmax(n["a"], mask34))),
         "softmax_cross_entropy": (
             {"a": x34},
             lambda n: ad.softmax_cross_entropy(n["a"], targets, weights)),

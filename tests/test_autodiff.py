@@ -1,6 +1,7 @@
 """Finite-difference checks and unit tests for the autodiff kernels."""
 
 import itertools
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from absorb_diffuse import autodiff as ad
+from absorb_diffuse.model import NEG_INF
 
 from helpers import check_gradient, numeric_gradient, rel_err
 
@@ -199,6 +201,110 @@ def test_softmax_gradient_and_normalization():
     check_gradient(build, params, TOL_F32)
     sm = ad.softmax(ad.constant(_p((4, 9), scale=5.0))).value
     assert np.allclose(sm.sum(axis=-1), 1.0, atol=1e-5)
+
+
+def _weighted_sum(node, seed=0):
+    """Scalar sum of node's entries under fixed random weights."""
+    n = node.value.size
+    w = np.random.default_rng(seed).standard_normal((n, 1)).astype(node.value.dtype)
+    return ad.reshape(ad.matmul(ad.reshape(node, (1, n)), ad.constant(w)), ())
+
+
+def _attention_mask(shape, rng):
+    """NEG_INF on about a third of the cells, but never on a whole row."""
+    allowed = rng.random(shape) > 0.35
+    allowed[..., 0] = True
+    return np.where(allowed, 0.0, NEG_INF).astype(np.float32)
+
+
+def test_softmax_with_a_bias_matches_a_float64_reference():
+    rng = np.random.default_rng(5)
+    x = _p((2, 3, 4, 6), scale=3.0)
+    bias = _attention_mask((2, 3, 4, 6), rng)
+    p = ad.softmax(ad.constant(x), bias).value
+    z = x.astype(np.float64) + bias.astype(np.float64)
+    ref = np.exp(z - z.max(axis=-1, keepdims=True))
+    ref /= ref.sum(axis=-1, keepdims=True)
+    np.testing.assert_allclose(p, ref, rtol=1e-5, atol=1e-7)
+    # the fold changes no bits against adding the mask first
+    np.testing.assert_array_equal(p, ad.softmax(ad.add(ad.constant(x), ad.constant(bias))).value)
+    check_gradient(lambda n: _weighted_sum(ad.softmax(n["a"], bias)), {"a": x}, TOL_F32)
+
+
+def test_softmax_gives_masked_keys_exactly_zero():
+    rng = np.random.default_rng(6)
+    x = _p((5, 7), scale=4.0)
+    bias = _attention_mask((5, 7), rng)
+    p = ad.softmax(ad.constant(x), bias).value
+    masked = bias == NEG_INF
+    assert masked.any() and (p[masked] == 0.0).all()
+    assert (p[~masked] > 0.0).all()
+    np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-6)
+    check_gradient(lambda n: _weighted_sum(ad.softmax(n["a"], bias)), {"a": x}, TOL_F32)
+
+
+def test_softmax_bias_broadcasts_over_heads():
+    rng = np.random.default_rng(7)
+    x = _p((2, 3, 4, 5), scale=2.0)  # [B, H, R, S]
+    bias = _attention_mask((2, 1, 4, 5), rng)
+    p = ad.softmax(ad.constant(x), bias).value
+    for h in range(3):
+        np.testing.assert_array_equal(p[:, h], ad.softmax(ad.constant(x[:, h]), bias[:, 0]).value)
+    check_gradient(lambda n: _weighted_sum(ad.softmax(n["a"], bias)), {"a": x}, TOL_F32)
+
+
+def _gelu_one_pass(x):
+    k = x.dtype.type(math.sqrt(2.0 / math.pi))
+    c = x.dtype.type(0.044715)
+    t = np.tanh((c * x * x * x + x) * k)
+    return (t + 1.0) * x * 0.5
+
+
+@pytest.mark.parametrize("shape", [(300, 7), (2, 130, 3)])
+def test_gelu_tiles_match_one_pass(shape):
+    # 300 rows and 260 rows both end in a ragged tile
+    x = _p(shape, scale=2.0)
+    np.testing.assert_array_equal(ad.gelu(ad.constant(x)).value, _gelu_one_pass(x))
+    with ad.no_grad():
+        np.testing.assert_array_equal(ad.gelu(ad.constant(x)).value, _gelu_one_pass(x))
+    # float64, so that finite differences of a sum over hundreds of rows stay exact enough
+    with ad.using_dtype(np.float64):
+        check_gradient(lambda n: _weighted_sum(ad.gelu(n["a"])), {"a": x.astype(np.float64)},
+                       TOL_F64, eps=1e-5)
+
+
+@pytest.mark.parametrize("recording", [True, False])
+def test_kernels_leave_their_input_unchanged(recording):
+    x = _p((4, 3, 8), scale=2.0)
+    gain, bias = _p((8,)), _p((8,))
+    mask = _attention_mask((4, 1, 3, 8), np.random.default_rng(8))[:, 0]
+    ops = {
+        "gelu": ad.gelu,
+        "layer_norm": lambda a: ad.layer_norm(a, ad.constant(gain), ad.constant(bias)),
+        "softmax": ad.softmax,
+        "softmax+bias": lambda a: ad.softmax(a, mask),
+    }
+    for name, op in ops.items():
+        a = ad.parameter(x.copy())
+        if recording:
+            _weighted_sum(op(a)).backward()
+        else:
+            with ad.no_grad():
+                op(a)
+        np.testing.assert_array_equal(a.value, x, err_msg=name)
+
+
+def test_layer_norm_accumulates_in_float64():
+    # a large offset: float32 sums of these rows lose the low bits the
+    # variance is made of, float64 sums keep them (max error 1.3e-4 with
+    # float64 sums, 4.1e-4 with float32 pairwise sums)
+    rng = np.random.default_rng(0)
+    x = (3e3 + rng.standard_normal((256, 96))).astype(np.float32)
+    ones, zeros = np.ones(96, np.float32), np.zeros(96, np.float32)
+    y = ad.layer_norm(ad.constant(x), ad.constant(ones), ad.constant(zeros)).value
+    x64 = x.astype(np.float64)
+    ref = (x64 - x64.mean(-1, keepdims=True)) / np.sqrt(x64.var(-1, keepdims=True) + 1e-5)
+    assert np.abs(y - ref).max() < 2.5e-4
 
 
 def test_embedding_lookup_gradient_accumulates_repeated_ids():

@@ -502,6 +502,15 @@ def test_train_loss_decreases(tmp_path):
     assert losses[-1] < losses[0]
 
 
+def test_train_step_records_time_their_interval(tmp_path):
+    cfg = _tiny_cfg(tmp_path, eval_path="")  # 12 steps of 8 rows, a record every 4
+    recs = [r for r in read_records(train(cfg).metrics_path) if r["kind"] == "train_step"]
+    assert len(recs) == 3
+    for r in recs:
+        assert r["wall_time"] > 0 and r["samples_per_sec"] > 0
+        assert r["samples_per_sec"] * r["wall_time"] == pytest.approx(4 * 8)
+
+
 def test_resume_is_bit_identical(tmp_path):
     one = _tiny_cfg(tmp_path, out_dir=str(tmp_path / "one"), train_steps=12,
                     eval_path="", eval_every=0)
