@@ -6,15 +6,15 @@ an op's Node keeps neither, so a forward-only caller frees each temporary as
 soon as it moves past it. An op writes in place only into arrays it
 allocated itself: never into an input's value, a view of one, or the
 incoming gradient, which `add` hands to both of its parents. Under
-`no_grad()`, where no backward reads a temporary, `gelu` and `layer_norm`
-finish the output in the one buffer they computed in. Values are stored
-in float32 by default; reductions (layer norm statistics, softmax
-normalizers, loss sums) accumulate in float64 so that finite-difference
-gradient checks stay meaningful at float32 storage. The row sums go through
-one helper, `_row_sum`, which casts through a small buffer and never makes
-a float64 copy of its input. Loss scalars are always reported in float64.
-Building the whole graph in float64 (for tighter gradient checks) just
-requires float64 inputs: ops never downcast.
+`no_grad()`, where no backward reads a temporary, `gelu` returns its tanh
+buffer as the output. Values are stored in float32 by default; reductions
+(layer norm statistics, softmax normalizers, loss sums) accumulate in
+float64 so that finite-difference gradient checks stay meaningful at
+float32 storage. The row sums go through one helper, `_row_sum`, which
+casts through a small buffer and never makes a float64 copy of its input.
+Loss scalars are always reported in float64. Building the whole graph in
+float64 (for tighter gradient checks) just requires float64 inputs: ops
+never downcast.
 """
 
 from __future__ import annotations
@@ -334,11 +334,6 @@ def embedding_lookup(table: Node, ids) -> Node:
     return Node(out, parents=(table,), backward=backward)
 
 
-# gelu's row tile: at width 384 a float32 temporary of 128 rows is about
-# 200 KB, so the several passes over one tile stay in L2 cache.
-_GELU_TILE_ROWS = 128
-
-
 def _row_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the last axis, accumulated in float64, with the axis kept.
     einsum casts through a small buffer; it makes no float64 copy of x."""
@@ -347,66 +342,49 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
 
 def gelu(a: Node) -> Node:
     """Gaussian error linear unit, tanh approximation. The backward keeps
-    only tanh(inner); under no_grad() that buffer becomes the output.
-    Both passes run over tiles of _GELU_TILE_ROWS rows, so each pass over a
-    tile's temporaries finds them in cache."""
-    x = a.value.reshape(-1, a.value.shape[-1])
+    only tanh(inner); under no_grad() that buffer becomes the output."""
+    x = a.value
     k = x.dtype.type(math.sqrt(2.0 / math.pi))
     c = x.dtype.type(0.044715)
-    t = np.empty_like(x)
-    out = np.empty_like(x) if _GRAD_MODE.enabled else t
-    for lo in range(0, len(x), _GELU_TILE_ROWS):
-        xs, ts, os_ = (v[lo:lo + _GELU_TILE_ROWS] for v in (x, t, out))
-        np.multiply(c, xs, out=ts)
-        ts *= xs
-        ts *= xs
-        ts += xs
-        ts *= k
-        np.tanh(ts, out=ts)  # tanh(k (x + c x^3))
-        np.add(ts, 1.0, out=os_)
-        os_ *= xs
-        os_ *= 0.5
-    out = out.reshape(a.value.shape)
+    t = c * x
+    t *= x
+    t *= x
+    t += x
+    t *= k
+    np.tanh(t, out=t)  # tanh(k (x + c x^3))
+    out = np.add(t, 1.0, out=None if _GRAD_MODE.enabled else t)
+    out *= x
+    out *= 0.5
 
     def backward(g):
         # 0.5 (1 + t) + 0.5 x (1 - t^2) k (1 + 3 c x^2)
-        g = g.reshape(x.shape)
-        dx = np.empty_like(x)
-        for lo in range(0, len(x), _GELU_TILE_ROWS):
-            xs, ts, d = (v[lo:lo + _GELU_TILE_ROWS] for v in (x, t, dx))
-            np.multiply(xs, xs, out=d)
-            d *= 3.0 * c
-            d += 1.0
-            d *= k
-            d *= xs
-            sech2 = ts * ts
-            np.subtract(1.0, sech2, out=sech2)
-            d *= sech2
-            d += ts
-            d += 1.0
-            d *= 0.5
-            d *= g[lo:lo + _GELU_TILE_ROWS]
-        return ((a, dx.reshape(a.value.shape)),)
+        dx = x * x
+        dx *= 3.0 * c
+        dx += 1.0
+        dx *= k
+        dx *= x
+        sech2 = t * t
+        np.subtract(1.0, sech2, out=sech2)
+        dx *= sech2
+        dx += t
+        dx += 1.0
+        dx *= 0.5
+        dx *= g
+        return ((a, dx),)
 
     return Node(out, parents=(a,), backward=backward)
 
 
 def layer_norm(a: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
     """Normalize the last axis to zero mean / unit variance, then affine.
-    The mean and variance accumulate in float64 over the stored values.
-    Under no_grad() the scale and shift happen in the normalized buffer."""
+    The mean and variance accumulate in float64 over the stored values."""
     x = a.value
     n = x.shape[-1]
     xhat = x - (_row_sum(x) / n).astype(x.dtype)
-    sq = np.square(xhat)
-    inv = (1.0 / np.sqrt(_row_sum(sq) / n + eps)).astype(x.dtype)
+    out = np.square(xhat)
+    inv = (1.0 / np.sqrt(_row_sum(out) / n + eps)).astype(x.dtype)
     xhat *= inv
-    if not _GRAD_MODE.enabled:
-        del sq
-        xhat *= gain.value
-        xhat += bias.value
-        return Node(xhat)
-    out = np.multiply(xhat, gain.value, out=sq)
+    np.multiply(xhat, gain.value, out=out)
     out += bias.value
 
     def backward(g):
