@@ -26,30 +26,23 @@ import threading
 import numpy as np
 
 _DEFAULT_DTYPE = np.float32
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the storage dtype used for new parameters and constants."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}, expected float32 or float64")
-    _DEFAULT_DTYPE = dtype.type
+LN_EPS = 1e-5
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @contextlib.contextmanager
 def using_dtype(dtype):
-    """Temporarily switch the default storage dtype (used by float64 test mode)."""
-    prev = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    """Store new parameters and constants in dtype, float32 or float64, for
+    the body (float64 is the gradient-check mode)."""
+    global _DEFAULT_DTYPE
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise ValueError(f"unsupported dtype {dtype}, expected float32 or float64")
+    prev, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype.type
     try:
         yield
     finally:
-        set_default_dtype(prev)
+        _DEFAULT_DTYPE = prev
 
 
 class _GradMode(threading.local):
@@ -375,14 +368,14 @@ def gelu(a: Node) -> Node:
     return Node(out, parents=(a,), backward=backward)
 
 
-def layer_norm(a: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
+def layer_norm(a: Node, gain: Node, bias: Node) -> Node:
     """Normalize the last axis to zero mean / unit variance, then affine.
     The mean and variance accumulate in float64 over the stored values."""
     x = a.value
     n = x.shape[-1]
     xhat = x - (_row_sum(x) / n).astype(x.dtype)
     out = np.square(xhat)
-    inv = (1.0 / np.sqrt(_row_sum(out) / n + eps)).astype(x.dtype)
+    inv = (1.0 / np.sqrt(_row_sum(out) / n + LN_EPS)).astype(x.dtype)
     xhat *= inv
     np.multiply(xhat, gain.value, out=out)
     out += bias.value
@@ -531,21 +524,17 @@ def softmax_focal_cross_entropy(
 class Adam:
     """Adam with bias correction. State is serializable for checkpoints."""
 
-    def __init__(self, params: dict, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict):
         self.params = params
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
 
-    def step(self, lr=None) -> None:
-        """Apply one update using accumulated gradients, then clear them."""
-        lr = self.lr if lr is None else lr
+    def step(self, lr: float) -> None:
+        """Apply one update at learning rate lr using the accumulated
+        gradients, then clear them."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name, p in self.params.items():
@@ -560,7 +549,7 @@ class Adam:
             v += (1.0 - b2) * np.square(g)
             mhat = m / bc1
             vhat = v / bc2
-            p.value -= (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.value.dtype)
+            p.value -= (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.value.dtype)
             p.grad = None
 
     def state_dict(self) -> dict:

@@ -163,15 +163,11 @@ def token_weight(u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
 
 @dataclass
 class LossReport:
-    """Detached per-token diagnostics from one loss evaluation."""
+    """Detached per-token diagnostics from one loss evaluation, each [B, S]
+    float64 and zero outside the corrupted slots."""
 
-    loss: float
-    t: np.ndarray             # [B]
-    u: np.ndarray             # [B, S] float64, token NLL at corrupted slots, else 0
-    v: np.ndarray             # [B, S] float64, token weight at corrupted slots, else 0
-    seq_weight: np.ndarray    # [B]
-    corrupted: np.ndarray     # [B, S] bool
-    n_corrupted: int
+    u: np.ndarray             # token NLL
+    v: np.ndarray             # token weight
 
 
 def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
@@ -212,16 +208,7 @@ def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
     def canvas(a):  # [B * st] -> [B, S], zero in the condition columns
         return np.pad(a.reshape(b, st), ((0, 0), (w, 0)))
 
-    report = LossReport(
-        loss=float(loss.value),
-        t=cbatch.t,
-        u=canvas(np.where(mask, u_flat, 0.0)),
-        v=canvas(v_flat),
-        seq_weight=seq_w,
-        corrupted=cbatch.corrupted,
-        n_corrupted=n,
-    )
-    return loss, report
+    return loss, LossReport(u=canvas(np.where(mask, u_flat, 0.0)), v=canvas(v_flat))
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +252,11 @@ def subgoal_loss_profile(model, batch: Batch, schedule: NoiseSchedule, mask_id: 
                 continue
             with ad.no_grad():
                 report = diffusion_loss(model, cb, schedule, plain_bound)[1]
-            u = report.u[report.corrupted]
+            u = report.u[cb.corrupted]
             u_sum[ti - 1] += u.sum()
             count[ti - 1] += u.size
             if seg_ids is not None:
-                j = np.searchsorted(seg_ids, segments[report.corrupted])
+                j = np.searchsorted(seg_ids, segments[cb.corrupted])
                 seg_sum[ti - 1] += np.bincount(j, weights=u, minlength=seg_ids.size)
                 seg_count[ti - 1] += np.bincount(j, minlength=seg_ids.size)
     lam = schedule.survival(np.arange(1, T + 1))

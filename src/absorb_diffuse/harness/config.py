@@ -143,7 +143,7 @@ class ExperimentConfig:
     strategy: str = "topk"
 
     def __post_init__(self):
-        get_task(self.task)
+        task = get_task(self.task)
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
         for f in ("schedule_T", "batch_size", "train_steps", "log_every"):
@@ -154,7 +154,8 @@ class ExperimentConfig:
         for f in ("warmup_steps", "eval_every", "eval_limit", "decode_steps"):
             if getattr(self, f) < 0:
                 raise ValueError(f"{f} must be >= 0")
-        # the loss and decoder settings are checked by the configs built from them
+        # the model, loss and decoder settings are checked by the configs built from them
+        self.model_config(task.vocabulary().size)
         self.reweight_config()
         self.decode_config()
 

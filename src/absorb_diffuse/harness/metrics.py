@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import jsonschema
 
@@ -46,7 +46,6 @@ class MetricsRecord:
     epoch: int | None = None
     wall_time: float | None = None
     samples_per_sec: float | None = None
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -165,7 +165,7 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
     model_cfg = cfg.model_config(vocab.size)
     model = DenoiserModel(model_cfg, seed=int(seeds[0]))
     noise_rng = np.random.default_rng(int(seeds[2]))
-    opt = Adam(model.params, lr=cfg.lr)
+    opt = Adam(model.params)
     schedule = NoiseSchedule.linear(cfg.schedule_T)
     reweight = cfg.reweight_config()
     sampler = _Sampler(dataset.size, cfg.batch_size, np.random.default_rng(int(seeds[1])))

@@ -34,15 +34,16 @@ class ModelConfig:
     def __post_init__(self):
         if self.attention not in ATTENTION_MODES:
             raise ValueError(f"attention must be one of {ATTENTION_MODES}, got {self.attention!r}")
+        # positive first: n_heads 0 would make the divisibility test divide by zero
+        for field in ("vocab_size", "max_seq_len", "n_layers", "n_heads", "hidden_dim"):
+            if getattr(self, field) <= 0:
+                raise ValueError(f"{field} must be positive")
         if self.hidden_dim % self.n_heads != 0:
             raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by n_heads {self.n_heads}"
             )
         if self.vocab_size < 3:
             raise ValueError(f"vocab_size {self.vocab_size} leaves no content tokens")
-        for field in ("vocab_size", "max_seq_len", "n_layers", "n_heads", "hidden_dim"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive")
 
     @property
     def head_dim(self) -> int:
@@ -61,6 +62,23 @@ class ModelConfig:
         return cls(**d)
 
 
+def param_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the order initialisation draws
+    them. Checkpoints, Adam and the per-block profile iterate in this order."""
+    d, k = c.hidden_dim, c.content_vocab
+    shapes = {"tok_emb": (c.vocab_size, d), "pos_emb": (c.max_seq_len, d),
+              "ln_f.gain": (d,), "ln_f.bias": (d,), "out.w": (d, k), "out.b": (k,)}
+    for i in range(c.n_layers):
+        h = f"h{i}"
+        shapes |= {f"{h}.ln1.gain": (d,), f"{h}.ln1.bias": (d,)}
+        shapes |= {f"{h}.attn.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")}
+        shapes |= {f"{h}.attn.{b}": (d,) for b in ("bq", "bk", "bv", "bo")}
+        shapes |= {f"{h}.ln2.gain": (d,), f"{h}.ln2.bias": (d,),
+                   f"{h}.mlp.w1": (d, 4 * d), f"{h}.mlp.b1": (4 * d,),
+                   f"{h}.mlp.w2": (4 * d, d), f"{h}.mlp.b2": (d,)}
+    return shapes
+
+
 class DenoiserModel:
     """Parameter container plus forward pass. Parameters live in a flat
     name -> Node dict so the optimizer and checkpoints stay format-agnostic."""
@@ -72,45 +90,18 @@ class DenoiserModel:
             self._check_param_shapes()
             return
         rng = np.random.default_rng(seed)
-        c = config
-        d = c.hidden_dim
 
-        def w(*shape):
-            return ad.parameter(rng.normal(0.0, INIT_STD, size=shape))
+        def init(name, shape):
+            # the matrices draw from rng in table order
+            if len(shape) == 2:
+                return rng.normal(0.0, INIT_STD, size=shape)
+            return np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
 
-        def zeros(*shape):
-            return ad.parameter(np.zeros(shape))
-
-        def ones(*shape):
-            return ad.parameter(np.ones(shape))
-
-        p = {
-            "tok_emb": w(c.vocab_size, d),
-            "pos_emb": w(c.max_seq_len, d),
-            "ln_f.gain": ones(d),
-            "ln_f.bias": zeros(d),
-            "out.w": w(d, c.content_vocab),
-            "out.b": zeros(c.content_vocab),
-        }
-        for i in range(c.n_layers):
-            h = f"h{i}"
-            p[f"{h}.ln1.gain"] = ones(d)
-            p[f"{h}.ln1.bias"] = zeros(d)
-            for proj in ("wq", "wk", "wv", "wo"):
-                p[f"{h}.attn.{proj}"] = w(d, d)
-            for proj in ("bq", "bk", "bv", "bo"):
-                p[f"{h}.attn.{proj}"] = zeros(d)
-            p[f"{h}.ln2.gain"] = ones(d)
-            p[f"{h}.ln2.bias"] = zeros(d)
-            p[f"{h}.mlp.w1"] = w(d, 4 * d)
-            p[f"{h}.mlp.b1"] = zeros(4 * d)
-            p[f"{h}.mlp.w2"] = w(4 * d, d)
-            p[f"{h}.mlp.b2"] = zeros(d)
-        self.params = p
+        self.params = {name: ad.parameter(init(name, shape))
+                       for name, shape in param_shapes(config).items()}
 
     def _check_param_shapes(self):
-        ref = DenoiserModel(self.config, seed=0)
-        want = {k: v.value.shape for k, v in ref.params.items()}
+        want = param_shapes(self.config)
         got = {k: v.value.shape for k, v in self.params.items()}
         if want != got:
             missing = sorted(set(want) - set(got))

@@ -24,6 +24,7 @@ from .base import CALC_ERROR, FORMAT_ERROR, PLAN_ERROR, VALID, TaskInstance, Ver
 
 CHARSET = "0123456789+-*/=,"
 TARGET_RANGE = (10, 100)
+TEST_TARGET_FRAC = 0.2    # share of target values held out for the test pool
 MAX_INTERMEDIATE = 9999
 OPS = "+-*/"
 
@@ -65,15 +66,15 @@ def _build_instance(n_operands: int, rng: np.random.Generator) -> TaskInstance |
     return TaskInstance(inp, ",".join(steps), {"target": target})
 
 
-def gen_countdown(n_operands: int, n_train: int, n_test: int, seed: int,
-                  test_frac: float = 0.2) -> tuple[list[TaskInstance], list[TaskInstance]]:
+def gen_countdown(n_operands: int, n_train: int, n_test: int,
+                  seed: int) -> tuple[list[TaskInstance], list[TaskInstance]]:
     """Generate disjoint train/test pools split by held-out target values."""
     if n_operands < 2:
         raise ValueError(f"need at least 2 operands, got {n_operands}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, n_operands]))
     targets = np.arange(TARGET_RANGE[0], TARGET_RANGE[1] + 1)
     targets = targets[rng.permutation(targets.size)]
-    n_held = max(1, int(round(test_frac * targets.size)))
+    n_held = max(1, int(round(TEST_TARGET_FRAC * targets.size)))
     test_targets = set(int(x) for x in targets[:n_held])
     train, test = [], []
     seen = set()

@@ -49,10 +49,6 @@ def _gen_planning_pools(n_train, n_test, seed, pds=(0, 1, 2, 3, 4, 5)):
     return pool(n_train, seed), pool(n_test, seed + 1)
 
 
-def _gen_countdown_pools(n_ops, n_train, n_test, seed):
-    return countdown.gen_countdown(n_ops, n_train, n_test, seed)
-
-
 def _gen_sudoku_pools(n_train, n_test, seed):
     return sudoku.gen_sudoku(n_train, seed), sudoku.gen_sudoku(n_test, seed + 1)
 
@@ -78,13 +74,13 @@ TASKS = {
         _gen_planning_pools, planning.verify_planning, _by_slash),
     "countdown3": TaskSpec(
         "countdown3", countdown.CHARSET, 12, 22, 10,
-        partial(_gen_countdown_pools, 3), countdown.verify_countdown, _by_comma),
+        partial(countdown.gen_countdown, 3), countdown.verify_countdown, _by_comma),
     "countdown4": TaskSpec(
         "countdown4", countdown.CHARSET, 15, 35, 20,
-        partial(_gen_countdown_pools, 4), countdown.verify_countdown, _by_comma),
+        partial(countdown.gen_countdown, 4), countdown.verify_countdown, _by_comma),
     "countdown5": TaskSpec(
         "countdown5", countdown.CHARSET, 18, 52, 20,
-        partial(_gen_countdown_pools, 5), countdown.verify_countdown, _by_comma),
+        partial(countdown.gen_countdown, 5), countdown.verify_countdown, _by_comma),
     "sudoku": TaskSpec(
         "sudoku", sudoku.CHARSET, 81, 81, 20,
         _gen_sudoku_pools, sudoku.verify_sudoku, sudoku.output_segments),

@@ -29,10 +29,8 @@ def _full_grid(rng: np.random.Generator) -> np.ndarray:
     return grid[rows][:, cols]
 
 
-def gen_sudoku(n: int, seed: int, givens_range=GIVENS_RANGE) -> list[TaskInstance]:
-    lo, hi = givens_range
-    if not 0 <= lo <= hi <= GRID:
-        raise ValueError(f"bad givens range {givens_range}")
+def gen_sudoku(n: int, seed: int) -> list[TaskInstance]:
+    lo, hi = GIVENS_RANGE
     out = []
     for idx in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))

@@ -671,10 +671,10 @@ def test_float64_mode_keeps_float64_throughout():
 def test_adam_single_step_closed_form():
     w0 = np.array([1.0, -2.0], np.float32)
     p = ad.parameter(w0.copy())
-    opt = ad.Adam({"w": p}, lr=0.1)
+    opt = ad.Adam({"w": p})
     g = np.array([0.5, -0.25], np.float32)
     p.grad = g.copy()
-    opt.step()
+    opt.step(0.1)
     # bias-corrected first step reduces to w - lr * g / (|g| + eps)
     expect = w0 - 0.1 * g / (np.abs(g) + 1e-8)
     np.testing.assert_allclose(p.value, expect, rtol=1e-6)
@@ -682,45 +682,52 @@ def test_adam_single_step_closed_form():
     assert opt.t == 1
 
 
+def test_adam_step_needs_a_learning_rate():
+    opt = ad.Adam({"w": ad.parameter(np.ones(2, np.float32))})
+    with pytest.raises(TypeError):
+        opt.step()
+
+
 def test_adam_state_roundtrip_bit_identical():
     rng = np.random.default_rng(7)
     w = rng.standard_normal(5).astype(np.float32)
     p1 = ad.parameter(w.copy())
     p2 = ad.parameter(w.copy())
-    o1 = ad.Adam({"w": p1}, lr=0.05)
-    o2 = ad.Adam({"w": p2}, lr=0.05)
+    o1 = ad.Adam({"w": p1})
+    o2 = ad.Adam({"w": p2})
     grads = [rng.standard_normal(5).astype(np.float32) for _ in range(4)]
     for g in grads[:2]:
         p1.grad = g.copy()
-        o1.step()
+        o1.step(0.05)
     state = o1.state_dict()
     # fresh optimizer restored from state must continue identically
     for g in grads[:2]:
         p2.grad = g.copy()
-        o2.step()
+        o2.step(0.05)
     o2.load_state_dict(state)
     p3 = ad.parameter(p1.value.copy())
-    o3 = ad.Adam({"w": p3}, lr=0.05)
+    o3 = ad.Adam({"w": p3})
     o3.load_state_dict(state)
     for g in grads[2:]:
         p1.grad = g.copy()
-        o1.step()
+        o1.step(0.05)
         p3.grad = g.copy()
-        o3.step()
+        o3.step(0.05)
     np.testing.assert_array_equal(p1.value, p3.value)
 
 
 def test_adam_skips_parameters_without_gradients():
     p = ad.parameter(np.ones(3, np.float32))
     q = ad.parameter(np.ones(3, np.float32))
-    opt = ad.Adam({"p": p, "q": q}, lr=0.1)
+    opt = ad.Adam({"p": p, "q": q})
     p.grad = np.ones(3, np.float32)
-    opt.step()
+    opt.step(0.1)
     np.testing.assert_array_equal(q.value, np.ones(3, np.float32))
     assert not np.allclose(p.value, np.ones(3))
 
 
-def test_set_default_dtype_rejects_others():
+def test_using_dtype_rejects_others():
     with pytest.raises(ValueError):
-        ad.set_default_dtype(np.int32)
-    assert ad.default_dtype() == np.float32
+        with ad.using_dtype(np.int32):
+            pass
+    assert ad.parameter(np.ones(2)).value.dtype == np.float32

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import os
+import pathlib
 import re
 import threading
 
@@ -81,6 +82,9 @@ def test_config_rejects_unknown_fields():
     {"schedule_T": 0},
     {"warmup_steps": -1},
     {"token_beta": -1.0},
+    {"hidden_dim": 100, "n_heads": 3},
+    {"n_layers": 0},
+    {"n_heads": 0},
 ])
 def test_config_validation(kw):
     base = dict(task="planning", out_dir="/tmp/x")
@@ -440,7 +444,7 @@ def test_taxonomy_csv(tmp_path):
     rows = error_taxonomy([Verdict(VALID), Verdict(PLAN_ERROR, step=1)])
     path = str(tmp_path / "tax.csv")
     taxonomy_csv(rows, path)
-    lines = open(path).read().strip().splitlines()
+    lines = pathlib.Path(path).read_text().strip().splitlines()
     assert lines[0] == "kind,step,count,rate"
     assert len(lines) == 3
 
@@ -547,11 +551,11 @@ def test_resume_refuses_fewer_steps_than_the_checkpoint_and_writes_nothing(tmp_p
     ckpt = os.path.join(first.out_dir, "checkpoint")
     names = sorted(os.listdir(ckpt))
     paths = [os.path.join(ckpt, f) for f in names] + [first.out_dir + "/metrics.jsonl"]
-    before = [open(p, "rb").read() for p in paths]
+    before = [pathlib.Path(p).read_bytes() for p in paths]
     with pytest.raises(ValueError, match=rf"train_steps {steps} leaves nothing .* step 12"):
         train(first.replace(train_steps=steps), resume_from=ckpt)
     assert sorted(os.listdir(ckpt)) == names
-    assert [open(p, "rb").read() for p in paths] == before
+    assert [pathlib.Path(p).read_bytes() for p in paths] == before
 
 
 def test_resume_refuses_a_checkpoint_without_sampler_state(tmp_path):
@@ -787,7 +791,7 @@ def test_reweight_ablation_smoke(tmp_path):
                              log=lambda *a: None)
     assert len(rows) == 2
     assert {(r["sequence_mode"], r["token_beta"]) for r in rows} == {("none", 0.0), ("none", 1.0)}
-    lines = open(out_csv).read().strip().splitlines()
+    lines = pathlib.Path(out_csv).read_text().strip().splitlines()
     assert lines[0] == "sequence_mode,token_alpha,token_beta,accuracy,loss"
     assert len(lines) == 3
 
@@ -800,7 +804,7 @@ def test_data_scaling_sweep_smoke(tmp_path):
         out_csv = str(tmp_path / f"{name}.csv")
         rows = data_scaling_sweep(cfg, pds=(1,), sizes=(16, 8), threshold=threshold,
                                   out_csv=out_csv, n_test=4, log=lambda *a: None)
-        return rows, open(out_csv).read().strip().splitlines()
+        return rows, pathlib.Path(out_csv).read_text().strip().splitlines()
 
     # a 3-step model never reaches accuracy 1: both sizes run, smallest first
     rows, lines = sweep(1.0, "unmet")
@@ -874,7 +878,7 @@ def test_cli_train_eval_sample_analyze(tmp_path, capsys):
                    "--data", cfg.eval_path, "--out", tax_csv, "--steps", "2"])
     assert rc == 0
     capsys.readouterr()
-    assert open(tax_csv).readline().startswith("kind,step")
+    assert pathlib.Path(tax_csv).read_text().startswith("kind,step")
 
     prof_csv = str(tmp_path / "prof.csv")
     rc = cli_main(["analyze", "--what", "profile", "--checkpoint", ckpt,
@@ -882,7 +886,7 @@ def test_cli_train_eval_sample_analyze(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert re.search(r"^NELBO \d+\.\d{4} nats per instance$", out, re.M), out
-    header, *rows = open(prof_csv).read().strip().splitlines()
+    header, *rows = pathlib.Path(prof_csv).read_text().strip().splitlines()
     assert header == "t,mean_u,segment_0,segment_1" and len(rows) == cfg.schedule_T
 
     thr_csv = str(tmp_path / "thr.csv")
@@ -891,7 +895,7 @@ def test_cli_train_eval_sample_analyze(tmp_path, capsys):
                    "--grid", "1,2"])
     assert rc == 0
     capsys.readouterr()
-    lines = open(thr_csv).read().strip().splitlines()
+    lines = pathlib.Path(thr_csv).read_text().strip().splitlines()
     assert lines[0] == "steps,seconds,samples_per_sec,accuracy"
     assert len(lines) == 3
 
@@ -949,7 +953,7 @@ def test_analyze_throughput_decodes_an_ar_checkpoint_with_ar_decode(
     # same seed and steps: the accuracy column is what eval reports
     cli_main(["eval", "--checkpoint", ckpt, "--data", data, "--seed", "5", "--steps", "2"])
     accuracy = capsys.readouterr().out.split()[1]
-    last = open(out_csv).read().strip().splitlines()[-1].split(",")
+    last = pathlib.Path(out_csv).read_text().strip().splitlines()[-1].split(",")
     assert last[0] == "2" and f"{float(last[3]):.4f}" == accuracy
     assert 0 < float(accuracy) < 1
     with pytest.raises(SystemExit, match="repeats"):

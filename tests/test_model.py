@@ -1,6 +1,7 @@
 """Transformer denoiser: shapes, masking semantics, training signal, checkpoints."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -268,6 +269,29 @@ def test_params_reconstruct_exactly():
         DenoiserModel(cfg, params=bad)
 
 
+def test_load_names_every_missing_unexpected_and_misshaped_parameter():
+    cfg = tiny_config()
+    arrays = {k: p.value for k, p in DenoiserModel(cfg, seed=4).params.items()}
+    del arrays["h1.attn.bk"]
+    arrays["h0.attn.extra"] = np.zeros(3)
+    arrays["h0.mlp.w2"] = arrays["h0.mlp.w2"][:-1]
+    with pytest.raises(ValueError) as err:
+        DenoiserModel(cfg, params=arrays)
+    msg = str(err.value)
+    assert "missing ['h1.attn.bk']" in msg
+    assert "unexpected ['h0.attn.extra']" in msg
+    assert "shape mismatches ['h0.mlp.w2']" in msg
+
+
+def test_seeded_init_bits_are_pinned():
+    # float32 bytes of every parameter, in name order: a change to the
+    # parameter table, its order or the draws shows here
+    digest = hashlib.sha256()
+    for p in DenoiserModel(tiny_config(), seed=3).params.values():
+        digest.update(p.value.astype(np.float32).tobytes())
+    assert digest.hexdigest() == "0f28af8d15b0503a25bb655543e76f4f890dd67bab434a9179d72767308dcf5b"
+
+
 def test_init_statistics():
     cfg = ModelConfig(vocab_size=40, max_seq_len=32, n_layers=2, n_heads=4,
                       hidden_dim=64, attention="bidirectional")
@@ -337,7 +361,7 @@ def test_ar_nll_decreases_when_memorizing():
     cfg = tiny_config("causal")
     model = DenoiserModel(cfg, seed=7)
     batch = _toy_batch(cfg, rows=2)
-    opt = ad.Adam(model.params, lr=3e-3)
+    opt = ad.Adam(model.params)
     first = None
     for _ in range(60):
         loss, _ = ar_nll(model, batch)
@@ -345,7 +369,7 @@ def test_ar_nll_decreases_when_memorizing():
             first = float(loss.value)
         ad.zero_grads(model.params)
         loss.backward()
-        opt.step()
+        opt.step(3e-3)
     last, _ = ar_nll(model, batch)
     assert float(last.value) < first * 0.2
 
@@ -390,7 +414,7 @@ def test_composed_model_gradient_fd():
 def _trained_tiny(seed):
     cfg = tiny_config()
     model = DenoiserModel(cfg, seed=seed)
-    opt = ad.Adam(model.params, lr=1e-3)
+    opt = ad.Adam(model.params)
     batch_tokens = RNG.integers(0, cfg.content_vocab, size=(2, cfg.max_seq_len)).astype(np.int32)
     logits = model.forward(batch_tokens)
     flat = ad.reshape(logits, (-1, cfg.content_vocab))
@@ -398,7 +422,7 @@ def _trained_tiny(seed):
     loss = ad.softmax_cross_entropy(flat, np.zeros(n, np.int64), np.ones(n) / n)
     ad.zero_grads(model.params)
     loss.backward()
-    opt.step()
+    opt.step(1e-3)
     return model, opt, batch_tokens
 
 
@@ -423,7 +447,7 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     restored = DenoiserModel(ModelConfig.from_dict(ck.model_config), params=ck.params)
     np.testing.assert_array_equal(restored.forward(batch_tokens).value,
                                   model.forward(batch_tokens).value)
-    o2 = ad.Adam(restored.params, lr=1e-3)
+    o2 = ad.Adam(restored.params)
     o2.load_state_dict(ck.optimizer_state)
     assert o2.t == opt.t
 
