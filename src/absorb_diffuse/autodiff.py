@@ -275,15 +275,15 @@ def concat(nodes, axis: int) -> Node:
 def matmul(a: Node, b: Node, bias: Node | None = None) -> Node:
     """Matrix product, plus an optional bias row added over the last axis.
 
-    Supports 2-D @ 2-D, batched with identical leading dims, and N-D @ 2-D;
-    anything else is rejected so a silent broadcast never produces a wrong
-    gradient. The bias is added into the product's own fresh array."""
+    Both operands have the same leading dims (none for 2-D @ 2-D); anything
+    else is rejected so a silent broadcast never produces a wrong gradient.
+    The bias is added into the product's own fresh array."""
     av, bv = a.value, b.value
     if av.ndim < 2 or bv.ndim < 2:
         raise ValueError(f"matmul needs >=2-D operands, got {av.shape} and {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ValueError(f"matmul inner dimensions differ: {av.shape} vs {bv.shape}")
-    if bv.ndim > 2 and av.shape[:-2] != bv.shape[:-2]:
+    if av.shape[:-2] != bv.shape[:-2]:
         raise ValueError(f"matmul batch dimensions differ: {av.shape} vs {bv.shape}")
     n = bv.shape[-1]
     if bias is not None and bias.value.shape != (n,):
@@ -293,12 +293,8 @@ def matmul(a: Node, b: Node, bias: Node | None = None) -> Node:
         out += bias.value
 
     def backward(g):
-        if bv.ndim == 2 and av.ndim > 2:
-            ga = g @ bv.T
-            gb = av.reshape(-1, bv.shape[0]).T @ g.reshape(-1, n)
-        else:
-            ga = g @ np.swapaxes(bv, -1, -2)
-            gb = np.swapaxes(av, -1, -2) @ g
+        ga = g @ np.swapaxes(bv, -1, -2)
+        gb = np.swapaxes(av, -1, -2) @ g
         if bias is None:
             return ((a, ga), (b, gb))
         return ((a, ga), (b, gb), (bias, g.reshape(-1, n).sum(axis=0)))
@@ -564,8 +560,3 @@ class Adam:
         for k in self.m:
             self.m[k][...] = state["m"][k]
             self.v[k][...] = state["v"][k]
-
-
-def zero_grads(params: dict) -> None:
-    for p in params.values():
-        p.grad = None

@@ -33,10 +33,6 @@ class Batch:
     def size(self) -> int:
         return self.tokens.shape[0]
 
-    @property
-    def width(self) -> int:
-        return self.tokens.shape[1]
-
     def target_lengths(self) -> np.ndarray:
         return self.target_mask.sum(axis=1)
 

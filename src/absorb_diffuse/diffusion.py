@@ -72,18 +72,12 @@ class NoiseSchedule:
 
 
 @dataclass
-class CorruptedBatch:
-    tokens: np.ndarray        # int32 [B, S], canvas with masked target tokens
+class CorruptedBatch(Batch):
+    """A Batch whose tokens hold the mask at its corrupted target slots."""
+
     x0: np.ndarray            # int32 [B, S], clean canvas
     corrupted: np.ndarray     # bool [B, S]
     t: np.ndarray             # int [B], noise level per row
-    target_mask: np.ndarray   # bool [B, S]
-    pad_mask: np.ndarray      # bool [B, S]
-    cond_width: int
-
-    @property
-    def n_corrupted(self) -> int:
-        return int(self.corrupted.sum())
 
 
 def sample_xt(schedule: NoiseSchedule, batch: Batch, t, rng: np.random.Generator,
@@ -103,8 +97,9 @@ def sample_xt(schedule: NoiseSchedule, batch: Batch, t, rng: np.random.Generator
     u = rng.random(batch.tokens.shape)
     corrupted = batch.target_mask & (u >= keep[:, None])
     tokens = np.where(corrupted, mask_id, batch.tokens).astype(batch.tokens.dtype)
-    return CorruptedBatch(tokens, batch.tokens.copy(), corrupted, t,
-                          batch.target_mask, batch.pad_mask, batch.cond_width)
+    return CorruptedBatch(tokens=tokens, target_mask=batch.target_mask,
+                          pad_mask=batch.pad_mask, cond_width=batch.cond_width,
+                          x0=batch.tokens.copy(), corrupted=corrupted, t=t)
 
 
 def draw_t(schedule: NoiseSchedule, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -248,7 +243,7 @@ def subgoal_loss_profile(model, batch: Batch, schedule: NoiseSchedule, mask_id: 
     for ti in range(1, T + 1):
         for _ in range(n_samples):
             cb = sample_xt(schedule, batch, ti, rng, mask_id)
-            if cb.n_corrupted == 0:
+            if not cb.corrupted.any():
                 continue
             with ad.no_grad():
                 report = diffusion_loss(model, cb, schedule, plain_bound)[1]

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -16,11 +17,11 @@ import numpy as np
 
 from ..decoding import STRATEGIES
 from ..diffusion import NoiseSchedule, subgoal_loss_profile
-from ..tasks import encode_instances, get_task, read_instances, write_instances
+from ..tasks import encode_instances, get_task, planning, read_instances, write_instances
 from ..tasks.registry import segment_map
 from .config import ExperimentConfig
 from .evaluate import evaluate_model
-from .metrics import MetricsRecord, append_record
+from .metrics import append_record
 from .sweep import data_scaling_sweep, reweight_ablation
 from .taxonomy import error_taxonomy, taxonomy_csv
 from .train import load_model, train
@@ -86,9 +87,9 @@ def _cmd_eval(args) -> int:
         for k in sorted(res.per_pd, key=int):
             print(f"  pd {k}: {res.per_pd[k]:.3f}")
     if args.metrics_out:
-        append_record(args.metrics_out, MetricsRecord(
-            kind="eval", step=0, task=task.name, model_kind=cfg.model_kind,
-            seed=dc.seed, accuracy=res.accuracy, per_pd=res.per_pd, n_eval=res.n))
+        append_record(args.metrics_out, {
+            "kind": "eval", "step": 0, "task": task.name, "model_kind": cfg.model_kind,
+            "seed": dc.seed, **res.to_metrics()})
     return 0
 
 
@@ -130,13 +131,12 @@ def _cmd_analyze(args) -> int:
         print(f"profile over t=1..{cfg.schedule_T} -> {args.out}")
         print(f"NELBO {prof['nelbo'] / batch.size:.4f} nats per instance")
     elif args.what == "throughput":
-        grid = [int(x) for x in args.grid.split(",")]
         if args.repeats < 1:
             raise SystemExit(f"--repeats must be >= 1, got {args.repeats}")
         with open(args.out, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["steps", "seconds", "samples_per_sec", "accuracy"])
-            for steps in grid:
+            for steps in args.grid:
                 step_cfg = dataclasses.replace(dc, steps=steps)
                 t0 = time.perf_counter()
                 for _ in range(args.repeats):
@@ -153,13 +153,27 @@ def _cmd_sweep(args) -> int:
     if args.out_dir:
         base = base.replace(out_dir=args.out_dir)
     if args.mode == "data-scaling":
-        pds = [int(x) for x in args.pds.split(",")]
-        sizes = [int(x) for x in args.sizes.split(",")]
-        data_scaling_sweep(base, pds, sizes, args.threshold, args.out)
+        data_scaling_sweep(base, args.pds, args.sizes, args.threshold, args.out)
     else:
         reweight_ablation(base, args.out)
     print(f"sweep table -> {args.out}")
     return 0
+
+
+def _ints(lo: int, hi: float = math.inf):
+    """argparse type: a comma-separated list of integers in [lo, hi], so a
+    bad entry is a usage error before any work starts."""
+    def parse(text: str) -> list[int]:
+        try:
+            values = [int(x) for x in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated integers, got {text!r}") from None
+        for v in values:
+            if not lo <= v <= hi:
+                raise argparse.ArgumentTypeError(f"{v} is not in [{lo}, {hi}]")
+        return values
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--what", choices=["taxonomy", "profile", "throughput"], required=True)
     a.add_argument("--out", required=True)
     a.add_argument("--limit", type=int, default=0)
-    a.add_argument("--grid", default="1,5,10,20")
+    a.add_argument("--grid", type=_ints(1), default="1,5,10,20")
     a.add_argument("--repeats", type=int, default=1)
     a.set_defaults(fn=_cmd_analyze)
 
@@ -218,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--config", required=True)
     w.add_argument("--out", required=True)
     w.add_argument("--out-dir")
-    w.add_argument("--pds", default="0,1,2,3")
-    w.add_argument("--sizes", default="100,300,1000,3000")
+    w.add_argument("--pds", type=_ints(0, planning.MAX_PD), default="0,1,2,3")
+    w.add_argument("--sizes", type=_ints(1), default="100,300,1000,3000")
     w.add_argument("--threshold", type=float, default=0.9)
     w.set_defaults(fn=_cmd_sweep)
     return p

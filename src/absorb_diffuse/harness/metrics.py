@@ -1,16 +1,17 @@
 """Append-only JSONL metrics with schema validation.
 
-Every record is validated against the published schema when it is appended
-and again when it is read back. wall_time and samples_per_sec carry
-wall-clock measurements and are the only fields allowed to differ between
-same-seed runs.
+A record is a plain dict, and the published schema is its one definition:
+every record is validated against the schema when it is appended and again
+when it is read back, and is written with every schema property (null where
+absent) in sorted key order. wall_time and samples_per_sec carry wall-clock
+measurements and are the only fields allowed to differ between same-seed
+runs.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import asdict, dataclass
 
 import jsonschema
 
@@ -24,31 +25,7 @@ def _load_schema() -> dict:
 
 _SCHEMA = _load_schema()
 _VALIDATOR = jsonschema.Draft7Validator(_SCHEMA)
-
-
-def metrics_schema() -> dict:
-    return _SCHEMA
-
-
-@dataclass
-class MetricsRecord:
-    kind: str
-    step: int
-    task: str
-    model_kind: str
-    seed: int
-    loss: float | None = None
-    lr: float | None = None
-    grad_norm: float | None = None
-    accuracy: float | None = None
-    per_pd: dict | None = None
-    n_eval: int | None = None
-    epoch: int | None = None
-    wall_time: float | None = None
-    samples_per_sec: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+_NULLS = dict.fromkeys(_SCHEMA["properties"])
 
 
 def validate_record(record: dict) -> None:
@@ -58,11 +35,12 @@ def validate_record(record: dict) -> None:
         raise ValueError(f"metrics record failed schema validation: {msgs}")
 
 
-def append_record(path: str, record: "MetricsRecord | dict") -> None:
-    d = record.to_dict() if isinstance(record, MetricsRecord) else dict(record)
-    validate_record(d)
+def append_record(path: str, record: dict) -> None:
+    """Validate a record as given, so an unknown key is rejected, then
+    append it with every schema property."""
+    validate_record(record)
     with open(path, "a", encoding="utf-8", newline="\n") as f:
-        f.write(json.dumps(d, sort_keys=True) + "\n")
+        f.write(json.dumps({**_NULLS, **record}, sort_keys=True) + "\n")
 
 
 def read_records(path: str) -> list[dict]:

@@ -29,7 +29,7 @@ from ..model import DenoiserModel, ModelConfig, ar_nll
 from ..tasks import Vocabulary, encode_instances, get_task, read_instances
 from .config import ExperimentConfig, run_jobs
 from .evaluate import evaluate_model
-from .metrics import MetricsRecord, append_record
+from .metrics import append_record
 
 
 # Every step runs as SHARDS row shards, whatever the number of workers, and
@@ -192,6 +192,7 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
             raise ValueError(f"{resume_from}: train_steps {cfg.train_steps} leaves nothing to "
                              f"train past the checkpoint's step {start_step}")
     os.makedirs(cfg.out_dir, exist_ok=True)
+    head = {"task": task.name, "model_kind": cfg.model_kind, "seed": cfg.seed}
 
     def save(to_dir: str, step: int) -> None:
         ckpt.save_checkpoint(
@@ -206,10 +207,9 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
         t0 = time.perf_counter()
         res = evaluate_model(model, cfg.model_kind, task, vocab, eval_instances, cfg.decode_config())
         dt = time.perf_counter() - t0
-        append_record(metrics_path, MetricsRecord(
-            kind="eval", step=step, task=task.name, model_kind=cfg.model_kind,
-            seed=cfg.seed, accuracy=res.accuracy, per_pd=res.per_pd, n_eval=res.n,
-            wall_time=dt, samples_per_sec=res.n / dt if dt > 0 else None))
+        append_record(metrics_path, {
+            **head, "kind": "eval", "step": step, **res.to_metrics(),
+            "wall_time": dt, "samples_per_sec": res.n / dt if dt > 0 else None})
         if not quiet:
             log(f"step {step}: eval accuracy {res.accuracy:.3f} "
                 + (f"per_pd {res.per_pd}" if res.per_pd else ""))
@@ -251,11 +251,10 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
         if (step + 1) % cfg.log_every == 0 or step + 1 == cfg.train_steps:
             now = time.perf_counter()
             dt = now - last_log
-            append_record(metrics_path, MetricsRecord(
-                kind="train_step", step=step + 1, task=task.name,
-                model_kind=cfg.model_kind, seed=cfg.seed, loss=loss_val,
-                lr=lr_t, grad_norm=grad_norm, epoch=sampler.epoch,
-                wall_time=dt, samples_per_sec=rows_trained / dt if dt > 0 else None))
+            append_record(metrics_path, {
+                **head, "kind": "train_step", "step": step + 1, "loss": loss_val,
+                "lr": lr_t, "grad_norm": grad_norm, "epoch": sampler.epoch,
+                "wall_time": dt, "samples_per_sec": rows_trained / dt if dt > 0 else None})
             last_log, rows_trained = now, 0
             if not quiet:
                 log(f"step {step + 1}/{cfg.train_steps}: loss {loss_val:.4f}")
@@ -266,11 +265,7 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
 
     final_eval = run_eval(cfg.train_steps)
     save(ckpt_dir, cfg.train_steps)
-    append_record(metrics_path, MetricsRecord(
-        kind="final", step=cfg.train_steps, task=task.name, model_kind=cfg.model_kind,
-        seed=cfg.seed, loss=loss_val,
-        accuracy=None if final_eval is None else final_eval["accuracy"],
-        per_pd=None if final_eval is None else final_eval["per_pd"],
-        n_eval=None if final_eval is None else final_eval["n_eval"]))
+    append_record(metrics_path, {**head, "kind": "final", "step": cfg.train_steps,
+                                 "loss": loss_val, **(final_eval or {})})
     return TrainResult(cfg.out_dir, ckpt_dir, metrics_path, cfg.train_steps,
                        loss_val, final_eval)

@@ -43,6 +43,12 @@ def numeric_gradient(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
     return grad
 
 
+def zero_grads(params: dict) -> None:
+    """Clear every parameter's .grad before a fresh backward pass."""
+    for p in params.values():
+        p.grad = None
+
+
 def check_gradient(build, params: dict[str, np.ndarray], tol: float,
                    eps: float = 1e-3) -> None:
     """Compare autodiff gradients of `build` against finite differences.
@@ -52,7 +58,7 @@ def check_gradient(build, params: dict[str, np.ndarray], tol: float,
     """
     nodes = {k: ad.parameter(v.copy()) for k, v in params.items()}
     loss = build(nodes)
-    ad.zero_grads(nodes)
+    zero_grads(nodes)
     loss.backward()
     analytic = {k: n.grad.copy() for k, n in nodes.items()}
 

@@ -39,7 +39,8 @@ from absorb_diffuse.tasks.registry import TASKS, encode_instances
 from absorb_diffuse.tasks.sat import clause_count
 
 from conftest import record_criterion
-from helpers import check_gradient, elbo_exact, forward_marginal, kl_term, posterior
+from helpers import (check_gradient, elbo_exact, forward_marginal, kl_term, posterior,
+                     zero_grads)
 from test_tasks import (
     GOLD_CD3,
     GOLD_CD4,
@@ -274,7 +275,7 @@ def test_criterion_3_gradient_correctness():
         return loss
 
     loss = loss_at()
-    ad.zero_grads(model.params)
+    zero_grads(model.params)
     loss.backward()
     worst = 0.0
     eps = 5e-4

@@ -73,18 +73,7 @@ def test_matmul_batched_gradient():
     check_gradient(build, params, TOL_F32)
 
 
-def test_matmul_nd_by_2d_gradient():
-    params = {"a": _p((2, 3, 4)), "w": _p((4, 5))}
-
-    def build(n):
-        out = ad.matmul(n["a"], n["w"])  # [2, 3, 5]
-        flat = ad.reshape(out, (1, 30))
-        return ad.reshape(ad.matmul(flat, ad.constant(np.ones((30, 1), np.float32))), ())
-
-    check_gradient(build, params, TOL_F32)
-
-
-@pytest.mark.parametrize("a_shape", [(3, 4), (2, 3, 4)])
+@pytest.mark.parametrize("a_shape", [(3, 4)])
 def test_matmul_bias_gradient_float64(a_shape):
     params = {"a": _p(a_shape, dtype=np.float64), "w": _p((4, 5), dtype=np.float64),
               "c": _p((5,), dtype=np.float64)}
@@ -111,11 +100,13 @@ def test_matmul_rejects_a_bias_that_is_not_one_output_row():
 
 
 def test_matmul_shape_errors_name_both_shapes():
-    a = ad.constant(np.zeros((2, 3), np.float32))
-    b = ad.constant(np.zeros((4, 2), np.float32))
-    with pytest.raises(ValueError) as exc:
-        ad.matmul(a, b)
-    assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
+    # inner dims that differ, and an N-D @ 2-D product (leading dims differ)
+    for a_shape, b_shape in (((2, 3), (4, 2)), ((2, 3, 4), (4, 5))):
+        a = ad.constant(np.zeros(a_shape, np.float32))
+        b = ad.constant(np.zeros(b_shape, np.float32))
+        with pytest.raises(ValueError) as exc:
+            ad.matmul(a, b)
+        assert str(a_shape) in str(exc.value) and str(b_shape) in str(exc.value)
 
 
 def test_narrow_and_concat_roundtrip_gradient():
@@ -457,7 +448,7 @@ def _small_graph():
     a = ad.parameter(rng.standard_normal((3, 4)).astype(np.float32))
     w = ad.parameter(rng.standard_normal((4, 4)).astype(np.float32))
     gain, bias = ad.parameter(np.ones(4)), ad.parameter(np.zeros(4))
-    x = ad.embedding_lookup(a, np.array([[0, 2], [2, 1]]))
+    x = ad.reshape(ad.embedding_lookup(a, np.array([[0, 2], [2, 1]])), (4, 4))
     h = ad.gelu(ad.matmul(x, w, bias))
     h = ad.layer_norm(ad.add(h, ad.constant(np.ones(4))), gain, bias)
     return a, ad.softmax(ad.scale(h, 0.5))

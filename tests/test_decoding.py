@@ -189,7 +189,7 @@ def test_ar_decode_matches_full_canvas_loop():
     conds = [list(rng.integers(0, VOCAB - 2, size=n)) for n in (4, 2, 1, 3, 4, 1, 2, 3)]
     outs = [list(rng.integers(0, VOCAB - 2, size=n)) for n in (8, 5, 8, 2, 1, 7, 4, 6)]
     batch = pack_rows(conds, outs, 4, 8, PAD_ID)
-    cfg = ModelConfig(vocab_size=VOCAB, max_seq_len=batch.width, n_layers=2,
+    cfg = ModelConfig(vocab_size=VOCAB, max_seq_len=batch.tokens.shape[1], n_layers=2,
                       n_heads=2, hidden_dim=16, attention="causal")
     with ad.using_dtype(np.float64):
         model = DenoiserModel(cfg, seed=6)

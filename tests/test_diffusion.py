@@ -19,7 +19,7 @@ from absorb_diffuse.diffusion import (
 )
 from absorb_diffuse.model import ModelConfig, DenoiserModel
 
-from helpers import beta, elbo_exact, forward_marginal, kl_term, posterior
+from helpers import beta, elbo_exact, forward_marginal, kl_term, posterior, zero_grads
 
 RNG = np.random.default_rng(20240818)
 
@@ -222,6 +222,17 @@ def test_sample_xt_rate_matches_one_minus_alpha():
         assert abs(rate - t / 4) < 0.02, (t, rate)
 
 
+def test_corrupted_batch_rejects_a_target_slot_that_is_padding():
+    batch = _planning_like_batch(rows=2)
+    pad_mask = batch.pad_mask.copy()
+    pad_mask[0, batch.cond_width] = False
+    with pytest.raises(ValueError, match="padding"):
+        CorruptedBatch(tokens=batch.tokens.copy(), target_mask=batch.target_mask,
+                       pad_mask=pad_mask, cond_width=batch.cond_width,
+                       x0=batch.tokens.copy(), corrupted=np.zeros_like(batch.target_mask),
+                       t=np.array([1, 1]))
+
+
 def test_draw_t_range_and_coverage():
     sched = NoiseSchedule.linear(6)
     t = draw_t(sched, 5000, np.random.default_rng(0))
@@ -305,7 +316,7 @@ def test_loss_zero_when_nothing_corrupted():
     loss, report = diffusion_loss(model, cb, sched, rw)
     assert float(loss.value) == 0.0
     assert (report.u == 0).all()
-    ad.zero_grads(model.params)
+    zero_grads(model.params)
     loss.backward()  # must not raise
 
 

@@ -1,6 +1,7 @@
 """Experiment harness: config, metrics, evaluation, training loop, CLI."""
 
 import importlib
+import importlib.resources
 import itertools
 import json
 import os
@@ -27,9 +28,7 @@ from absorb_diffuse.harness.config import (
 )
 from absorb_diffuse.harness.evaluate import evaluate_model
 from absorb_diffuse.harness.metrics import (
-    MetricsRecord,
     append_record,
-    metrics_schema,
     read_records,
     strip_wall_clock,
     validate_record,
@@ -49,6 +48,8 @@ from absorb_diffuse.tasks.base import (
 )
 from absorb_diffuse.tasks.planning import find_pd, gen_planning
 from absorb_diffuse.tasks.registry import encode_instances
+
+from helpers import zero_grads
 
 # the harness package re-exports a train() that shadows this module's name
 train_mod = importlib.import_module("absorb_diffuse.harness.train")
@@ -211,11 +212,11 @@ def test_run_jobs_keeps_job_order_and_restores_blas(monkeypatch):
 
 def test_metrics_append_and_read(tmp_path):
     path = str(tmp_path / "m.jsonl")
-    append_record(path, MetricsRecord(kind="train_step", step=1, task="planning",
-                                      model_kind="diffusion", seed=0, loss=1.5))
-    append_record(path, MetricsRecord(kind="eval", step=2, task="planning",
-                                      model_kind="diffusion", seed=0, accuracy=0.5,
-                                      per_pd={"0": 0.5}, n_eval=10, wall_time=0.1))
+    append_record(path, {"kind": "train_step", "step": 1, "task": "planning",
+                         "model_kind": "diffusion", "seed": 0, "loss": 1.5})
+    append_record(path, {"kind": "eval", "step": 2, "task": "planning",
+                         "model_kind": "diffusion", "seed": 0, "accuracy": 0.5,
+                         "per_pd": {"0": 0.5}, "n_eval": 10, "wall_time": 0.1})
     recs = read_records(path)
     assert [r["kind"] for r in recs] == ["train_step", "eval"]
     assert recs[1]["per_pd"] == {"0": 0.5}
@@ -223,8 +224,8 @@ def test_metrics_append_and_read(tmp_path):
 
 def test_read_records_rejects_malformed_record(tmp_path):
     path = str(tmp_path / "m.jsonl")
-    append_record(path, MetricsRecord(kind="train_step", step=1, task="planning",
-                                      model_kind="diffusion", seed=0, loss=1.5))
+    append_record(path, {"kind": "train_step", "step": 1, "task": "planning",
+                         "model_kind": "diffusion", "seed": 0, "loss": 1.5})
     with open(path, "a") as f:
         f.write(json.dumps({"kind": "eval", "step": "two", "task": "planning",
                             "model_kind": "diffusion", "seed": 0}) + "\n")
@@ -252,8 +253,28 @@ def test_metrics_schema_rejects_bad_records():
                          "model_kind": "diffusion", "seed": 0})
 
 
+def test_append_record_writes_every_schema_property(tmp_path):
+    path = tmp_path / "m.jsonl"
+    append_record(str(path), {"kind": "final", "step": 3, "task": "planning",
+                              "model_kind": "ar", "seed": 7})
+    assert path.read_text() == (
+        '{"accuracy": null, "epoch": null, "grad_norm": null, "kind": "final", '
+        '"loss": null, "lr": null, "model_kind": "ar", "n_eval": null, '
+        '"per_pd": null, "samples_per_sec": null, "seed": 7, "step": 3, '
+        '"task": "planning", "wall_time": null}\n')
+
+
+def test_append_record_rejects_a_misspelt_key(tmp_path):
+    path = tmp_path / "m.jsonl"
+    with pytest.raises(ValueError, match="accuracyy"):
+        append_record(str(path), {"kind": "eval", "step": 1, "task": "planning",
+                                  "model_kind": "diffusion", "seed": 0, "accuracyy": 0.5})
+    assert not path.exists()
+
+
 def test_metrics_schema_shape():
-    schema = metrics_schema()
+    ref = importlib.resources.files("absorb_diffuse") / "schemas" / "metrics.schema.json"
+    schema = json.loads(ref.read_text())
     assert schema["type"] == "object"
     assert "kind" in schema["required"]
 
@@ -657,7 +678,7 @@ def test_shard_gradients_sum_to_the_full_batch_gradient(kind):
     assert len(shards) == 2
     norm = train_mod._gather_grads(model.params, [grads for _, grads in shards])
     summed = {k: p.grad for k, p in model.params.items()}
-    ad.zero_grads(model.params)
+    zero_grads(model.params)
     full.backward()
     assert sum(value for value, _ in shards) == pytest.approx(float(full.value), rel=1e-12)
     full_norm = np.sqrt(sum(np.square(p.grad).sum() for p in model.params.values()))
@@ -926,6 +947,19 @@ def test_cli_rejects_a_negative_limit(ar_checkpoint):
     for cmd, flag in (("eval", "--limit"), ("sample", "--n")):
         with pytest.raises(SystemExit, match="must be >= 0, got -1"):
             cli_main([cmd, "--checkpoint", ckpt, "--data", data, flag, "-1"])
+
+
+def test_cli_list_flags_reject_a_bad_entry_before_any_work(tmp_path):
+    # the checkpoint, data and config do not exist: parsing must fail first
+    out = str(tmp_path / "out.csv")
+    analyze = ["analyze", "--checkpoint", "missing", "--data", "missing",
+               "--what", "throughput", "--out", out, "--grid"]
+    sweep = ["sweep", "--mode", "data-scaling", "--config", "missing", "--out", out]
+    for argv in (analyze + ["0,2"], analyze + ["1,x"], sweep + ["--pds", "9"],
+                 sweep + ["--sizes", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_analyze_throughput_decodes_an_ar_checkpoint_with_ar_decode(

@@ -17,6 +17,8 @@ from absorb_diffuse.model import (
     ar_nll,
 )
 
+from helpers import zero_grads
+
 RNG = np.random.default_rng(99)
 
 
@@ -166,7 +168,7 @@ def test_queries_from_gradients_match_the_full_forward(attention):
 
     def grads(logits):
         flat = ad.reshape(logits, (n, cfg.content_vocab))
-        ad.zero_grads(model.params)
+        zero_grads(model.params)
         ad.softmax_cross_entropy(flat, targets, weights).backward()
         return {k: p.grad for k, p in model.params.items()}
 
@@ -367,7 +369,7 @@ def test_ar_nll_decreases_when_memorizing():
         loss, _ = ar_nll(model, batch)
         if first is None:
             first = float(loss.value)
-        ad.zero_grads(model.params)
+        zero_grads(model.params)
         loss.backward()
         opt.step(3e-3)
     last, _ = ar_nll(model, batch)
@@ -389,7 +391,7 @@ def test_composed_model_gradient_fd():
         return ad.softmax_cross_entropy(flat, targets.reshape(-1), weights.reshape(-1))
 
     loss = loss_value()
-    ad.zero_grads(model.params)
+    zero_grads(model.params)
     loss.backward()
 
     # directional central differences along the analytic gradient: one clean
@@ -420,7 +422,7 @@ def _trained_tiny(seed):
     flat = ad.reshape(logits, (-1, cfg.content_vocab))
     n = flat.value.shape[0]
     loss = ad.softmax_cross_entropy(flat, np.zeros(n, np.int64), np.ones(n) / n)
-    ad.zero_grads(model.params)
+    zero_grads(model.params)
     loss.backward()
     opt.step(1e-3)
     return model, opt, batch_tokens
