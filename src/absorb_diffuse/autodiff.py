@@ -80,14 +80,6 @@ class Node:
         self._parents = tuple(parents)
         self._backward = backward
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def dtype(self):
-        return self.value.dtype
-
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
@@ -394,17 +386,14 @@ def layer_norm(a: Node, gain: Node, bias: Node) -> Node:
     return Node(out, parents=(a, gain, bias), backward=backward)
 
 
-def softmax(a: Node, bias: np.ndarray | None = None) -> Node:
-    """Softmax over the last axis of a.value + bias. The optional bias is a
-    constant that broadcasts against a, such as an attention mask with
-    NEG_INF on forbidden keys; it is added into softmax's own fresh array
-    and gets no gradient."""
+def softmax(a: Node, bias: np.ndarray) -> Node:
+    """Softmax over the last axis of a.value + bias. The bias is a constant
+    that broadcasts against a, such as an attention mask with NEG_INF on
+    forbidden keys; it is added into softmax's own fresh array and gets no
+    gradient."""
     x = a.value
-    if bias is None:
-        p = x - x.max(axis=-1, keepdims=True)
-    else:
-        p = x + bias
-        p -= p.max(axis=-1, keepdims=True)
+    p = x + bias
+    p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= _row_sum(p).astype(x.dtype)
 

@@ -52,18 +52,13 @@ def _sample(logits: np.ndarray, temperature: float, rng: np.random.Generator):
 
 
 def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int, pad_id: int,
-                     rng: np.random.Generator | None = None,
-                     trace: list | None = None) -> np.ndarray:
+                     rng: np.random.Generator) -> np.ndarray:
     """Fill the target region of `batch` by parallel refinement.
 
     Target lengths come from the batch layout; every target slot is decoded
     (the model cannot emit pad or mask, so output length is fixed up front).
     Returns int32 [B, target_width] with pad_id beyond each row's length.
-    If `trace` is a list, one bool [B, S] array of revealed positions is
-    appended per step (False in the condition columns).
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     w = batch.cond_width
     target = batch.target_mask[:, w:]
     x = batch.tokens.copy()
@@ -89,20 +84,17 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int, pad_i
 
         keep = np.ceil(s * lengths / cfg.steps).astype(np.int64)
         order = np.argsort(-conf, axis=1, kind="stable")  # ties: lowest index first
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.arange(xt.shape[1])[None, :].repeat(xt.shape[0], 0), axis=1)
+        ranks = np.argsort(order, axis=1)  # the inverse permutation: each slot's rank
         chosen = (ranks < keep[:, None]) & target
 
         xt[target] = mask_id
         xt[chosen] = sampled[chosen]
-        if trace is not None:
-            trace.append(np.pad(chosen, ((0, 0), (w, 0))))
 
     return np.where(target, xt, pad_id)
 
 
 def ar_decode(model, batch: Batch, cfg: DecodeConfig, pad_id: int,
-              rng: np.random.Generator | None = None) -> np.ndarray:
+              rng: np.random.Generator) -> np.ndarray:
     """Sample each row's target region left to right with a causal model.
 
     The first forward runs the condition prefix and fills a key/value
@@ -114,8 +106,6 @@ def ar_decode(model, batch: Batch, cfg: DecodeConfig, pad_id: int,
     """
     if model.config.attention != "causal":
         raise ValueError("ar_decode requires a causal model")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     w = batch.cond_width
     lengths = batch.target_lengths()
 

@@ -211,32 +211,25 @@ def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
 
 
 def subgoal_loss_profile(model, batch: Batch, schedule: NoiseSchedule, mask_id: int,
-                         rng: np.random.Generator, n_samples: int = 4,
-                         segments: np.ndarray | None = None) -> dict:
-    """Mean reconstruction loss per noise level (and per output segment),
-    and the Monte Carlo negative ELBO.
+                         rng: np.random.Generator, segments: np.ndarray,
+                         n_samples: int = 4) -> dict:
+    """Mean reconstruction loss per noise level and per output segment, and
+    the Monte Carlo negative ELBO.
 
     For each t, corrupt the batch n_samples times and read u at the
-    corrupted positions from `diffusion_loss`. With a [B, S] integer segment
-    map (e.g. equation index within each target), also break the average
+    corrupted positions from `diffusion_loss`; the [B, S] integer array
+    `segments` (e.g. equation index within each target) breaks the average
     out by segment. The NELBO, in nats summed over the batch, is
     sum_t lam_t * E[sum of u at level t]: an upper bound on the targets'
     negative log likelihood given the conditions when alpha_T = 0 (the
     terminal state carries no information), else None.
-    Returns {"t": [T], "mean_u": [T], "segments": sorted ids or None,
-    "per_segment": [T, n_segments] or None, "nelbo": float or None}.
+    Returns {"t": [T], "mean_u": [T], "segments": sorted ids,
+    "per_segment": [T, n_segments], "nelbo": float or None}.
     """
     T = schedule.T
-    seg_ids = None
-    if segments is not None:
-        segments = np.asarray(segments)
-        if segments.shape != batch.tokens.shape:
-            raise ValueError(
-                f"segment map shape {segments.shape} != batch shape {batch.tokens.shape}"
-            )
-        seg_ids = np.unique(segments[batch.target_mask])
-        seg_sum = np.zeros((T, seg_ids.size))
-        seg_count = np.zeros((T, seg_ids.size))
+    seg_ids = np.unique(segments[batch.target_mask])
+    seg_sum = np.zeros((T, seg_ids.size))
+    seg_count = np.zeros((T, seg_ids.size))
     u_sum = np.zeros(T)
     count = np.zeros(T, dtype=np.int64)
     plain_bound = ReweightConfig()
@@ -250,16 +243,15 @@ def subgoal_loss_profile(model, batch: Batch, schedule: NoiseSchedule, mask_id: 
             u = report.u[cb.corrupted]
             u_sum[ti - 1] += u.sum()
             count[ti - 1] += u.size
-            if seg_ids is not None:
-                j = np.searchsorted(seg_ids, segments[cb.corrupted])
-                seg_sum[ti - 1] += np.bincount(j, weights=u, minlength=seg_ids.size)
-                seg_count[ti - 1] += np.bincount(j, minlength=seg_ids.size)
+            j = np.searchsorted(seg_ids, segments[cb.corrupted])
+            seg_sum[ti - 1] += np.bincount(j, weights=u, minlength=seg_ids.size)
+            seg_count[ti - 1] += np.bincount(j, minlength=seg_ids.size)
     lam = schedule.survival(np.arange(1, T + 1))
     return {
         "t": np.arange(1, T + 1),
         "mean_u": u_sum / np.maximum(count, 1),
         "segments": seg_ids,
-        "per_segment": None if seg_ids is None else seg_sum / np.maximum(seg_count, 1),
+        "per_segment": seg_sum / np.maximum(seg_count, 1),
         # a running total in t order (np.sum would pair the terms)
         "nelbo": float(sum(lam * u_sum / n_samples)) if schedule.alpha[-1] == 0.0 else None,
     }

@@ -121,8 +121,7 @@ def _cmd_analyze(args) -> int:
         segs = segment_map(task, batch, instances)
         rng = np.random.default_rng(dc.seed)
         schedule = NoiseSchedule.linear(cfg.schedule_T)
-        prof = subgoal_loss_profile(model, batch, schedule, vocab.mask_id, rng,
-                                    segments=segs)
+        prof = subgoal_loss_profile(model, batch, schedule, vocab.mask_id, rng, segs)
         with open(args.out, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["t", "mean_u"] + [f"segment_{s}" for s in prof["segments"]])
@@ -136,6 +135,9 @@ def _cmd_analyze(args) -> int:
         with open(args.out, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["steps", "seconds", "samples_per_sec", "accuracy"])
+            # untimed warm-up: a process's first decode runs cold, which would slow row one
+            evaluate_model(model, cfg.model_kind, task, vocab, instances,
+                           dataclasses.replace(dc, steps=1))
             for steps in args.grid:
                 step_cfg = dataclasses.replace(dc, steps=steps)
                 t0 = time.perf_counter()
@@ -160,20 +162,24 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _ints(lo: int, hi: float = math.inf):
-    """argparse type: a comma-separated list of integers in [lo, hi], so a
-    bad entry is a usage error before any work starts."""
-    def parse(text: str) -> list[int]:
+def _int(lo: int, hi: float = math.inf):
+    """argparse type: an integer in [lo, hi], so a bad value is a usage
+    error before any work starts."""
+    def parse(text: str) -> int:
         try:
-            values = [int(x) for x in text.split(",")]
+            v = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated integers, got {text!r}") from None
-        for v in values:
-            if not lo <= v <= hi:
-                raise argparse.ArgumentTypeError(f"{v} is not in [{lo}, {hi}]")
-        return values
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if not lo <= v <= hi:
+            raise argparse.ArgumentTypeError(f"{v} is not in [{lo}, {hi}]")
+        return v
     return parse
+
+
+def _ints(lo: int, hi: float = math.inf):
+    """argparse type: a comma-separated list of integers in [lo, hi]."""
+    one = _int(lo, hi)
+    return lambda text: [one(x) for x in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,10 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate task instance files")
     g.add_argument("--task", required=True)
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--n-train", type=int, default=1000)
-    g.add_argument("--n-test", type=int, default=200)
+    g.add_argument("--n-train", type=_int(0), default=1000)
+    g.add_argument("--n-test", type=_int(0), default=200)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--pd", type=int, action="append",
+    g.add_argument("--pd", type=_int(0, planning.MAX_PD), action="append",
                    help="planning distance; repeat for a mixture (planning only)")
     g.set_defaults(fn=_cmd_generate)
 

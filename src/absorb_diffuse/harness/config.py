@@ -180,11 +180,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         known = {f.name for f in dataclasses.fields(cls)}

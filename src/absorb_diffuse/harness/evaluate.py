@@ -36,9 +36,9 @@ def _decode_chunk(model, model_kind: str, batch: Batch, cfg: DecodeConfig,
                   vocab, chunk_seed: int) -> list:
     rng = np.random.default_rng(np.random.SeedSequence([chunk_seed, cfg.seed]))
     if model_kind == "diffusion":
-        ids = diffusion_decode(model, batch, cfg, vocab.mask_id, vocab.pad_id, rng=rng)
+        ids = diffusion_decode(model, batch, cfg, vocab.mask_id, vocab.pad_id, rng)
     else:
-        ids = ar_decode(model, batch, cfg, vocab.pad_id, rng=rng)
+        ids = ar_decode(model, batch, cfg, vocab.pad_id, rng)
     return [vocab.decode(row) for row in ids]
 
 

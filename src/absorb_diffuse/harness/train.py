@@ -143,7 +143,7 @@ def load_model(checkpoint_dir: str):
     extra = loaded.manifest["extra"]
     cfg = ExperimentConfig.from_dict(extra["experiment"])
     vocab = Vocabulary(extra["vocab_chars"])
-    model = DenoiserModel(ModelConfig.from_dict(loaded.model_config), params=loaded.params)
+    model = DenoiserModel(ModelConfig(**loaded.model_config), params=loaded.params)
     return model, vocab, cfg
 
 
@@ -196,7 +196,7 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
 
     def save(to_dir: str, step: int) -> None:
         ckpt.save_checkpoint(
-            to_dir, model.params, model_cfg.to_dict(), opt.state_dict(),
+            to_dir, model.params, dataclasses.asdict(model_cfg), opt.state_dict(),
             {"noise": noise_rng.bit_generator.state, "sampler": sampler.state()}, step,
             {"experiment": cfg.to_dict(), "vocab_chars": vocab.chars, "task": task.name},
         )

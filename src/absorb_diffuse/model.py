@@ -10,7 +10,7 @@ tokens only, so the model can never emit mask or pad.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +53,6 @@ class ModelConfig:
     def content_vocab(self) -> int:
         # mask and pad are input-only specials
         return self.vocab_size - 2
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 def param_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:

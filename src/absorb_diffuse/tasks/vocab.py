@@ -50,6 +50,3 @@ class Vocabulary:
                 raise ValueError(f"id {i} outside vocabulary of size {self.size}")
             out.append(self.chars[i])
         return "".join(out)
-
-    def __eq__(self, other):
-        return isinstance(other, Vocabulary) and self.chars == other.chars

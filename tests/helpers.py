@@ -233,12 +233,10 @@ def lookahead_solve(input_text: str, lookahead: int) -> str | None:
 # left-to-right decoding without a key/value cache
 
 
-def ar_decode_full_canvas(model, batch, cfg, pad_id: int, rng=None) -> np.ndarray:
+def ar_decode_full_canvas(model, batch, cfg, pad_id: int, rng) -> np.ndarray:
     """`decoding.ar_decode` as a full-canvas loop: every step runs the
     model over the whole canvas and reads the logits one slot before the
     position being generated. Same arguments, sampling order and output."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     w = batch.cond_width
     lengths = batch.target_lengths()
 
@@ -259,3 +257,17 @@ def ar_decode_full_canvas(model, batch, cfg, pad_id: int, rng=None) -> np.ndarra
     for i in range(x.shape[0]):
         out[i, :emitted[i]] = x[i, w:w + emitted[i]]
     return out
+
+
+# ---------------------------------------------------------------------------
+# reveal order of the parallel decoder
+
+
+def reveals_per_step(canvases, out, batch, mask_id: int) -> list:
+    """Revealed target slots after each step of `decoding.diffusion_decode`,
+    each bool [B, target_width]. canvases are copies of the canvas that each
+    forward received, in call order: the one before step s + 1 shows step
+    s's reveals, and the output shows the last step's."""
+    w = batch.cond_width
+    target = batch.target_mask[:, w:]
+    return [(c[:, w:] != mask_id) & target for c in canvases[1:]] + [(out != mask_id) & target]

@@ -186,11 +186,11 @@ def test_softmax_gradient_and_normalization():
     pick = ad.constant(_p((5, 1)))
 
     def build(n):
-        s = ad.softmax(n["a"])
+        s = ad.softmax(n["a"], 0.0)
         return ad.reshape(ad.matmul(ad.matmul(ad.constant(np.ones((1, 3), np.float32)), s), pick), ())
 
     check_gradient(build, params, TOL_F32)
-    sm = ad.softmax(ad.constant(_p((4, 9), scale=5.0))).value
+    sm = ad.softmax(ad.constant(_p((4, 9), scale=5.0)), 0.0).value
     assert np.allclose(sm.sum(axis=-1), 1.0, atol=1e-5)
 
 
@@ -218,7 +218,7 @@ def test_softmax_with_a_bias_matches_a_float64_reference():
     ref /= ref.sum(axis=-1, keepdims=True)
     np.testing.assert_allclose(p, ref, rtol=1e-5, atol=1e-7)
     # the fold changes no bits against adding the mask first
-    np.testing.assert_array_equal(p, ad.softmax(ad.add(ad.constant(x), ad.constant(bias))).value)
+    np.testing.assert_array_equal(p, ad.softmax(ad.add(ad.constant(x), ad.constant(bias)), 0.0).value)
     check_gradient(lambda n: _weighted_sum(ad.softmax(n["a"], bias)), {"a": x}, TOL_F32)
 
 
@@ -271,7 +271,7 @@ def test_kernels_leave_their_input_unchanged(recording):
     ops = {
         "gelu": ad.gelu,
         "layer_norm": lambda a: ad.layer_norm(a, ad.constant(gain), ad.constant(bias)),
-        "softmax": ad.softmax,
+        "softmax": lambda a: ad.softmax(a, 0.0),
         "softmax+bias": lambda a: ad.softmax(a, mask),
     }
     for name, op in ops.items():
@@ -451,7 +451,7 @@ def _small_graph():
     x = ad.reshape(ad.embedding_lookup(a, np.array([[0, 2], [2, 1]])), (4, 4))
     h = ad.gelu(ad.matmul(x, w, bias))
     h = ad.layer_norm(ad.add(h, ad.constant(np.ones(4))), gain, bias)
-    return a, ad.softmax(ad.scale(h, 0.5))
+    return a, ad.softmax(ad.scale(h, 0.5), 0.0)
 
 
 def test_no_grad_nodes_keep_no_parents_and_no_backward():

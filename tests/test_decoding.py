@@ -8,7 +8,7 @@ from absorb_diffuse.data import pack_rows
 from absorb_diffuse.decoding import DecodeConfig, ar_decode, diffusion_decode
 from absorb_diffuse.model import ModelConfig, DenoiserModel
 
-from helpers import ar_decode_full_canvas
+from helpers import ar_decode_full_canvas, reveals_per_step
 
 RNG = np.random.default_rng(515)
 
@@ -23,16 +23,16 @@ class OracleDenoiser:
     conf_fn(position index) -> probability assigned to the true token;
     leftover mass spreads over the other content tokens. Positions scored
     higher are committed earlier by the TopK rule, letting tests dictate
-    the reveal order exactly.
+    the reveal order exactly. Each canvas it is given is kept in `canvases`.
     """
 
     def __init__(self, truth: np.ndarray, conf_fn=None):
         self.truth = truth  # [B, S] int
         self.conf_fn = conf_fn or (lambda pos: 0.999)
-        self.calls = 0
+        self.canvases = []
 
     def forward(self, tokens, pad_mask=None, cache=None, queries_from=0):
-        self.calls += 1
+        self.canvases.append(np.array(tokens))  # a copy: the decoder writes its canvas
         b, s = tokens.shape
         k = VOCAB - 2
         logits = np.zeros((b, s, k), dtype=np.float64)
@@ -46,6 +46,10 @@ class OracleDenoiser:
                 if true_tok < k:
                     logits[i, pos, true_tok] = np.log(p_true)
         return ad.constant(logits[:, queries_from:], dtype=np.float64)
+
+
+def _rng(cfg):
+    return np.random.default_rng(cfg.seed)
 
 
 def _oracle_batch(rows=3, cond=3, width=8, lengths=(8, 5, 8)):
@@ -69,7 +73,7 @@ def test_oracle_decode_recovers_truth(steps):
     batch = _oracle_batch()
     model = OracleDenoiser(batch.tokens)
     cfg = DecodeConfig(steps=steps, temperature=0.5, strategy="topk", seed=1)
-    out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID)
+    out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
     want = np.where(batch.target_mask[:, batch.cond_width:],
                     batch.tokens[:, batch.cond_width:], PAD_ID)
     np.testing.assert_array_equal(out, want)
@@ -81,8 +85,8 @@ def test_reveal_counts_match_schedule_exactly():
     model = OracleDenoiser(batch.tokens)
     steps = 3
     cfg = DecodeConfig(steps=steps, temperature=0.5, strategy="topk", seed=2)
-    trace = []
-    diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, trace=trace)
+    out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
+    trace = reveals_per_step(model.canvases, out, batch, MASK_ID)
     assert len(trace) == steps
     lengths = batch.target_lengths()
     for s, revealed in enumerate(trace, start=1):
@@ -94,29 +98,28 @@ def test_reveal_counts_match_schedule_exactly():
 
 
 def test_easy_first_order_follows_confidence():
-    # confidence decreasing with position: positions revealed lowest-first
-    batch = _oracle_batch(rows=1, cond=2, width=6, lengths=(6,))
-    model = OracleDenoiser(batch.tokens, conf_fn=lambda pos: 0.9999 - 1e-5 * pos)
-    cfg = DecodeConfig(steps=3, temperature=1.0, strategy="topk", seed=3)
-    trace = []
-    diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, trace=trace)
-    cw = batch.cond_width
-    first = np.flatnonzero(trace[0][0, cw:])
-    np.testing.assert_array_equal(first, [0, 1])
-    second = np.flatnonzero(trace[1][0, cw:])
-    np.testing.assert_array_equal(second, [0, 1, 2, 3])
+    # target slots listed from most to least confident: in position order,
+    # then in an order that is not its own inverse permutation
+    for by_conf in ([0, 1, 2, 3, 4, 5], [3, 0, 4, 1, 5, 2]):
+        batch = _oracle_batch(rows=1, cond=2, width=6, lengths=(6,))
+        conf = {batch.cond_width + j: 0.9999 - 1e-5 * i for i, j in enumerate(by_conf)}
+        model = OracleDenoiser(batch.tokens, conf_fn=lambda pos: conf.get(pos, 0.9999))
+        cfg = DecodeConfig(steps=3, temperature=1.0, strategy="topk", seed=3)
+        out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
+        trace = reveals_per_step(model.canvases, out, batch, MASK_ID)
+        for step, n in ((0, 2), (1, 4)):
+            np.testing.assert_array_equal(np.flatnonzero(trace[step][0]), sorted(by_conf[:n]))
 
 
 def test_ties_break_toward_lowest_index():
     batch = _oracle_batch(rows=1, cond=2, width=6, lengths=(6,))
     model = OracleDenoiser(batch.tokens, conf_fn=lambda pos: 0.999)  # all equal
     cfg = DecodeConfig(steps=6, temperature=1e-6, strategy="topk", seed=4)
-    trace = []
-    diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, trace=trace)
-    cw = batch.cond_width
+    out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
+    trace = reveals_per_step(model.canvases, out, batch, MASK_ID)
     # equal confidences reveal in strict position order, one per step
     for s, revealed in enumerate(trace, start=1):
-        np.testing.assert_array_equal(np.flatnonzero(revealed[0, cw:]),
+        np.testing.assert_array_equal(np.flatnonzero(revealed[0]),
                                       np.arange(s))
 
 
@@ -124,7 +127,7 @@ def test_random_strategy_recovers_with_oracle():
     batch = _oracle_batch()
     model = OracleDenoiser(batch.tokens)
     cfg = DecodeConfig(steps=4, temperature=0.5, strategy="random", seed=5)
-    out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID)
+    out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
     want = np.where(batch.target_mask[:, batch.cond_width:],
                     batch.tokens[:, batch.cond_width:], PAD_ID)
     np.testing.assert_array_equal(out, want)
@@ -134,16 +137,16 @@ def test_decode_determinism_same_seed():
     batch = _oracle_batch()
     model = OracleDenoiser(batch.tokens, conf_fn=lambda pos: 0.6)
     cfg = DecodeConfig(steps=5, temperature=1.0, strategy="topk", seed=9)
-    a = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID)
-    b = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID)
+    a = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
+    b = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
     np.testing.assert_array_equal(a, b)
 
 
 def test_decode_fills_pads_beyond_length():
     batch = _oracle_batch(lengths=(4, 2, 6), width=8)
     model = OracleDenoiser(batch.tokens)
-    out = diffusion_decode(model, batch, DecodeConfig(steps=2, seed=0),
-                           MASK_ID, PAD_ID)
+    cfg = DecodeConfig(steps=2, seed=0)
+    out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
     lengths = batch.target_lengths()
     for i, n in enumerate(lengths):
         assert (out[i, n:] == PAD_ID).all()
@@ -177,7 +180,7 @@ def test_ar_decode_recovers_truth():
     batch = _oracle_batch(lengths=(6, 4, 8), width=8)
     model = OracleCausal(batch.tokens)
     cfg = DecodeConfig(steps=1, temperature=0.1, strategy="topk", seed=3)
-    out = ar_decode(model, batch, cfg, PAD_ID)
+    out = ar_decode(model, batch, cfg, PAD_ID, _rng(cfg))
     want = np.where(batch.target_mask[:, batch.cond_width:],
                     batch.tokens[:, batch.cond_width:], PAD_ID)
     np.testing.assert_array_equal(out, want)
@@ -196,8 +199,8 @@ def test_ar_decode_matches_full_canvas_loop():
     for param in model.params.values():
         param.value *= 5.0  # above init scale, so a wrong key or position moves the draws
     dcfg = DecodeConfig(steps=1, temperature=1.0, seed=4)
-    got = ar_decode(model, batch, dcfg, PAD_ID)
-    want = ar_decode_full_canvas(model, batch, dcfg, PAD_ID)
+    got = ar_decode(model, batch, dcfg, PAD_ID, _rng(dcfg))
+    want = ar_decode_full_canvas(model, batch, dcfg, PAD_ID, _rng(dcfg))
     np.testing.assert_array_equal(got, want)
 
 
@@ -208,5 +211,5 @@ def test_ar_decode_requires_causal_model():
                       attention="bidirectional")
     model = DenoiserModel(cfg, seed=0)
     with pytest.raises(ValueError):
-        ar_decode(model, batch, DecodeConfig(steps=1, seed=0), PAD_ID)
+        ar_decode(model, batch, DecodeConfig(steps=1, seed=0), PAD_ID, np.random.default_rng(0))
 

@@ -408,6 +408,11 @@ class StubModel:
         return ad.constant(logits[:, queries_from:].astype(np.float64), dtype=np.float64)
 
 
+def _one_segment(batch):
+    """A segment map that puts every slot in segment 0."""
+    return np.zeros(batch.tokens.shape, dtype=np.int64)
+
+
 def _single_token_batch(value=0, vocab=4):
     # canvas: one condition slot, one target slot
     pad = vocab - 1
@@ -437,8 +442,8 @@ def test_elbo_requires_fully_absorbed_schedule():
     sched = NoiseSchedule(np.array([1.0, 0.4, 0.1]))
     with pytest.raises(ValueError):
         elbo_exact(stub, batch, sched, mask_id=2)
-    prof = subgoal_loss_profile(stub, batch, sched, mask_id=2,
-                                rng=np.random.default_rng(0), n_samples=50)
+    prof = subgoal_loss_profile(stub, batch, sched, mask_id=2, rng=np.random.default_rng(0),
+                                segments=_one_segment(batch), n_samples=50)
     assert prof["nelbo"] is None
     np.testing.assert_allclose(prof["mean_u"], np.log(2), atol=1e-12)
 
@@ -451,8 +456,8 @@ def test_elbo_exact_matches_monte_carlo():
     sched = NoiseSchedule.linear(4)
     exact = sum(elbo_exact(model, batch.take(slice(i, i + 1)), sched, mask_id=4)
                 for i in range(batch.size))
-    prof = subgoal_loss_profile(model, batch, sched, mask_id=4,
-                                rng=np.random.default_rng(17), n_samples=1500)
+    prof = subgoal_loss_profile(model, batch, sched, mask_id=4, rng=np.random.default_rng(17),
+                                segments=_one_segment(batch), n_samples=1500)
     assert abs(prof["nelbo"] - exact) / max(exact, 1.0) < 0.05, (exact, prof["nelbo"])
 
 
@@ -467,7 +472,7 @@ def test_subgoal_loss_profile_builds_no_graph():
 
     model.forward = forward
     subgoal_loss_profile(model, batch, NoiseSchedule.linear(3), mask_id=4,
-                         rng=np.random.default_rng(1), n_samples=2)
+                         rng=np.random.default_rng(1), segments=_one_segment(batch), n_samples=2)
     assert seen and all(out._backward is None and not out.requires_grad for out in seen)
 
 
@@ -565,11 +570,11 @@ def test_subgoal_profile_shapes_and_flat_for_stub():
     batch = _planning_like_batch(rows=4, cond=4, width=8, vocab=9)
     sched = NoiseSchedule.linear(5)
     stub = StubModel(np.full(7, 1.0 / 7))
-    prof = subgoal_loss_profile(stub, batch, sched, mask_id=7,
-                                rng=np.random.default_rng(3), n_samples=6)
+    prof = subgoal_loss_profile(stub, batch, sched, mask_id=7, rng=np.random.default_rng(3),
+                                segments=_one_segment(batch), n_samples=6)
     assert prof["mean_u"].shape == (5,)
     np.testing.assert_allclose(prof["mean_u"], np.log(7), atol=1e-9)
-    assert prof["segments"] is None
+    np.testing.assert_array_equal(prof["segments"], [0])
 
 
 def test_subgoal_profile_per_segment():

@@ -64,7 +64,7 @@ def test_config_roundtrip(tmp_path):
                            sequence_mode="linear", token_beta=1.0)
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     p = str(tmp_path / "cfg.json")
-    cfg.to_json(p)
+    pathlib.Path(p).write_text(json.dumps(cfg.to_dict()))
     assert ExperimentConfig.from_json(p) == cfg
 
 
@@ -870,10 +870,23 @@ def test_cli_generate_pd_restriction(tmp_path):
                   "--pd", "1"])
 
 
+@pytest.mark.parametrize("flags", [["--task", "planning", "--pd", "9"],
+                                   ["--task", "planning", "--pd", "-1"],
+                                   ["--task", "countdown3", "--n-train", "-4"],
+                                   ["--task", "countdown3", "--n-test", "-1"]])
+def test_cli_generate_rejects_an_out_of_range_count_or_pd_before_writing(tmp_path, flags):
+    out_dir = tmp_path / "data"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["generate", "--out-dir", str(out_dir), "--n-train", "4", "--n-test", "2",
+                  *flags])
+    assert exc.value.code == 2
+    assert not out_dir.exists()
+
+
 def test_cli_train_eval_sample_analyze(tmp_path, capsys):
     cfg = _tiny_cfg(tmp_path, train_steps=4, log_every=2)
     cfg_path = str(tmp_path / "cfg.json")
-    cfg.to_json(cfg_path)
+    pathlib.Path(cfg_path).write_text(json.dumps(cfg.to_dict()))
 
     rc = cli_main(["train", "--config", cfg_path])
     assert rc == 0
@@ -982,7 +995,8 @@ def test_analyze_throughput_decodes_an_ar_checkpoint_with_ar_decode(
     out_csv = str(tmp_path / "thr.csv")
     cli_main(["analyze", "--what", "throughput", "--checkpoint", ckpt, "--data", data,
               "--out", out_csv, "--grid", "1,2", "--seed", "5"])
-    assert calls == {"ar_decode": 2, "diffusion_decode": 0}
+    # one untimed warm-up pass, then one pass per grid row
+    assert calls == {"ar_decode": 3, "diffusion_decode": 0}
     capsys.readouterr()
     # same seed and steps: the accuracy column is what eval reports
     cli_main(["eval", "--checkpoint", ckpt, "--data", data, "--seed", "5", "--steps", "2"])
