@@ -3,18 +3,21 @@
 Small tape-based engine: each op builds a Node holding the forward value and
 a closure that routes the output gradient to its parents. Under `no_grad()`
 an op's Node keeps neither, so a forward-only caller frees each temporary as
-soon as it moves past it. An op writes in place only into arrays it
-allocated itself: never into an input's value, a view of one, or the
-incoming gradient, which `add` hands to both of its parents. Under
-`no_grad()`, where no backward reads a temporary, `gelu` returns its tanh
-buffer as the output. Values are stored in float32 by default; reductions
-(layer norm statistics, softmax normalizers, loss sums) accumulate in
-float64 so that finite-difference gradient checks stay meaningful at
-float32 storage. The row sums go through one helper, `_row_sum`, which
-casts through a small buffer and never makes a float64 copy of its input.
-Loss scalars are always reported in float64. Building the whole graph in
-float64 (for tighter gradient checks) just requires float64 inputs: ops
-never downcast.
+soon as it moves past it. `backward()` consumes its graph: each node drops
+its closure and its parents once it has routed its gradient, so the
+temporaries are freed as backward passes them, and a graph runs backward
+once (a second call raises; rebuild the graph instead). An op writes in
+place only into arrays it allocated itself: never into an input's value, a
+view of one, or the incoming gradient, which `add` hands to both of its
+parents. Under `no_grad()`, where no backward reads a temporary, `gelu`
+returns its tanh buffer as the output. Values are stored in float32 by
+default; reductions (layer norm statistics, softmax normalizers, loss sums)
+accumulate in float64 so that finite-difference gradient checks stay
+meaningful at float32 storage. The row sums go through one helper,
+`_row_sum`, which casts through a small buffer and never makes a float64
+copy of its input. Loss scalars are always reported in float64. Building the
+whole graph in float64 (for tighter gradient checks) just requires float64
+inputs: ops never downcast.
 """
 
 from __future__ import annotations
@@ -86,12 +89,18 @@ class Node:
         self.grad += g.astype(self.value.dtype, copy=False)
 
     def backward(self, grads: dict | None = None):
-        """Backpropagate from this scalar node with seed 1.
+        """Backpropagate from this scalar node with seed 1, consuming its graph.
 
         Leaf gradients accumulate into each leaf's .grad, or, when grads is
         given, into grads[leaf], a dict the caller owns; the leaves' .grad
         are then left alone, so graphs that share leaves can run backward
         on several threads at once.
+
+        Each non-leaf node drops its parents and its backward closure once
+        it has routed its gradient, so the arrays that only it held are
+        freed while backward runs. Leaves and the root keep their .value.
+        A graph therefore runs backward once; to backpropagate again,
+        build it again.
         """
         if self.value.ndim != 0:
             raise ValueError(f"backward() needs a scalar, got shape {self.value.shape}")
@@ -109,13 +118,15 @@ class Node:
 
         order = _toposort(self)
         pending: dict[int, np.ndarray] = {id(self): np.ones((), dtype=self.value.dtype)}
-        for node in order:
+        for i, node in enumerate(order):
+            # node's children all came earlier and dropped their links to it,
+            # so this slot is its last reference unless the caller holds one
+            order[i] = None
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad and node._backward is None:
+            if node._backward is None:  # a leaf root
                 accumulate(node, g)
-            if node._backward is None:
                 continue
             for parent, piece in node._backward(g):
                 if not parent.requires_grad:
@@ -127,6 +138,14 @@ class Node:
                     pending[pid] = pending[pid] + piece
                 else:
                     pending[pid] = piece
+            node._parents, node._backward = (), _consumed
+
+
+def _consumed(g):
+    """The backward of a node whose graph already ran backward: a second
+    backward() from it, or from a graph built over it, reaches this."""
+    raise ValueError("backward() needs a graph that has not run backward: this one was "
+                     "already consumed and must be rebuilt")
 
 
 def _toposort(root: Node) -> list[Node]:

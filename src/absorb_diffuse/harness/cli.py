@@ -66,8 +66,6 @@ def _load(args):
     """-> (model, vocab, config, task, instances, decode config) for the
     commands that read a checkpoint; a decode flag that is given overrides
     the checkpoint's config, and an invalid one exits with its message."""
-    if args.limit < 0:
-        raise SystemExit(f"--limit/--n must be >= 0, got {args.limit}")
     model, vocab, cfg = load_model(args.checkpoint)
     instances = read_instances(args.data)[: args.limit or None]
     flags = {k: getattr(args, k) for k in ("steps", "temperature", "strategy", "seed")}
@@ -130,8 +128,6 @@ def _cmd_analyze(args) -> int:
         print(f"profile over t=1..{cfg.schedule_T} -> {args.out}")
         print(f"NELBO {prof['nelbo'] / batch.size:.4f} nats per instance")
     elif args.what == "throughput":
-        if args.repeats < 1:
-            raise SystemExit(f"--repeats must be >= 1, got {args.repeats}")
         with open(args.out, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["steps", "seconds", "samples_per_sec", "accuracy"])
@@ -216,21 +212,21 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt.add_argument("--seed", type=int)
 
     e = sub.add_parser("eval", parents=[ckpt], help="verifier accuracy of a checkpoint")
-    e.add_argument("--limit", type=int, default=0)
+    e.add_argument("--limit", type=_int(0), default=0)
     e.add_argument("--metrics-out")
     e.set_defaults(fn=_cmd_eval)
 
     s = sub.add_parser("sample", parents=[ckpt], help="print decoded samples")
-    s.add_argument("--n", dest="limit", type=int, default=5)
+    s.add_argument("--n", dest="limit", type=_int(0), default=5)
     s.set_defaults(fn=_cmd_sample)
 
     a = sub.add_parser("analyze", parents=[ckpt],
                        help="taxonomy, loss profile, or throughput grid")
     a.add_argument("--what", choices=["taxonomy", "profile", "throughput"], required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--limit", type=int, default=0)
+    a.add_argument("--limit", type=_int(0), default=0)
     a.add_argument("--grid", type=_ints(1), default="1,5,10,20")
-    a.add_argument("--repeats", type=int, default=1)
+    a.add_argument("--repeats", type=_int(1), default=1)
     a.set_defaults(fn=_cmd_analyze)
 
     w = sub.add_parser("sweep", help="data-scaling or reweighting ablation sweep")

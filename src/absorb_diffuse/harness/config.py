@@ -177,9 +177,6 @@ class ExperimentConfig:
         return DecodeConfig(steps=steps, temperature=self.temperature,
                             strategy=self.strategy, seed=self.seed)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         known = {f.name for f in dataclasses.fields(cls)}

@@ -5,9 +5,12 @@ children (init / data order / corruption / eval), and the generator states
 are stored in the checkpoint manifest, so a resumed run continues the exact
 step sequence of an uninterrupted one.
 
-Each step is data-parallel: the batch is corrupted once, split into row
-shards, and the shards' gradients are summed, as data-parallel workers
-accumulate theirs. Two shards run on two threads when two CPUs are allowed.
+Each step is data-parallel: the batch is corrupted once, split into four
+row shards, and the shards' gradients are summed, as data-parallel workers
+accumulate theirs. The shards run on one thread per allowed CPU, up to
+four, and each thread holds the tape of one shard at a time: on two CPUs a
+quarter of the batch per thread, not a half. That tape is most of a
+training process's memory.
 """
 
 from __future__ import annotations
@@ -34,8 +37,12 @@ from .metrics import append_record
 
 # Every step runs as SHARDS row shards, whatever the number of workers, and
 # sums their gradients in shard order: a step's result then depends neither
-# on the core count nor on thread timing.
-SHARDS = 2
+# on the core count nor on thread timing. Four shards, not one per worker,
+# bound the tape that each worker keeps alive to a quarter of the batch.
+# More shards save more memory but pay the tape's per-op overhead more
+# often: on the desk profile eight measured 131 MB against 168 MB of peak
+# RSS, but 5-10% fewer samples/s.
+SHARDS = 4
 
 
 class TrainingDiverged(RuntimeError):
@@ -174,7 +181,7 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
     if resume_from is not None:
         loaded = ckpt.load_checkpoint(resume_from)
         try:
-            saved, now = loaded.manifest["extra"]["experiment"], cfg.to_dict()
+            saved, now = loaded.manifest["extra"]["experiment"], dataclasses.asdict(cfg)
             # a resumed run may write elsewhere and train further, nothing else
             differ = sorted(k for k in now.keys() | saved.keys() if k not in
                             ("out_dir", "train_steps") and now.get(k) != saved.get(k))
@@ -198,7 +205,7 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
         ckpt.save_checkpoint(
             to_dir, model.params, dataclasses.asdict(model_cfg), opt.state_dict(),
             {"noise": noise_rng.bit_generator.state, "sampler": sampler.state()}, step,
-            {"experiment": cfg.to_dict(), "vocab_chars": vocab.chars, "task": task.name},
+            {"experiment": dataclasses.asdict(cfg), "vocab_chars": vocab.chars, "task": task.name},
         )
 
     def run_eval(step: int) -> dict | None:

@@ -6,6 +6,7 @@ Criteria 7-9 evaluate the trained desk checkpoints under runs/ (override with
 ABSORB_DIFFUSE_RUNS); until those artifacts exist the criteria report FAIL.
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -576,7 +577,7 @@ def _pipeline(root: Path, seed: int):
         decode_steps=3,
     )
     cfg_p = root / "cfg.json"
-    cfg_p.write_text(json.dumps(cfg.to_dict()))
+    cfg_p.write_text(json.dumps(dataclasses.asdict(cfg)))
     assert cli_main(["train", "--config", str(cfg_p)]) == 0
     ckpt = str(root / "run" / "checkpoint")
     assert cli_main(["eval", "--checkpoint", ckpt,

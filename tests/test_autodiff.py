@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -366,7 +367,7 @@ def test_backward_into_a_dict_leaves_grad_alone():
     loss.backward(grads)
     assert set(grads) == set(params)
     assert all(p.grad is None for p in params)
-    loss.backward()  # the same graph, into .grad
+    _shared_leaf_graph(params)[1].backward()  # the same graph rebuilt, into .grad
     for p in params:
         assert grads[p].dtype == p.value.dtype and grads[p].shape == p.value.shape
         np.testing.assert_array_equal(grads[p], p.grad)
@@ -376,16 +377,49 @@ def test_backward_without_a_dict_accumulates_into_grad():
     params, loss = _shared_leaf_graph()
     loss.backward()
     once = [p.grad.copy() for p in params]
-    loss.backward()
+    _shared_leaf_graph(params)[1].backward()
     for p, g in zip(params, once):
         np.testing.assert_allclose(p.grad, 2 * g, rtol=1e-6, atol=0)
     # a second backward into a dict adds up there too, and leaves .grad as it was
     grads = {}
-    loss.backward(grads)
-    loss.backward(grads)
+    _shared_leaf_graph(params)[1].backward(grads)
+    _shared_leaf_graph(params)[1].backward(grads)
     for p, g in zip(params, once):
         np.testing.assert_allclose(grads[p], 2 * g, rtol=1e-6, atol=0)
         np.testing.assert_allclose(p.grad, 2 * g, rtol=1e-6, atol=0)
+
+
+def test_a_second_backward_on_one_graph_raises():
+    params, loss = _shared_leaf_graph()
+    loss.backward()
+    once = [p.grad.copy() for p in params]
+    for grads in (None, {}):
+        with pytest.raises(ValueError, match="already consumed"):
+            loss.backward(grads)
+    for p, g in zip(params, once):
+        np.testing.assert_array_equal(p.grad, g)
+    # so does a new graph over a node of a consumed one
+    a = ad.parameter(np.ones(3, np.float32))
+    h = ad.scale(a, 2.0)
+    ad.reshape(ad.narrow(h, 0, 0, 1), ()).backward()
+    with pytest.raises(ValueError, match="already consumed"):
+        ad.reshape(ad.narrow(h, 0, 1, 1), ()).backward()
+    # a leaf root is no graph to consume: its seed accumulates each time
+    leaf = ad.parameter(np.array(2.0))
+    leaf.backward()
+    leaf.backward()
+    assert float(leaf.grad) == 2.0
+
+
+def test_backward_frees_intermediate_values_while_the_root_is_held():
+    params, loss = _shared_leaf_graph()
+    logits = loss._parents[0]
+    hidden = weakref.ref(logits._parents[0].value)  # the matmul before the head
+    del logits
+    loss.backward()
+    assert hidden() is None
+    assert loss.value.ndim == 0 and loss._parents == ()
+    assert all(p.value is not None and p.grad is not None for p in params)
 
 
 def test_concurrent_backwards_into_dicts_do_not_interfere():

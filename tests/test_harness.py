@@ -1,5 +1,6 @@
 """Experiment harness: config, metrics, evaluation, training loop, CLI."""
 
+import dataclasses
 import importlib
 import importlib.resources
 import itertools
@@ -62,9 +63,9 @@ train_mod = importlib.import_module("absorb_diffuse.harness.train")
 def test_config_roundtrip(tmp_path):
     cfg = ExperimentConfig(task="planning", out_dir="/tmp/x", lr=2e-3,
                            sequence_mode="linear", token_beta=1.0)
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    assert ExperimentConfig.from_dict(dataclasses.asdict(cfg)) == cfg
     p = str(tmp_path / "cfg.json")
-    pathlib.Path(p).write_text(json.dumps(cfg.to_dict()))
+    pathlib.Path(p).write_text(json.dumps(dataclasses.asdict(cfg)))
     assert ExperimentConfig.from_json(p) == cfg
 
 
@@ -660,7 +661,7 @@ def test_shard_gradients_sum_to_the_full_batch_gradient(kind):
     cfg = _desk_cfg(kind)
     task = get_task("planning")
     vocab = task.vocabulary()
-    instances, _ = task.generate(15, 0, 7)  # odd: shards of 8 and 7 rows
+    instances, _ = task.generate(15, 0, 7)  # shards of 4, 4, 4 and 3 rows
     rows = encode_instances(task, instances, vocab)
     with ad.using_dtype(np.float64):
         model = DenoiserModel(cfg.model_config(vocab.size), seed=3)
@@ -675,7 +676,7 @@ def test_shard_gradients_sum_to_the_full_batch_gradient(kind):
         batch = rows
         full = ar_nll(model, rows)[0]
     shards = train_mod._run_shards(model, kind, batch, schedule, reweight)
-    assert len(shards) == 2
+    assert len(shards) == train_mod.SHARDS
     norm = train_mod._gather_grads(model.params, [grads for _, grads in shards])
     summed = {k: p.grad for k, p in model.params.items()}
     zero_grads(model.params)
@@ -886,7 +887,7 @@ def test_cli_generate_rejects_an_out_of_range_count_or_pd_before_writing(tmp_pat
 def test_cli_train_eval_sample_analyze(tmp_path, capsys):
     cfg = _tiny_cfg(tmp_path, train_steps=4, log_every=2)
     cfg_path = str(tmp_path / "cfg.json")
-    pathlib.Path(cfg_path).write_text(json.dumps(cfg.to_dict()))
+    pathlib.Path(cfg_path).write_text(json.dumps(dataclasses.asdict(cfg)))
 
     rc = cli_main(["train", "--config", cfg_path])
     assert rc == 0
@@ -954,12 +955,16 @@ def test_cli_decode_flags_override_the_checkpoint_config(ar_checkpoint, tmp_path
             cli_main(["eval", "--checkpoint", ckpt, "--data", data, flag, "0"])
 
 
-def test_cli_rejects_a_negative_limit(ar_checkpoint):
-    # a negative limit would slice the last instances off the data
-    ckpt, data = ar_checkpoint
-    for cmd, flag in (("eval", "--limit"), ("sample", "--n")):
-        with pytest.raises(SystemExit, match="must be >= 0, got -1"):
-            cli_main([cmd, "--checkpoint", ckpt, "--data", data, flag, "-1"])
+def test_cli_rejects_a_negative_limit(capsys):
+    # a negative limit would slice the last instances off the data; the
+    # checkpoint does not exist, so parsing must fail before it is loaded
+    paths = ["--checkpoint", "missing", "--data", "missing"]
+    for argv in (["eval", "--limit"], ["sample", "--n"],
+                 ["analyze", "--what", "throughput", "--out", "missing.csv", "--limit"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv[:1] + paths + argv[1:] + ["-1"])
+        assert exc.value.code == 2, argv
+        assert "-1 is not in [0, inf]" in capsys.readouterr().err
 
 
 def test_cli_list_flags_reject_a_bad_entry_before_any_work(tmp_path):
@@ -977,7 +982,6 @@ def test_cli_list_flags_reject_a_bad_entry_before_any_work(tmp_path):
 
 def test_analyze_throughput_decodes_an_ar_checkpoint_with_ar_decode(
         ar_checkpoint, tmp_path, capsys, monkeypatch):
-    import dataclasses
     import importlib
     evaluate_mod = importlib.import_module("absorb_diffuse.harness.evaluate")
     calls = {"ar_decode": 0, "diffusion_decode": 0}
@@ -1004,9 +1008,11 @@ def test_analyze_throughput_decodes_an_ar_checkpoint_with_ar_decode(
     last = pathlib.Path(out_csv).read_text().strip().splitlines()[-1].split(",")
     assert last[0] == "2" and f"{float(last[3]):.4f}" == accuracy
     assert 0 < float(accuracy) < 1
-    with pytest.raises(SystemExit, match="repeats"):
+    with pytest.raises(SystemExit) as exc:
         cli_main(["analyze", "--what", "throughput", "--checkpoint", ckpt, "--data", data,
                   "--out", out_csv, "--repeats", "0"])
+    assert exc.value.code == 2
+    assert "--repeats: 0 is not in [1, inf]" in capsys.readouterr().err
 
 
 def test_analyze_profile_refuses_an_ar_checkpoint(ar_checkpoint, tmp_path):
