@@ -65,15 +65,12 @@ def _cmd_train(args) -> int:
 def _load(args):
     """-> (model, vocab, config, task, instances, decode config) for the
     commands that read a checkpoint; a decode flag that is given overrides
-    the checkpoint's config, and an invalid one exits with its message."""
+    the checkpoint's config (argparse has already checked its value)."""
     model, vocab, cfg = load_model(args.checkpoint)
     instances = read_instances(args.data)[: args.limit or None]
     flags = {k: getattr(args, k) for k in ("steps", "temperature", "strategy", "seed")}
-    try:
-        dc = dataclasses.replace(cfg.decode_config(),
-                                 **{k: v for k, v in flags.items() if v is not None})
-    except ValueError as e:
-        raise SystemExit(f"invalid decode flag: {e}") from None
+    dc = dataclasses.replace(cfg.decode_config(),
+                             **{k: v for k, v in flags.items() if v is not None})
     return model, vocab, cfg, get_task(cfg.task), instances, dc
 
 
@@ -172,6 +169,18 @@ def _int(lo: int, hi: float = math.inf):
     return parse
 
 
+def _positive(text: str) -> float:
+    """argparse type: a float > 0, the decode temperatures DecodeConfig
+    accepts (so not NaN)."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not v > 0:
+        raise argparse.ArgumentTypeError(f"{v} is not > 0")
+    return v
+
+
 def _ints(lo: int, hi: float = math.inf):
     """argparse type: a comma-separated list of integers in [lo, hi]."""
     one = _int(lo, hi)
@@ -206,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt = argparse.ArgumentParser(add_help=False)
     ckpt.add_argument("--checkpoint", required=True)
     ckpt.add_argument("--data", required=True)
-    ckpt.add_argument("--steps", type=int)
-    ckpt.add_argument("--temperature", type=float)
+    ckpt.add_argument("--steps", type=_int(1))
+    ckpt.add_argument("--temperature", type=_positive)
     ckpt.add_argument("--strategy", choices=STRATEGIES)
     ckpt.add_argument("--seed", type=int)
 

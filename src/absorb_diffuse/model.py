@@ -6,6 +6,12 @@ diffusion denoiser, causal attention for the left-to-right baseline. There
 is no timestep embedding; the corruption level is implicit in how many
 positions currently show the mask token. The output head scores content
 tokens only, so the model can never emit mask or pad.
+
+Each block runs as two sub-blocks, attention then MLP, each a method that
+returns the new residual stream. Under `autodiff.no_grad()` no Node keeps
+its parents, so a sub-block's temporaries die when it returns: a no-grad
+forward holds the residual stream, the attention mask and one sub-block's
+arrays at a time. A recording forward keeps them all on its tape.
 """
 
 from __future__ import annotations
@@ -116,7 +122,7 @@ class DenoiserModel:
         allowed = allowed[None, start:]
         if pad_mask is not None:
             allowed = allowed & (pad_mask[:, None, :] | np.eye(seq_len, dtype=bool)[start:])
-        return np.where(allowed, 0.0, NEG_INF).astype(dtype)[:, None]
+        return np.where(allowed, dtype.type(0), dtype.type(NEG_INF))[:, None]
 
     def forward(self, tokens, pad_mask=None, cache: dict | None = None,
                 queries_from: int = 0) -> ad.Node:
@@ -140,6 +146,12 @@ class DenoiserModel:
         makes a position's hidden states independent of every later
         position, and a position's pad_mask entry never changes after it
         has been fed, so its cached key stays masked or unmasked for good.
+
+        Under no_grad() the forward keeps alive only the residual stream,
+        the mask and the sub-block that is running: attention's peak is
+        q, k, v, the scores and their softmax, the MLP's its two hidden
+        buffers, each four times the residual stream. Recording keeps every
+        op's output on the tape for backward.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
@@ -151,7 +163,6 @@ class DenoiserModel:
             raise ValueError(f"queries_from {queries_from} is outside [0, {n})")
         p = self.params
         c = self.config
-        d, nh, hd = c.hidden_dim, c.n_heads, c.head_dim
         m = 0
         if cache is not None:
             if c.attention != "causal":
@@ -159,55 +170,69 @@ class DenoiserModel:
             m = cache[0][0].shape[2] if cache else 0
             if m >= n:
                 raise ValueError(f"the cache already holds {m} of the {n} positions")
-        s = n - m  # positions embedded, and the query rows of every block but the last
 
         x = ad.add(ad.embedding_lookup(p["tok_emb"], tokens[:, m:]),
                    ad.embedding_lookup(p["pos_emb"], np.arange(m, n)))
         bias = self._attention_bias(pad_mask, n, x.value.dtype, start=m)
 
         for i in range(c.n_layers):
-            h = f"h{i}"
-            ln = ad.layer_norm(x, p[f"{h}.ln1.gain"], p[f"{h}.ln1.bias"])
-            flat = ad.reshape(ln, (b * s, d))
-            rows, qflat = s, flat
+            # the last block's output feeds only the head: keep its query rows
             skip = max(queries_from - m, 0) if i == c.n_layers - 1 else 0
-            if skip:
-                # the last block's output feeds only the head: keep its query rows
-                rows = s - skip
-                qflat = ad.reshape(ad.narrow(ln, 1, skip, rows), (b * rows, d))
-                x = ad.narrow(x, 1, skip, rows)
-                bias = bias[:, :, skip:]
+            x = self._attention(i, x, bias, skip, cache)
+            x = self._mlp(i, x)
 
-            def heads(y, n_pos):
-                return ad.transpose(ad.reshape(y, (b, n_pos, nh, hd)), (0, 2, 1, 3))
-
-            # the 1/sqrt(hd) score scale goes on q, which is smaller than the scores
-            q = heads(ad.scale(ad.matmul(qflat, p[f"{h}.attn.wq"], p[f"{h}.attn.bq"]),
-                               1.0 / np.sqrt(hd)), rows)
-            k = heads(ad.matmul(flat, p[f"{h}.attn.wk"], p[f"{h}.attn.bk"]), s)
-            v = heads(ad.matmul(flat, p[f"{h}.attn.wv"], p[f"{h}.attn.bv"]), s)
-            if cache is not None:
-                if m:
-                    ck, cv = cache[i]
-                    k = ad.concat([ad.constant(ck, ck.dtype), k], axis=2)
-                    v = ad.concat([ad.constant(cv, cv.dtype), v], axis=2)
-                cache[i] = (k.value, v.value)
-            scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
-            att = ad.softmax(scores, bias)
-            ctx = ad.matmul(att, v)
-            ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * rows, d))
-            proj = ad.matmul(ctx, p[f"{h}.attn.wo"], p[f"{h}.attn.bo"])
-            x = ad.add(x, ad.reshape(proj, (b, rows, d)))
-
-            ln2 = ad.layer_norm(x, p[f"{h}.ln2.gain"], p[f"{h}.ln2.bias"])
-            flat2 = ad.reshape(ln2, (b * rows, d))
-            hmid = ad.gelu(ad.matmul(flat2, p[f"{h}.mlp.w1"], p[f"{h}.mlp.b1"]))
-            hout = ad.matmul(hmid, p[f"{h}.mlp.w2"], p[f"{h}.mlp.b2"])
-            x = ad.add(x, ad.reshape(hout, (b, rows, d)))
-
+        rows = x.value.shape[1]
         xf = ad.layer_norm(x, p["ln_f.gain"], p["ln_f.bias"])
-        logits = ad.matmul(ad.reshape(xf, (b * rows, d)), p["out.w"], p["out.b"])
+        logits = ad.matmul(ad.reshape(xf, (b * rows, c.hidden_dim)), p["out.w"], p["out.b"])
         return ad.reshape(logits, (b, rows, c.content_vocab))
+
+    def _attention(self, i: int, x: ad.Node, bias: np.ndarray, skip: int,
+                   cache: dict | None) -> ad.Node:
+        """Block i's attention sub-block: the residual stream after it, on
+        the rows from skip on. Under no_grad() the scores die as softmax
+        returns and every other temporary as this returns, so its peak is
+        q, k, v, the mask, the scores and their softmax."""
+        p, c = self.params, self.config
+        h = f"h{i}"
+        b, s, d = x.value.shape
+        nh, hd = c.n_heads, c.head_dim
+        ln = ad.layer_norm(x, p[f"{h}.ln1.gain"], p[f"{h}.ln1.bias"])
+        flat = ad.reshape(ln, (b * s, d))
+        rows, qflat = s - skip, flat
+        if skip:
+            qflat = ad.reshape(ad.narrow(ln, 1, skip, rows), (b * rows, d))
+            x = ad.narrow(x, 1, skip, rows)
+            bias = bias[:, :, skip:]
+
+        def heads(y, n_pos):
+            return ad.transpose(ad.reshape(y, (b, n_pos, nh, hd)), (0, 2, 1, 3))
+
+        # the 1/sqrt(hd) score scale goes on q, which is smaller than the scores
+        q = heads(ad.scale(ad.matmul(qflat, p[f"{h}.attn.wq"], p[f"{h}.attn.bq"]),
+                           1.0 / np.sqrt(hd)), rows)
+        k = heads(ad.matmul(flat, p[f"{h}.attn.wk"], p[f"{h}.attn.bk"]), s)
+        v = heads(ad.matmul(flat, p[f"{h}.attn.wv"], p[f"{h}.attn.bv"]), s)
+        if cache is not None:
+            if i in cache:
+                ck, cv = cache[i]
+                k = ad.concat([ad.constant(ck, ck.dtype), k], axis=2)
+                v = ad.concat([ad.constant(cv, cv.dtype), v], axis=2)
+            cache[i] = (k.value, v.value)
+        att = ad.softmax(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), bias)
+        ctx = ad.reshape(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), (b * rows, d))
+        proj = ad.matmul(ctx, p[f"{h}.attn.wo"], p[f"{h}.attn.bo"])
+        return ad.add(x, ad.reshape(proj, (b, rows, d)))
+
+    def _mlp(self, i: int, x: ad.Node) -> ad.Node:
+        """Block i's MLP sub-block: the residual stream after it. Under
+        no_grad() its two [B * rows, 4d] hidden buffers are its peak."""
+        p = self.params
+        h = f"h{i}"
+        b, rows, d = x.value.shape
+        flat = ad.reshape(ad.layer_norm(x, p[f"{h}.ln2.gain"], p[f"{h}.ln2.bias"]), (b * rows, d))
+        hmid = ad.gelu(ad.matmul(flat, p[f"{h}.mlp.w1"], p[f"{h}.mlp.b1"]))
+        hout = ad.matmul(hmid, p[f"{h}.mlp.w2"], p[f"{h}.mlp.b2"])
+        return ad.add(x, ad.reshape(hout, (b, rows, d)))
 
 
 def ar_nll(model: DenoiserModel, batch) -> tuple[ad.Node, int]:

@@ -950,9 +950,11 @@ def test_cli_decode_flags_override_the_checkpoint_config(ar_checkpoint, tmp_path
     cli_main(["eval", "--checkpoint", ckpt, "--data", data, "--seed", "0", "--metrics-out", rec])
     assert "(steps=3)" in capsys.readouterr().out
     assert read_records(rec)[0]["seed"] == 0
-    for flag, name in (("--temperature", "temperature"), ("--steps", "steps")):
-        with pytest.raises(SystemExit, match=f"invalid decode flag: {name} must be"):
-            cli_main(["eval", "--checkpoint", ckpt, "--data", data, flag, "0"])
+    # the checkpoint does not exist: a bad decode flag must fail parsing first
+    for flag, value in (("--temperature", "0"), ("--temperature", "nan"), ("--steps", "0")):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["eval", "--checkpoint", "missing", "--data", "missing", flag, value])
+        assert exc.value.code == 2, (flag, value)
 
 
 def test_cli_rejects_a_negative_limit(capsys):

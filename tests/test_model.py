@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,55 @@ def test_no_grad_forward_is_bit_identical(attention, dtype):
     for g, x in zip(got, want):
         assert g.dtype == x.dtype == dtype
         np.testing.assert_array_equal(g, x)
+
+
+@pytest.mark.parametrize("attention, want", [
+    ("bidirectional", "f4908aea249fe9285d88a60ce747b7feaf50b6d33899c21e3e0c366d89306045"),
+    ("causal", "6997dd53023cbb64640a20ebafd2586d79c32185cf6e5cea6d1e8d0f58ccaef2"),
+])
+def test_forward_logit_bits_are_pinned(attention, want):
+    # sha256 of the float32 logits of a full and a queries_from forward, the
+    # same recording and under no_grad(): a change to the forward's
+    # arithmetic shows here, across commits (with numpy's bundled OpenBLAS)
+    cfg = tiny_config(attention)
+    model = DenoiserModel(cfg, seed=21)
+    batch = _padded_batch(cfg)
+
+    def digest():
+        h = hashlib.sha256()
+        for q0 in (0, batch.cond_width):
+            logits = model.forward(batch.tokens, batch.pad_mask, queries_from=q0).value
+            assert logits.dtype == np.float32
+            h.update(logits.tobytes())
+        return h.hexdigest()
+
+    assert digest() == want
+    with ad.no_grad():
+        assert digest() == want
+
+
+@pytest.mark.parametrize("queries_from", [0, 48])
+def test_no_grad_forward_holds_one_sub_block_at_a_time(queries_from):
+    # desk shape: 64 rows of a 72-token canvas, 2 layers, d=96, 4 heads
+    cfg = ModelConfig(vocab_size=17, max_seq_len=72, n_layers=2, n_heads=4, hidden_dim=96)
+    model = DenoiserModel(cfg, seed=5)
+    tokens = np.random.default_rng(5).integers(0, 15, size=(64, 72))
+    pad_mask = np.ones(tokens.shape, dtype=bool)
+    pad_mask[:, :5] = False
+    scores = 64 * 4 * 72 * 72 * 4  # bytes of one float32 [64, 4, 72, 72] score array
+    with ad.no_grad():
+        model.forward(tokens, pad_mask, queries_from=queries_from)  # warm-up
+        tracemalloc.start()
+        try:
+            model.forward(tokens, pad_mask, queries_from=queries_from)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # attention's peak is q, k, v and the residual stream (1/3 score array
+    # each), the mask (1/4), the scores and their softmax: about 4 score
+    # arrays. A forward that keeps each block's temporaries bound until it
+    # returns peaks at 7.6 (queries_from 48) to 9.3 (a full forward).
+    assert peak < 5 * scores, f"peak {peak / scores:.2f} score arrays"
 
 
 def test_queries_from_outside_the_canvas_is_rejected():
