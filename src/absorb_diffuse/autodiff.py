@@ -1,23 +1,30 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-Small tape-based engine: each op builds a Node holding the forward value and
-a closure that routes the output gradient to its parents. Under `no_grad()`
-an op's Node keeps neither, so a forward-only caller frees each temporary as
-soon as it moves past it. `backward()` consumes its graph: each node drops
-its closure and its parents once it has routed its gradient, so the
-temporaries are freed as backward passes them, and a graph runs backward
-once (a second call raises; rebuild the graph instead). An op writes in
-place only into arrays it allocated itself: never into an input's value, a
-view of one, or the incoming gradient, which `add` hands to both of its
-parents. Under `no_grad()`, where no backward reads a temporary, `gelu`
-returns its tanh buffer as the output. Values are stored in float32 by
-default; reductions (layer norm statistics, softmax normalizers, loss sums)
-accumulate in float64 so that finite-difference gradient checks stay
-meaningful at float32 storage. The row sums go through one helper,
-`_row_sum`, which casts through a small buffer and never makes a float64
-copy of its input. Loss scalars are always reported in float64. Building the
-whole graph in float64 (for tighter gradient checks) just requires float64
-inputs: ops never downcast.
+Small tape-based engine. Each op returns a Node holding its forward value
+and, while recording, a small tape record: a link to each parent's record
+(a parameter leaf is linked as its Node) and a closure that routes the
+output gradient to them. The tape holds no op's output as such: a closure
+keeps only the arrays its backward reads (matmul's operands, layer_norm's
+normalized input, softmax's output, gelu's derivative, the loss's
+log-probs) plus shapes and dtypes as plain values. An op's output therefore
+dies when the caller drops its Node, unless a backward saved it. Under
+`no_grad()` an op's Node keeps no record, so a forward-only caller frees
+each temporary as soon as it moves past it. `backward()` consumes its
+graph: each record drops its closure and its links once it has routed its
+gradient, so the saved arrays are freed as backward passes them, and a
+graph runs backward once (a second call raises; rebuild the graph
+instead). An op writes in place only into arrays it allocated itself:
+never into an input's value, a view of one, or the incoming gradient,
+which `add` hands to both of its parents. `gelu` computes its derivative in
+a recording forward and saves that instead of its input; under
+`no_grad()` its tanh buffer becomes the output. Values are stored in
+float32 by default; reductions (layer norm statistics, softmax
+normalizers, loss sums) accumulate in float64 so that finite-difference
+gradient checks stay meaningful at float32 storage. The row sums go
+through one helper, `_row_sum`, which casts through a small buffer and
+never makes a float64 copy of its input. Loss scalars are always reported
+in float64. Building the whole graph in float64 (for tighter gradient
+checks) just requires float64 inputs: ops never downcast.
 """
 
 from __future__ import annotations
@@ -69,19 +76,51 @@ def no_grad():
         _GRAD_MODE.enabled = prev
 
 
-class Node:
-    """A value in the computation graph plus the plumbing for backprop."""
+class _Tape:
+    """One op's record on the tape: a link per parent and the closure that
+    maps the output's gradient to one piece per parent. A link is the
+    parent's own record, the parent Node when it is a leaf that requires
+    grad, or None when the parent needs no gradient (its piece, if any, is
+    ignored). Nothing here refers to an op's output Node."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents: tuple, backward):
+        self.parents = parents
+        self.backward = backward
+
+
+class Node:
+    """A value in the computation graph plus its record on the tape."""
+
+    __slots__ = ("value", "grad", "requires_grad", "_tape")
 
     def __init__(self, value, requires_grad=False, parents=(), backward=None):
         self.value = value
         self.grad = None
-        if not _GRAD_MODE.enabled:
-            parents, backward = (), None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = tuple(parents)
-        self._backward = backward
+        self._tape = None
+        if _GRAD_MODE.enabled and backward is not None:
+            links = tuple(p._link() for p in parents)
+            if any(link is not None for link in links):
+                self._tape = _Tape(links, backward)
+        self.requires_grad = requires_grad or self._tape is not None
+
+    def _link(self):
+        """What a child's record links to for this Node as a parent."""
+        if self._tape is not None:
+            return self._tape
+        return self if self.requires_grad else None
+
+    @property
+    def _backward(self):
+        """The backward closure of the op that made this Node; None for a
+        leaf, a constant or a Node built under no_grad(). Assigning it
+        replaces the closure that backward() calls."""
+        return None if self._tape is None else self._tape.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._tape.backward = fn
 
     def _accumulate(self, g):
         if self.grad is None:
@@ -96,11 +135,10 @@ class Node:
         are then left alone, so graphs that share leaves can run backward
         on several threads at once.
 
-        Each non-leaf node drops its parents and its backward closure once
-        it has routed its gradient, so the arrays that only it held are
-        freed while backward runs. Leaves and the root keep their .value.
-        A graph therefore runs backward once; to backpropagate again,
-        build it again.
+        Each record drops its links and its backward closure once it has
+        routed its gradient, so the arrays that only it saved are freed
+        while backward runs. A graph therefore runs backward once; to
+        backpropagate again, build it again.
         """
         if self.value.ndim != 0:
             raise ValueError(f"backward() needs a scalar, got shape {self.value.shape}")
@@ -116,29 +154,26 @@ class Node:
             else:
                 grads[leaf] = g.astype(leaf.value.dtype)  # a copy: g may be shared
 
-        order = _toposort(self)
-        pending: dict[int, np.ndarray] = {id(self): np.ones((), dtype=self.value.dtype)}
-        for i, node in enumerate(order):
-            # node's children all came earlier and dropped their links to it,
-            # so this slot is its last reference unless the caller holds one
+        seed = np.ones((), dtype=self.value.dtype)
+        if self._tape is None:  # a leaf root
+            accumulate(self, seed)
+            return
+        order = _toposort(self._tape)
+        pending: dict[_Tape, np.ndarray] = {self._tape: seed}
+        for i, rec in enumerate(order):
+            # rec's children all came earlier and dropped their links to it,
+            # so this slot is its last reference unless the caller holds its Node
             order[i] = None
-            g = pending.pop(id(node), None)
-            if g is None:
-                continue
-            if node._backward is None:  # a leaf root
-                accumulate(node, g)
-                continue
-            for parent, piece in node._backward(g):
-                if not parent.requires_grad:
+            for link, piece in zip(rec.parents, rec.backward(pending.pop(rec))):
+                if link is None:
                     continue
-                pid = id(parent)
-                if parent._backward is None:
-                    accumulate(parent, piece)
-                elif pid in pending:
-                    pending[pid] = pending[pid] + piece
+                if type(link) is Node:  # a leaf
+                    accumulate(link, piece)
+                elif link in pending:
+                    pending[link] = pending[link] + piece
                 else:
-                    pending[pid] = piece
-            node._parents, node._backward = (), _consumed
+                    pending[link] = piece
+            rec.parents, rec.backward = (), _consumed
 
 
 def _consumed(g):
@@ -148,22 +183,24 @@ def _consumed(g):
                      "already consumed and must be rebuilt")
 
 
-def _toposort(root: Node) -> list[Node]:
+def _toposort(root: _Tape) -> list[_Tape]:
+    """The records reachable from root, each after every record that links
+    to it. Leaves are left out: backward accumulates into them directly."""
     # Iterative DFS; graphs from deep unrolled decodes overflow recursion limits.
     seen: set[int] = set()
-    order: list[Node] = []
-    stack: list[tuple[Node, bool]] = [(root, False)]
+    order: list[_Tape] = []
+    stack: list[tuple[_Tape, bool]] = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        rec, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(rec)
             continue
-        if id(node) in seen:
+        if id(rec) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen and p.requires_grad:
+        seen.add(id(rec))
+        stack.append((rec, True))
+        for p in rec.parents:
+            if type(p) is _Tape and id(p) not in seen:
                 stack.append((p, False))
     order.reverse()
     return order
@@ -201,30 +238,34 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Node:
     a, b = _as_node(a), _as_node(b)
     out = a.value + b.value
+    # no piece for a constant parent
+    shapes = tuple(p.value.shape if p.requires_grad else None for p in (a, b))
 
     def backward(g):
-        # no piece for a constant parent
-        return tuple((p, _unbroadcast(g, p.value.shape)) for p in (a, b) if p.requires_grad)
+        return tuple(None if shape is None else _unbroadcast(g, shape) for shape in shapes)
 
     return Node(out, parents=(a, b), backward=backward)
 
 
 def mul(a, b) -> Node:
     a, b = _as_node(a), _as_node(b)
-    out = a.value * b.value
+    av, bv = a.value, b.value
+    out = av * bv
+    need_a, need_b = a.requires_grad, b.requires_grad  # no piece for a constant parent
 
     def backward(g):
-        return tuple((p, _unbroadcast(g * other.value, p.value.shape))
-                     for p, other in ((a, b), (b, a)) if p.requires_grad)
+        return (_unbroadcast(g * bv, av.shape) if need_a else None,
+                _unbroadcast(g * av, bv.shape) if need_b else None)
 
     return Node(out, parents=(a, b), backward=backward)
 
 
 def scale(a: Node, s: float) -> Node:
-    out = a.value * a.value.dtype.type(s)
+    factor = a.value.dtype.type(s)
+    out = a.value * factor
 
     def backward(g):
-        return ((a, g * a.value.dtype.type(s)),)
+        return (g * factor,)
 
     return Node(out, parents=(a,), backward=backward)
 
@@ -235,7 +276,7 @@ def transpose(a: Node, axes) -> Node:
     out = a.value.transpose(axes)
 
     def backward(g):
-        return ((a, g.transpose(inv)),)
+        return (g.transpose(inv),)
 
     return Node(out, parents=(a,), backward=backward)
 
@@ -246,22 +287,23 @@ def reshape(a: Node, shape) -> Node:
     out = a.value.reshape(shape)
 
     def backward(g):
-        return ((a, g.reshape(orig)),)
+        return (g.reshape(orig),)
 
     return Node(out, parents=(a,), backward=backward)
 
 
 def narrow(a: Node, axis: int, start: int, length: int) -> Node:
     """Slice `length` elements from `start` along one axis."""
-    idx = [slice(None)] * a.value.ndim
+    shape, dtype = a.value.shape, a.value.dtype
+    idx = [slice(None)] * len(shape)
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
     out = a.value[idx]
 
     def backward(g):
-        ga = np.zeros_like(a.value)
+        ga = np.zeros(shape, dtype)
         ga[idx] = g
-        return ((a, ga),)
+        return (ga,)
 
     return Node(out, parents=(a,), backward=backward)
 
@@ -274,10 +316,10 @@ def concat(nodes, axis: int) -> Node:
 
     def backward(g):
         pieces = []
-        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            pieces.append((node, g[tuple(idx)]))
+            pieces.append(g[tuple(idx)])
         return tuple(pieces)
 
     return Node(out, parents=tuple(nodes), backward=backward)
@@ -300,24 +342,26 @@ def matmul(a: Node, b: Node, bias: Node | None = None) -> Node:
     if bias is not None and bias.value.shape != (n,):
         raise ValueError(f"matmul bias must have shape ({n},), got {bias.value.shape}")
     out = av @ bv
-    if bias is not None:
+    has_bias = bias is not None
+    if has_bias:
         out += bias.value
 
     def backward(g):
         ga = g @ np.swapaxes(bv, -1, -2)
         gb = np.swapaxes(av, -1, -2) @ g
-        if bias is None:
-            return ((a, ga), (b, gb))
-        return ((a, ga), (b, gb), (bias, g.reshape(-1, n).sum(axis=0)))
+        if not has_bias:
+            return (ga, gb)
+        return (ga, gb, g.reshape(-1, n).sum(axis=0))
 
-    parents = (a, b) if bias is None else (a, b, bias)
+    parents = (a, b, bias) if has_bias else (a, b)
     return Node(out, parents=parents, backward=backward)
 
 
 def embedding_lookup(table: Node, ids) -> Node:
     """Gather rows of an embedding table by integer id."""
     ids = np.asarray(ids)
-    rows = table.value.shape[0]
+    shape = table.value.shape
+    rows = shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= rows):
         raise ValueError(
             f"embedding ids out of range [0, {rows}): min {ids.min()}, max {ids.max()}"
@@ -328,8 +372,8 @@ def embedding_lookup(table: Node, ids) -> Node:
         # one-hot [rows, n] @ g [n, width] sums each row's gradients in one product
         flat = ids.reshape(-1)
         onehot = (np.arange(rows)[:, None] == flat).astype(g.dtype)
-        gt = onehot @ g.reshape(flat.size, math.prod(table.value.shape[1:]))
-        return ((table, gt.reshape(table.value.shape)),)
+        gt = onehot @ g.reshape(flat.size, math.prod(shape[1:]))
+        return (gt.reshape(shape),)
 
     return Node(out, parents=(table,), backward=backward)
 
@@ -341,8 +385,10 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(a: Node) -> Node:
-    """Gaussian error linear unit, tanh approximation. The backward keeps
-    only tanh(inner); under no_grad() that buffer becomes the output."""
+    """Gaussian error linear unit, tanh approximation. While recording it
+    computes its derivative with the output and saves only that, so its
+    input dies with the input's Node and backward is one multiply. Under
+    no_grad() the tanh buffer becomes the output."""
     x = a.value
     k = x.dtype.type(math.sqrt(2.0 / math.pi))
     c = x.dtype.type(0.044715)
@@ -352,25 +398,29 @@ def gelu(a: Node) -> Node:
     t += x
     t *= k
     np.tanh(t, out=t)  # tanh(k (x + c x^3))
-    out = np.add(t, 1.0, out=None if _GRAD_MODE.enabled else t)
+    if not (_GRAD_MODE.enabled and a.requires_grad):
+        out = np.add(t, 1.0, out=t)
+        out *= x
+        out *= 0.5
+        return Node(out)
+    # 0.5 (1 + t) + 0.5 x (1 - t^2) k (1 + 3 c x^2)
+    dx = x * x
+    dx *= 3.0 * c
+    dx += 1.0
+    dx *= k
+    dx *= x
+    out = t * t  # 1 - t^2 here first, then the output
+    np.subtract(1.0, out, out=out)
+    dx *= out
+    np.add(t, 1.0, out=out)
     out *= x
     out *= 0.5
+    dx += t
+    dx += 1.0
+    dx *= 0.5
 
     def backward(g):
-        # 0.5 (1 + t) + 0.5 x (1 - t^2) k (1 + 3 c x^2)
-        dx = x * x
-        dx *= 3.0 * c
-        dx += 1.0
-        dx *= k
-        dx *= x
-        sech2 = t * t
-        np.subtract(1.0, sech2, out=sech2)
-        dx *= sech2
-        dx += t
-        dx += 1.0
-        dx *= 0.5
-        dx *= g
-        return ((a, dx),)
+        return (np.multiply(dx, g, out=dx),)
 
     return Node(out, parents=(a,), backward=backward)
 
@@ -386,21 +436,22 @@ def layer_norm(a: Node, gain: Node, bias: Node) -> Node:
     xhat *= inv
     np.multiply(xhat, gain.value, out=out)
     out += bias.value
+    gv, dtype = gain.value, x.dtype
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
         gbias = g.sum(axis=lead)
         t = g * xhat
         ggain = t.sum(axis=lead)
-        t *= gain.value  # gd * xhat
-        m2 = (_row_sum(t) / n).astype(x.dtype)
-        dx = g * gain.value  # gd
-        m1 = (_row_sum(dx) / n).astype(x.dtype)
+        t *= gv  # gd * xhat
+        m2 = (_row_sum(t) / n).astype(dtype)
+        dx = g * gv  # gd
+        m1 = (_row_sum(dx) / n).astype(dtype)
         np.multiply(xhat, m2, out=t)
         dx -= m1
         dx -= t
         dx *= inv
-        return ((a, dx), (gain, ggain), (bias, gbias))
+        return (dx, ggain, gbias)
 
     return Node(out, parents=(a, gain, bias), backward=backward)
 
@@ -421,7 +472,7 @@ def softmax(a: Node, bias: np.ndarray) -> Node:
         dot = ga.sum(axis=-1, keepdims=True)
         np.subtract(g, dot, out=ga)
         ga *= p
-        return ((a, ga),)
+        return (ga,)
 
     return Node(p, parents=(a,), backward=backward)
 
@@ -478,13 +529,13 @@ def _ce_inputs(logits: Node, targets, weights, logp):
 def _ce_node(logits: Node, targets, logp, total, coef) -> Node:
     """Scalar loss node whose gradient row i is coef_i * (softmax_i -
     onehot(target_i)); the softmax is rebuilt from the forward's log-probs."""
-    values = logits.value
+    dtype = logits.value.dtype
 
     def backward(g):
-        c = coef.astype(values.dtype)
-        grad = np.exp(logp).astype(values.dtype) * c[:, None]
+        c = coef.astype(dtype)
+        grad = np.exp(logp).astype(dtype) * c[:, None]
         grad[np.arange(len(targets)), targets] -= c
-        return ((logits, grad * values.dtype.type(g)),)
+        return (grad * dtype.type(g),)
 
     return Node(np.asarray(total, dtype=np.float64), parents=(logits,), backward=backward)
 

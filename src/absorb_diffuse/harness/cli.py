@@ -181,6 +181,18 @@ def _positive(text: str) -> float:
     return v
 
 
+def _fraction(text: str) -> float:
+    """argparse type: a float in [0, 1], so not NaN. An accuracy threshold
+    outside it is met by every run or by none."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= v <= 1.0:
+        raise argparse.ArgumentTypeError(f"{v} is not in [0, 1]")
+    return v
+
+
 def _ints(lo: int, hi: float = math.inf):
     """argparse type: a comma-separated list of integers in [lo, hi]."""
     one = _int(lo, hi)
@@ -245,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--out-dir")
     w.add_argument("--pds", type=_ints(0, planning.MAX_PD), default="0,1,2,3")
     w.add_argument("--sizes", type=_ints(1), default="100,300,1000,3000")
-    w.add_argument("--threshold", type=float, default=0.9)
+    w.add_argument("--threshold", type=_fraction, default=0.9)
     w.set_defaults(fn=_cmd_sweep)
     return p
 

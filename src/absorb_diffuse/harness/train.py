@@ -165,6 +165,7 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
     if not instances:
         raise ValueError(f"empty training set {cfg.train_path}")
     dataset = encode_instances(task, instances, vocab)
+    del instances  # nothing reads them once encoded; a long run need not hold them
     eval_instances = (read_instances(cfg.eval_path)[: cfg.eval_limit or None]
                       if cfg.eval_path else [])
 

@@ -8,10 +8,13 @@ positions currently show the mask token. The output head scores content
 tokens only, so the model can never emit mask or pad.
 
 Each block runs as two sub-blocks, attention then MLP, each a method that
-returns the new residual stream. Under `autodiff.no_grad()` no Node keeps
-its parents, so a sub-block's temporaries die when it returns: a no-grad
-forward holds the residual stream, the attention mask and one sub-block's
-arrays at a time. A recording forward keeps them all on its tape.
+returns the new residual stream. A sub-block's temporaries die when it
+returns unless a backward saved them. Under `autodiff.no_grad()` nothing is
+saved, so a no-grad forward holds the residual stream, the attention mask
+and one sub-block's arrays at a time. A recording forward keeps on its tape
+only what backward reads: not the scores before softmax, the unscaled
+queries, the MLP pre-activation, the products added into the residual
+stream, or the residual stream itself.
 """
 
 from __future__ import annotations
@@ -150,8 +153,8 @@ class DenoiserModel:
         Under no_grad() the forward keeps alive only the residual stream,
         the mask and the sub-block that is running: attention's peak is
         q, k, v, the scores and their softmax, the MLP's its two hidden
-        buffers, each four times the residual stream. Recording keeps every
-        op's output on the tape for backward.
+        buffers, each four times the residual stream. Recording keeps only
+        the arrays that backward reads.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:

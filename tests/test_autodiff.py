@@ -324,7 +324,7 @@ def test_embedding_backward_matches_an_add_at_oracle(ids):
     g = rng.standard_normal(out.value.shape)
     want = np.zeros_like(table.value)
     np.add.at(want, ids, g)
-    ((_, got),) = out._backward(g)
+    (got,) = out._backward(g)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
@@ -333,8 +333,9 @@ def test_add_and_mul_build_no_piece_for_a_constant_parent():
     mask = ad.constant(_p((2, 3)))
     g = np.ones((2, 3), np.float32)
     for op in (ad.add, ad.mul):
-        assert [p for p, _ in op(a, mask)._backward(g)] == [a]
-        assert [p for p, _ in op(mask, a)._backward(g)] == [a]
+        # one piece per parent, in parent order; None for the constant
+        assert [piece is not None for piece in op(a, mask)._backward(g)] == [True, False]
+        assert [piece is not None for piece in op(mask, a)._backward(g)] == [False, True]
 
 
 def test_diamond_graph_accumulates_both_paths():
@@ -412,14 +413,20 @@ def test_a_second_backward_on_one_graph_raises():
 
 
 def test_backward_frees_intermediate_values_while_the_root_is_held():
-    params, loss = _shared_leaf_graph()
-    logits = loss._parents[0]
-    hidden = weakref.ref(logits._parents[0].value)  # the matmul before the head
+    # the head of _shared_leaf_graph, with its input kept in hand
+    rng = np.random.default_rng(11)
+    w, a = (ad.parameter(rng.standard_normal(s).astype(np.float32)) for s in ((4, 3), (5, 4)))
+    h = ad.gelu(ad.matmul(ad.embedding_lookup(a, np.array([0, 2, 2])), w))
+    hidden = weakref.ref(h.value)
+    logits = ad.matmul(h, ad.transpose(w, (1, 0)))
+    del h
+    loss = ad.softmax_cross_entropy(logits, np.array([1, 3, 0]), rng.random(3))
     del logits
+    assert hidden() is not None  # the head matmul's backward saved it
     loss.backward()
     assert hidden() is None
-    assert loss.value.ndim == 0 and loss._parents == ()
-    assert all(p.value is not None and p.grad is not None for p in params)
+    assert loss.value.ndim == 0 and loss._tape.parents == ()
+    assert all(p.value is not None and p.grad is not None for p in (w, a))
 
 
 def test_concurrent_backwards_into_dicts_do_not_interfere():
@@ -490,16 +497,16 @@ def _small_graph():
 
 def test_no_grad_nodes_keep_no_parents_and_no_backward():
     _, want = _small_graph()
-    assert want._parents and want._backward is not None and want.requires_grad
+    assert want._tape.parents and want._backward is not None and want.requires_grad
     with ad.no_grad():
         a, out = _small_graph()
         leaf = ad.parameter(np.zeros(2))
-    assert out._parents == () and out._backward is None and not out.requires_grad
+    assert out._tape is None and out._backward is None and not out.requires_grad
     assert a.requires_grad and leaf.requires_grad  # leaves stay trainable
     np.testing.assert_array_equal(out.value, want.value)
     # recording resumes on exit
     _, again = _small_graph()
-    assert again._parents and again._backward is not None
+    assert again._tape.parents and again._backward is not None
 
 
 def test_no_grad_is_per_thread():

@@ -9,6 +9,7 @@ import os
 import pathlib
 import re
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from absorb_diffuse.decoding import DecodeConfig
 from absorb_diffuse.diffusion import NoiseSchedule, diffusion_loss, draw_t, sample_xt
 from absorb_diffuse.harness import config as config_mod
 from absorb_diffuse.harness import evaluate as evaluate_mod
-from absorb_diffuse.harness.cli import main as cli_main
+from absorb_diffuse.harness.cli import build_parser, main as cli_main
 from absorb_diffuse.harness.config import (
     THREADS_ENV,
     WORKER_PREFIX,
@@ -511,6 +512,27 @@ def test_train_smoke_diffusion(tmp_path):
     assert vocab.chars == get_task("countdown3").vocabulary().chars
 
 
+def test_train_drops_its_instances_once_encoded(tmp_path, monkeypatch):
+    # the encoded dataset is all that training reads; the TaskInstance list
+    # would otherwise stay bound for the whole run
+    cfg = _tiny_cfg(tmp_path, eval_path="", train_steps=2, log_every=1)
+    refs, alive = [], []
+
+    def read(path, _real=train_mod.read_instances):
+        out = _real(path)
+        refs.extend(weakref.ref(inst) for inst in out)
+        return out
+
+    def sample(*args, _real=train_mod.sample_xt, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "read_instances", read)
+    monkeypatch.setattr(train_mod, "sample_xt", sample)
+    train(cfg)
+    assert len(refs) == 16 and alive == [0, 0]
+
+
 def test_train_smoke_ar(tmp_path):
     cfg = _tiny_cfg(tmp_path, model_kind="ar", out_dir=str(tmp_path / "ar_run"))
     res = train(cfg)
@@ -980,6 +1002,21 @@ def test_cli_list_flags_reject_a_bad_entry_before_any_work(tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_cli_sweep_threshold_must_be_a_fraction(tmp_path, capsys):
+    # NaN or a value above 1 is never met and a negative one always is, so
+    # the sweep would run for hours before the mistake shows; the config
+    # does not exist, so parsing must fail first
+    sweep = ["sweep", "--mode", "data-scaling", "--config", "missing",
+             "--out", str(tmp_path / "out.csv"), "--threshold"]
+    for value in ("nan", "1.5", "-0.1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(sweep + [value])
+        assert exc.value.code == 2, value
+    assert "is not in [0, 1]" in capsys.readouterr().err
+    for value, want in (("0", 0.0), ("1", 1.0), ("0.9", 0.9)):
+        assert build_parser().parse_args(sweep + [value]).threshold == want
 
 
 def test_analyze_throughput_decodes_an_ar_checkpoint_with_ar_decode(

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ import pytest
 from absorb_diffuse import autodiff as ad
 from absorb_diffuse.checkpoint import load_checkpoint, save_checkpoint
 from absorb_diffuse.data import Batch, pack_rows
+from absorb_diffuse.diffusion import NoiseSchedule, ReweightConfig, diffusion_loss, draw_t, sample_xt
+from absorb_diffuse.harness.config import ExperimentConfig
 from absorb_diffuse.model import (
     ModelConfig,
     DenoiserModel,
     ar_nll,
 )
+from absorb_diffuse.tasks import encode_instances, get_task
 
 from helpers import zero_grads
 
@@ -236,6 +240,38 @@ def test_forward_logit_bits_are_pinned(attention, want):
         assert digest() == want
 
 
+@pytest.mark.parametrize("loss, want", [
+    ("diffusion", "c0897eb845e65b1c77f61a4650b037f4841595aac8d17b4d84097bdd0a086398"),
+    ("diffusion_full_gradient", "5e6a48437ee04178fb41da110e67eb5984c90a082e52efa2dd0ab75fa4456192"),
+    ("ar", "59e9e9c81a1bf94271a372b6ee7aaff9d17d19828828a4ed7fe623b4e4172d92"),
+])
+def test_gradient_bits_are_pinned(loss, want):
+    # sha256 of the float32 parameter gradients, backward into a dict, in
+    # parameter order: a change to the tape's arithmetic or to the order it
+    # adds pieces in shows here, across commits (with numpy's bundled OpenBLAS)
+    attention = "causal" if loss == "ar" else "bidirectional"
+    cfg = tiny_config(attention)
+    model = DenoiserModel(cfg, seed=22)
+    batch = _padded_batch(cfg)
+    if loss == "ar":
+        root = ar_nll(model, batch)[0]
+    else:
+        schedule = NoiseSchedule.linear(6)
+        rng = np.random.default_rng(23)
+        cb = sample_xt(schedule, batch, draw_t(schedule, batch.size, rng), rng, mask_id=9)
+        reweight = ReweightConfig(token_alpha=0.25, token_beta=2.0,
+                                  full_gradient=loss == "diffusion_full_gradient")
+        root = diffusion_loss(model, cb, schedule, reweight)[0]
+    grads = {}
+    root.backward(grads)
+    h = hashlib.sha256()
+    for name, p in model.params.items():
+        assert grads[p].dtype == np.float32, name
+        h.update(grads[p].tobytes())
+    assert all(p.grad is None for p in model.params.values())
+    assert h.hexdigest() == want
+
+
 @pytest.mark.parametrize("queries_from", [0, 48])
 def test_no_grad_forward_holds_one_sub_block_at_a_time(queries_from):
     # desk shape: 64 rows of a 72-token canvas, 2 layers, d=96, 4 heads
@@ -258,6 +294,68 @@ def test_no_grad_forward_holds_one_sub_block_at_a_time(queries_from):
     # arrays. A forward that keeps each block's temporaries bound until it
     # returns peaks at 7.6 (queries_from 48) to 9.3 (a full forward).
     assert peak < 5 * scores, f"peak {peak / scores:.2f} score arrays"
+
+
+def _desk_shard():
+    """(model, corrupted batch, schedule, reweight) of one training shard of
+    the desk diffusion profile: 32 planning rows of a 72-token canvas
+    (49 condition + 23 target), 2 layers, d=96, 4 heads, T=20."""
+    cfg = ExperimentConfig.from_json(os.path.join(
+        os.path.dirname(__file__), "..", "src", "absorb_diffuse", "profiles",
+        "desk_planning_diffusion.json"))
+    task = get_task("planning")
+    vocab = task.vocabulary()
+    batch = encode_instances(task, task.generate(32, 0, 3)[0], vocab)
+    model = DenoiserModel(cfg.model_config(vocab.size), seed=3)
+    schedule = NoiseSchedule.linear(cfg.schedule_T)
+    rng = np.random.default_rng(3)
+    cb = sample_xt(schedule, batch, draw_t(schedule, batch.size, rng), rng, vocab.mask_id)
+    return model, cb, schedule, cfg.reweight_config()
+
+
+def test_training_shard_keeps_only_what_backward_reads():
+    model, cb, schedule, reweight = _desk_shard()
+    assert cb.tokens.shape == (32, 72) and cb.cond_width == 49
+
+    def step():
+        diffusion_loss(model, cb, schedule, reweight)[0].backward({})
+
+    scores = 32 * 4 * 72 * 72 * 4  # bytes of one float32 [32, 4, 72, 72] score array
+    step()  # warm-up
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the tape holds each block's saved softmax, ln outputs, q, k, v, ctx and
+    # gelu's output and derivative: 10.6 score arrays at the peak. A tape
+    # whose records hold every op's output, and a gelu that saves its input
+    # and tanh buffer, peak at 17.0.
+    assert peak < 13 * scores, f"peak {peak / scores:.2f} score arrays"
+
+
+def test_recording_forward_frees_what_no_backward_reads(monkeypatch):
+    # the inputs of softmax (the scores), gelu (the MLP pre-activation) and
+    # scale (the query projection) are read by no backward: under
+    # recording they die once the model drops their Nodes
+    model, cb, schedule, reweight = _desk_shard()
+    dead_after = []
+
+    def watch(op):
+        def watched(a, *args):
+            dead_after.append(weakref.ref(a.value))
+            return op(a, *args)
+        return watched
+
+    monkeypatch.setattr(ad, "softmax", watch(ad.softmax))
+    monkeypatch.setattr(ad, "gelu", watch(ad.gelu))
+    monkeypatch.setattr(ad, "scale", watch(ad.scale))
+    loss = diffusion_loss(model, cb, schedule, reweight)[0]
+    assert len(dead_after) == 3 * model.config.n_layers
+    assert all(ref() is None for ref in dead_after)
+    assert loss.requires_grad  # the tape is alive and runs backward
+    loss.backward({})
 
 
 def test_queries_from_outside_the_canvas_is_rejected():
