@@ -76,6 +76,11 @@ def no_grad():
         _GRAD_MODE.enabled = prev
 
 
+def is_grad_enabled() -> bool:
+    """Whether ops on this thread record a tape: False inside no_grad()."""
+    return _GRAD_MODE.enabled
+
+
 class _Tape:
     """One op's record on the tape: a link per parent and the closure that
     maps the output's gradient to one piece per parent. A link is the

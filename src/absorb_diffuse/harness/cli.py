@@ -66,8 +66,10 @@ def _load(args):
     """-> (model, vocab, config, task, instances, decode config) for the
     commands that read a checkpoint; a decode flag that is given overrides
     the checkpoint's config (argparse has already checked its value)."""
-    model, vocab, cfg = load_model(args.checkpoint)
     instances = read_instances(args.data)[: args.limit or None]
+    if not instances:
+        raise SystemExit(f"{args.data} holds no instances")
+    model, vocab, cfg = load_model(args.checkpoint)
     flags = {k: getattr(args, k) for k in ("steps", "temperature", "strategy", "seed")}
     dc = dataclasses.replace(cfg.decode_config(),
                              **{k: v for k, v in flags.items() if v is not None})

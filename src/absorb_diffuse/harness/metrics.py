@@ -5,15 +5,16 @@ every record is validated against the schema when it is appended and again
 when it is read back, and is written with every schema property (null where
 absent) in sorted key order. wall_time and samples_per_sec carry wall-clock
 measurements and are the only fields allowed to differ between same-seed
-runs.
+runs. The validator is built on the first validation, so a process that
+writes and reads no record (sample, or eval without --metrics-out) never
+imports jsonschema.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
-
-import jsonschema
 
 WALL_CLOCK_FIELDS = ("wall_time", "samples_per_sec")
 
@@ -24,12 +25,18 @@ def _load_schema() -> dict:
 
 
 _SCHEMA = _load_schema()
-_VALIDATOR = jsonschema.Draft7Validator(_SCHEMA)
 _NULLS = dict.fromkeys(_SCHEMA["properties"])
 
 
+@functools.cache
+def _validator():
+    import jsonschema  # about 0.1 s and 5 MB, so only once a record is checked
+
+    return jsonschema.Draft7Validator(_SCHEMA)
+
+
 def validate_record(record: dict) -> None:
-    errors = sorted(_VALIDATOR.iter_errors(record), key=lambda e: e.path)
+    errors = sorted(_validator().iter_errors(record), key=lambda e: e.path)
     if errors:
         msgs = "; ".join(e.message for e in errors[:3])
         raise ValueError(f"metrics record failed schema validation: {msgs}")

@@ -10,11 +10,14 @@ tokens only, so the model can never emit mask or pad.
 Each block runs as two sub-blocks, attention then MLP, each a method that
 returns the new residual stream. A sub-block's temporaries die when it
 returns unless a backward saved them. Under `autodiff.no_grad()` nothing is
-saved, so a no-grad forward holds the residual stream, the attention mask
-and one sub-block's arrays at a time. A recording forward keeps on its tape
-only what backward reads: not the scores before softmax, the unscaled
-queries, the MLP pre-activation, the products added into the residual
-stream, or the residual stream itself.
+saved, and the forward runs the batch in row blocks of at most
+NO_GRAD_BLOCK positions, so a no-grad forward holds the logits so far, one
+block's residual stream and mask, and one sub-block's arrays at a time,
+whatever the batch size. A recording forward runs every row at once (its
+tape holds them all until backward anyway) and keeps on its tape only what
+backward reads: not the scores before softmax, the unscaled queries, the
+MLP pre-activation, the products added into the residual stream, or the
+residual stream itself.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ ATTENTION_MODES = ("bidirectional", "causal")
 
 INIT_STD = 0.02
 NEG_INF = -1e9
+# Positions (rows x new columns) one row block of a no-grad forward runs:
+# 32 rows of the 72-token planning canvas. Measured on perfbench's decode
+# workload (2 vCPU), 2304 took peak RSS from about 111 to 75 MB, 1152 to
+# 70 MB and 576 to 70 MB, while 576 lost 10% of samples/s to per-op
+# overhead; 2304 stays four times clear of that for 5 MB more.
+NO_GRAD_BLOCK = 2304
 
 
 @dataclass
@@ -79,6 +88,17 @@ def param_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
                    f"{h}.mlp.w1": (d, 4 * d), f"{h}.mlp.b1": (4 * d,),
                    f"{h}.mlp.w2": (4 * d, d), f"{h}.mlp.b2": (d,)}
     return shapes
+
+
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Near-equal blocks of rows, each of at most NO_GRAD_BLOCK // cols rows
+    but of two rows at least, unless the batch has one: in a one-row block
+    whose last layer runs one query, BLAS takes its single-row path and
+    rounds the logits differently."""
+    most = max(NO_GRAD_BLOCK // cols, 1)
+    k = max(min(-(-rows // most), rows // 2), 1)
+    edges = [rows * j // k for j in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 class DenoiserModel:
@@ -150,11 +170,16 @@ class DenoiserModel:
         position, and a position's pad_mask entry never changes after it
         has been fed, so its cached key stays masked or unmasked for good.
 
-        Under no_grad() the forward keeps alive only the residual stream,
-        the mask and the sub-block that is running: attention's peak is
-        q, k, v, the scores and their softmax, the MLP's its two hidden
-        buffers, each four times the residual stream. Recording keeps only
-        the arrays that backward reads.
+        Under no_grad() the rows run in near-equal blocks of at most
+        NO_GRAD_BLOCK positions (rows x (N - m)), none of a single row, and
+        the logits are concatenated; with a cache, each block reads and
+        extends its own rows of it. Each row block keeps alive only its
+        residual stream, its mask and the sub-block that is running:
+        attention's peak is q, k, v, the scores and their softmax, the
+        MLP's its two hidden buffers, each four times the residual stream.
+        The logits are those of one forward over every row, bit for bit.
+        A recording forward is one row block and keeps only the arrays that
+        backward reads.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
@@ -164,16 +189,33 @@ class DenoiserModel:
             raise ValueError(f"sequence length {n} exceeds max_seq_len {self.config.max_seq_len}")
         if not 0 <= queries_from < n:
             raise ValueError(f"queries_from {queries_from} is outside [0, {n})")
-        p = self.params
-        c = self.config
         m = 0
         if cache is not None:
-            if c.attention != "causal":
+            if self.config.attention != "causal":
                 raise ValueError("a key/value cache needs a causal model")
             m = cache[0][0].shape[2] if cache else 0
             if m >= n:
                 raise ValueError(f"the cache already holds {m} of the {n} positions")
 
+        blocks = [slice(None)] if ad.is_grad_enabled() else _row_blocks(b, n - m)
+        if len(blocks) == 1:
+            return self._forward_rows(tokens, pad_mask, cache, queries_from, m)
+        logits, caches = [], []
+        for rows in blocks:
+            part = None if cache is None else {i: (k[rows], v[rows]) for i, (k, v) in cache.items()}
+            logits.append(self._forward_rows(
+                tokens[rows], None if pad_mask is None else pad_mask[rows], part, queries_from, m))
+            caches.append(part)
+        if cache is not None:
+            for i in range(self.config.n_layers):
+                cache[i] = tuple(np.concatenate([part[i][j] for part in caches]) for j in (0, 1))
+        return ad.concat(logits, axis=0)
+
+    def _forward_rows(self, tokens: np.ndarray, pad_mask, cache: dict | None,
+                      queries_from: int, m: int) -> ad.Node:
+        """The forward over all of these rows at once; m positions are cached."""
+        b, n = tokens.shape
+        p, c = self.params, self.config
         x = ad.add(ad.embedding_lookup(p["tok_emb"], tokens[:, m:]),
                    ad.embedding_lookup(p["pos_emb"], np.arange(m, n)))
         bias = self._attention_bias(pad_mask, n, x.value.dtype, start=m)

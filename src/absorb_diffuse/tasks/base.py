@@ -44,11 +44,15 @@ def split_segments(output_text: str, sep: str) -> list[int]:
 
 
 def write_instances(path: str, instances) -> None:
-    """One `input<TAB>output` per line, UTF-8, LF."""
+    """One `input<TAB>output` per line, UTF-8, LF. A field holding a tab,
+    LF or CR would not read back as written (CR ends a line on read), so it
+    is refused before the file is opened."""
+    instances = list(instances)
+    for inst in instances:
+        if any(ch in text for ch in "\t\n\r" for text in (inst.input_text, inst.output_text)):
+            raise ValueError("instance text must not contain tabs or line breaks")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for inst in instances:
-            if "\t" in inst.input_text or "\n" in inst.input_text + inst.output_text:
-                raise ValueError("instance text must not contain tabs or newlines")
             f.write(f"{inst.input_text}\t{inst.output_text}\n")
 
 

@@ -8,6 +8,8 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import threading
 import weakref
 
@@ -977,6 +979,49 @@ def test_cli_decode_flags_override_the_checkpoint_config(ar_checkpoint, tmp_path
         with pytest.raises(SystemExit) as exc:
             cli_main(["eval", "--checkpoint", "missing", "--data", "missing", flag, value])
         assert exc.value.code == 2, (flag, value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval"], ["sample"],
+    ["analyze", "--what", "taxonomy"], ["analyze", "--what", "profile"],
+    ["analyze", "--what", "throughput"],
+])
+def test_cli_refuses_an_empty_data_file(tmp_path, argv):
+    # the checkpoint does not exist: the data file is read first
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    out = tmp_path / "out.csv"
+    extra = ["--out", str(out)] if argv[0] == "analyze" else []
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv[:1] + ["--checkpoint", "missing", "--data", str(empty)] + argv[1:] + extra)
+    assert "holds no instances" in str(exc.value.code)  # a message: exit status 1
+    assert not out.exists()
+
+
+def test_decoding_never_imports_jsonschema(tmp_path):
+    # the metrics validator is built on first use: an eval-only process
+    # writes no record, so it never pays for jsonschema
+    code = """
+import sys
+import absorb_diffuse.harness as h
+from absorb_diffuse.decoding import DecodeConfig
+from absorb_diffuse.model import DenoiserModel, ModelConfig
+from absorb_diffuse.tasks import get_task
+task = get_task("countdown3")
+vocab = task.vocabulary()
+model = DenoiserModel(ModelConfig(vocab.size, task.seq_len, 1, 2, 16), seed=0)
+res = h.evaluate_model(model, "diffusion", task, vocab, task.generate(0, 3, seed=1)[1],
+                       DecodeConfig(steps=2))
+assert res.n == 3
+print(sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema"))
+"""
+    src = os.path.dirname(os.path.dirname(ad.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    res = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_cli_rejects_a_negative_limit(capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from absorb_diffuse import autodiff as ad
+from absorb_diffuse import model as model_mod
 from absorb_diffuse.checkpoint import load_checkpoint, save_checkpoint
 from absorb_diffuse.data import Batch, pack_rows
 from absorb_diffuse.diffusion import NoiseSchedule, ReweightConfig, diffusion_loss, draw_t, sample_xt
@@ -291,9 +292,98 @@ def test_no_grad_forward_holds_one_sub_block_at_a_time(queries_from):
             tracemalloc.stop()
     # attention's peak is q, k, v and the residual stream (1/3 score array
     # each), the mask (1/4), the scores and their softmax: about 4 score
-    # arrays. A forward that keeps each block's temporaries bound until it
-    # returns peaks at 7.6 (queries_from 48) to 9.3 (a full forward).
+    # arrays over all 64 rows, 2 now that they run as two row blocks of 32.
+    # A forward that keeps each block's temporaries bound until it returns
+    # peaks at 7.6 (queries_from 48) to 9.3 (a full forward).
     assert peak < 5 * scores, f"peak {peak / scores:.2f} score arrays"
+
+
+def _desk_batch(cfg, rows, seed):
+    """rows left-padded random conditions (1..49 tokens) and targets (1..23)
+    on the 72-token desk canvas of cfg."""
+    rng = np.random.default_rng(seed)
+    content = cfg.content_vocab
+    conds = [rng.integers(0, content, size=rng.integers(1, 50)).tolist() for _ in range(rows)]
+    outs = [rng.integers(0, content, size=rng.integers(1, 24)).tolist() for _ in range(rows)]
+    return pack_rows(conds, outs, 49, 23, cfg.vocab_size - 1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("attention", ["bidirectional", "causal"])
+def test_row_blocked_no_grad_forward_is_bit_identical(attention, dtype):
+    # 65 desk rows: the no-grad forward runs three uneven row blocks, the
+    # recording forward one
+    cfg = ModelConfig(vocab_size=17, max_seq_len=72, n_layers=2, n_heads=4,
+                      hidden_dim=96, attention=attention)
+    with ad.using_dtype(dtype):
+        model = DenoiserModel(cfg, seed=24)
+    batch = _desk_batch(cfg, 65, seed=24)
+    tokens, pad_mask, w = batch.tokens, batch.pad_mask, batch.cond_width
+    assert len(model_mod._row_blocks(65, 72)) == 3
+
+    def forwards():
+        out = [model.forward(tokens, pad_mask, queries_from=q0).value for q0 in (0, w)]
+        if attention == "causal":
+            # the AR decoder's prefill and one incremental step
+            cache = {}
+            out.append(model.forward(tokens[:, :w], pad_mask[:, :w], cache=cache,
+                                     queries_from=w - 1).value)
+            out.append(model.forward(tokens[:, :w + 1], pad_mask[:, :w + 1], cache=cache,
+                                     queries_from=w).value)
+            out.extend(cache[i][j] for i in range(cfg.n_layers) for j in (0, 1))
+            # a cached forward wide enough to split: each block reads its rows of the cache
+            cache = {}
+            model.forward(tokens[:, :10], pad_mask[:, :10], cache=cache)
+            out.append(model.forward(tokens, pad_mask, cache=cache).value)
+            out.extend(cache[i][j] for i in range(cfg.n_layers) for j in (0, 1))
+        return out
+
+    want = forwards()
+    with ad.no_grad():
+        got = forwards()
+    assert len(got) == len(want)
+    for g, x in zip(got, want):
+        assert g.dtype == x.dtype == dtype
+        np.testing.assert_array_equal(g, x)
+
+
+def test_row_blocks_are_near_equal_and_never_one_row():
+    for rows in range(1, 300):
+        for cols in (1, 23, 49, 72, 162, 2304, 5000):
+            sizes = [s.stop - s.start for s in model_mod._row_blocks(rows, cols)]
+            assert sum(sizes) == rows and max(sizes) - min(sizes) <= 1
+            assert min(sizes) >= 2 or sizes == [1]
+            most = model_mod.NO_GRAD_BLOCK // cols
+            if most >= 2:
+                assert max(sizes) <= most
+    # an AR decoder step (one new column) runs the whole eval chunk at once
+    assert len(model_mod._row_blocks(64, 1)) == 1
+
+
+def test_no_grad_forward_peak_does_not_grow_with_the_batch():
+    # desk shape: a 72-token canvas, 2 layers, d=96, 4 heads
+    cfg = ModelConfig(vocab_size=17, max_seq_len=72, n_layers=2, n_heads=4, hidden_dim=96)
+    model = DenoiserModel(cfg, seed=6)
+    tokens = np.random.default_rng(6).integers(0, 15, size=(256, 72))
+    pad_mask = np.ones(tokens.shape, dtype=bool)
+    pad_mask[:, :5] = False
+
+    def peak(rows):
+        with ad.no_grad():
+            model.forward(tokens[:rows], pad_mask[:rows])  # warm-up
+            tracemalloc.start()
+            try:
+                model.forward(tokens[:rows], pad_mask[:rows])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    scores = 32 * 4 * 72 * 72 * 4  # bytes of one float32 [32, 4, 72, 72] score array
+    small, large = peak(32), peak(256)
+    # 256 rows run as eight row blocks of 32, so only the logits gathered
+    # so far (0.37 score arrays by the last block) add to the 32-row peak
+    # of about 4. One forward over all 256 rows peaks 27.7 above it.
+    assert large - small < scores, f"{(large - small) / scores:.2f} score arrays"
 
 
 def _desk_shard():

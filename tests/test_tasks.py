@@ -450,7 +450,9 @@ def test_all_tasks_generate_and_encode():
 
 def test_instance_io_roundtrip(tmp_path):
     path = str(tmp_path / "data.tsv")
-    insts = [TaskInstance(*GOLD_CD3), TaskInstance(*GOLD_PLANNING)]
+    # spaces, empty fields and characters that are not line breaks on read
+    insts = [TaskInstance(*GOLD_CD3), TaskInstance(*GOLD_PLANNING),
+             TaskInstance(" a  b ", "\u00e9 \x0b\x0c"), TaskInstance("", "")]
     write_instances(path, insts)
     back = read_instances(path)
     assert [(i.input_text, i.output_text) for i in back] == \
@@ -460,6 +462,19 @@ def test_instance_io_roundtrip(tmp_path):
 def test_instance_io_rejects_tabs(tmp_path):
     with pytest.raises(ValueError):
         write_instances(str(tmp_path / "x.tsv"), [TaskInstance("a\tb", "c")])
+
+
+@pytest.mark.parametrize("input_text, output_text", [
+    ("a", "b\tc"),   # read back as three fields
+    ("a\rb", "c"),   # CR ends a line on read, splitting the record
+    ("a", "b\rc"),
+    ("a", "b\nc"),
+])
+def test_instance_io_refuses_what_would_not_read_back(tmp_path, input_text, output_text):
+    path = tmp_path / "x.tsv"
+    with pytest.raises(ValueError, match="tabs or line breaks"):
+        write_instances(str(path), [TaskInstance("ok", "ok"), TaskInstance(input_text, output_text)])
+    assert not path.exists()  # refused before anything is written
 
 
 def test_read_instances_rejects_bad_lines(tmp_path):
