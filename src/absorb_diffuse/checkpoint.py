@@ -4,8 +4,9 @@ A checkpoint is a directory holding `manifest.json` plus one numpy archive,
 `arrays-<sha256[:16]>.npz`, with every parameter (`param/<name>`) and both
 Adam moments (`m/<name>`, `v/<name>`) as little-endian float32. The manifest
 records the schema version, dtype tag, the archive's name and full sha256,
-the model config, Adam's step count, the RNG state needed to resume a run
-deterministically, the step and caller metadata. Renaming the manifest into
+the model config, Adam's step count, the step and caller metadata. It holds
+no generator state: training draws each step's randomness from the seed
+and the step, so these are all a resume needs. Renaming the manifest into
 place is the only commit point: a save killed before it leaves the previous
 manifest naming the previous archive, deleted only after the new manifest.
 """
@@ -19,11 +20,11 @@ import os
 
 import numpy as np
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DTYPE_TAG = "f32le"
 _DTYPE = np.dtype("<f4")
 MANIFEST = "manifest.json"
-_KEYS = ("arrays", "sha256", "model_config", "adam_t", "rng_state", "step", "extra")
+_KEYS = ("arrays", "sha256", "model_config", "adam_t", "step", "extra")
 
 
 def _write_durable(dir_path: str, tmp_name: str, name: str, data: bytes) -> None:
@@ -44,7 +45,7 @@ def _write_durable(dir_path: str, tmp_name: str, name: str, data: bytes) -> None
 
 
 def save_checkpoint(path: str, params: dict, model_config: dict, optimizer_state: dict,
-                    rng_state: dict, step: int, extra: dict) -> None:
+                    step: int, extra: dict) -> None:
     """Write parameters (name -> Node), Adam state and metadata to `path`."""
     os.makedirs(path, exist_ok=True)
     arrays = {}
@@ -65,7 +66,6 @@ def save_checkpoint(path: str, params: dict, model_config: dict, optimizer_state
         "sha256": sha,
         "model_config": model_config,
         "adam_t": int(optimizer_state["t"]),
-        "rng_state": rng_state,
         "step": int(step),
         "extra": extra,
     }
@@ -82,7 +82,6 @@ class Checkpoint:
         self.params = params
         self.optimizer_state = optimizer_state
         self.model_config = manifest["model_config"]
-        self.rng_state = manifest["rng_state"]
         self.step = manifest["step"]
 
 

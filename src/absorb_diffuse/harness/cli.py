@@ -157,47 +157,25 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _int(lo: int, hi: float = math.inf):
-    """argparse type: an integer in [lo, hi], so a bad value is a usage
-    error before any work starts."""
-    def parse(text: str) -> int:
+def _number(cast, lo, hi=math.inf, above=False):
+    """argparse type: a `cast` value in [lo, hi], or in (lo, hi] with
+    `above`, so a bad value (NaN included) is a usage error before any work
+    starts."""
+    def parse(text: str):
         try:
-            v = int(text)
+            v = cast(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if not lo <= v <= hi:
-            raise argparse.ArgumentTypeError(f"{v} is not in [{lo}, {hi}]")
+            kind = "an integer" if cast is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+        if not (lo < v <= hi if above else lo <= v <= hi):
+            raise argparse.ArgumentTypeError(f"{v} is not in {'(' if above else '['}{lo}, {hi}]")
         return v
     return parse
 
 
-def _positive(text: str) -> float:
-    """argparse type: a float > 0, the decode temperatures DecodeConfig
-    accepts (so not NaN)."""
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not v > 0:
-        raise argparse.ArgumentTypeError(f"{v} is not > 0")
-    return v
-
-
-def _fraction(text: str) -> float:
-    """argparse type: a float in [0, 1], so not NaN. An accuracy threshold
-    outside it is met by every run or by none."""
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 <= v <= 1.0:
-        raise argparse.ArgumentTypeError(f"{v} is not in [0, 1]")
-    return v
-
-
 def _ints(lo: int, hi: float = math.inf):
     """argparse type: a comma-separated list of integers in [lo, hi]."""
-    one = _int(lo, hi)
+    one = _number(int, lo, hi)
     return lambda text: [one(x) for x in text.split(",")]
 
 
@@ -210,10 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate task instance files")
     g.add_argument("--task", required=True)
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--n-train", type=_int(0), default=1000)
-    g.add_argument("--n-test", type=_int(0), default=200)
+    g.add_argument("--n-train", type=_number(int, 0), default=1000)
+    g.add_argument("--n-test", type=_number(int, 0), default=200)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--pd", type=_int(0, planning.MAX_PD), action="append",
+    g.add_argument("--pd", type=_number(int, 0, planning.MAX_PD), action="append",
                    help="planning distance; repeat for a mixture (planning only)")
     g.set_defaults(fn=_cmd_generate)
 
@@ -229,27 +207,27 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt = argparse.ArgumentParser(add_help=False)
     ckpt.add_argument("--checkpoint", required=True)
     ckpt.add_argument("--data", required=True)
-    ckpt.add_argument("--steps", type=_int(1))
-    ckpt.add_argument("--temperature", type=_positive)
+    ckpt.add_argument("--steps", type=_number(int, 1))
+    ckpt.add_argument("--temperature", type=_number(float, 0, above=True))  # DecodeConfig's range
     ckpt.add_argument("--strategy", choices=STRATEGIES)
     ckpt.add_argument("--seed", type=int)
 
     e = sub.add_parser("eval", parents=[ckpt], help="verifier accuracy of a checkpoint")
-    e.add_argument("--limit", type=_int(0), default=0)
+    e.add_argument("--limit", type=_number(int, 0), default=0)
     e.add_argument("--metrics-out")
     e.set_defaults(fn=_cmd_eval)
 
     s = sub.add_parser("sample", parents=[ckpt], help="print decoded samples")
-    s.add_argument("--n", dest="limit", type=_int(0), default=5)
+    s.add_argument("--n", dest="limit", type=_number(int, 0), default=5)
     s.set_defaults(fn=_cmd_sample)
 
     a = sub.add_parser("analyze", parents=[ckpt],
                        help="taxonomy, loss profile, or throughput grid")
     a.add_argument("--what", choices=["taxonomy", "profile", "throughput"], required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--limit", type=_int(0), default=0)
+    a.add_argument("--limit", type=_number(int, 0), default=0)
     a.add_argument("--grid", type=_ints(1), default="1,5,10,20")
-    a.add_argument("--repeats", type=_int(1), default=1)
+    a.add_argument("--repeats", type=_number(int, 1), default=1)
     a.set_defaults(fn=_cmd_analyze)
 
     w = sub.add_parser("sweep", help="data-scaling or reweighting ablation sweep")
@@ -259,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--out-dir")
     w.add_argument("--pds", type=_ints(0, planning.MAX_PD), default="0,1,2,3")
     w.add_argument("--sizes", type=_ints(1), default="100,300,1000,3000")
-    w.add_argument("--threshold", type=_fraction, default=0.9)
+    # a threshold outside [0, 1] is met by every run or by none
+    w.add_argument("--threshold", type=_number(float, 0, 1), default=0.9)
     w.set_defaults(fn=_cmd_sweep)
     return p
 

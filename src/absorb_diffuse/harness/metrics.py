@@ -65,13 +65,3 @@ def read_records(path: str) -> list[dict]:
                 out.append(record)
     return out
 
-
-def strip_wall_clock(records) -> list[dict]:
-    """Records minus the fields that legitimately differ across runs."""
-    out = []
-    for r in records:
-        r = dict(r)
-        for k in WALL_CLOCK_FIELDS:
-            r.pop(k, None)
-        out.append(r)
-    return out

@@ -1,9 +1,12 @@
 """Training loop: data order, corruption, optimization, checkpoints, metrics.
 
-All randomness flows from the experiment seed through named SeedSequence
-children (init / data order / corruption / eval), and the generator states
-are stored in the checkpoint manifest, so a resumed run continues the exact
-step sequence of an uninterrupted one.
+All randomness flows from the experiment seed through SeedSequence words
+(init, data order, corruption), and each step's draws are a pure function
+of those words and the step: step s trains slice s mod per_epoch of the
+permutation seeded by (data word, epoch s // per_epoch), corrupted by a
+generator seeded by (noise word, s). A checkpoint then holds no generator
+state, and a resumed run continues the exact step sequence of an
+uninterrupted one from its parameters, Adam state and step alone.
 
 Each step is data-parallel: the batch is corrupted once, split into four
 row shards, and the shards' gradients are summed, as data-parallel workers
@@ -58,41 +61,6 @@ class TrainResult:
     steps: int
     final_loss: float
     final_eval: dict | None
-
-
-class _Sampler:
-    """Epoch-shuffled batch index stream with a resumable cursor. It owns
-    the data rng; its state keeps that rng's state from before the current
-    epoch's shuffle, so a restore draws the same permutation again."""
-
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        self.n = n
-        self.batch_size = min(batch_size, n)
-        self.rng = rng
-        self.epoch = 0
-        self._shuffle()
-
-    def _shuffle(self) -> None:
-        self.rng_before = self.rng.bit_generator.state
-        self.perm = self.rng.permutation(self.n)
-        self.pos = 0
-
-    def next_batch(self) -> np.ndarray:
-        if self.pos + self.batch_size > self.n:
-            self._shuffle()
-            self.epoch += 1
-        out = self.perm[self.pos:self.pos + self.batch_size]
-        self.pos += self.batch_size
-        return out
-
-    def state(self) -> dict:
-        return {"epoch": self.epoch, "pos": self.pos, "rng": self.rng_before}
-
-    def restore(self, state: dict) -> None:
-        self.rng.bit_generator.state = state["rng"]
-        self._shuffle()
-        self.epoch = int(state["epoch"])
-        self.pos = int(state["pos"])
 
 
 def _rows(batch, lo: int, hi: int):
@@ -169,14 +137,16 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
     eval_instances = (read_instances(cfg.eval_path)[: cfg.eval_limit or None]
                       if cfg.eval_path else [])
 
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(4)
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
+    init_seed, data_seed, noise_seed = seeds.tolist()
     model_cfg = cfg.model_config(vocab.size)
-    model = DenoiserModel(model_cfg, seed=int(seeds[0]))
-    noise_rng = np.random.default_rng(int(seeds[2]))
+    model = DenoiserModel(model_cfg, seed=init_seed)
     opt = Adam(model.params)
     schedule = NoiseSchedule.linear(cfg.schedule_T)
     reweight = cfg.reweight_config()
-    sampler = _Sampler(dataset.size, cfg.batch_size, np.random.default_rng(int(seeds[1])))
+    # epoch-shuffled batches that drop the remainder of each epoch
+    batch_rows = min(cfg.batch_size, dataset.size)
+    per_epoch = dataset.size // batch_rows
     start_step = 0
 
     if resume_from is not None:
@@ -191,8 +161,6 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
             for name, p in model.params.items():
                 p.value[...] = loaded.params[name]
             opt.load_state_dict(loaded.optimizer_state)
-            noise_rng.bit_generator.state = loaded.rng_state["noise"]
-            sampler.restore(loaded.rng_state["sampler"])
         except KeyError as e:
             raise ValueError(f"{resume_from}: checkpoint lacks resume key {e}") from None
         start_step = loaded.step
@@ -204,8 +172,7 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
 
     def save(to_dir: str, step: int) -> None:
         ckpt.save_checkpoint(
-            to_dir, model.params, dataclasses.asdict(model_cfg), opt.state_dict(),
-            {"noise": noise_rng.bit_generator.state, "sampler": sampler.state()}, step,
+            to_dir, model.params, dataclasses.asdict(model_cfg), opt.state_dict(), step,
             {"experiment": dataclasses.asdict(cfg), "vocab_chars": vocab.chars, "task": task.name},
         )
 
@@ -234,11 +201,17 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
     loss_val = float("nan")
     # each train_step record times the interval since the previous one
     last_log, rows_trained = time.perf_counter(), 0
+    perm_epoch = None
     for step in range(start_step, cfg.train_steps):
-        idx = sampler.next_batch()
+        epoch, slot = divmod(step, per_epoch)
+        if epoch != perm_epoch:
+            perm = np.random.default_rng((data_seed, epoch)).permutation(dataset.size)
+            perm_epoch = epoch
+        idx = perm[slot * batch_rows:(slot + 1) * batch_rows]
         rows = dataset.take(idx)
         rows_trained += rows.size
         if cfg.model_kind == "diffusion":
+            noise_rng = np.random.default_rng((noise_seed, step))
             t = draw_t(schedule, rows.size, noise_rng)
             batch = sample_xt(schedule, rows, t, noise_rng, vocab.mask_id)
         else:
@@ -261,7 +234,7 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
             dt = now - last_log
             append_record(metrics_path, {
                 **head, "kind": "train_step", "step": step + 1, "loss": loss_val,
-                "lr": lr_t, "grad_norm": grad_norm, "epoch": sampler.epoch,
+                "lr": lr_t, "grad_norm": grad_norm, "epoch": epoch,
                 "wall_time": dt, "samples_per_sec": rows_trained / dt if dt > 0 else None})
             last_log, rows_trained = now, 0
             if not quiet:

@@ -44,9 +44,9 @@ NO_GRAD_BLOCK = 2304
 class ModelConfig:
     vocab_size: int      # includes the mask and pad specials
     max_seq_len: int
-    n_layers: int = 3
-    n_heads: int = 12
-    hidden_dim: int = 384
+    n_layers: int
+    n_heads: int
+    hidden_dim: int
     attention: str = "bidirectional"
 
     def __post_init__(self):

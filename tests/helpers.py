@@ -11,6 +11,7 @@ import numpy as np
 
 from absorb_diffuse import autodiff as ad
 from absorb_diffuse.diffusion import NoiseSchedule
+from absorb_diffuse.harness.metrics import WALL_CLOCK_FIELDS
 from absorb_diffuse.tasks.planning import parse_input
 
 
@@ -271,3 +272,12 @@ def reveals_per_step(canvases, out, batch, mask_id: int) -> list:
     w = batch.cond_width
     target = batch.target_mask[:, w:]
     return [(c[:, w:] != mask_id) & target for c in canvases[1:]] + [(out != mask_id) & target]
+
+
+# ---------------------------------------------------------------------------
+# metrics records compared across runs
+
+
+def strip_wall_clock(records) -> list[dict]:
+    """Records minus the fields that legitimately differ across runs."""
+    return [{k: v for k, v in r.items() if k not in WALL_CLOCK_FIELDS} for r in records]

@@ -31,7 +31,7 @@ from absorb_diffuse.diffusion import (
 from absorb_diffuse.harness.cli import main as cli_main
 from absorb_diffuse.harness.config import ExperimentConfig
 from absorb_diffuse.harness.evaluate import evaluate_model
-from absorb_diffuse.harness.metrics import read_records, strip_wall_clock
+from absorb_diffuse.harness.metrics import read_records
 from absorb_diffuse.harness.sweep import reweight_ablation
 from absorb_diffuse.harness.train import load_model
 from absorb_diffuse.model import NEG_INF, DenoiserModel, ModelConfig
@@ -41,7 +41,7 @@ from absorb_diffuse.tasks.sat import clause_count
 
 from conftest import record_criterion
 from helpers import (check_gradient, elbo_exact, forward_marginal, kl_term, posterior,
-                     reveals_per_step, zero_grads)
+                     reveals_per_step, strip_wall_clock, zero_grads)
 from test_tasks import (
     GOLD_CD3,
     GOLD_CD4,

@@ -18,6 +18,7 @@ import pytest
 
 from absorb_diffuse import autodiff as ad
 from absorb_diffuse.checkpoint import load_checkpoint
+from absorb_diffuse.data import Batch
 from absorb_diffuse.decoding import DecodeConfig
 from absorb_diffuse.diffusion import NoiseSchedule, diffusion_loss, draw_t, sample_xt
 from absorb_diffuse.harness import config as config_mod
@@ -31,12 +32,7 @@ from absorb_diffuse.harness.config import (
     resolve_threads,
 )
 from absorb_diffuse.harness.evaluate import evaluate_model
-from absorb_diffuse.harness.metrics import (
-    append_record,
-    read_records,
-    strip_wall_clock,
-    validate_record,
-)
+from absorb_diffuse.harness.metrics import append_record, read_records, validate_record
 from absorb_diffuse.harness.sweep import data_scaling_sweep, reweight_ablation
 from absorb_diffuse.harness.taxonomy import error_taxonomy, taxonomy_csv
 from absorb_diffuse.harness.train import TrainingDiverged, load_model, train
@@ -53,7 +49,7 @@ from absorb_diffuse.tasks.base import (
 from absorb_diffuse.tasks.planning import find_pd, gen_planning
 from absorb_diffuse.tasks.registry import encode_instances
 
-from helpers import zero_grads
+from helpers import strip_wall_clock, zero_grads
 
 # the harness package re-exports a train() that shadows this module's name
 train_mod = importlib.import_module("absorb_diffuse.harness.train")
@@ -561,12 +557,14 @@ def test_train_step_records_time_their_interval(tmp_path):
         assert r["samples_per_sec"] * r["wall_time"] == pytest.approx(4 * 8)
 
 
-def test_resume_is_bit_identical(tmp_path):
+def _assert_resume_is_bit_identical(tmp_path, split: int):
+    """12 steps in one run, and `split` steps then a resume to 12, end in
+    the same parameters, Adam state and step records."""
     one = _tiny_cfg(tmp_path, out_dir=str(tmp_path / "one"), train_steps=12,
                     eval_path="", eval_every=0)
     res_one = train(one)
 
-    two_a = _tiny_cfg(tmp_path, out_dir=str(tmp_path / "two"), train_steps=6,
+    two_a = _tiny_cfg(tmp_path, out_dir=str(tmp_path / "two"), train_steps=split,
                       eval_path="", eval_every=0)
     train(two_a)
     two_b = two_a.replace(train_steps=12)
@@ -577,8 +575,82 @@ def test_resume_is_bit_identical(tmp_path):
     assert set(a.params) == set(b.params)
     for name in a.params:
         np.testing.assert_array_equal(a.params[name], b.params[name], err_msg=name)
+        np.testing.assert_array_equal(a.optimizer_state["m"][name], b.optimizer_state["m"][name])
+        np.testing.assert_array_equal(a.optimizer_state["v"][name], b.optimizer_state["v"][name])
     assert a.optimizer_state["t"] == b.optimizer_state["t"]
     assert res_one.final_loss == res_two.final_loss
+
+    def records_after_split(path):
+        return [r for r in strip_wall_clock(read_records(path))
+                if r["kind"] == "train_step" and r["step"] > split]
+
+    assert records_after_split(res_two.metrics_path) == records_after_split(res_one.metrics_path)
+
+
+def test_resume_is_bit_identical(tmp_path):
+    # 16 rows in batches of 8: step 6 starts an epoch
+    _assert_resume_is_bit_identical(tmp_path, 6)
+
+
+def test_resume_mid_epoch_is_bit_identical(tmp_path):
+    # step 5 is the second batch of epoch 2
+    _assert_resume_is_bit_identical(tmp_path, 5)
+
+
+def test_batches_are_epoch_shuffles_that_drop_the_remainder(tmp_path, monkeypatch):
+    taken = []
+    real_take = Batch.take
+
+    def recording(self, idx):
+        taken.append(np.asarray(idx).copy())
+        return real_take(self, idx)
+
+    monkeypatch.setattr(Batch, "take", recording)
+    # 16 rows in batches of 6: two batches an epoch, four rows left out of each
+    cfg = _tiny_cfg(tmp_path, batch_size=6, train_steps=6, log_every=1, eval_path="")
+    recs = [r for r in read_records(train(cfg).metrics_path) if r["kind"] == "train_step"]
+    assert [r["epoch"] for r in recs] == [0, 0, 1, 1, 2, 2]
+    assert [len(idx) for idx in taken] == [6] * 6
+    epochs = [np.concatenate(taken[i:i + 2]) for i in range(0, 6, 2)]
+    for rows in epochs:
+        assert len(set(rows.tolist())) == 12 and rows.min() >= 0 and rows.max() < 16
+    assert len({tuple(rows) for rows in epochs}) == 3
+
+
+def test_corruption_is_drawn_from_the_seed_and_the_step(tmp_path, monkeypatch):
+    # the training loop reaches draw_t through its module, where a tracer may wrap it
+    drawn = []
+    real = train_mod.draw_t
+
+    def recording(schedule, n, rng):
+        t = real(schedule, n, rng)
+        drawn.append(t.tolist())
+        return t
+
+    monkeypatch.setattr(train_mod, "draw_t", recording)
+    runs = {}
+    for seed in (4, 5):
+        drawn.clear()
+        train(_tiny_cfg(tmp_path, seed=seed, train_steps=3, eval_path=""))
+        runs[seed] = list(drawn)
+    for step in range(3):
+        assert runs[4][step] != runs[5][step], step
+    assert runs[4][0] != runs[4][1] != runs[4][2]
+
+
+def test_checkpoint_holds_no_generator_state_and_refuses_schema_2(tmp_path):
+    first = _tiny_cfg(tmp_path, train_steps=2, eval_path="")
+    train(first)
+    ckpt = os.path.join(first.out_dir, "checkpoint")
+    manifest_path = pathlib.Path(ckpt) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["schema_version"] == 3
+    assert "rng_state" not in manifest
+    # schema 2 carried the generator states that a resume restored
+    manifest.update(schema_version=2, rng_state={"noise": {}, "sampler": {}})
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="unsupported checkpoint schema 2"):
+        train(first.replace(train_steps=4), resume_from=ckpt)
 
 
 def test_resume_refuses_a_changed_config(tmp_path):
@@ -602,18 +674,6 @@ def test_resume_refuses_fewer_steps_than_the_checkpoint_and_writes_nothing(tmp_p
         train(first.replace(train_steps=steps), resume_from=ckpt)
     assert sorted(os.listdir(ckpt)) == names
     assert [pathlib.Path(p).read_bytes() for p in paths] == before
-
-
-def test_resume_refuses_a_checkpoint_without_sampler_state(tmp_path):
-    first = _tiny_cfg(tmp_path, train_steps=4, eval_path="", eval_every=0)
-    train(first)
-    manifest_path = tmp_path / "run" / "checkpoint" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    del manifest["rng_state"]["sampler"]
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="sampler"):
-        train(first.replace(train_steps=8),
-              resume_from=os.path.join(first.out_dir, "checkpoint"))
 
 
 def test_train_divergence_abort(tmp_path, monkeypatch):

@@ -667,20 +667,18 @@ def _trained_tiny(seed):
     return model, opt, batch_tokens
 
 
-def _save(path, model, opt, step, rng_state=None, extra=None):
+def _save(path, model, opt, step, extra=None):
     save_checkpoint(str(path), model.params, dataclasses.asdict(model.config), opt.state_dict(),
-                    rng_state or {}, step, extra or {})
+                    step, extra or {})
 
 
 def test_checkpoint_roundtrip_bit_identical(tmp_path):
     model, opt, batch_tokens = _trained_tiny(seed=9)
     path = tmp_path / "ckpt"
-    rng_state = {"probe": 123}
-    _save(path, model, opt, 1, rng_state, {"note": "test"})
+    _save(path, model, opt, 1, {"note": "test"})
     ck = load_checkpoint(str(path))
     assert ck.step == 1
     assert ck.manifest["extra"]["note"] == "test"
-    assert ck.rng_state == rng_state
     for name, p in model.params.items():
         np.testing.assert_array_equal(ck.params[name], p.value)
         np.testing.assert_array_equal(ck.optimizer_state["m"][name], opt.m[name])
