@@ -40,25 +40,37 @@ class Batch:
         return Batch(self.tokens[idx], self.target_mask[idx], self.pad_mask[idx], self.cond_width)
 
 
-def pack_rows(cond_rows, target_rows, cond_width: int, target_width: int, pad_id: int) -> Batch:
-    """Assemble a Batch from per-row condition / target id lists."""
-    if len(cond_rows) != len(target_rows):
-        raise ValueError(f"row count mismatch: {len(cond_rows)} conditions, {len(target_rows)} targets")
-    b = len(cond_rows)
-    s = cond_width + target_width
-    tokens = np.full((b, s), pad_id, dtype=np.int32)
-    target_mask = np.zeros((b, s), dtype=bool)
-    pad_mask = np.zeros((b, s), dtype=bool)
-    for i, (cond, tgt) in enumerate(zip(cond_rows, target_rows)):
-        if len(cond) > cond_width:
-            raise ValueError(f"row {i}: condition length {len(cond)} exceeds width {cond_width}")
-        if len(tgt) > target_width:
-            raise ValueError(f"row {i}: target length {len(tgt)} exceeds width {target_width}")
-        lo = cond_width - len(cond)
-        tokens[i, lo:cond_width] = cond
-        pad_mask[i, lo:cond_width] = True
-        hi = cond_width + len(tgt)
-        tokens[i, cond_width:hi] = tgt
-        pad_mask[i, cond_width:hi] = True
-        target_mask[i, cond_width:hi] = True
+def _positions(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-> (row, offset within the row) of each id of rows laid end to end."""
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    return rows, np.arange(len(rows)) - starts[rows]
+
+
+def pack_ids(cond_ids, cond_lengths, target_ids, target_lengths,
+             cond_width: int, target_width: int, pad_id: int) -> Batch:
+    """Assemble a Batch from the rows' condition ids laid end to end, each
+    row's condition length, and the same for the targets."""
+    if len(cond_lengths) != len(target_lengths):
+        raise ValueError(f"row count mismatch: {len(cond_lengths)} conditions, "
+                         f"{len(target_lengths)} targets")
+    too_long = (cond_lengths > cond_width) | (target_lengths > target_width)
+    if too_long.any():
+        i = int(too_long.argmax())
+        if cond_lengths[i] > cond_width:
+            raise ValueError(f"row {i}: condition length {cond_lengths[i]} exceeds width {cond_width}")
+        raise ValueError(f"row {i}: target length {target_lengths[i]} exceeds width {target_width}")
+    shape = (len(cond_lengths), cond_width + target_width)
+    tokens = np.full(shape, pad_id, dtype=np.int32)
+    target_mask = np.zeros(shape, dtype=bool)
+    pad_mask = np.zeros(shape, dtype=bool)
+    rows, offsets = _positions(cond_lengths)
+    cols = cond_width - cond_lengths[rows] + offsets
+    tokens[rows, cols] = cond_ids
+    pad_mask[rows, cols] = True
+    rows, offsets = _positions(target_lengths)
+    cols = cond_width + offsets
+    tokens[rows, cols] = target_ids
+    pad_mask[rows, cols] = True
+    target_mask[rows, cols] = True
     return Batch(tokens, target_mask, pad_mask, cond_width)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import dataclasses
@@ -86,16 +87,24 @@ def blas_threads(n: int):
         set_(before)
 
 
-def run_jobs(jobs: list) -> list:
-    """Call the jobs; -> their results in order. With two or more workers
+def run_jobs(jobs: list):
+    """Call the jobs; yield their results in job order, each as soon as it and
+    every earlier job have finished. With two or more workers
     (`resolve_threads`, one per job at most) they run on WORKER_PREFIX threads
-    with the process-wide BLAS count pinned to 1 until all end; else here, in turn."""
+    with the process-wide BLAS count pinned to 1 until all end, even when a job
+    raises or the caller stops early; else here, in turn, as the caller asks.
+
+    A result is released once yielded, so the caller alone decides how long
+    it lives."""
     workers = min(len(jobs), resolve_threads())
     if workers < 2:
-        return [job() for job in jobs]
+        for job in jobs:
+            yield job()
+        return
     with blas_threads(1), ThreadPoolExecutor(workers, thread_name_prefix=WORKER_PREFIX) as pool:
-        futures = [pool.submit(job) for job in jobs]
-    return [f.result() for f in futures]
+        pending = collections.deque(pool.submit(job) for job in jobs)
+        while pending:
+            yield pending.popleft().result()
 
 
 def tune_malloc(libc=None) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import json
+import os
 
 WALL_CLOCK_FIELDS = ("wall_time", "samples_per_sec")
 
@@ -48,6 +49,27 @@ def append_record(path: str, record: dict) -> None:
     validate_record(record)
     with open(path, "a", encoding="utf-8", newline="\n") as f:
         f.write(json.dumps({**_NULLS, **record}, sort_keys=True) + "\n")
+
+
+def rewind_records(path: str, step: int) -> None:
+    """Rewrite a metrics file as it stood when its run saved the checkpoint
+    of `step`: its complete records up to that step, without `final`. A run
+    killed after that checkpoint, or finished, may have written more, which
+    a resume from it would write again. The new file replaces the old in one
+    rename, so a kill leaves one or the other."""
+    keep = []
+    with open(path, encoding="utf-8", newline="\n") as f:
+        for line in f:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # blank, or cut short by a kill
+            if line.endswith("\n") and record["kind"] != "final" and record["step"] <= step:
+                keep.append(line)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(keep)
+    os.replace(tmp, path)
 
 
 def read_records(path: str) -> list[dict]:

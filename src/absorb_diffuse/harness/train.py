@@ -8,12 +8,13 @@ generator seeded by (noise word, s). A checkpoint then holds no generator
 state, and a resumed run continues the exact step sequence of an
 uninterrupted one from its parameters, Adam state and step alone.
 
-Each step is data-parallel: the batch is corrupted once, split into four
+Each step is data-parallel: the batch is corrupted once, split into eight
 row shards, and the shards' gradients are summed, as data-parallel workers
 accumulate theirs. The shards run on one thread per allowed CPU, up to
-four, and each thread holds the tape of one shard at a time: on two CPUs a
-quarter of the batch per thread, not a half. That tape is most of a
-training process's memory.
+eight, and each thread holds the tape of one shard at a time: an eighth of
+the batch per thread. That tape is most of a training process's memory.
+Each shard's gradients join the sum as soon as it and every earlier shard
+have finished, so a step holds one running sum, not eight gradient sets.
 """
 
 from __future__ import annotations
@@ -35,17 +36,18 @@ from ..model import DenoiserModel, ModelConfig, ar_nll
 from ..tasks import Vocabulary, encode_instances, get_task, read_instances
 from .config import ExperimentConfig, run_jobs
 from .evaluate import evaluate_model
-from .metrics import append_record
+from .metrics import append_record, rewind_records
 
 
 # Every step runs as SHARDS row shards, whatever the number of workers, and
 # sums their gradients in shard order: a step's result then depends neither
-# on the core count nor on thread timing. Four shards, not one per worker,
-# bound the tape that each worker keeps alive to a quarter of the batch.
-# More shards save more memory but pay the tape's per-op overhead more
-# often: on the desk profile eight measured 131 MB against 168 MB of peak
-# RSS, but 5-10% fewer samples/s.
-SHARDS = 4
+# on the core count nor on thread timing. Eight shards, not one per worker,
+# bound the tape that each worker keeps alive to an eighth of the batch (16
+# rows on the desk profile). A shard's fixed cost, about 2.5 ms of one
+# thread's time against 1.6 ms per desk row, kept the desk profile's
+# samples/s within the run-to-run spread of four shards, while eight shards
+# and the running sum in `_run_shards` took its peak RSS from 128 to 92 MB.
+SHARDS = 8
 
 
 class TrainingDiverged(RuntimeError):
@@ -81,14 +83,18 @@ def _shard_step(model, kind: str, shard, share: float, schedule, reweight):
     return float(loss.value), grads
 
 
-def _run_shards(model, kind: str, batch, schedule, reweight) -> list:
+def _run_shards(model, kind: str, batch, schedule, reweight) -> tuple[float, float | None]:
     """Forward and backward of each row shard of a CorruptedBatch (diffusion)
-    or Batch (AR), in shard order: -> [(weighted loss value, {param: grad})].
+    or Batch (AR); sets each parameter's .grad to the sum of its shard
+    gradients. -> (batch loss, global gradient norm in float64, or None when
+    no shard ran).
 
     Each shard's loss is weighted by its share of the tokens the loss scores
     in the whole batch, so the weighted losses and their gradients add up
     to the whole batch's. A shard that scores nothing adds nothing and is
-    not run; the rest run through `run_jobs`.
+    not run; the rest run through `run_jobs`. Losses and gradients are added
+    in shard order, ((g0 + g1) + g2) + ..., as each shard and every earlier
+    one have finished, and a shard's gradients are dropped once added.
     """
     scored = batch.corrupted if kind == "diffusion" else batch.target_mask[:, 1:]
     per_row = scored.sum(axis=1)
@@ -97,19 +103,18 @@ def _run_shards(model, kind: str, batch, schedule, reweight) -> list:
     jobs = [functools.partial(_shard_step, model, kind, _rows(batch, lo, hi),
                               int(per_row[lo:hi].sum()) / total, schedule, reweight)
             for lo, hi in zip(cuts, cuts[1:]) if per_row[lo:hi].any()]
-    return run_jobs(jobs)
-
-
-def _gather_grads(params: dict, shard_grads: list) -> float:
-    """Set each parameter's .grad to the sum of its shard gradients, added
-    in shard order, and return the global gradient norm, in float64."""
+    loss, summed = 0.0, {}
+    for value, grads in run_jobs(jobs):
+        loss += value
+        for p, g in grads.items():
+            summed[p] = summed[p] + g if p in summed else g
+        del grads  # not held while the next shard is awaited
     sq = 0.0
-    for p in params.values():
-        pieces = [grads[p] for grads in shard_grads if p in grads]
-        if pieces:
-            p.grad = functools.reduce(np.add, pieces)
+    for p in model.params.values():
+        if p in summed:
+            p.grad = summed.pop(p)
             sq += float(np.square(p.grad, dtype=np.float64).sum())
-    return math.sqrt(sq)
+    return loss, math.sqrt(sq) if jobs else None
 
 
 def load_model(checkpoint_dir: str):
@@ -167,6 +172,9 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
         if cfg.train_steps <= start_step:
             raise ValueError(f"{resume_from}: train_steps {cfg.train_steps} leaves nothing to "
                              f"train past the checkpoint's step {start_step}")
+        in_out_dir = os.path.dirname(os.path.realpath(resume_from)) == os.path.realpath(cfg.out_dir)
+        if in_out_dir and os.path.exists(metrics_path):
+            rewind_records(metrics_path, start_step)
     os.makedirs(cfg.out_dir, exist_ok=True)
     head = {"task": task.name, "model_kind": cfg.model_kind, "seed": cfg.seed}
 
@@ -216,14 +224,11 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
             batch = sample_xt(schedule, rows, t, noise_rng, vocab.mask_id)
         else:
             batch = rows
-        shards = _run_shards(model, cfg.model_kind, batch, schedule, reweight)
-        loss_val = sum((value for value, _ in shards), 0.0)
+        loss_val, grad_norm = _run_shards(model, cfg.model_kind, batch, schedule, reweight)
         if not np.isfinite(loss_val):
             diverged(step, f"non-finite loss {loss_val}", loss_val, idx)
         lr_t = cfg.lr * min(1.0, (step + 1) / cfg.warmup_steps) if cfg.warmup_steps else cfg.lr
-        grad_norm = None
-        if shards:
-            grad_norm = _gather_grads(model.params, [grads for _, grads in shards])
+        if grad_norm is not None:
             if not math.isfinite(grad_norm):
                 bad = [k for k, p in model.params.items()
                        if p.grad is not None and not np.isfinite(p.grad).all()]

@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from ..data import Batch, pack_rows
+from ..data import Batch, pack_ids
 from . import countdown, planning, sat, sudoku
 from .base import split_segments
 from .vocab import Vocabulary
@@ -105,17 +105,18 @@ def get_task(name: str) -> TaskSpec:
 def encode_instances(task: TaskSpec, instances, vocab: Vocabulary | None = None) -> Batch:
     """Tokenize instances onto the task's canvas."""
     vocab = vocab or task.vocabulary()
-    conds = [vocab.encode(inst.input_text) for inst in instances]
-    tgts = [vocab.encode(inst.output_text) for inst in instances]
-    return pack_rows(conds, tgts, task.cond_width, task.target_width, vocab.pad_id)
+    conds = vocab.encode_texts([inst.input_text for inst in instances])
+    tgts = vocab.encode_texts([inst.output_text for inst in instances])
+    return pack_ids(*conds, *tgts, task.cond_width, task.target_width, vocab.pad_id)
 
 
 def encode_conditions(task: TaskSpec, inputs, target_lengths, vocab: Vocabulary | None = None) -> Batch:
     """Canvas with known condition text and target slots reserved by length."""
     vocab = vocab or task.vocabulary()
-    conds = [vocab.encode(text) for text in inputs]
-    dummies = [[0] * int(n) for n in target_lengths]
-    return pack_rows(conds, dummies, task.cond_width, task.target_width, vocab.pad_id)
+    lengths = np.asarray(target_lengths, dtype=np.int64)
+    dummies = np.zeros(int(lengths.sum()), dtype=np.int32)
+    return pack_ids(*vocab.encode_texts(list(inputs)), dummies, lengths,
+                    task.cond_width, task.target_width, vocab.pad_id)
 
 
 def segment_map(task: TaskSpec, batch: Batch, instances) -> np.ndarray:

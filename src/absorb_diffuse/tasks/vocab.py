@@ -7,6 +7,8 @@ only) can use a contiguous [0, n) target space.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class Vocabulary:
     def __init__(self, chars):
@@ -16,7 +18,11 @@ class Vocabulary:
         if any(len(c) != 1 for c in chars):
             raise ValueError("content tokens must be single characters")
         self.chars = sorted(chars)
-        self._to_id = {c: i for i, c in enumerate(self.chars)}
+        # id of each code point up to the largest content one, -1 where none;
+        # the trailing -1 stands for every larger code point
+        codes = [ord(c) for c in self.chars]
+        self._ids = np.full(max(codes, default=-1) + 2, -1, dtype=np.int32)
+        self._ids[codes] = np.arange(len(codes))
 
     @property
     def mask_id(self) -> int:
@@ -31,11 +37,16 @@ class Vocabulary:
         """Full vocabulary size including mask and pad."""
         return len(self.chars) + 2
 
-    def encode(self, text: str) -> list[int]:
-        try:
-            return [self._to_id[c] for c in text]
-        except KeyError as e:
-            raise ValueError(f"character {e.args[0]!r} not in vocabulary") from None
+    def encode_texts(self, texts) -> tuple[np.ndarray, np.ndarray]:
+        """-> (the texts' ids laid end to end as int32, each text's length)."""
+        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        joined = "".join(texts).encode("utf-32-le", "surrogatepass")
+        codes = np.frombuffer(joined, dtype="<u4")
+        ids = self._ids[np.minimum(codes, len(self._ids) - 1)]
+        bad = ids < 0
+        if bad.any():
+            raise ValueError(f"character {chr(codes[bad.argmax()])!r} not in vocabulary")
+        return ids, lengths
 
     def decode(self, ids) -> str:
         """Content ids to text; pad ids are skipped."""

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 
 from absorb_diffuse import autodiff as ad
+from absorb_diffuse.data import Batch, pack_ids
 from absorb_diffuse.diffusion import NoiseSchedule
 from absorb_diffuse.harness.metrics import WALL_CLOCK_FIELDS
 from absorb_diffuse.tasks.planning import parse_input
@@ -281,3 +282,12 @@ def reveals_per_step(canvases, out, batch, mask_id: int) -> list:
 def strip_wall_clock(records) -> list[dict]:
     """Records minus the fields that legitimately differ across runs."""
     return [{k: v for k, v in r.items() if k not in WALL_CLOCK_FIELDS} for r in records]
+
+
+def pack_rows(cond_rows, target_rows, cond_width: int, target_width: int, pad_id: int) -> Batch:
+    """Assemble a Batch from per-row condition / target id lists."""
+    def joined(rows):
+        ids = np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64)
+        return ids, np.array([len(r) for r in rows], dtype=np.int64)
+
+    return pack_ids(*joined(cond_rows), *joined(target_rows), cond_width, target_width, pad_id)

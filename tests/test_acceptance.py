@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from absorb_diffuse import autodiff as ad
-from absorb_diffuse.data import Batch, pack_rows
+from absorb_diffuse.data import Batch
 from absorb_diffuse.decoding import DecodeConfig, diffusion_decode
 from absorb_diffuse.diffusion import (
     CorruptedBatch,
@@ -40,8 +40,8 @@ from absorb_diffuse.tasks.registry import TASKS, encode_instances, segment_map
 from absorb_diffuse.tasks.sat import clause_count
 
 from conftest import record_criterion
-from helpers import (check_gradient, elbo_exact, forward_marginal, kl_term, posterior,
-                     reveals_per_step, strip_wall_clock, zero_grads)
+from helpers import (check_gradient, elbo_exact, forward_marginal, kl_term, pack_rows,
+                     posterior, reveals_per_step, strip_wall_clock, zero_grads)
 from test_tasks import (
     GOLD_CD3,
     GOLD_CD4,

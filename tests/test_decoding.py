@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from absorb_diffuse import autodiff as ad
-from absorb_diffuse.data import pack_rows
 from absorb_diffuse.decoding import DecodeConfig, ar_decode, diffusion_decode
 from absorb_diffuse.model import ModelConfig, DenoiserModel
 
-from helpers import ar_decode_full_canvas, reveals_per_step
+from helpers import ar_decode_full_canvas, pack_rows, reveals_per_step
 
 RNG = np.random.default_rng(515)
 

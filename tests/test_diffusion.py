@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from absorb_diffuse import autodiff as ad
-from absorb_diffuse.data import pack_rows
 from absorb_diffuse.diffusion import (
     CorruptedBatch,
     LossReport,
@@ -19,7 +18,7 @@ from absorb_diffuse.diffusion import (
 )
 from absorb_diffuse.model import ModelConfig, DenoiserModel
 
-from helpers import beta, elbo_exact, forward_marginal, kl_term, posterior, zero_grads
+from helpers import beta, elbo_exact, forward_marginal, kl_term, pack_rows, posterior, zero_grads
 
 RNG = np.random.default_rng(20240818)
 

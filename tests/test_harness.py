@@ -1,6 +1,7 @@
 """Experiment harness: config, metrics, evaluation, training loop, CLI."""
 
 import dataclasses
+import functools
 import importlib
 import importlib.resources
 import itertools
@@ -11,6 +12,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -194,16 +196,46 @@ def test_run_jobs_keeps_job_order_and_restores_blas(monkeypatch):
         return i
 
     monkeypatch.setenv(THREADS_ENV, "1")
-    assert config_mod.run_jobs([lambda i=i: job(i) for i in range(3)]) == [0, 1, 2]
+    assert list(config_mod.run_jobs([lambda i=i: job(i) for i in range(3)])) == [0, 1, 2]
     assert seen == [("MainThread", before)] * 3
     monkeypatch.setenv(THREADS_ENV, "2")
     seen.clear()
-    assert config_mod.run_jobs([lambda i=i: job(i) for i in range(3)]) == [0, 1, 2]
+    assert list(config_mod.run_jobs([lambda i=i: job(i) for i in range(3)])) == [0, 1, 2]
     assert len(seen) == 3 and all(n.startswith(WORKER_PREFIX) and c == 1 for n, c in seen)
     with pytest.raises(RuntimeError, match="job failed"):
-        config_mod.run_jobs([lambda i=i: job(i) for i in range(5)])
+        list(config_mod.run_jobs([lambda i=i: job(i) for i in range(5)]))
     assert len(seen) == 3 + 5  # the other jobs ran to the end
     assert get() == before
+    # a caller that stops early still waits for every job, then restores BLAS
+    results = config_mod.run_jobs([lambda i=i: job(i) for i in range(3)])
+    assert next(results) == 0 and get() == 1
+    results.close()
+    assert len(seen) == 8 + 3 and get() == before
+
+
+def test_run_jobs_yields_and_releases_each_result_while_later_jobs_run(monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "2")
+    first_taken, third_ran = threading.Event(), threading.Event()
+
+    class Result:
+        pass
+
+    def first():
+        return Result()
+
+    def second():  # holds its worker until the caller has the first result
+        return first_taken.wait(timeout=30)
+
+    def third():  # runs on the first job's worker, once that has let go of it
+        third_ran.set()
+        return True
+
+    results = config_mod.run_jobs([first, second, third])
+    held = weakref.ref(next(results))
+    assert third_ran.wait(timeout=30)
+    assert held() is None  # neither run_jobs nor the pool keeps a yielded result
+    first_taken.set()
+    assert list(results) == [True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +629,38 @@ def test_resume_mid_epoch_is_bit_identical(tmp_path):
     _assert_resume_is_bit_identical(tmp_path, 5)
 
 
+class _Killed(Exception):
+    pass
+
+
+def test_resume_in_the_out_dir_writes_each_record_once(tmp_path):
+    """A run killed between checkpoints, and a finished run trained further,
+    each resumed in their out_dir, leave the metrics of an uninterrupted run."""
+    def cfg(name, steps):
+        # checkpoints (and evals) at steps 4 and 8, and 12 in a 16-step run
+        return _tiny_cfg(tmp_path, out_dir=str(tmp_path / name), train_steps=steps,
+                         log_every=2, eval_every=4)
+
+    def records(res):
+        return strip_wall_clock(read_records(res.metrics_path))
+
+    def kill_after_step_10(message):
+        if message.startswith("step 10/"):
+            raise _Killed
+
+    whole_12, whole_16 = records(train(cfg("w12", 12))), records(train(cfg("w16", 16)))
+    part = cfg("part", 12)
+    with pytest.raises(_Killed):
+        train(part, log=kill_after_step_10, quiet=False)
+    ckpt = os.path.join(part.out_dir, "checkpoint")
+    assert load_checkpoint(ckpt).step == 8
+    assert [r["step"] for r in read_records(part.out_dir + "/metrics.jsonl")][-1] == 10
+    assert records(train(part, resume_from=ckpt)) == whole_12
+    # the finished run's `final` record is dropped; its final eval is step 12's
+    assert records(train(part.replace(train_steps=16), resume_from=ckpt)) == whole_16
+    assert sorted(os.listdir(part.out_dir)) == ["checkpoint", "metrics.jsonl"]
+
+
 def test_batches_are_epoch_shuffles_that_drop_the_remainder(tmp_path, monkeypatch):
     taken = []
     real_take = Batch.take
@@ -676,13 +740,27 @@ def test_resume_refuses_fewer_steps_than_the_checkpoint_and_writes_nothing(tmp_p
     assert [pathlib.Path(p).read_bytes() for p in paths] == before
 
 
+def _count_steps(monkeypatch) -> list:
+    """Count the training steps begun, by their one draw_t call each;
+    -> a one-item list holding the count."""
+    real = train_mod.draw_t
+    begun = [0]
+
+    def counting(*a, **kw):
+        begun[0] += 1
+        return real(*a, **kw)
+
+    monkeypatch.setattr(train_mod, "draw_t", counting)
+    return begun
+
+
 def test_train_divergence_abort(tmp_path, monkeypatch):
     real = train_mod.diffusion_loss
-    calls = itertools.count(1)  # next() is atomic: the shards call from two threads
+    begun = _count_steps(monkeypatch)
 
     def tripwire(*a, **kw):
         loss, report = real(*a, **kw)
-        if next(calls) > 2 * train_mod.SHARDS:  # every shard from step 2 on
+        if begun[0] > 2:  # every shard from step 2 (the third) on
             loss = ad.scale(loss, float("nan"))  # still on the graph: backward() needs that
         return loss, report
 
@@ -709,12 +787,13 @@ def test_train_stops_on_non_finite_gradient(tmp_path, monkeypatch):
         return models[-1]
 
     real_backward = ad.Node.backward
-    calls = itertools.count(1)  # next() is atomic: the shards call from two threads
+    begun = _count_steps(monkeypatch)
+    calls = itertools.count()  # next() is atomic: the shards call from two threads
     state = {}
 
     def poisoned(self, grads=None):
         real_backward(self, grads)
-        if next(calls) == 2 * train_mod.SHARDS + 1:  # one shard of step 2
+        if begun[0] == 3 and next(calls) == 0:  # one shard of step 2 (the third)
             params = models[0].params
             state["before"] = {k: p.value.copy() for k, p in params.items()}
             grads[params["h0.mlp.w1"]][0, 0] = np.nan
@@ -741,11 +820,11 @@ def _desk_cfg(kind: str) -> ExperimentConfig:
 
 
 @pytest.mark.parametrize("kind", ["diffusion", "ar"])
-def test_shard_gradients_sum_to_the_full_batch_gradient(kind):
+def test_shard_gradients_sum_to_the_full_batch_gradient(kind, monkeypatch):
     cfg = _desk_cfg(kind)
     task = get_task("planning")
     vocab = task.vocabulary()
-    instances, _ = task.generate(15, 0, 7)  # shards of 4, 4, 4 and 3 rows
+    instances, _ = task.generate(15, 0, 7)  # seven shards of 2 rows and one of 1
     rows = encode_instances(task, instances, vocab)
     with ad.using_dtype(np.float64):
         model = DenoiserModel(cfg.model_config(vocab.size), seed=3)
@@ -759,13 +838,19 @@ def test_shard_gradients_sum_to_the_full_batch_gradient(kind):
     else:
         batch = rows
         full = ar_nll(model, rows)[0]
-    shards = train_mod._run_shards(model, kind, batch, schedule, reweight)
-    assert len(shards) == train_mod.SHARDS
-    norm = train_mod._gather_grads(model.params, [grads for _, grads in shards])
+    real_step, ran = train_mod._shard_step, []
+
+    def counted(*a):
+        ran.append(a[2].size)
+        return real_step(*a)
+
+    monkeypatch.setattr(train_mod, "_shard_step", counted)
+    loss, norm = train_mod._run_shards(model, kind, batch, schedule, reweight)
+    assert sorted(ran) == [1] + [2] * 7  # every shard scores some token here
     summed = {k: p.grad for k, p in model.params.items()}
     zero_grads(model.params)
     full.backward()
-    assert sum(value for value, _ in shards) == pytest.approx(float(full.value), rel=1e-12)
+    assert loss == pytest.approx(float(full.value), rel=1e-12)
     full_norm = np.sqrt(sum(np.square(p.grad).sum() for p in model.params.values()))
     assert norm == pytest.approx(full_norm, rel=1e-10)
     for name, p in model.params.items():
@@ -774,6 +859,91 @@ def test_shard_gradients_sum_to_the_full_batch_gradient(kind):
         scale = np.abs(p.grad).max()
         assert scale > 0, name
         assert np.abs(summed[name] - p.grad).max() <= 1e-10 * scale, name
+
+
+def test_a_desk_training_step_holds_two_sixteen_row_shard_tapes(monkeypatch):
+    # 128 rows in eight shards on two threads: each thread holds one 16-row
+    # shard's tape (about 13 MB) at a time, and finished shards' gradients
+    # (1 MB a set) join one sum. Four shards peaked at about 55 MB.
+    monkeypatch.setenv(THREADS_ENV, "2")
+    cfg = _desk_cfg("diffusion")
+    task = get_task("planning")
+    vocab = task.vocabulary()
+    rows = encode_instances(task, task.generate(cfg.batch_size, 0, 3)[0], vocab)
+    model = DenoiserModel(cfg.model_config(vocab.size), seed=3)
+    schedule = NoiseSchedule.linear(cfg.schedule_T)
+    rng = np.random.default_rng(3)
+    batch = sample_xt(schedule, rows, draw_t(schedule, rows.size, rng), rng, vocab.mask_id)
+    assert batch.tokens.shape == (128, 72)
+    scores = 32 * 4 * 72 * 72 * 4  # bytes of one float32 [32, 4, 72, 72] score array
+    tracemalloc.start()
+    try:
+        train_mod._run_shards(model, "diffusion", batch, schedule, cfg.reweight_config())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # eight shards peak at about 11 score arrays, four at about 21
+    assert peak < 15 * scores, f"peak {peak / scores:.2f} score arrays"
+
+
+def _shard_0_last(monkeypatch) -> list:
+    """Make each step's shard 0 wait until all its other shards have finished;
+    -> one list per step of its shards' indices in the order they finished."""
+    real = train_mod.run_jobs
+    orders = []
+
+    def run(jobs):
+        order, rest_done = [], threading.Semaphore(0)
+        orders.append(order)
+
+        def first():
+            for _ in jobs[1:]:
+                assert rest_done.acquire(timeout=60)
+            out = jobs[0]()
+            order.append(0)
+            return out
+
+        def other(i):
+            out = jobs[i]()
+            order.append(i)
+            rest_done.release()
+            return out
+
+        return real([first] + [functools.partial(other, i) for i in range(1, len(jobs))])
+
+    monkeypatch.setattr(train_mod, "run_jobs", run)
+    return orders
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "ar"])
+def test_train_does_not_depend_on_which_shard_finishes_last(tmp_path, monkeypatch, kind):
+    monkeypatch.setenv(THREADS_ENV, "2")
+    real_step, grads = ad.Adam.step, []
+
+    def recording_step(self, lr):
+        grads.append({k: p.grad.copy() for k, p in self.params.items() if p.grad is not None})
+        real_step(self, lr)
+
+    monkeypatch.setattr(ad.Adam, "step", recording_step)
+    runs = {}
+    for delayed in (False, True):
+        orders = _shard_0_last(monkeypatch) if delayed else []
+        grads.clear()
+        res = train(_tiny_cfg(tmp_path, model_kind=kind, out_dir=str(tmp_path / str(delayed))))
+        runs[delayed] = (strip_wall_clock(read_records(res.metrics_path)),
+                         _checkpoint_arrays(res.checkpoint_dir), list(grads))
+    assert len(orders) == 12 and all(len(o) > 1 and o[-1] == 0 for o in orders)
+    (recs, arrays, step_grads), (recs_d, arrays_d, step_grads_d) = runs[False], runs[True]
+    assert recs == recs_d
+    assert all(r["grad_norm"] > 0 for r in recs if r["kind"] == "train_step")
+    assert arrays.keys() == arrays_d.keys()
+    for name in arrays:
+        np.testing.assert_array_equal(arrays[name], arrays_d[name], err_msg=name)
+    assert len(step_grads) == len(step_grads_d) == 12
+    for step, (g, g_d) in enumerate(zip(step_grads, step_grads_d)):
+        assert g.keys() == g_d.keys(), step
+        for name in g:
+            np.testing.assert_array_equal(g[name], g_d[name], err_msg=f"{step} {name}")
 
 
 def _record_shard_calls(monkeypatch, kind: str) -> list:

@@ -13,7 +13,7 @@ import pytest
 from absorb_diffuse import autodiff as ad
 from absorb_diffuse import model as model_mod
 from absorb_diffuse.checkpoint import load_checkpoint, save_checkpoint
-from absorb_diffuse.data import Batch, pack_rows
+from absorb_diffuse.data import Batch
 from absorb_diffuse.diffusion import NoiseSchedule, ReweightConfig, diffusion_loss, draw_t, sample_xt
 from absorb_diffuse.harness.config import ExperimentConfig
 from absorb_diffuse.model import (
@@ -23,7 +23,7 @@ from absorb_diffuse.model import (
 )
 from absorb_diffuse.tasks import encode_instances, get_task
 
-from helpers import zero_grads
+from helpers import pack_rows, zero_grads
 
 RNG = np.random.default_rng(99)
 

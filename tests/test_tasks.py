@@ -1,9 +1,10 @@
 """Task generators, verifiers, and encodings against hand-checked rows."""
 
+import re
+
 import numpy as np
 import pytest
 
-from absorb_diffuse.data import pack_rows
 from absorb_diffuse.tasks.base import (
     CALC_ERROR,
     FORMAT_ERROR,
@@ -352,11 +353,12 @@ def test_sat_segments():
 def test_vocab_roundtrip_and_specials():
     v = Vocabulary(sorted("0123456789,-/"))
     text = GOLD_PLANNING[0]
-    assert v.decode(v.encode(text)) == text
+    ids, lengths = v.encode_texts([text])
+    assert v.decode(ids) == text and lengths.tolist() == [len(text)]
     assert v.mask_id == 13 and v.pad_id == 14 and v.size == 15
     assert len(v.chars) == 13
     with pytest.raises(ValueError):
-        v.encode("x")
+        v.encode_texts(["x"])
     with pytest.raises(ValueError):
         v.decode([v.mask_id])
     assert v.decode([0, v.pad_id, 1]) == v.chars[0] + v.chars[1]
@@ -411,6 +413,73 @@ def test_encode_instances_layout():
     assert not batch.pad_mask[0, 0]
     assert batch.pad_mask[0, 1:12 + n].all()
     assert not batch.pad_mask[0, 12 + n:].any()
+
+
+def _encode_per_row(task, instances, vocab):
+    """Reference: encode_instances as a loop over rows and characters."""
+    to_id = {c: i for i, c in enumerate(vocab.chars)}
+    for field in ("input_text", "output_text"):
+        for inst in instances:
+            for c in getattr(inst, field):
+                if c not in to_id:
+                    raise ValueError(f"character {c!r} not in vocabulary")
+    shape = (len(instances), task.seq_len)
+    tokens = np.full(shape, vocab.pad_id, dtype=np.int32)
+    target_mask = np.zeros(shape, dtype=bool)
+    pad_mask = np.zeros(shape, dtype=bool)
+    w = task.cond_width
+    for i, inst in enumerate(instances):
+        cond = [to_id[c] for c in inst.input_text]
+        tgt = [to_id[c] for c in inst.output_text]
+        if len(cond) > w:
+            raise ValueError(f"row {i}: condition length {len(cond)} exceeds width {w}")
+        if len(tgt) > task.target_width:
+            raise ValueError(f"row {i}: target length {len(tgt)} exceeds width {task.target_width}")
+        tokens[i, w - len(cond):w] = cond
+        pad_mask[i, w - len(cond):w] = True
+        tokens[i, w:w + len(tgt)] = tgt
+        pad_mask[i, w:w + len(tgt)] = True
+        target_mask[i, w:w + len(tgt)] = True
+    return tokens, target_mask, pad_mask
+
+
+def test_encode_instances_matches_the_per_row_reference():
+    task = get_task("planning")
+    vocab = task.vocabulary()
+    rng = np.random.default_rng(0)
+    chars = np.array(list(task.charset))
+
+    def text(n):
+        return "".join(rng.choice(chars, n))
+
+    insts = [TaskInstance("", ""), TaskInstance(text(3), ""), TaskInstance("", text(5)),
+             TaskInstance(text(task.cond_width), text(task.target_width))]
+    insts += [TaskInstance(text(rng.integers(task.cond_width + 1)),
+                           text(rng.integers(task.target_width + 1))) for _ in range(40)]
+    batch = encode_instances(task, insts, vocab)
+    want = _encode_per_row(task, insts, vocab)
+    for got, ref in zip((batch.tokens, batch.target_mask, batch.pad_mask), want):
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+    assert batch.cond_width == task.cond_width
+    empty = encode_instances(task, [], vocab)
+    assert empty.tokens.shape == (0, task.seq_len) and empty.tokens.dtype == np.int32
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([("1", "2"), ("1" * 50, "2")], "row 1: condition length 50 exceeds width 49"),
+    ([("1", "2" * 24), ("1" * 50, "2")], "row 0: target length 24 exceeds width 23"),
+    ([("1" * 50, "2" * 24)], "row 0: condition length 50 exceeds width 49"),
+    ([("1" * 50, "2"), ("1", "x")], "character 'x' not in vocabulary"),
+    ([("1", "\u00e9"), ("1.", "2")], "character '.' not in vocabulary"),
+    ([("1", "2\U0001f600")], "character '\U0001f600' not in vocabulary"),
+])
+def test_encode_instances_reports_what_the_per_row_reference_does(rows, message):
+    task = get_task("planning")
+    insts = [TaskInstance(*r) for r in rows]
+    for encode in (encode_instances, _encode_per_row):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            encode(task, insts, task.vocabulary())
 
 
 def test_encode_conditions_reserves_lengths():
