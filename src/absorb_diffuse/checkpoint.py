@@ -27,17 +27,18 @@ MANIFEST = "manifest.json"
 _KEYS = ("arrays", "sha256", "model_config", "adam_t", "step", "extra")
 
 
-def _write_durable(dir_path: str, tmp_name: str, name: str, data: bytes) -> None:
-    """Write `data` to `tmp_name` under `dir_path`, fsync it, rename it to
-    `name` and fsync the directory so the rename persists. A save killed
-    midway leaves at most the temporary file, which the next save reuses."""
-    tmp = os.path.join(dir_path, tmp_name)
+def write_durable(path: str, data: bytes, tmp: str | None = None) -> None:
+    """Write `data` to `tmp` (default `path` + ".tmp"; same directory as
+    `path`), fsync it, rename it to `path` and fsync the directory so the
+    rename persists. A write killed midway leaves `path` as it was and at
+    most the temporary file, which the next write reuses."""
+    tmp = path + ".tmp" if tmp is None else tmp
     with open(tmp, "wb") as f:
         f.write(data)
         f.flush()
         os.fsync(f.fileno())
-    os.replace(tmp, os.path.join(dir_path, name))
-    fd = os.open(dir_path, os.O_RDONLY)
+    os.replace(tmp, path)
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
@@ -58,7 +59,7 @@ def save_checkpoint(path: str, params: dict, model_config: dict, optimizer_state
     data = buf.getvalue()
     sha = hashlib.sha256(data).hexdigest()
     archive = f"arrays-{sha[:16]}.npz"
-    _write_durable(path, "arrays.tmp", archive, data)
+    write_durable(os.path.join(path, archive), data, os.path.join(path, "arrays.tmp"))
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "dtype": DTYPE_TAG,
@@ -70,7 +71,7 @@ def save_checkpoint(path: str, params: dict, model_config: dict, optimizer_state
         "extra": extra,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _write_durable(path, MANIFEST + ".tmp", MANIFEST, text.encode())
+    write_durable(os.path.join(path, MANIFEST), text.encode())
     for f in os.listdir(path):
         if f.startswith("arrays-") and f.endswith(".npz") and f != archive:
             os.remove(os.path.join(path, f))

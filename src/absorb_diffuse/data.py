@@ -40,17 +40,16 @@ class Batch:
         return Batch(self.tokens[idx], self.target_mask[idx], self.pad_mask[idx], self.cond_width)
 
 
-def _positions(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """-> (row, offset within the row) of each id of rows laid end to end."""
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    starts = np.cumsum(lengths) - lengths
-    return rows, np.arange(len(rows)) - starts[rows]
-
-
 def pack_ids(cond_ids, cond_lengths, target_ids, target_lengths,
              cond_width: int, target_width: int, pad_id: int) -> Batch:
     """Assemble a Batch from the rows' condition ids laid end to end, each
-    row's condition length, and the same for the targets."""
+    row's condition length, and the same for the targets.
+
+    Each region's occupied slots are one boolean mask: a row's last
+    `cond_lengths[i]` condition columns and first `target_lengths[i]` target
+    columns. A boolean assignment fills a mask's True slots in row-major
+    order, which is the order of the ids laid end to end, so no per-id row
+    or column index is built."""
     if len(cond_lengths) != len(target_lengths):
         raise ValueError(f"row count mismatch: {len(cond_lengths)} conditions, "
                          f"{len(target_lengths)} targets")
@@ -60,17 +59,12 @@ def pack_ids(cond_ids, cond_lengths, target_ids, target_lengths,
         if cond_lengths[i] > cond_width:
             raise ValueError(f"row {i}: condition length {cond_lengths[i]} exceeds width {cond_width}")
         raise ValueError(f"row {i}: target length {target_lengths[i]} exceeds width {target_width}")
-    shape = (len(cond_lengths), cond_width + target_width)
-    tokens = np.full(shape, pad_id, dtype=np.int32)
-    target_mask = np.zeros(shape, dtype=bool)
-    pad_mask = np.zeros(shape, dtype=bool)
-    rows, offsets = _positions(cond_lengths)
-    cols = cond_width - cond_lengths[rows] + offsets
-    tokens[rows, cols] = cond_ids
-    pad_mask[rows, cols] = True
-    rows, offsets = _positions(target_lengths)
-    cols = cond_width + offsets
-    tokens[rows, cols] = target_ids
-    pad_mask[rows, cols] = True
-    target_mask[rows, cols] = True
+    cond = np.arange(cond_width) >= cond_width - cond_lengths[:, None]
+    target = np.arange(target_width) < target_lengths[:, None]
+    pad_mask = np.concatenate([cond, target], axis=1)
+    target_mask = np.zeros_like(pad_mask)
+    target_mask[:, cond_width:] = target
+    tokens = np.full(pad_mask.shape, pad_id, dtype=np.int32)
+    tokens[:, :cond_width][cond] = cond_ids
+    tokens[:, cond_width:][target] = target_ids
     return Batch(tokens, target_mask, pad_mask, cond_width)

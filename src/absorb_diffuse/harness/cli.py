@@ -179,6 +179,16 @@ def _ints(lo: int, hi: float = math.inf):
     return lambda text: [one(x) for x in text.split(",")]
 
 
+class _AppendDistinct(argparse.Action):
+    """argparse action: append each value, refusing one already given, as
+    a usage error before any work starts."""
+    def __call__(self, parser, namespace, value, option_string=None):
+        given = getattr(namespace, self.dest) or []
+        if value in given:
+            raise argparse.ArgumentError(self, f"{value} given more than once")
+        setattr(namespace, self.dest, [*given, value])
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="absorb-diffuse",
                                 description="Train and probe discrete-diffusion sequence models "
@@ -191,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n-train", type=_number(int, 0), default=1000)
     g.add_argument("--n-test", type=_number(int, 0), default=200)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--pd", type=_number(int, 0, planning.MAX_PD), action="append",
-                   help="planning distance; repeat for a mixture (planning only)")
+    g.add_argument("--pd", type=_number(int, 0, planning.MAX_PD), action=_AppendDistinct,
+                   help="planning distance; repeat with other distances for a mixture "
+                        "(planning only)")
     g.set_defaults(fn=_cmd_generate)
 
     t = sub.add_parser("train", help="train a model from a config file")

@@ -15,7 +15,8 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import json
-import os
+
+from ..checkpoint import write_durable
 
 WALL_CLOCK_FIELDS = ("wall_time", "samples_per_sec")
 
@@ -55,8 +56,9 @@ def rewind_records(path: str, step: int) -> None:
     """Rewrite a metrics file as it stood when its run saved the checkpoint
     of `step`: its complete records up to that step, without `final`. A run
     killed after that checkpoint, or finished, may have written more, which
-    a resume from it would write again. The new file replaces the old in one
-    rename, so a kill leaves one or the other."""
+    a resume from it would write again. The new file is synced and replaces
+    the old in one rename, which is synced too, so a kill or a power loss
+    leaves one or the other."""
     keep = []
     with open(path, encoding="utf-8", newline="\n") as f:
         for line in f:
@@ -66,10 +68,7 @@ def rewind_records(path: str, step: int) -> None:
                 continue  # blank, or cut short by a kill
             if line.endswith("\n") and record["kind"] != "final" and record["step"] <= step:
                 keep.append(line)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-        f.writelines(keep)
-    os.replace(tmp, path)
+    write_durable(path, "".join(keep).encode("utf-8"))
 
 
 def read_records(path: str) -> list[dict]:

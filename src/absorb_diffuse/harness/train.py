@@ -8,13 +8,14 @@ generator seeded by (noise word, s). A checkpoint then holds no generator
 state, and a resumed run continues the exact step sequence of an
 uninterrupted one from its parameters, Adam state and step alone.
 
-Each step is data-parallel: the batch is corrupted once, split into eight
+Each step is data-parallel: the batch is corrupted once, split into twelve
 row shards, and the shards' gradients are summed, as data-parallel workers
 accumulate theirs. The shards run on one thread per allowed CPU, up to
-eight, and each thread holds the tape of one shard at a time: an eighth of
-the batch per thread. That tape is most of a training process's memory.
-Each shard's gradients join the sum as soon as it and every earlier shard
-have finished, so a step holds one running sum, not eight gradient sets.
+twelve, and each thread holds the tape of one shard at a time: a twelfth
+of the batch per thread. That tape is most of a training process's memory.
+Each shard's gradients are added in place into the running sum as soon as
+it and every earlier shard have finished, so a step holds one running sum,
+not twelve gradient sets.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ from .metrics import append_record, rewind_records
 
 # Every step runs as SHARDS row shards, whatever the number of workers, and
 # sums their gradients in shard order: a step's result then depends neither
-# on the core count nor on thread timing. Eight shards, not one per worker,
-# bound the tape that each worker keeps alive to an eighth of the batch (16
-# rows on the desk profile). A shard's fixed cost, about 2.5 ms of one
-# thread's time against 1.6 ms per desk row, kept the desk profile's
-# samples/s within the run-to-run spread of four shards, while eight shards
-# and the running sum in `_run_shards` took its peak RSS from 128 to 92 MB.
-SHARDS = 8
+# on the core count nor on thread timing. Twelve shards, not one per worker,
+# bound the tape that each worker keeps alive to a twelfth of the batch (10
+# or 11 rows on the desk profile); twelve took the desk profile's peak RSS
+# from 92 to about 82 MB at no measurable cost in step time. Sixteen shards
+# (8 rows) held less again but cost about 11% of step time on two threads,
+# though nothing on one.
+SHARDS = 12
 
 
 class TrainingDiverged(RuntimeError):
@@ -94,7 +95,8 @@ def _run_shards(model, kind: str, batch, schedule, reweight) -> tuple[float, flo
     to the whole batch's. A shard that scores nothing adds nothing and is
     not run; the rest run through `run_jobs`. Losses and gradients are added
     in shard order, ((g0 + g1) + g2) + ..., as each shard and every earlier
-    one have finished, and a shard's gradients are dropped once added.
+    one have finished; the sum is built in place, in the first added
+    shard's arrays, and a later shard's gradients are dropped once added.
     """
     scored = batch.corrupted if kind == "diffusion" else batch.target_mask[:, 1:]
     per_row = scored.sum(axis=1)
@@ -107,7 +109,10 @@ def _run_shards(model, kind: str, batch, schedule, reweight) -> tuple[float, flo
     for value, grads in run_jobs(jobs):
         loss += value
         for p, g in grads.items():
-            summed[p] = summed[p] + g if p in summed else g
+            if p in summed:
+                summed[p] += g
+            else:
+                summed[p] = g  # the shard's own copy (Node.backward's), so it can be added into
         del grads  # not held while the next shard is awaited
     sq = 0.0
     for p in model.params.values():

@@ -38,6 +38,10 @@ class TaskSpec:
 
 
 def _gen_planning_pools(n_train, n_test, seed, pds=(0, 1, 2, 3, 4, 5)):
+    # a distance's block is seeded by (seed, pd, index), so a repeat repeats it
+    if len(set(pds)) < len(pds):
+        raise ValueError(f"planning distances must be distinct, got {list(pds)}")
+
     def pool(n, s):
         out = []
         share, extra = divmod(n, len(pds))

@@ -23,6 +23,7 @@ class Vocabulary:
         codes = [ord(c) for c in self.chars]
         self._ids = np.full(max(codes, default=-1) + 2, -1, dtype=np.int32)
         self._ids[codes] = np.arange(len(codes))
+        self._codes = np.array(codes, dtype="<u4")  # code point of each content id
 
     @property
     def mask_id(self) -> int:
@@ -42,7 +43,7 @@ class Vocabulary:
         lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
         joined = "".join(texts).encode("utf-32-le", "surrogatepass")
         codes = np.frombuffer(joined, dtype="<u4")
-        ids = self._ids[np.minimum(codes, len(self._ids) - 1)]
+        ids = np.take(self._ids, codes, mode="clip")
         bad = ids < 0
         if bad.any():
             raise ValueError(f"character {chr(codes[bad.argmax()])!r} not in vocabulary")
@@ -50,14 +51,12 @@ class Vocabulary:
 
     def decode(self, ids) -> str:
         """Content ids to text; pad ids are skipped."""
-        out = []
-        for i in ids:
-            i = int(i)
-            if i == self.pad_id:
-                continue
+        ids = np.asarray(ids, dtype=np.int64)
+        ids = ids[ids != self.pad_id]
+        bad = (ids < 0) | (ids >= len(self.chars))
+        if bad.any():
+            i = int(ids[bad.argmax()])
             if i == self.mask_id:
                 raise ValueError("mask id in decoded sequence")
-            if not 0 <= i < len(self.chars):
-                raise ValueError(f"id {i} outside vocabulary of size {self.size}")
-            out.append(self.chars[i])
-        return "".join(out)
+            raise ValueError(f"id {i} outside vocabulary of size {self.size}")
+        return self._codes[ids].tobytes().decode("utf-32-le", "surrogatepass")

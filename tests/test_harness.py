@@ -34,7 +34,12 @@ from absorb_diffuse.harness.config import (
     resolve_threads,
 )
 from absorb_diffuse.harness.evaluate import evaluate_model
-from absorb_diffuse.harness.metrics import append_record, read_records, validate_record
+from absorb_diffuse.harness.metrics import (
+    append_record,
+    read_records,
+    rewind_records,
+    validate_record,
+)
 from absorb_diffuse.harness.sweep import data_scaling_sweep, reweight_ablation
 from absorb_diffuse.harness.taxonomy import error_taxonomy, taxonomy_csv
 from absorb_diffuse.harness.train import TrainingDiverged, load_model, train
@@ -661,6 +666,30 @@ def test_resume_in_the_out_dir_writes_each_record_once(tmp_path):
     assert sorted(os.listdir(part.out_dir)) == ["checkpoint", "metrics.jsonl"]
 
 
+def test_rewinding_the_metrics_syncs_the_new_file_then_its_rename(tmp_path, monkeypatch):
+    path = tmp_path / "metrics.jsonl"
+    lines = [json.dumps({"kind": "train_step", "step": s}) + "\n" for s in (2, 4, 6)]
+    path.write_text("".join(lines))
+    events = []  # (call, inode of the file or directory it acts on)
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    rewind_records(str(path), 4)
+    new = path.stat().st_ino
+    assert events == [("fsync", new), ("replace", new), ("fsync", tmp_path.stat().st_ino)]
+    assert path.read_text() == "".join(lines[:2])
+    assert os.listdir(tmp_path) == ["metrics.jsonl"]
+
+
 def test_batches_are_epoch_shuffles_that_drop_the_remainder(tmp_path, monkeypatch):
     taken = []
     real_take = Batch.take
@@ -824,7 +853,7 @@ def test_shard_gradients_sum_to_the_full_batch_gradient(kind, monkeypatch):
     cfg = _desk_cfg(kind)
     task = get_task("planning")
     vocab = task.vocabulary()
-    instances, _ = task.generate(15, 0, 7)  # seven shards of 2 rows and one of 1
+    instances, _ = task.generate(24, 0, 7)  # twelve shards of 2 rows
     rows = encode_instances(task, instances, vocab)
     with ad.using_dtype(np.float64):
         model = DenoiserModel(cfg.model_config(vocab.size), seed=3)
@@ -846,7 +875,7 @@ def test_shard_gradients_sum_to_the_full_batch_gradient(kind, monkeypatch):
 
     monkeypatch.setattr(train_mod, "_shard_step", counted)
     loss, norm = train_mod._run_shards(model, kind, batch, schedule, reweight)
-    assert sorted(ran) == [1] + [2] * 7  # every shard scores some token here
+    assert sorted(ran) == [2] * 12  # every shard scores some token here
     summed = {k: p.grad for k, p in model.params.items()}
     zero_grads(model.params)
     full.backward()
@@ -861,10 +890,11 @@ def test_shard_gradients_sum_to_the_full_batch_gradient(kind, monkeypatch):
         assert np.abs(summed[name] - p.grad).max() <= 1e-10 * scale, name
 
 
-def test_a_desk_training_step_holds_two_sixteen_row_shard_tapes(monkeypatch):
-    # 128 rows in eight shards on two threads: each thread holds one 16-row
-    # shard's tape (about 13 MB) at a time, and finished shards' gradients
-    # (1 MB a set) join one sum. Four shards peaked at about 55 MB.
+def test_a_desk_training_step_holds_two_ten_or_eleven_row_shard_tapes(monkeypatch):
+    # 128 rows in twelve shards on two threads: each thread holds one 10- or
+    # 11-row shard's tape at a time, and finished shards' gradients (1 MB a
+    # set) are added into one sum. Eight shards peaked at about 27.5 MB,
+    # four at about 55 MB.
     monkeypatch.setenv(THREADS_ENV, "2")
     cfg = _desk_cfg("diffusion")
     task = get_task("planning")
@@ -882,8 +912,8 @@ def test_a_desk_training_step_holds_two_sixteen_row_shard_tapes(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # eight shards peak at about 11 score arrays, four at about 21
-    assert peak < 15 * scores, f"peak {peak / scores:.2f} score arrays"
+    # twelve shards peak at about 7.5 score arrays, eight at about 11
+    assert peak < 9 * scores, f"peak {peak / scores:.2f} score arrays"
 
 
 def _shard_0_last(monkeypatch) -> list:
@@ -1128,7 +1158,8 @@ def test_cli_generate_pd_restriction(tmp_path):
 @pytest.mark.parametrize("flags", [["--task", "planning", "--pd", "9"],
                                    ["--task", "planning", "--pd", "-1"],
                                    ["--task", "countdown3", "--n-train", "-4"],
-                                   ["--task", "countdown3", "--n-test", "-1"]])
+                                   ["--task", "countdown3", "--n-test", "-1"],
+                                   ["--task", "planning", "--pd", "2", "--pd", "2"]])
 def test_cli_generate_rejects_an_out_of_range_count_or_pd_before_writing(tmp_path, flags):
     out_dir = tmp_path / "data"
     with pytest.raises(SystemExit) as exc:

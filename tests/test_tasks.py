@@ -1,6 +1,7 @@
 """Task generators, verifiers, and encodings against hand-checked rows."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,6 +365,48 @@ def test_vocab_roundtrip_and_specials():
     assert v.decode([0, v.pad_id, 1]) == v.chars[0] + v.chars[1]
 
 
+def _decode_per_id(vocab, ids):
+    """Reference: Vocabulary.decode as a loop over ids."""
+    out = []
+    for i in map(int, ids):
+        if i == vocab.pad_id:
+            continue
+        if i == vocab.mask_id:
+            raise ValueError("mask id in decoded sequence")
+        if not 0 <= i < len(vocab.chars):
+            raise ValueError(f"id {i} outside vocabulary of size {vocab.size}")
+        out.append(vocab.chars[i])
+    return "".join(out)
+
+
+def test_vocab_decode_matches_the_per_id_reference():
+    rng = np.random.default_rng(4)
+    for vocab in (get_task("planning").vocabulary(), Vocabulary("ab\u00e9\U0001f600")):
+        rows = rng.integers(0, vocab.size, size=(200, 23))
+        rows[rows == vocab.mask_id] = vocab.pad_id  # pads anywhere, no mask
+        rows[:50, 10:] = vocab.pad_id
+        for dtype in (np.int32, np.int64):
+            for row in rows.astype(dtype):
+                assert vocab.decode(row) == _decode_per_id(vocab, row)
+        assert vocab.decode([]) == "" and vocab.decode([vocab.pad_id] * 3) == ""
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([0, "mask", 1], "mask id in decoded sequence"),
+    ([0, "pad", 99, "mask"], "id 99 outside vocabulary of size 15"),
+    ([0, "mask", 99], "mask id in decoded sequence"),
+    ([-1, "mask"], "id -1 outside vocabulary of size 15"),
+    (["pad", 13], "mask id in decoded sequence"),
+])
+def test_vocab_decode_reports_the_first_bad_id_as_the_reference_does(ids, message):
+    vocab = get_task("planning").vocabulary()
+    specials = {"mask": vocab.mask_id, "pad": vocab.pad_id}
+    row = np.array([specials.get(i, i) for i in ids])
+    for decode in (vocab.decode, lambda r: _decode_per_id(vocab, r)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decode(row)
+
+
 def test_vocab_rejects_duplicates_and_strings():
     with pytest.raises(ValueError):
         Vocabulary(["a", "a"])
@@ -396,6 +439,11 @@ def test_planning_pool_prefix_is_balanced():
     assert all(c >= 6 for c in counts.values()), counts
     train_in = {i.input_text for i in train}
     assert not train_in & {i.input_text for i in test}
+
+
+def test_planning_generation_refuses_a_repeated_distance():
+    with pytest.raises(ValueError, match=re.escape("distinct, got [2, 1, 2]")):
+        get_task("planning").generate(8, 2, seed=0, pds=(2, 1, 2))
 
 
 def test_encode_instances_layout():
@@ -480,6 +528,23 @@ def test_encode_instances_reports_what_the_per_row_reference_does(rows, message)
     for encode in (encode_instances, _encode_per_row):
         with pytest.raises(ValueError, match=re.escape(message)):
             encode(task, insts, task.vocabulary())
+
+
+def test_encode_instances_peak_stays_near_its_output():
+    # 12000 planning rows: the Batch (tokens and two masks) is 5.2 MB. Per-id
+    # int64 row, offset and column arrays took the peak to about 28 MB;
+    # boolean region masks hold it near 10 MB.
+    task = get_task("planning")
+    vocab = task.vocabulary()
+    instances = task.generate(12000, 0, seed=5)[0]
+    tracemalloc.start()
+    try:
+        batch = encode_instances(task, instances, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.tokens.shape == (12000, task.seq_len)
+    assert peak < 15e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_encode_conditions_reserves_lengths():
