@@ -39,7 +39,7 @@ def _decode_chunk(model, model_kind: str, batch: Batch, cfg: DecodeConfig,
         ids = diffusion_decode(model, batch, cfg, vocab.mask_id, vocab.pad_id, rng)
     else:
         ids = ar_decode(model, batch, cfg, vocab.pad_id, rng)
-    return [vocab.decode(row) for row in ids]
+    return vocab.decode(ids)
 
 
 def evaluate_model(model, model_kind: str, task: TaskSpec, vocab, instances,

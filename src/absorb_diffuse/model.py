@@ -8,16 +8,18 @@ positions currently show the mask token. The output head scores content
 tokens only, so the model can never emit mask or pad.
 
 Each block runs as two sub-blocks, attention then MLP, each a method that
-returns the new residual stream. A sub-block's temporaries die when it
-returns unless a backward saved them. Under `autodiff.no_grad()` nothing is
-saved, and the forward runs the batch in row blocks of at most
-NO_GRAD_BLOCK positions, so a no-grad forward holds the logits so far, one
-block's residual stream and mask, and one sub-block's arrays at a time,
-whatever the batch size. A recording forward runs every row at once (its
-tape holds them all until backward anyway) and keeps on its tape only what
-backward reads: not the scores before softmax, the unscaled queries, the
-MLP pre-activation, the products added into the residual stream, or the
-residual stream itself.
+returns the new residual stream. A sub-block drops each intermediate as
+soon as its last reader has run; only what a backward saved lives on.
+Under `autodiff.no_grad()` nothing is saved, and the forward runs the batch
+in row blocks of at most NO_GRAD_BLOCK positions, so a no-grad forward
+holds the logits so far, one block's residual stream and mask, and the live
+arrays of one sub-block at a time, whatever the batch size: at attention's
+peak v, the scores and their softmax, at the MLP's its pre-activation and
+gelu's buffer. A key/value cache grows one array at a time. A recording
+forward runs every row at once (its tape holds them all until backward
+anyway) and keeps on its tape only what backward reads: not the scores
+before softmax, the unscaled queries, the MLP pre-activation, the products
+added into the residual stream, or the residual stream itself.
 """
 
 from __future__ import annotations
@@ -33,10 +35,14 @@ ATTENTION_MODES = ("bidirectional", "causal")
 INIT_STD = 0.02
 NEG_INF = -1e9
 # Positions (rows x new columns) one row block of a no-grad forward runs:
-# 32 rows of the 72-token planning canvas. Measured on perfbench's decode
-# workload (2 vCPU), 2304 took peak RSS from about 111 to 75 MB, 1152 to
-# 70 MB and 576 to 70 MB, while 576 lost 10% of samples/s to per-op
-# overhead; 2304 stays four times clear of that for 5 MB more.
+# 32 rows of the 72-token planning canvas, whose desk sub-blocks peak at
+# about 8.6 MB (the MLP: residual stream, mask, pre-activation and gelu's
+# buffer). Measured on perfbench's decode workload (2 vCPU) while each
+# sub-block still held every intermediate until it returned, 2304 took
+# peak RSS from about 111 to 75 MB, 1152 to 70 MB and 576 to 70 MB, while
+# 576 lost 10% of samples/s to per-op overhead; 2304 stays four times
+# clear of that. Dropping intermediates after their last reader took the
+# 2304 figure to about 71 MB.
 NO_GRAD_BLOCK = 2304
 
 
@@ -173,11 +179,16 @@ class DenoiserModel:
         Under no_grad() the rows run in near-equal blocks of at most
         NO_GRAD_BLOCK positions (rows x (N - m)), none of a single row, and
         the logits are concatenated; with a cache, each block reads and
-        extends its own rows of it. Each row block keeps alive only its
-        residual stream, its mask and the sub-block that is running:
-        attention's peak is q, k, v, the scores and their softmax, the
-        MLP's its two hidden buffers, each four times the residual stream.
-        The logits are those of one forward over every row, bit for bit.
+        extends its own rows of it, and the blocks' caches are then joined
+        one layer at a time, each layer's parts dropped as it is joined.
+        Each row block keeps alive only its residual stream, its mask and
+        the live arrays of the sub-block that is running: at attention's
+        peak v, the scores and their softmax; at the MLP's its
+        pre-activation and gelu's buffer, each four times the residual
+        stream. A cached layer grows its keys, drops the old keys, then
+        grows its values, so one grown array is in flight beside the
+        cache. The logits are those of one forward over every row, bit for
+        bit.
         A recording forward is one row block and keeps only the arrays that
         backward reads.
         """
@@ -208,7 +219,9 @@ class DenoiserModel:
             caches.append(part)
         if cache is not None:
             for i in range(self.config.n_layers):
-                cache[i] = tuple(np.concatenate([part[i][j] for part in caches]) for j in (0, 1))
+                # each layer's parts go as it is joined: one joined layer in flight
+                parts = [part.pop(i) for part in caches]
+                cache[i] = tuple(np.concatenate([kv[j] for kv in parts]) for j in (0, 1))
         return ad.concat(logits, axis=0)
 
     def _forward_rows(self, tokens: np.ndarray, pad_mask, cache: dict | None,
@@ -234,9 +247,13 @@ class DenoiserModel:
     def _attention(self, i: int, x: ad.Node, bias: np.ndarray, skip: int,
                    cache: dict | None) -> ad.Node:
         """Block i's attention sub-block: the residual stream after it, on
-        the rows from skip on. Under no_grad() the scores die as softmax
-        returns and every other temporary as this returns, so its peak is
-        q, k, v, the mask, the scores and their softmax."""
+        the rows from skip on. Each intermediate goes once its last reader
+        has run: the ln1 output once q, k and v exist, q and k once the
+        scores do, the scores once softmax has run, the softmax and v once
+        att @ v has. Under no_grad() its peak is therefore the residual
+        stream, v, the mask, the scores and their softmax. With a cache
+        the layer's keys grow first and the old keys go before its values
+        grow, so one grown array is in flight at a time."""
         p, c = self.params, self.config
         h = f"h{i}"
         b, s, d = x.value.shape
@@ -257,25 +274,38 @@ class DenoiserModel:
                            1.0 / np.sqrt(hd)), rows)
         k = heads(ad.matmul(flat, p[f"{h}.attn.wk"], p[f"{h}.attn.bk"]), s)
         v = heads(ad.matmul(flat, p[f"{h}.attn.wv"], p[f"{h}.attn.bv"]), s)
+        del ln, flat, qflat
         if cache is not None:
             if i in cache:
-                ck, cv = cache[i]
+                # the old keys go before the values grow: one grown array in flight
+                ck, cv = cache.pop(i)
                 k = ad.concat([ad.constant(ck, ck.dtype), k], axis=2)
+                del ck
                 v = ad.concat([ad.constant(cv, cv.dtype), v], axis=2)
+                del cv
             cache[i] = (k.value, v.value)
-        att = ad.softmax(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), bias)
-        ctx = ad.reshape(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), (b * rows, d))
+        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
+        del q, k
+        att = ad.softmax(scores, bias)
+        del scores
+        ctx = ad.matmul(att, v)
+        del att, v
+        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * rows, d))
         proj = ad.matmul(ctx, p[f"{h}.attn.wo"], p[f"{h}.attn.bo"])
         return ad.add(x, ad.reshape(proj, (b, rows, d)))
 
     def _mlp(self, i: int, x: ad.Node) -> ad.Node:
-        """Block i's MLP sub-block: the residual stream after it. Under
-        no_grad() its two [B * rows, 4d] hidden buffers are its peak."""
+        """Block i's MLP sub-block: the residual stream after it. The ln2
+        output goes once the w1 product exists and the pre-activation once
+        gelu has run, so under no_grad() its peak is the residual stream,
+        the pre-activation and gelu's buffer, both [B * rows, 4d]."""
         p = self.params
         h = f"h{i}"
         b, rows, d = x.value.shape
         flat = ad.reshape(ad.layer_norm(x, p[f"{h}.ln2.gain"], p[f"{h}.ln2.bias"]), (b * rows, d))
-        hmid = ad.gelu(ad.matmul(flat, p[f"{h}.mlp.w1"], p[f"{h}.mlp.b1"]))
+        hmid = ad.matmul(flat, p[f"{h}.mlp.w1"], p[f"{h}.mlp.b1"])
+        del flat
+        hmid = ad.gelu(hmid)  # the rebinding drops the pre-activation
         hout = ad.matmul(hmid, p[f"{h}.mlp.w2"], p[f"{h}.mlp.b2"])
         return ad.add(x, ad.reshape(hout, (b, rows, d)))
 

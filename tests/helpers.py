@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 import itertools
+import tracemalloc
 
 import numpy as np
 
@@ -73,6 +74,18 @@ def check_gradient(build, params: dict[str, np.ndarray], tol: float,
         fd = numeric_gradient(scalar, params[key].copy(), eps=eps)
         err = rel_err(analytic[key], fd)
         assert err < tol, f"gradient mismatch for {key!r}: rel err {err:.3e} >= {tol}"
+
+
+def traced_peak(fn) -> int:
+    """Bytes at tracemalloc's high-water mark while fn() runs, after one
+    untraced warm-up call (first-call caches and lazy imports stay out)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_logits(rng: np.random.Generator, shape, scale: float = 2.0,

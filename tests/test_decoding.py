@@ -1,13 +1,17 @@
 """Decoder contracts driven by oracle models with controllable behaviour."""
 
+import os
+
 import numpy as np
 import pytest
 
 from absorb_diffuse import autodiff as ad
 from absorb_diffuse.decoding import DecodeConfig, ar_decode, diffusion_decode
+from absorb_diffuse.harness.config import ExperimentConfig
 from absorb_diffuse.model import ModelConfig, DenoiserModel
+from absorb_diffuse.tasks import encode_instances, get_task
 
-from helpers import ar_decode_full_canvas, pack_rows, reveals_per_step
+from helpers import ar_decode_full_canvas, pack_rows, reveals_per_step, traced_peak
 
 RNG = np.random.default_rng(515)
 
@@ -212,3 +216,28 @@ def test_ar_decode_requires_causal_model():
     with pytest.raises(ValueError):
         ar_decode(model, batch, DecodeConfig(steps=1, seed=0), PAD_ID, np.random.default_rng(0))
 
+
+@pytest.mark.parametrize("kind", ["diffusion", "ar"])
+def test_a_desk_decode_chunk_peaks_below_9_5_mb(kind):
+    # one 64-row eval chunk of the desk planning profile (72-token canvas,
+    # 2 layers, d=96, 4 heads) on one thread
+    cfg = ExperimentConfig.from_json(os.path.join(
+        os.path.dirname(__file__), "..", "src", "absorb_diffuse", "profiles",
+        f"desk_planning_{kind}.json"))
+    task = get_task("planning")
+    vocab = task.vocabulary()
+    batch = encode_instances(task, task.generate(64, 0, 7)[0], vocab)
+    model = DenoiserModel(cfg.model_config(vocab.size), seed=3)
+    dcfg = DecodeConfig(steps=2, seed=1)
+    if kind == "diffusion":
+        peak = traced_peak(lambda: diffusion_decode(model, batch, dcfg, vocab.mask_id,
+                                                    vocab.pad_id, _rng(dcfg)))
+    else:
+        peak = traced_peak(lambda: ar_decode(model, batch, dcfg, vocab.pad_id, _rng(dcfg)))
+    # diffusion: two row blocks of 32, whose MLP peaks at the residual stream,
+    # the mask, the pre-activation and gelu's buffer: about 8.8 MB. ar: the
+    # prefill's two row blocks hold both blocks' caches, about 9.4 MB; the
+    # last column a 7.0 MB cache plus one 1.7 MB grown array, about 8.8 MB.
+    # Sub-blocks that keep every name bound until they return, and a cache
+    # that grows keys and values before the old ones go, peak near 10.7 MB.
+    assert peak < 9.5e6, f"peak {peak / 1e6:.2f} MB"

@@ -12,7 +12,6 @@ import re
 import subprocess
 import sys
 import threading
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -56,7 +55,7 @@ from absorb_diffuse.tasks.base import (
 from absorb_diffuse.tasks.planning import find_pd, gen_planning
 from absorb_diffuse.tasks.registry import encode_instances
 
-from helpers import strip_wall_clock, zero_grads
+from helpers import strip_wall_clock, traced_peak, zero_grads
 
 # the harness package re-exports a train() that shadows this module's name
 train_mod = importlib.import_module("absorb_diffuse.harness.train")
@@ -906,12 +905,8 @@ def test_a_desk_training_step_holds_two_ten_or_eleven_row_shard_tapes(monkeypatc
     batch = sample_xt(schedule, rows, draw_t(schedule, rows.size, rng), rng, vocab.mask_id)
     assert batch.tokens.shape == (128, 72)
     scores = 32 * 4 * 72 * 72 * 4  # bytes of one float32 [32, 4, 72, 72] score array
-    tracemalloc.start()
-    try:
-        train_mod._run_shards(model, "diffusion", batch, schedule, cfg.reweight_config())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: train_mod._run_shards(model, "diffusion", batch, schedule,
+                                                     cfg.reweight_config()))
     # twelve shards peak at about 7.5 score arrays, eight at about 11
     assert peak < 9 * scores, f"peak {peak / scores:.2f} score arrays"
 

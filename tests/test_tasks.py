@@ -1,7 +1,6 @@
 """Task generators, verifiers, and encodings against hand-checked rows."""
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from absorb_diffuse.tasks.registry import (
 )
 from absorb_diffuse.tasks.vocab import Vocabulary
 
-from helpers import lookahead_solve
+from helpers import lookahead_solve, traced_peak
 
 # hand-checked reference rows, one per task
 GOLD_PLANNING = ("2,10/10,4/11,5/2,0/8,2/0,11/6,2/1,9/5,3/4,1-8,3",
@@ -385,10 +384,15 @@ def test_vocab_decode_matches_the_per_id_reference():
         rows = rng.integers(0, vocab.size, size=(200, 23))
         rows[rows == vocab.mask_id] = vocab.pad_id  # pads anywhere, no mask
         rows[:50, 10:] = vocab.pad_id
+        want = [_decode_per_id(vocab, row) for row in rows]
         for dtype in (np.int32, np.int64):
-            for row in rows.astype(dtype):
-                assert vocab.decode(row) == _decode_per_id(vocab, row)
+            assert [vocab.decode(row) for row in rows.astype(dtype)] == want
+            assert vocab.decode(rows.astype(dtype)) == want  # a chunk: one lookup
         assert vocab.decode([]) == "" and vocab.decode([vocab.pad_id] * 3) == ""
+        assert vocab.decode(np.zeros((0, 23), dtype=np.int64)) == []
+        assert vocab.decode(np.full((2, 3), vocab.pad_id)) == ["", ""]
+    with pytest.raises(ValueError, match="a row or"):
+        vocab.decode(np.zeros((2, 2, 2), dtype=np.int64))
 
 
 @pytest.mark.parametrize("ids, message", [
@@ -405,6 +409,10 @@ def test_vocab_decode_reports_the_first_bad_id_as_the_reference_does(ids, messag
     for decode in (vocab.decode, lambda r: _decode_per_id(vocab, r)):
         with pytest.raises(ValueError, match=re.escape(message)):
             decode(row)
+    # in a chunk the first bad row reports, as a per-row loop would
+    chunk = np.stack([np.full_like(row, vocab.pad_id), row, np.full_like(row, -2)])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        vocab.decode(chunk)
 
 
 def test_vocab_rejects_duplicates_and_strings():
@@ -537,13 +545,8 @@ def test_encode_instances_peak_stays_near_its_output():
     task = get_task("planning")
     vocab = task.vocabulary()
     instances = task.generate(12000, 0, seed=5)[0]
-    tracemalloc.start()
-    try:
-        batch = encode_instances(task, instances, vocab)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert batch.tokens.shape == (12000, task.seq_len)
+    peak = traced_peak(lambda: encode_instances(task, instances, vocab))
+    assert encode_instances(task, instances, vocab).tokens.shape == (12000, task.seq_len)
     assert peak < 15e6, f"peak {peak / 1e6:.1f} MB"
 
 
