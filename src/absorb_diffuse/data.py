@@ -4,6 +4,10 @@ A batch row is a fixed-width canvas: the condition (task input) right-aligned
 in the first `cond_width` slots, the target (task output) left-aligned in the
 remaining slots, everything else filled with the pad id. Attention never
 reads pad positions; losses only ever score real target positions.
+
+The canvas is the only array a Batch stores, one TOKEN_DTYPE byte a slot:
+the pad id marks padding, so the pad and target masks are derived from it
+and the cond width.
 """
 
 from __future__ import annotations
@@ -12,38 +16,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Every task's vocabulary, mask and pad included, fits in one byte; the
+# Vocabulary refuses a charset that would not.
+TOKEN_DTYPE = np.uint8
+
 
 @dataclass
 class Batch:
-    tokens: np.ndarray       # int32 [B, S], full canvas
-    target_mask: np.ndarray  # bool [B, S], True at real target tokens
-    pad_mask: np.ndarray     # bool [B, S], True everywhere except padding
-    cond_width: int          # canvas column where targets begin
+    """Rows of the canvas above. Its masks are computed from the canvas on
+    each read, so a caller that reads one repeatedly keeps the array."""
 
-    def __post_init__(self):
-        if self.tokens.shape != self.target_mask.shape or self.tokens.shape != self.pad_mask.shape:
-            raise ValueError(
-                f"batch mask shapes differ: tokens {self.tokens.shape}, "
-                f"target {self.target_mask.shape}, pad {self.pad_mask.shape}"
-            )
-        if (self.target_mask & ~self.pad_mask).any():
-            raise ValueError("target positions must not be padding")
+    tokens: np.ndarray       # TOKEN_DTYPE [B, S], full canvas
+    cond_width: int          # canvas column where targets begin
+    pad_id: int              # the id of every padding slot, and of no other
+
+    @property
+    def pad_mask(self) -> np.ndarray:
+        """bool [B, S], True everywhere except padding."""
+        return self.tokens != self.pad_id
+
+    @property
+    def target_mask(self) -> np.ndarray:
+        """bool [B, S], True at real target tokens."""
+        mask = self.pad_mask
+        mask[:, :self.cond_width] = False
+        return mask
 
     @property
     def size(self) -> int:
         return self.tokens.shape[0]
 
     def target_lengths(self) -> np.ndarray:
-        return self.target_mask.sum(axis=1)
+        return (self.tokens[:, self.cond_width:] != self.pad_id).sum(axis=1)
 
     def take(self, idx) -> "Batch":
-        return Batch(self.tokens[idx], self.target_mask[idx], self.pad_mask[idx], self.cond_width)
+        return Batch(self.tokens[idx], self.cond_width, self.pad_id)
 
 
 def pack_ids(cond_ids, cond_lengths, target_ids, target_lengths,
              cond_width: int, target_width: int, pad_id: int) -> Batch:
     """Assemble a Batch from the rows' condition ids laid end to end, each
-    row's condition length, and the same for the targets.
+    row's condition length, and the same for the targets. No id may be the
+    pad id, and every id must fit in TOKEN_DTYPE.
 
     Each region's occupied slots are one boolean mask: a row's last
     `cond_lengths[i]` condition columns and first `target_lengths[i]` target
@@ -59,12 +73,7 @@ def pack_ids(cond_ids, cond_lengths, target_ids, target_lengths,
         if cond_lengths[i] > cond_width:
             raise ValueError(f"row {i}: condition length {cond_lengths[i]} exceeds width {cond_width}")
         raise ValueError(f"row {i}: target length {target_lengths[i]} exceeds width {target_width}")
-    cond = np.arange(cond_width) >= cond_width - cond_lengths[:, None]
-    target = np.arange(target_width) < target_lengths[:, None]
-    pad_mask = np.concatenate([cond, target], axis=1)
-    target_mask = np.zeros_like(pad_mask)
-    target_mask[:, cond_width:] = target
-    tokens = np.full(pad_mask.shape, pad_id, dtype=np.int32)
-    tokens[:, :cond_width][cond] = cond_ids
-    tokens[:, cond_width:][target] = target_ids
-    return Batch(tokens, target_mask, pad_mask, cond_width)
+    tokens = np.full((len(cond_lengths), cond_width + target_width), pad_id, dtype=TOKEN_DTYPE)
+    tokens[:, :cond_width][np.arange(cond_width) >= cond_width - cond_lengths[:, None]] = cond_ids
+    tokens[:, cond_width:][np.arange(target_width) < target_lengths[:, None]] = target_ids
+    return Batch(tokens, cond_width, pad_id)

@@ -57,19 +57,21 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int, pad_i
 
     Target lengths come from the batch layout; every target slot is decoded
     (the model cannot emit pad or mask, so output length is fixed up front).
-    Returns int32 [B, target_width] with pad_id beyond each row's length.
+    Returns [B, target_width] in the canvas dtype, pad_id beyond each row's
+    length.
     """
     w = batch.cond_width
-    target = batch.target_mask[:, w:]
+    pad_mask = batch.pad_mask  # holds while targets show the mask: it is not the pad
+    target = pad_mask[:, w:]
     x = batch.tokens.copy()
-    x[batch.target_mask] = mask_id
     xt = x[:, w:]  # a view: writing it writes x
-    lengths = batch.target_lengths()
+    xt[target] = mask_id
+    lengths = target.sum(axis=1)
 
     for s in range(1, cfg.steps + 1):
         # the model scores, and the sampler draws for, the target columns only
         with no_grad():  # on the thread that decodes: the mode is per thread
-            logits = model.forward(x, batch.pad_mask, queries_from=w).value
+            logits = model.forward(x, pad_mask, queries_from=w).value
         sampled, conf = _sample(logits, cfg.temperature, rng)
         # The reverse model is the forward posterior with the network's
         # prediction in place of the clean sequence, so at positions already
@@ -102,15 +104,17 @@ def ar_decode(model, batch: Batch, cfg: DecodeConfig, pad_id: int,
     logits row of each forward scores the next token. The cache lives for
     this call only.
 
-    Returns int32 [B, target_width] with pad_id beyond each row's length.
+    Returns [B, target_width] in the canvas dtype, pad_id beyond each row's
+    length.
     """
     if model.config.attention != "causal":
         raise ValueError("ar_decode requires a causal model")
     w = batch.cond_width
-    lengths = batch.target_lengths()
+    target = batch.target_mask
+    lengths = target[:, w:].sum(axis=1)
 
     x = batch.tokens.copy()
-    pad_mask = batch.pad_mask & ~batch.target_mask
+    pad_mask = batch.pad_mask & ~target
     cache = {}
     for pos in range(w, w + int(lengths.max(initial=0))):
         # only the last position's logits are read: the prefill runs one query
@@ -119,5 +123,5 @@ def ar_decode(model, batch: Batch, cfg: DecodeConfig, pad_id: int,
                                    queries_from=pos - 1).value[:, -1]
         # a row past its length draws too; the slot stays a pad key and is not returned
         x[:, pos], _ = _sample(logits, cfg.temperature, rng)
-        pad_mask[:, pos] = batch.target_mask[:, pos]
-    return np.where(batch.target_mask[:, w:], x[:, w:], pad_id)
+        pad_mask[:, pos] = target[:, pos]
+    return np.where(target[:, w:], x[:, w:], pad_id)

@@ -73,11 +73,17 @@ class NoiseSchedule:
 
 @dataclass
 class CorruptedBatch(Batch):
-    """A Batch whose tokens hold the mask at its corrupted target slots."""
+    """A Batch whose tokens hold the mask at its corrupted target slots. The
+    mask id is not the pad id, so the derived masks are those of the clean
+    canvas."""
 
-    x0: np.ndarray            # int32 [B, S], clean canvas
+    x0: np.ndarray            # TOKEN_DTYPE [B, S], clean canvas
     corrupted: np.ndarray     # bool [B, S]
     t: np.ndarray             # int [B], noise level per row
+
+    def __post_init__(self):
+        if (self.corrupted & (self.tokens == self.pad_id)).any():
+            raise ValueError("corrupted positions must not be padding")
 
 
 def sample_xt(schedule: NoiseSchedule, batch: Batch, t, rng: np.random.Generator,
@@ -96,9 +102,8 @@ def sample_xt(schedule: NoiseSchedule, batch: Batch, t, rng: np.random.Generator
     keep = schedule.alpha[t]
     u = rng.random(batch.tokens.shape)
     corrupted = batch.target_mask & (u >= keep[:, None])
-    tokens = np.where(corrupted, mask_id, batch.tokens).astype(batch.tokens.dtype)
-    return CorruptedBatch(tokens=tokens, target_mask=batch.target_mask,
-                          pad_mask=batch.pad_mask, cond_width=batch.cond_width,
+    tokens = np.where(corrupted, mask_id, batch.tokens)
+    return CorruptedBatch(tokens=tokens, cond_width=batch.cond_width, pad_id=batch.pad_id,
                           x0=batch.tokens.copy(), corrupted=corrupted, t=t)
 
 

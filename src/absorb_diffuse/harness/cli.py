@@ -17,7 +17,7 @@ import numpy as np
 
 from ..decoding import STRATEGIES
 from ..diffusion import NoiseSchedule, subgoal_loss_profile
-from ..tasks import encode_instances, get_task, planning, read_instances, write_instances
+from ..tasks import TASKS, encode_instances, get_task, planning, read_instances, write_instances
 from ..tasks.registry import segment_map
 from .config import ExperimentConfig
 from .evaluate import evaluate_model
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate task instance files")
-    g.add_argument("--task", required=True)
+    g.add_argument("--task", choices=sorted(TASKS), required=True)
     g.add_argument("--out-dir", required=True)
     g.add_argument("--n-train", type=_number(int, 0), default=1000)
     g.add_argument("--n-test", type=_number(int, 0), default=200)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 VALID = "valid"
 CALC_ERROR = "calc_error"
@@ -11,11 +13,29 @@ FORMAT_ERROR = "format_error"
 INVALID = "invalid"
 
 
-@dataclass
-class TaskInstance:
+NO_META = MappingProxyType({})
+
+
+class _WeakReferenceable:
+    # dataclass(slots=True) drops the __weakref__ slot before Python 3.11's
+    # weakref_slot; a slotted base keeps it
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(slots=True)
+class TaskInstance(_WeakReferenceable):
+    """One task instance: no per-instance __dict__, and a read-only `meta`
+    that instances may share (a generator shares one per parameter value,
+    `read_instances` the empty NO_META). A mapping given as meta is copied
+    into a read-only one unless it already is one."""
+
     input_text: str
     output_text: str
-    meta: dict = field(default_factory=dict)
+    meta: Mapping = field(default_factory=lambda: NO_META)
+
+    def __post_init__(self):
+        if not isinstance(self.meta, MappingProxyType):
+            self.meta = MappingProxyType(dict(self.meta))
 
 
 @dataclass

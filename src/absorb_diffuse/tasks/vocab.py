@@ -2,12 +2,15 @@
 
 Content tokens take ids 0..n-1 in sorted character order; mask and pad sit
 at the top of the id range so the model's output head (which scores content
-only) can use a contiguous [0, n) target space.
+only) can use a contiguous [0, n) target space. Every id, mask and pad
+included, fits in the canvas dtype.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..data import TOKEN_DTYPE
 
 
 class Vocabulary:
@@ -17,6 +20,10 @@ class Vocabulary:
             raise ValueError("duplicate characters in vocabulary")
         if any(len(c) != 1 for c in chars):
             raise ValueError("content tokens must be single characters")
+        top = int(np.iinfo(TOKEN_DTYPE).max)
+        if len(chars) + 1 > top:
+            raise ValueError(f"{len(chars)} characters leave no {np.dtype(TOKEN_DTYPE)} id for "
+                             f"mask and pad: at most {top - 1} fit")
         self.chars = sorted(chars)
         # id of each code point up to the largest content one, -1 where none;
         # the trailing -1 stands for every larger code point

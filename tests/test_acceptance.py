@@ -165,12 +165,7 @@ def test_criterion_2_elbo_soundness():
     for seed in range(100):
         model = _TableModel(seed)
         g = seed % 2
-        batch = Batch(
-            tokens=np.array([[0, g]], dtype=np.int32),
-            target_mask=np.array([[False, True]]),
-            pad_mask=np.array([[True, True]]),
-            cond_width=1,
-        )
+        batch = Batch(tokens=np.array([[0, g]], dtype=np.uint8), cond_width=1, pad_id=pad_id)
         nelbo = elbo_exact(model, batch, sched, mask_id)
         # exact NLL by enumerating every reverse chain: each factor evaluates
         # the net on the masked canvas, and content states carry over, so the

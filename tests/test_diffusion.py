@@ -223,13 +223,13 @@ def test_sample_xt_rate_matches_one_minus_alpha():
 
 def test_corrupted_batch_rejects_a_target_slot_that_is_padding():
     batch = _planning_like_batch(rows=2)
-    pad_mask = batch.pad_mask.copy()
-    pad_mask[0, batch.cond_width] = False
+    corrupted = np.zeros_like(batch.target_mask)
+    corrupted[0, -1] = True
+    tokens = batch.tokens.copy()
+    tokens[0, -1] = batch.pad_id  # the canvas pads the slot that corruption marks
     with pytest.raises(ValueError, match="padding"):
-        CorruptedBatch(tokens=batch.tokens.copy(), target_mask=batch.target_mask,
-                       pad_mask=pad_mask, cond_width=batch.cond_width,
-                       x0=batch.tokens.copy(), corrupted=np.zeros_like(batch.target_mask),
-                       t=np.array([1, 1]))
+        CorruptedBatch(tokens=tokens, cond_width=batch.cond_width, pad_id=batch.pad_id,
+                       x0=tokens.copy(), corrupted=corrupted, t=np.array([1, 1]))
 
 
 def test_draw_t_range_and_coverage():
@@ -309,8 +309,7 @@ def test_loss_zero_when_nothing_corrupted():
     cb = CorruptedBatch(
         tokens=batch.tokens.copy(), x0=batch.tokens.copy(),
         corrupted=np.zeros_like(batch.target_mask), t=np.array([1, 2, 3]),
-        target_mask=batch.target_mask, pad_mask=batch.pad_mask,
-        cond_width=batch.cond_width)
+        cond_width=batch.cond_width, pad_id=batch.pad_id)
     rw = ReweightConfig()
     loss, report = diffusion_loss(model, cb, sched, rw)
     assert float(loss.value) == 0.0
@@ -328,8 +327,8 @@ def test_loss_rejects_corrupted_condition_positions():
     corrupted[0, batch.cond_width - 1] = True
     cb = CorruptedBatch(
         tokens=np.where(corrupted, 7, batch.tokens), x0=batch.tokens.copy(),
-        corrupted=corrupted, t=np.array([1, 2]), target_mask=batch.target_mask,
-        pad_mask=batch.pad_mask, cond_width=batch.cond_width)
+        corrupted=corrupted, t=np.array([1, 2]), cond_width=batch.cond_width,
+        pad_id=batch.pad_id)
     with pytest.raises(ValueError, match="target region"):
         diffusion_loss(model, cb, NoiseSchedule.linear(5), ReweightConfig())
 

@@ -52,6 +52,7 @@ from absorb_diffuse.tasks.base import (
     Verdict,
     write_instances,
 )
+from absorb_diffuse.tasks import planning as planning_task
 from absorb_diffuse.tasks.planning import find_pd, gen_planning
 from absorb_diffuse.tasks.registry import encode_instances
 
@@ -389,6 +390,25 @@ def test_evaluate_chunking_is_worker_invariant(planning_eval_set, monkeypatch):
     b = evaluate_model(model, "diffusion", task, vocab, insts, cfg, chunk=5)
     assert a.outputs == b.outputs
     assert a.accuracy == b.accuracy
+
+
+def test_evaluate_reads_the_distance_from_the_shared_meta(planning_eval_set, monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "1")
+    task, bare = planning_eval_set
+    generated = [inst for pd in (0, 1, 2) for inst in gen_planning(4, pd, seed=21)]
+    assert len({id(inst.meta) for inst in generated}) == 3
+    vocab = task.vocabulary()
+    model = LookupOracle(task, bare, vocab, p=0.7)  # noisy: accuracy differs by distance
+    cfg = DecodeConfig(steps=5, seed=3)
+    want = evaluate_model(model, "diffusion", task, vocab, bare, cfg)  # recovered by find_pd
+
+    def unreachable(_text):
+        raise AssertionError("the distance is in the instance's meta")
+
+    monkeypatch.setattr(planning_task, "find_pd", unreachable)
+    got = evaluate_model(model, "diffusion", task, vocab, generated, cfg)
+    assert got.outputs == want.outputs
+    assert got.per_pd == want.per_pd and len(set(want.per_pd.values())) > 1
 
 
 @pytest.mark.parametrize("threads,expect_one", [(2, True), (1, False)])
@@ -1161,6 +1181,15 @@ def test_cli_generate_rejects_an_out_of_range_count_or_pd_before_writing(tmp_pat
         cli_main(["generate", "--out-dir", str(out_dir), "--n-train", "4", "--n-test", "2",
                   *flags])
     assert exc.value.code == 2
+    assert not out_dir.exists()
+
+
+def test_cli_generate_rejects_an_unknown_task_before_writing(tmp_path, capsys):
+    out_dir = tmp_path / "data"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["generate", "--task", "nope", "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

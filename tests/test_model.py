@@ -576,7 +576,9 @@ def test_ar_nll_matches_the_full_canvas_computation():
 def test_ar_nll_rejects_a_batch_without_target_tokens():
     model = DenoiserModel(tiny_config("causal"), seed=20)
     batch = _padded_batch(model.config)
-    no_targets = dataclasses.replace(batch, target_mask=np.zeros_like(batch.target_mask))
+    tokens = batch.tokens.copy()
+    tokens[:, batch.cond_width:] = batch.pad_id
+    no_targets = dataclasses.replace(batch, tokens=tokens)
     all_condition = dataclasses.replace(batch, cond_width=batch.tokens.shape[1])
     for bad in (no_targets, all_condition):
         with pytest.raises(ValueError, match="no target tokens"):

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from absorb_diffuse.data import TOKEN_DTYPE, pack_ids
 from absorb_diffuse.tasks.base import (
     CALC_ERROR,
     FORMAT_ERROR,
@@ -25,7 +26,7 @@ from absorb_diffuse.tasks.registry import (
 )
 from absorb_diffuse.tasks.vocab import Vocabulary
 
-from helpers import lookahead_solve, traced_peak
+from helpers import lookahead_solve, pack_rows, traced_peak
 
 # hand-checked reference rows, one per task
 GOLD_PLANNING = ("2,10/10,4/11,5/2,0/8,2/0,11/6,2/1,9/5,3/4,1-8,3",
@@ -422,6 +423,20 @@ def test_vocab_rejects_duplicates_and_strings():
         Vocabulary(["ab"])
 
 
+def test_vocab_refuses_a_charset_whose_ids_do_not_fit_the_canvas():
+    chars = [chr(0x100 + i) for i in range(255)]
+    with pytest.raises(ValueError, match="at most 254 fit"):
+        Vocabulary(chars)
+    vocab = Vocabulary(chars[:254])
+    assert vocab.pad_id == np.iinfo(TOKEN_DTYPE).max
+    # the largest id, the pad, still marks padding on a canvas
+    text = "".join(chars[250:254])
+    batch = pack_ids(*vocab.encode_texts([text]), *vocab.encode_texts([text[:2]]), 5, 3,
+                     vocab.pad_id)
+    assert batch.pad_mask.tolist() == [[False, True, True, True, True, True, True, False]]
+    assert vocab.decode(batch.tokens) == [text + text[:2]]
+
+
 # ---------------------------------------------------------------------------
 # registry
 
@@ -447,6 +462,28 @@ def test_planning_pool_prefix_is_balanced():
     assert all(c >= 6 for c in counts.values()), counts
     train_in = {i.input_text for i in train}
     assert not train_in & {i.input_text for i in test}
+
+
+def test_planning_instances_share_one_read_only_meta_per_distance(tmp_path):
+    for pd in (0, 3):
+        insts = planning.gen_planning(5, pd, seed=2)
+        assert all(inst.meta is insts[0].meta for inst in insts)
+        assert insts[0].meta == {"pd": pd}
+        with pytest.raises(TypeError):
+            insts[0].meta["pd"] = pd + 1
+    # instances read from a file share the one empty meta
+    write_instances(str(tmp_path / "p.tsv"), insts)
+    read = read_instances(str(tmp_path / "p.tsv"))
+    assert all(inst.meta is read[0].meta for inst in read) and read[0].meta == {}
+    # a meta given as a dict is copied into a read-only one
+    given = {"givens": 30}
+    inst = TaskInstance("1", "2", given)
+    given["givens"] = 31
+    assert inst.meta == {"givens": 30}
+    with pytest.raises(TypeError):
+        inst.meta["givens"] = 31
+    with pytest.raises(AttributeError):
+        inst.note = "instances hold only their three fields"
 
 
 def test_planning_generation_refuses_a_repeated_distance():
@@ -480,7 +517,7 @@ def _encode_per_row(task, instances, vocab):
                 if c not in to_id:
                     raise ValueError(f"character {c!r} not in vocabulary")
     shape = (len(instances), task.seq_len)
-    tokens = np.full(shape, vocab.pad_id, dtype=np.int32)
+    tokens = np.full(shape, vocab.pad_id, dtype=np.uint8)
     target_mask = np.zeros(shape, dtype=bool)
     pad_mask = np.zeros(shape, dtype=bool)
     w = task.cond_width
@@ -500,26 +537,34 @@ def _encode_per_row(task, instances, vocab):
 
 
 def test_encode_instances_matches_the_per_row_reference():
-    task = get_task("planning")
-    vocab = task.vocabulary()
     rng = np.random.default_rng(0)
-    chars = np.array(list(task.charset))
+    for task in TASKS.values():
+        vocab = task.vocabulary()
+        chars = np.array(list(task.charset))
 
-    def text(n):
-        return "".join(rng.choice(chars, n))
+        def text(n):
+            return "".join(rng.choice(chars, n))
 
-    insts = [TaskInstance("", ""), TaskInstance(text(3), ""), TaskInstance("", text(5)),
-             TaskInstance(text(task.cond_width), text(task.target_width))]
-    insts += [TaskInstance(text(rng.integers(task.cond_width + 1)),
-                           text(rng.integers(task.target_width + 1))) for _ in range(40)]
-    batch = encode_instances(task, insts, vocab)
-    want = _encode_per_row(task, insts, vocab)
-    for got, ref in zip((batch.tokens, batch.target_mask, batch.pad_mask), want):
-        assert got.dtype == ref.dtype
-        np.testing.assert_array_equal(got, ref)
-    assert batch.cond_width == task.cond_width
-    empty = encode_instances(task, [], vocab)
-    assert empty.tokens.shape == (0, task.seq_len) and empty.tokens.dtype == np.int32
+        insts = [TaskInstance("", ""), TaskInstance(text(3), ""), TaskInstance("", text(5)),
+                 TaskInstance(text(task.cond_width), text(task.target_width))]
+        insts += [TaskInstance(text(rng.integers(task.cond_width + 1)),
+                               text(rng.integers(task.target_width + 1))) for _ in range(40)]
+        batch = encode_instances(task, insts, vocab)
+        want = _encode_per_row(task, insts, vocab)
+        # the same canvas packed from per-row id lists
+        to_id = {c: i for i, c in enumerate(vocab.chars)}
+        rows = pack_rows([[to_id[c] for c in inst.input_text] for inst in insts],
+                         [[to_id[c] for c in inst.output_text] for inst in insts],
+                         task.cond_width, task.target_width, vocab.pad_id)
+        for got, ref, packed in zip((batch.tokens, batch.target_mask, batch.pad_mask), want,
+                                    (rows.tokens, rows.target_mask, rows.pad_mask)):
+            assert got.dtype == ref.dtype == packed.dtype, task.name
+            np.testing.assert_array_equal(got, ref, err_msg=task.name)
+            np.testing.assert_array_equal(packed, ref, err_msg=task.name)
+        assert batch.cond_width == task.cond_width and batch.pad_id == vocab.pad_id
+        np.testing.assert_array_equal(batch.target_lengths(), want[1].sum(axis=1))
+        empty = encode_instances(task, [], vocab)
+        assert empty.tokens.shape == (0, task.seq_len) and empty.tokens.dtype == np.uint8
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -538,16 +583,30 @@ def test_encode_instances_reports_what_the_per_row_reference_does(rows, message)
             encode(task, insts, task.vocabulary())
 
 
-def test_encode_instances_peak_stays_near_its_output():
-    # 12000 planning rows: the Batch (tokens and two masks) is 5.2 MB. Per-id
+@pytest.fixture(scope="module")
+def planning_12000():
+    task = get_task("planning")
+    return task, task.generate(12000, 0, seed=5)[0]
+
+
+def test_encode_instances_peak_stays_near_its_output(planning_12000):
+    # 12000 planning rows: the Batch (one byte a slot) is 0.86 MB. Per-id
     # int64 row, offset and column arrays took the peak to about 28 MB;
     # boolean region masks hold it near 10 MB.
-    task = get_task("planning")
+    task, instances = planning_12000
     vocab = task.vocabulary()
-    instances = task.generate(12000, 0, seed=5)[0]
     peak = traced_peak(lambda: encode_instances(task, instances, vocab))
     assert encode_instances(task, instances, vocab).tokens.shape == (12000, task.seq_len)
     assert peak < 15e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_an_encoded_planning_set_holds_one_byte_a_slot(planning_12000):
+    # the masks derive from the canvas; int32 tokens and two stored bool
+    # masks held 6 bytes a slot, 5.2 MB here
+    task, instances = planning_12000
+    batch = encode_instances(task, instances)
+    held = sum(a.nbytes for a in vars(batch).values() if isinstance(a, np.ndarray))
+    assert held <= 12000 * task.seq_len, f"{held / (12000 * task.seq_len):.1f} bytes a slot"
 
 
 def test_encode_conditions_reserves_lengths():
