@@ -46,9 +46,6 @@ class Batch:
     def size(self) -> int:
         return self.tokens.shape[0]
 
-    def target_lengths(self) -> np.ndarray:
-        return (self.tokens[:, self.cond_width:] != self.pad_id).sum(axis=1)
-
     def take(self, idx) -> "Batch":
         return Batch(self.tokens[idx], self.cond_width, self.pad_id)
 

@@ -161,18 +161,11 @@ def token_weight(u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     return alpha * np.power(1.0 - np.exp(-np.asarray(u, dtype=np.float64)), beta)
 
 
-@dataclass
-class LossReport:
-    """Detached per-token diagnostics from one loss evaluation, each [B, S]
-    float64 and zero outside the corrupted slots."""
-
-    u: np.ndarray             # token NLL
-    v: np.ndarray             # token weight
-
-
 def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
-                   reweight: ReweightConfig) -> tuple[ad.Node, LossReport]:
-    """Reweighted denoising loss over the corrupted target positions.
+                   reweight: ReweightConfig) -> tuple[ad.Node, np.ndarray]:
+    """Reweighted denoising loss over the corrupted target positions, and
+    the detached token NLL u as a [B, S] float64 canvas, zero outside the
+    corrupted slots.
 
     Per corrupted token: u = -log f(x_t)_{x0}; contribution w(t) * v * u,
     normalized by the number of corrupted tokens in the batch. With
@@ -197,18 +190,15 @@ def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
     seq_w = sequence_weight(schedule, cbatch.t, reweight.sequence_mode)
     base = np.where(mask, np.repeat(seq_w, st), 0.0)
     n = int(mask.sum())
-    v_flat = np.where(mask, token_weight(u_flat, reweight.token_alpha, reweight.token_beta), 0.0)
     denom = max(n, 1)  # base is all zero when nothing is corrupted: the loss is 0
     if reweight.full_gradient:
         loss = ad.softmax_focal_cross_entropy(
             flat, targets, base / denom, reweight.token_alpha, reweight.token_beta, logp=logp)
     else:
+        v_flat = np.where(mask, token_weight(u_flat, reweight.token_alpha, reweight.token_beta), 0.0)
         loss = ad.softmax_cross_entropy(flat, targets, base * v_flat / denom, logp=logp)
-
-    def canvas(a):  # [B * st] -> [B, S], zero in the condition columns
-        return np.pad(a.reshape(b, st), ((0, 0), (w, 0)))
-
-    return loss, LossReport(u=canvas(np.where(mask, u_flat, 0.0)), v=canvas(v_flat))
+    # [B * st] -> [B, S], zero in the condition columns
+    return loss, np.pad(np.where(mask, u_flat, 0.0).reshape(b, st), ((0, 0), (w, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +234,7 @@ def subgoal_loss_profile(model, batch: Batch, schedule: NoiseSchedule, mask_id: 
             if not cb.corrupted.any():
                 continue
             with ad.no_grad():
-                report = diffusion_loss(model, cb, schedule, plain_bound)[1]
-            u = report.u[cb.corrupted]
+                u = diffusion_loss(model, cb, schedule, plain_bound)[1][cb.corrupted]
             u_sum[ti - 1] += u.sum()
             count[ti - 1] += u.size
             j = np.searchsorted(seg_ids, segments[cb.corrupted])

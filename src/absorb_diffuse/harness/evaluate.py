@@ -66,9 +66,7 @@ def evaluate_model(model, model_kind: str, task: TaskSpec, vocab, instances,
     oks = np.array([v.ok for v in verdicts])
     per_pd = None
     if task.name == "planning":
-        pds = [inst.meta.get("pd") for inst in instances]
-        pds = [pd if pd is not None else planning_task.find_pd(inst.input_text)
-               for pd, inst in zip(pds, instances)]
+        pds = [planning_task.find_pd(inst.input_text) for inst in instances]
         per_pd = {}
         for pd in sorted(set(pds)):
             sel = np.array([p == pd for p in pds])

@@ -186,7 +186,7 @@ def train(cfg: ExperimentConfig, resume_from: str | None = None,
     def save(to_dir: str, step: int) -> None:
         ckpt.save_checkpoint(
             to_dir, model.params, dataclasses.asdict(model_cfg), opt.state_dict(), step,
-            {"experiment": dataclasses.asdict(cfg), "vocab_chars": vocab.chars, "task": task.name},
+            {"experiment": dataclasses.asdict(cfg), "vocab_chars": vocab.chars},
         )
 
     def run_eval(step: int) -> dict | None:

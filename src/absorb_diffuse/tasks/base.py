@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 VALID = "valid"
 CALC_ERROR = "calc_error"
 PLAN_ERROR = "plan_error"
 FORMAT_ERROR = "format_error"
 INVALID = "invalid"
-
-
-NO_META = MappingProxyType({})
 
 
 class _WeakReferenceable:
@@ -24,18 +19,11 @@ class _WeakReferenceable:
 
 @dataclass(slots=True)
 class TaskInstance(_WeakReferenceable):
-    """One task instance: no per-instance __dict__, and a read-only `meta`
-    that instances may share (a generator shares one per parameter value,
-    `read_instances` the empty NO_META). A mapping given as meta is copied
-    into a read-only one unless it already is one."""
+    """One task instance: its two texts and no per-instance __dict__, so an
+    instance equals the one `read_instances` gives back for it."""
 
     input_text: str
     output_text: str
-    meta: Mapping = field(default_factory=lambda: NO_META)
-
-    def __post_init__(self):
-        if not isinstance(self.meta, MappingProxyType):
-            self.meta = MappingProxyType(dict(self.meta))
 
 
 @dataclass

@@ -46,7 +46,8 @@ def _feasible_ops(a: int, b: int) -> list[tuple[str, int, int, int]]:
     return out
 
 
-def _build_instance(n_operands: int, rng: np.random.Generator) -> TaskInstance | None:
+def _build_instance(n_operands: int, rng: np.random.Generator) -> tuple[TaskInstance, int] | None:
+    """-> (an instance, its target), or None for a failed draw."""
     operands = [int(x) for x in rng.integers(1, 100, size=n_operands)]
     items = list(operands)
     steps = []
@@ -63,7 +64,7 @@ def _build_instance(n_operands: int, rng: np.random.Generator) -> TaskInstance |
     if not TARGET_RANGE[0] <= target <= TARGET_RANGE[1]:
         return None
     inp = ",".join(str(x) for x in operands) + f",{target}"
-    return TaskInstance(inp, ",".join(steps), {"target": target})
+    return TaskInstance(inp, ",".join(steps)), target
 
 
 def gen_countdown(n_operands: int, n_train: int, n_test: int,
@@ -81,10 +82,11 @@ def gen_countdown(n_operands: int, n_train: int, n_test: int,
     budget = 400 * (n_train + n_test) + 1000
     while (len(train) < n_train or len(test) < n_test) and budget > 0:
         budget -= 1
-        inst = _build_instance(n_operands, rng)
-        if inst is None or inst.input_text in seen:
+        built = _build_instance(n_operands, rng)
+        if built is None or built[0].input_text in seen:
             continue
-        pool, want = (test, n_test) if inst.meta["target"] in test_targets else (train, n_train)
+        inst, target = built
+        pool, want = (test, n_test) if target in test_targets else (train, n_train)
         if len(pool) >= want:
             continue
         seen.add(inst.input_text)

@@ -15,7 +15,6 @@ Output: the true path's edges in order, "a,b/c,d/...".
 from __future__ import annotations
 
 from collections import defaultdict
-from types import MappingProxyType
 
 import numpy as np
 
@@ -28,11 +27,9 @@ MAX_PD = PATH_EDGES
 
 
 def gen_planning(n: int, pd: int, seed: int) -> list[TaskInstance]:
-    """Generate n instances at one planning distance; they share one
-    read-only meta."""
+    """Generate n instances at one planning distance."""
     if not 0 <= pd <= MAX_PD:
         raise ValueError(f"pd must be in [0, {MAX_PD}], got {pd}")
-    meta = MappingProxyType({"pd": pd})
     out = []
     for idx in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([seed, pd, idx]))
@@ -49,7 +46,7 @@ def gen_planning(n: int, pd: int, seed: int) -> list[TaskInstance]:
         inp = "/".join(f"{a},{b}" for a, b in shuffled)
         inp += f"-{true_nodes[0]},{true_nodes[-1]}"
         outp = "/".join(f"{a},{b}" for a, b in zip(true_nodes, true_nodes[1:]))
-        out.append(TaskInstance(inp, outp, meta))
+        out.append(TaskInstance(inp, outp))
     return out
 
 

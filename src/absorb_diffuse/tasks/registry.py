@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from ..data import Batch, pack_ids
+from ..data import TOKEN_DTYPE, Batch, pack_ids
 from . import countdown, planning, sat, sudoku
 from .base import split_segments
 from .vocab import Vocabulary
@@ -118,7 +118,7 @@ def encode_conditions(task: TaskSpec, inputs, target_lengths, vocab: Vocabulary 
     """Canvas with known condition text and target slots reserved by length."""
     vocab = vocab or task.vocabulary()
     lengths = np.asarray(target_lengths, dtype=np.int64)
-    dummies = np.zeros(int(lengths.sum()), dtype=np.int32)
+    dummies = np.zeros(int(lengths.sum()), dtype=TOKEN_DTYPE)
     return pack_ids(*vocab.encode_texts(list(inputs)), dummies, lengths,
                     task.cond_width, task.target_width, vocab.pad_id)
 

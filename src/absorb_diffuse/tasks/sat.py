@@ -57,7 +57,7 @@ def gen_sat(n_vars: int, n: int, seed: int) -> list[TaskInstance]:
         seen.add(inp)
         ref = sats[0]
         outp = ",".join(str(i + 1) if ref[i] else str(-(i + 1)) for i in range(n_vars))
-        out.append(TaskInstance(inp, outp, {"n_vars": n_vars, "n_sat": int(sats.shape[0])}))
+        out.append(TaskInstance(inp, outp))
     if len(out) < n:
         raise RuntimeError(f"sat generation stalled at {len(out)}/{n} instances")
     return out

@@ -41,7 +41,7 @@ def gen_sudoku(n: int, seed: int) -> list[TaskInstance]:
         flat = grid.reshape(-1)
         inp = "".join(str(v) if k else "0" for v, k in zip(flat, keep))
         outp = "".join(str(v) for v in flat)
-        out.append(TaskInstance(inp, outp, {"givens": n_givens}))
+        out.append(TaskInstance(inp, outp))
     return out
 
 

@@ -25,10 +25,11 @@ class Vocabulary:
             raise ValueError(f"{len(chars)} characters leave no {np.dtype(TOKEN_DTYPE)} id for "
                              f"mask and pad: at most {top - 1} fit")
         self.chars = sorted(chars)
-        # id of each code point up to the largest content one, -1 where none;
-        # the trailing -1 stands for every larger code point
+        # id of each code point up to the largest content one, the mask id
+        # (which no character has) where none; the trailing entry stands for
+        # every larger code point
         codes = [ord(c) for c in self.chars]
-        self._ids = np.full(max(codes, default=-1) + 2, -1, dtype=np.int32)
+        self._ids = np.full(max(codes, default=-1) + 2, self.mask_id, dtype=TOKEN_DTYPE)
         self._ids[codes] = np.arange(len(codes))
         self._codes = np.array(codes, dtype="<u4")  # code point of each content id
 
@@ -46,12 +47,12 @@ class Vocabulary:
         return len(self.chars) + 2
 
     def encode_texts(self, texts) -> tuple[np.ndarray, np.ndarray]:
-        """-> (the texts' ids laid end to end as int32, each text's length)."""
+        """-> (the texts' ids laid end to end as TOKEN_DTYPE, each text's length)."""
         lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
         joined = "".join(texts).encode("utf-32-le", "surrogatepass")
         codes = np.frombuffer(joined, dtype="<u4")
-        ids = np.take(self._ids, codes, mode="clip")
-        bad = ids < 0
+        ids = self._ids[np.minimum(codes, self._ids.size - 1)]  # np.take would cast codes to intp
+        bad = ids == self.mask_id
         if bad.any():
             raise ValueError(f"character {chr(codes[bad.argmax()])!r} not in vocabulary")
         return ids, lengths

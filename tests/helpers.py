@@ -253,7 +253,7 @@ def ar_decode_full_canvas(model, batch, cfg, pad_id: int, rng) -> np.ndarray:
     model over the whole canvas and reads the logits one slot before the
     position being generated. Same arguments, sampling order and output."""
     w = batch.cond_width
-    lengths = batch.target_lengths()
+    lengths = batch.target_mask.sum(axis=1)
 
     x = batch.tokens.copy()
     pad_mask = batch.pad_mask & ~batch.target_mask

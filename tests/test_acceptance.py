@@ -370,7 +370,7 @@ def test_criterion_5_decoder_contract():
     batch = pack_rows(enc_in, outs, 2, 12, pad_id=pad_id)
     truth = np.where(batch.tokens < content, batch.tokens, 0)  # specials never scored
     model = _OracleDenoiser(truth, content)
-    lengths = batch.target_lengths()
+    lengths = batch.target_mask.sum(axis=1)
 
     ok = True
     details = []

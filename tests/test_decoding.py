@@ -91,7 +91,7 @@ def test_reveal_counts_match_schedule_exactly():
     out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
     trace = reveals_per_step(model.canvases, out, batch, MASK_ID)
     assert len(trace) == steps
-    lengths = batch.target_lengths()
+    lengths = batch.target_mask.sum(axis=1)
     for s, revealed in enumerate(trace, start=1):
         got = revealed.sum(axis=1)
         want = np.ceil(s * lengths / steps).astype(int)
@@ -150,7 +150,7 @@ def test_decode_fills_pads_beyond_length():
     model = OracleDenoiser(batch.tokens)
     cfg = DecodeConfig(steps=2, seed=0)
     out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
-    lengths = batch.target_lengths()
+    lengths = batch.target_mask.sum(axis=1)
     for i, n in enumerate(lengths):
         assert (out[i, n:] == PAD_ID).all()
         assert (out[i, :n] != PAD_ID).all()

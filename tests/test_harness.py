@@ -48,11 +48,10 @@ from absorb_diffuse.tasks.base import (
     CALC_ERROR,
     PLAN_ERROR,
     VALID,
-    TaskInstance,
     Verdict,
+    read_instances,
     write_instances,
 )
-from absorb_diffuse.tasks import planning as planning_task
 from absorb_diffuse.tasks.planning import find_pd, gen_planning
 from absorb_diffuse.tasks.registry import encode_instances
 
@@ -357,12 +356,7 @@ class LookupOracle:
 @pytest.fixture(scope="module")
 def planning_eval_set():
     task = get_task("planning")
-    insts = []
-    for pd in (0, 1, 2):
-        for inst in gen_planning(4, pd, seed=21):
-            # drop meta to exercise the distance-recovery fallback
-            insts.append(TaskInstance(inst.input_text, inst.output_text))
-    return task, insts
+    return task, [inst for pd in (0, 1, 2) for inst in gen_planning(4, pd, seed=21)]
 
 
 def test_evaluate_oracle_reaches_full_accuracy(planning_eval_set, monkeypatch):
@@ -392,23 +386,20 @@ def test_evaluate_chunking_is_worker_invariant(planning_eval_set, monkeypatch):
     assert a.accuracy == b.accuracy
 
 
-def test_evaluate_reads_the_distance_from_the_shared_meta(planning_eval_set, monkeypatch):
+def test_evaluate_scores_generated_and_read_back_instances_alike(planning_eval_set, tmp_path,
+                                                                 monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "1")
-    task, bare = planning_eval_set
-    generated = [inst for pd in (0, 1, 2) for inst in gen_planning(4, pd, seed=21)]
-    assert len({id(inst.meta) for inst in generated}) == 3
+    task, generated = planning_eval_set
+    path = str(tmp_path / "eval.tsv")
+    write_instances(path, generated)
+    read_back = read_instances(path)
     vocab = task.vocabulary()
-    model = LookupOracle(task, bare, vocab, p=0.7)  # noisy: accuracy differs by distance
+    model = LookupOracle(task, generated, vocab, p=0.7)  # noisy: accuracy differs by distance
     cfg = DecodeConfig(steps=5, seed=3)
-    want = evaluate_model(model, "diffusion", task, vocab, bare, cfg)  # recovered by find_pd
-
-    def unreachable(_text):
-        raise AssertionError("the distance is in the instance's meta")
-
-    monkeypatch.setattr(planning_task, "find_pd", unreachable)
-    got = evaluate_model(model, "diffusion", task, vocab, generated, cfg)
-    assert got.outputs == want.outputs
-    assert got.per_pd == want.per_pd and len(set(want.per_pd.values())) > 1
+    want = evaluate_model(model, "diffusion", task, vocab, generated, cfg)
+    got = evaluate_model(model, "diffusion", task, vocab, read_back, cfg)
+    assert got == want
+    assert len(set(want.per_pd.values())) > 1
 
 
 @pytest.mark.parametrize("threads,expect_one", [(2, True), (1, False)])
@@ -564,6 +555,13 @@ def test_train_smoke_diffusion(tmp_path):
     assert cfg2 == cfg
     assert model.config.attention == "bidirectional"
     assert vocab.chars == get_task("countdown3").vocabulary().chars
+    manifest_path = pathlib.Path(res.checkpoint_dir) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert set(manifest["extra"]) == {"experiment", "vocab_chars"}  # the experiment names the task
+    # a manifest that also names the task in `extra`, as older ones did, still loads
+    manifest["extra"]["task"] = cfg.task
+    manifest_path.write_text(json.dumps(manifest))
+    assert load_model(res.checkpoint_dir)[2] == cfg
 
 
 def test_train_drops_its_instances_once_encoded(tmp_path, monkeypatch):
