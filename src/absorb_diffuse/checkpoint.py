@@ -90,6 +90,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     manifest_path = os.path.join(path, MANIFEST)
     with open(manifest_path) as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: manifest is not a JSON object")
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"{manifest_path}: unsupported checkpoint schema {manifest.get('schema_version')}, "

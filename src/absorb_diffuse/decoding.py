@@ -27,10 +27,11 @@ STRATEGIES = ("topk", "random")
 
 @dataclass
 class DecodeConfig:
-    steps: int = 20
-    temperature: float = 0.5
-    strategy: str = "topk"
-    seed: int = 0
+    # no defaults: ExperimentConfig.decode_config() is the one source of these
+    steps: int
+    temperature: float
+    strategy: str
+    seed: int
 
     def __post_init__(self):
         if self.steps < 1:
@@ -51,14 +52,14 @@ def _sample(logits: np.ndarray, temperature: float, rng: np.random.Generator):
     return ids, np.take_along_axis(logp, ids[..., None], axis=-1)[..., 0]
 
 
-def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int, pad_id: int,
+def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Fill the target region of `batch` by parallel refinement.
+    """Fill the target slots of a copy of the canvas by parallel refinement.
 
     Target lengths come from the batch layout; every target slot is decoded
     (the model cannot emit pad or mask, so output length is fixed up front).
-    Returns [B, target_width] in the canvas dtype, pad_id beyond each row's
-    length.
+    Returns the copy's target columns, [B, target_width] in the canvas
+    dtype: the canvas's pad stays beyond each row's length.
     """
     w = batch.cond_width
     pad_mask = batch.pad_mask  # holds while targets show the mask: it is not the pad
@@ -92,20 +93,21 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int, pad_i
         xt[target] = mask_id
         xt[chosen] = sampled[chosen]
 
-    return np.where(target, xt, pad_id)
+    return xt
 
 
-def ar_decode(model, batch: Batch, cfg: DecodeConfig, pad_id: int,
-              rng: np.random.Generator) -> np.ndarray:
-    """Sample each row's target region left to right with a causal model.
+def ar_decode(model, batch: Batch, cfg: DecodeConfig, rng: np.random.Generator) -> np.ndarray:
+    """Fill the target slots of a copy of the canvas left to right, causally.
 
     The first forward runs the condition prefix and fills a key/value
     cache; each later forward feeds only the token sampled last. The last
-    logits row of each forward scores the next token. The cache lives for
-    this call only.
+    logits row of each forward scores the next token. Every row draws at
+    each column, so the random stream does not depend on the lengths, but
+    a draw is written only into rows whose target reaches that column. The
+    cache lives for this call only.
 
-    Returns [B, target_width] in the canvas dtype, pad_id beyond each row's
-    length.
+    Returns the copy's target columns, [B, target_width] in the canvas
+    dtype: the canvas's pad stays beyond each row's length.
     """
     if model.config.attention != "causal":
         raise ValueError("ar_decode requires a causal model")
@@ -121,7 +123,8 @@ def ar_decode(model, batch: Batch, cfg: DecodeConfig, pad_id: int,
         with no_grad():
             logits = model.forward(x[:, :pos], pad_mask[:, :pos], cache=cache,
                                    queries_from=pos - 1).value[:, -1]
-        # a row past its length draws too; the slot stays a pad key and is not returned
-        x[:, pos], _ = _sample(logits, cfg.temperature, rng)
-        pad_mask[:, pos] = target[:, pos]
-    return np.where(target[:, w:], x[:, w:], pad_id)
+        sampled, _ = _sample(logits, cfg.temperature, rng)
+        active = target[:, pos]
+        x[active, pos] = sampled[active]
+        pad_mask[:, pos] = active
+    return x[:, w:]

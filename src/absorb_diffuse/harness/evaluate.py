@@ -36,18 +36,18 @@ def _decode_chunk(model, model_kind: str, batch: Batch, cfg: DecodeConfig,
                   vocab, chunk_seed: int) -> list:
     rng = np.random.default_rng(np.random.SeedSequence([chunk_seed, cfg.seed]))
     if model_kind == "diffusion":
-        ids = diffusion_decode(model, batch, cfg, vocab.mask_id, vocab.pad_id, rng)
+        ids = diffusion_decode(model, batch, cfg, vocab.mask_id, rng)
     else:
-        ids = ar_decode(model, batch, cfg, vocab.pad_id, rng)
+        ids = ar_decode(model, batch, cfg, rng)
     return vocab.decode(ids)
 
 
 def evaluate_model(model, model_kind: str, task: TaskSpec, vocab, instances,
-                   decode_cfg: DecodeConfig, chunk: int = EVAL_CHUNK) -> EvalResult:
+                   decode_cfg: DecodeConfig) -> EvalResult:
     """Decode all instances (target length taken from each reference output)
     and score them with the task verifier.
 
-    Decoding is chunked and the chunks run through `run_jobs`; chunk
+    Decoding runs in chunks of EVAL_CHUNK instances through `run_jobs`; chunk
     results are deterministic functions of the chunk index, so the worker
     count never changes the outcome.
     """
@@ -56,9 +56,9 @@ def evaluate_model(model, model_kind: str, task: TaskSpec, vocab, instances,
         raise ValueError("no instances to evaluate")
     decoded = run_jobs([
         functools.partial(_decode_chunk, model, model_kind,
-                          encode_instances(task, instances[lo:lo + chunk], vocab),
+                          encode_instances(task, instances[lo:lo + EVAL_CHUNK], vocab),
                           decode_cfg, vocab, i)
-        for i, lo in enumerate(range(0, len(instances), chunk))])
+        for i, lo in enumerate(range(0, len(instances), EVAL_CHUNK))])
     outputs = [text for block in decoded for text in block]
 
     verdicts = [task.verify(inst.input_text, out)

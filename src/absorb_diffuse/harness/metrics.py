@@ -78,9 +78,11 @@ def read_records(path: str) -> list[dict]:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if line:
-                record = json.loads(line)
                 try:
+                    record = json.loads(line)
                     validate_record(record)
+                except json.JSONDecodeError as e:  # such as a line cut short by a kill
+                    raise ValueError(f"{path}:{lineno}: not JSON: {e}") from None
                 except ValueError as e:
                     raise ValueError(f"{path}:{lineno}: {e}") from None
                 out.append(record)

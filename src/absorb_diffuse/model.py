@@ -141,23 +141,23 @@ class DenoiserModel:
             )
 
     def _attention_bias(self, pad_mask, seq_len: int, dtype, start: int) -> np.ndarray:
-        """Additive [B_or_1, 1, S - start, S] bias for the queries at
-        positions start..S-1: NEG_INF on forbidden keys. Pad keys are
-        forbidden, except that every query may attend to itself: a causal
-        pad query then depends on no later token."""
+        """Additive [B, 1, S - start, S] bias for the queries at positions
+        start..S-1: NEG_INF on forbidden keys. Pad keys are forbidden,
+        except that every query may attend to itself: a causal pad query
+        then depends on no later token."""
         allowed = np.ones((seq_len, seq_len), dtype=bool)
         if self.config.attention == "causal":
             allowed = np.tril(allowed)
-        allowed = allowed[None, start:]
-        if pad_mask is not None:
-            allowed = allowed & (pad_mask[:, None, :] | np.eye(seq_len, dtype=bool)[start:])
+        own_key = np.eye(seq_len, dtype=bool)[start:]
+        allowed = allowed[None, start:] & (pad_mask[:, None, :] | own_key)
         return np.where(allowed, dtype.type(0), dtype.type(NEG_INF))[:, None]
 
-    def forward(self, tokens, pad_mask=None, cache: dict | None = None,
+    def forward(self, tokens, pad_mask, cache: dict | None = None,
                 queries_from: int = 0) -> ad.Node:
         """Score content tokens at positions q0..N-1, q0 = max(m, queries_from).
 
-        tokens: int [B, N]; pad_mask: optional bool [B, N], False at padding.
+        tokens: int [B, N]; pad_mask: bool [B, N], False at padding (all
+        True when a row has none).
         Returns logits over the content vocabulary, shape [B, N - q0, content].
 
         queries_from skips the logits a caller never reads, such as those
@@ -214,8 +214,7 @@ class DenoiserModel:
         logits, caches = [], []
         for rows in blocks:
             part = None if cache is None else {i: (k[rows], v[rows]) for i, (k, v) in cache.items()}
-            logits.append(self._forward_rows(
-                tokens[rows], None if pad_mask is None else pad_mask[rows], part, queries_from, m))
+            logits.append(self._forward_rows(tokens[rows], pad_mask[rows], part, queries_from, m))
             caches.append(part)
         if cache is not None:
             for i in range(self.config.n_layers):

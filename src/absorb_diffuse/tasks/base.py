@@ -11,14 +11,8 @@ FORMAT_ERROR = "format_error"
 INVALID = "invalid"
 
 
-class _WeakReferenceable:
-    # dataclass(slots=True) drops the __weakref__ slot before Python 3.11's
-    # weakref_slot; a slotted base keeps it
-    __slots__ = ("__weakref__",)
-
-
 @dataclass(slots=True)
-class TaskInstance(_WeakReferenceable):
+class TaskInstance:
     """One task instance: its two texts and no per-instance __dict__, so an
     instance equals the one `read_instances` gives back for it."""
 

@@ -106,17 +106,15 @@ def get_task(name: str) -> TaskSpec:
     return TASKS[name]
 
 
-def encode_instances(task: TaskSpec, instances, vocab: Vocabulary | None = None) -> Batch:
+def encode_instances(task: TaskSpec, instances, vocab: Vocabulary) -> Batch:
     """Tokenize instances onto the task's canvas."""
-    vocab = vocab or task.vocabulary()
     conds = vocab.encode_texts([inst.input_text for inst in instances])
     tgts = vocab.encode_texts([inst.output_text for inst in instances])
     return pack_ids(*conds, *tgts, task.cond_width, task.target_width, vocab.pad_id)
 
 
-def encode_conditions(task: TaskSpec, inputs, target_lengths, vocab: Vocabulary | None = None) -> Batch:
+def encode_conditions(task: TaskSpec, inputs, target_lengths, vocab: Vocabulary) -> Batch:
     """Canvas with known condition text and target slots reserved by length."""
-    vocab = vocab or task.vocabulary()
     lengths = np.asarray(target_lengths, dtype=np.int64)
     dummies = np.zeros(int(lengths.sum()), dtype=TOKEN_DTYPE)
     return pack_ids(*vocab.encode_texts(list(inputs)), dummies, lengths,

@@ -57,14 +57,13 @@ class Vocabulary:
             raise ValueError(f"character {chr(codes[bad.argmax()])!r} not in vocabulary")
         return ids, lengths
 
-    def decode(self, ids) -> str | list[str]:
-        """Content ids to text; pad ids are skipped. A row of ids gives its
-        text; a [rows, width] array gives one text per row, from a single
-        lookup over every row's ids. A mask or out-of-range id raises for
-        the first one in row-major order."""
+    def decode(self, ids) -> list[str]:
+        """A [rows, width] chunk of content ids to one text per row, from a
+        single lookup over every row's ids; pad ids are skipped. A mask or
+        out-of-range id raises for the first one in row-major order."""
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim > 2:
-            raise ValueError(f"ids must be a row or [rows, width], got shape {ids.shape}")
+        if ids.ndim != 2:
+            raise ValueError(f"ids must be [rows, width], got shape {ids.shape}")
         kept = ids != self.pad_id
         flat = ids[kept]  # row-major: the rows' ids laid end to end
         bad = (flat < 0) | (flat >= len(self.chars))
@@ -74,8 +73,6 @@ class Vocabulary:
                 raise ValueError("mask id in decoded sequence")
             raise ValueError(f"id {i} outside vocabulary of size {self.size}")
         text = self._codes[flat].tobytes().decode("utf-32-le", "surrogatepass")
-        if ids.ndim < 2:
-            return text
         # one character per id, so each row's text ends at its running id count
         ends = np.cumsum(kept.sum(axis=1)).tolist()
         return [text[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]

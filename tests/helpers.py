@@ -88,6 +88,11 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def no_pad(tokens) -> np.ndarray:
+    """The pad mask of a canvas that holds no padding: all True."""
+    return np.ones(np.shape(tokens), dtype=bool)
+
+
 def random_logits(rng: np.random.Generator, shape, scale: float = 2.0,
                   dtype=np.float32) -> np.ndarray:
     return (rng.standard_normal(shape) * scale).astype(dtype)
@@ -248,7 +253,7 @@ def lookahead_solve(input_text: str, lookahead: int) -> str | None:
 # left-to-right decoding without a key/value cache
 
 
-def ar_decode_full_canvas(model, batch, cfg, pad_id: int, rng) -> np.ndarray:
+def ar_decode_full_canvas(model, batch, cfg, rng) -> np.ndarray:
     """`decoding.ar_decode` as a full-canvas loop: every step runs the
     model over the whole canvas and reads the logits one slot before the
     position being generated. Same arguments, sampling order and output."""
@@ -257,7 +262,6 @@ def ar_decode_full_canvas(model, batch, cfg, pad_id: int, rng) -> np.ndarray:
 
     x = batch.tokens.copy()
     pad_mask = batch.pad_mask & ~batch.target_mask
-    emitted = np.zeros(len(lengths), dtype=np.int64)
     for j in range(int(lengths.max(initial=0))):
         pos = w + j
         logits = model.forward(x, pad_mask).value[:, pos - 1]
@@ -266,12 +270,7 @@ def ar_decode_full_canvas(model, batch, cfg, pad_id: int, rng) -> np.ndarray:
         active = j < lengths
         x[active, pos] = sampled[active]
         pad_mask[active, pos] = True
-        emitted[active] += 1
-
-    out = np.full((x.shape[0], x.shape[1] - w), pad_id, dtype=x.dtype)
-    for i in range(x.shape[0]):
-        out[i, :emitted[i]] = x[i, w:w + emitted[i]]
-    return out
+    return x[:, w:]  # the canvas's pad stays beyond each row's length
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from absorb_diffuse.tasks.registry import TASKS, encode_instances, segment_map
 from absorb_diffuse.tasks.sat import clause_count
 
 from conftest import record_criterion
-from helpers import (check_gradient, elbo_exact, forward_marginal, kl_term, pack_rows,
+from helpers import (check_gradient, elbo_exact, forward_marginal, kl_term, no_pad, pack_rows,
                      posterior, reveals_per_step, strip_wall_clock, zero_grads)
 from test_tasks import (
     GOLD_CD3,
@@ -143,7 +143,7 @@ class _TableModel:
         self.seed = seed
         self.cache = {}
 
-    def forward(self, tokens, pad_mask=None, cache=None, queries_from=0):
+    def forward(self, tokens, pad_mask, cache=None, queries_from=0):
         tokens = np.asarray(tokens)
         b, s = tokens.shape
         out = np.zeros((b, s, 2))
@@ -171,7 +171,7 @@ def test_criterion_2_elbo_soundness():
         # the net on the masked canvas, and content states carry over, so the
         # chain sum collapses to the model's masked-canvas probability of g
         masked = np.array([[0, mask_id]], dtype=np.int32)
-        logits = model.forward(masked).value[0, 1]
+        logits = model.forward(masked, no_pad(masked)).value[0, 1]
         logp = logits - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
         exact = -logp[g]
         gaps.append(nelbo - exact)
@@ -354,7 +354,7 @@ class _OracleDenoiser:
         self.content = content
         self.canvases = []
 
-    def forward(self, tokens, pad_mask=None, cache=None, queries_from=0):
+    def forward(self, tokens, pad_mask, cache=None, queries_from=0):
         self.canvases.append(np.array(tokens))  # a copy: the decoder writes its canvas
         b, s = np.asarray(tokens).shape
         logits = np.zeros((b, s, self.content))
@@ -376,8 +376,8 @@ def test_criterion_5_decoder_contract():
     details = []
     for steps in (1, 6, 12):
         model.canvases = []
-        got = diffusion_decode(model, batch, DecodeConfig(steps=steps, seed=0),
-                               mask_id, pad_id, np.random.default_rng(0))
+        cfg = DecodeConfig(steps=steps, temperature=0.5, strategy="topk", seed=0)
+        got = diffusion_decode(model, batch, cfg, mask_id, np.random.default_rng(0))
         trace = reveals_per_step(model.canvases, got, batch, mask_id)
         for i, out in enumerate(outs):
             ok &= list(got[i][:lengths[i]]) == out
@@ -534,7 +534,8 @@ def test_criterion_9_throughput_probe():
             n_heads=4, hidden_dim=96, attention="bidirectional"), seed=0)
         src = "fresh desk-size model"
     tr, _ = task.generate(64, 4, seed=23)
-    configs = [DecodeConfig(steps=steps, seed=0) for steps in (1, 5, 20)]
+    configs = [DecodeConfig(steps=steps, temperature=0.5, strategy="topk", seed=0)
+               for steps in (1, 5, 20)]
     repeats, seconds = 2, [0.0] * len(configs)
     # untimed warm-up: a process's first decode runs cold, which would slow T=1
     evaluate_model(model, "diffusion", task, vocab, tr, configs[0])

@@ -34,7 +34,7 @@ class OracleDenoiser:
         self.conf_fn = conf_fn or (lambda pos: 0.999)
         self.canvases = []
 
-    def forward(self, tokens, pad_mask=None, cache=None, queries_from=0):
+    def forward(self, tokens, pad_mask, cache=None, queries_from=0):
         self.canvases.append(np.array(tokens))  # a copy: the decoder writes its canvas
         b, s = tokens.shape
         k = VOCAB - 2
@@ -64,11 +64,11 @@ def _oracle_batch(rows=3, cond=3, width=8, lengths=(8, 5, 8)):
 
 def test_decode_config_validation():
     with pytest.raises(ValueError):
-        DecodeConfig(steps=0)
+        DecodeConfig(steps=0, temperature=0.5, strategy="topk", seed=0)
     with pytest.raises(ValueError):
-        DecodeConfig(temperature=0.0)
+        DecodeConfig(steps=20, temperature=0.0, strategy="topk", seed=0)
     with pytest.raises(ValueError):
-        DecodeConfig(strategy="beam")
+        DecodeConfig(steps=20, temperature=0.5, strategy="beam", seed=0)
 
 
 @pytest.mark.parametrize("steps", [1, 4, 8])
@@ -76,7 +76,7 @@ def test_oracle_decode_recovers_truth(steps):
     batch = _oracle_batch()
     model = OracleDenoiser(batch.tokens)
     cfg = DecodeConfig(steps=steps, temperature=0.5, strategy="topk", seed=1)
-    out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
+    out = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
     want = np.where(batch.target_mask[:, batch.cond_width:],
                     batch.tokens[:, batch.cond_width:], PAD_ID)
     np.testing.assert_array_equal(out, want)
@@ -88,7 +88,7 @@ def test_reveal_counts_match_schedule_exactly():
     model = OracleDenoiser(batch.tokens)
     steps = 3
     cfg = DecodeConfig(steps=steps, temperature=0.5, strategy="topk", seed=2)
-    out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
+    out = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
     trace = reveals_per_step(model.canvases, out, batch, MASK_ID)
     assert len(trace) == steps
     lengths = batch.target_mask.sum(axis=1)
@@ -108,7 +108,7 @@ def test_easy_first_order_follows_confidence():
         conf = {batch.cond_width + j: 0.9999 - 1e-5 * i for i, j in enumerate(by_conf)}
         model = OracleDenoiser(batch.tokens, conf_fn=lambda pos: conf.get(pos, 0.9999))
         cfg = DecodeConfig(steps=3, temperature=1.0, strategy="topk", seed=3)
-        out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
+        out = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
         trace = reveals_per_step(model.canvases, out, batch, MASK_ID)
         for step, n in ((0, 2), (1, 4)):
             np.testing.assert_array_equal(np.flatnonzero(trace[step][0]), sorted(by_conf[:n]))
@@ -118,7 +118,7 @@ def test_ties_break_toward_lowest_index():
     batch = _oracle_batch(rows=1, cond=2, width=6, lengths=(6,))
     model = OracleDenoiser(batch.tokens, conf_fn=lambda pos: 0.999)  # all equal
     cfg = DecodeConfig(steps=6, temperature=1e-6, strategy="topk", seed=4)
-    out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
+    out = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
     trace = reveals_per_step(model.canvases, out, batch, MASK_ID)
     # equal confidences reveal in strict position order, one per step
     for s, revealed in enumerate(trace, start=1):
@@ -130,7 +130,7 @@ def test_random_strategy_recovers_with_oracle():
     batch = _oracle_batch()
     model = OracleDenoiser(batch.tokens)
     cfg = DecodeConfig(steps=4, temperature=0.5, strategy="random", seed=5)
-    out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
+    out = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
     want = np.where(batch.target_mask[:, batch.cond_width:],
                     batch.tokens[:, batch.cond_width:], PAD_ID)
     np.testing.assert_array_equal(out, want)
@@ -140,16 +140,16 @@ def test_decode_determinism_same_seed():
     batch = _oracle_batch()
     model = OracleDenoiser(batch.tokens, conf_fn=lambda pos: 0.6)
     cfg = DecodeConfig(steps=5, temperature=1.0, strategy="topk", seed=9)
-    a = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
-    b = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
+    a = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
+    b = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
     np.testing.assert_array_equal(a, b)
 
 
 def test_decode_fills_pads_beyond_length():
     batch = _oracle_batch(lengths=(4, 2, 6), width=8)
     model = OracleDenoiser(batch.tokens)
-    cfg = DecodeConfig(steps=2, seed=0)
-    out = diffusion_decode(model, batch, cfg, MASK_ID, PAD_ID, _rng(cfg))
+    cfg = DecodeConfig(steps=2, temperature=0.5, strategy="topk", seed=0)
+    out = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
     lengths = batch.target_mask.sum(axis=1)
     for i, n in enumerate(lengths):
         assert (out[i, n:] == PAD_ID).all()
@@ -161,13 +161,16 @@ def test_decode_fills_pads_beyond_length():
 
 
 class OracleCausal:
-    """Scores the true next token of a fixed canvas; causal stand-in."""
+    """Scores the true next token of a fixed canvas; causal stand-in. Each
+    canvas it is given is kept in `canvases`."""
 
     def __init__(self, truth: np.ndarray):
         self.truth = truth
         self.config = type("C", (), {"attention": "causal"})()
+        self.canvases = []
 
-    def forward(self, tokens, pad_mask=None, cache=None, queries_from=0):
+    def forward(self, tokens, pad_mask, cache=None, queries_from=0):
+        self.canvases.append(np.array(tokens))  # a copy: the decoder writes its canvas
         b, s = tokens.shape
         k = VOCAB - 2
         logits = np.full((b, s, k), np.log(0.001 / (k - 1)), dtype=np.float64)
@@ -183,10 +186,23 @@ def test_ar_decode_recovers_truth():
     batch = _oracle_batch(lengths=(6, 4, 8), width=8)
     model = OracleCausal(batch.tokens)
     cfg = DecodeConfig(steps=1, temperature=0.1, strategy="topk", seed=3)
-    out = ar_decode(model, batch, cfg, PAD_ID, _rng(cfg))
+    out = ar_decode(model, batch, cfg, _rng(cfg))
     want = np.where(batch.target_mask[:, batch.cond_width:],
                     batch.tokens[:, batch.cond_width:], PAD_ID)
     np.testing.assert_array_equal(out, want)
+
+
+def test_ar_decode_feeds_no_draw_past_a_rows_length():
+    # every row draws at every column, but a row's draws past its length
+    # stay out of the canvas: each slot that was a pad is a pad in every feed
+    batch = _oracle_batch(lengths=(6, 2, 8), width=8)
+    model = OracleCausal(batch.tokens)
+    cfg = DecodeConfig(steps=1, temperature=1.0, strategy="topk", seed=3)
+    ar_decode(model, batch, cfg, _rng(cfg))
+    assert len(model.canvases) == 8
+    pads = ~batch.pad_mask
+    for canvas in model.canvases:
+        assert (canvas[pads[:, :canvas.shape[1]]] == PAD_ID).all()
 
 
 def test_ar_decode_matches_full_canvas_loop():
@@ -201,9 +217,9 @@ def test_ar_decode_matches_full_canvas_loop():
         model = DenoiserModel(cfg, seed=6)
     for param in model.params.values():
         param.value *= 5.0  # above init scale, so a wrong key or position moves the draws
-    dcfg = DecodeConfig(steps=1, temperature=1.0, seed=4)
-    got = ar_decode(model, batch, dcfg, PAD_ID, _rng(dcfg))
-    want = ar_decode_full_canvas(model, batch, dcfg, PAD_ID, _rng(dcfg))
+    dcfg = DecodeConfig(steps=1, temperature=1.0, strategy="topk", seed=4)
+    got = ar_decode(model, batch, dcfg, _rng(dcfg))
+    want = ar_decode_full_canvas(model, batch, dcfg, _rng(dcfg))
     np.testing.assert_array_equal(got, want)
 
 
@@ -214,7 +230,8 @@ def test_ar_decode_requires_causal_model():
                       attention="bidirectional")
     model = DenoiserModel(cfg, seed=0)
     with pytest.raises(ValueError):
-        ar_decode(model, batch, DecodeConfig(steps=1, seed=0), PAD_ID, np.random.default_rng(0))
+        ar_decode(model, batch, DecodeConfig(steps=1, temperature=0.5, strategy="topk", seed=0),
+                  np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("kind", ["diffusion", "ar"])
@@ -228,12 +245,11 @@ def test_a_desk_decode_chunk_peaks_below_9_5_mb(kind):
     vocab = task.vocabulary()
     batch = encode_instances(task, task.generate(64, 0, 7)[0], vocab)
     model = DenoiserModel(cfg.model_config(vocab.size), seed=3)
-    dcfg = DecodeConfig(steps=2, seed=1)
+    dcfg = DecodeConfig(steps=2, temperature=0.5, strategy="topk", seed=1)
     if kind == "diffusion":
-        peak = traced_peak(lambda: diffusion_decode(model, batch, dcfg, vocab.mask_id,
-                                                    vocab.pad_id, _rng(dcfg)))
+        peak = traced_peak(lambda: diffusion_decode(model, batch, dcfg, vocab.mask_id, _rng(dcfg)))
     else:
-        peak = traced_peak(lambda: ar_decode(model, batch, dcfg, vocab.pad_id, _rng(dcfg)))
+        peak = traced_peak(lambda: ar_decode(model, batch, dcfg, _rng(dcfg)))
     # diffusion: two row blocks of 32, whose MLP peaks at the residual stream,
     # the mask, the pre-activation and gelu's buffer: about 8.8 MB. ar: the
     # prefill's two row blocks hold both blocks' caches, about 9.4 MB; the

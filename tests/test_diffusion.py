@@ -398,7 +398,7 @@ class StubModel:
     def __init__(self, probs: np.ndarray):
         self.probs = np.asarray(probs, dtype=np.float64)
 
-    def forward(self, tokens, pad_mask=None, cache=None, queries_from=0):
+    def forward(self, tokens, pad_mask, cache=None, queries_from=0):
         b, s = np.asarray(tokens).shape
         logits = np.tile(np.log(self.probs)[None, None, :], (b, s, 1))
         return ad.constant(logits[:, queries_from:].astype(np.float64), dtype=np.float64)
@@ -481,7 +481,7 @@ def reverse_chain_nll(model, batch, schedule: NoiseSchedule, mask_id: int) -> fl
     """
     positions = np.flatnonzero(batch.target_mask[0])
     L = positions.size
-    content = list(range(model.forward(batch.tokens).value.shape[-1])) \
+    content = list(range(model.forward(batch.tokens, batch.pad_mask).value.shape[-1])) \
         if not isinstance(model, StubModel) else list(range(model.probs.size))
     states = content + [mask_id]
     T = schedule.T

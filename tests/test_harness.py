@@ -43,7 +43,7 @@ from absorb_diffuse.harness.sweep import data_scaling_sweep, reweight_ablation
 from absorb_diffuse.harness.taxonomy import error_taxonomy, taxonomy_csv
 from absorb_diffuse.harness.train import TrainingDiverged, load_model, train
 from absorb_diffuse.model import DenoiserModel, ModelConfig, ar_nll
-from absorb_diffuse.tasks import TASKS, get_task
+from absorb_diffuse.tasks import TASKS, TaskInstance, get_task
 from absorb_diffuse.tasks.base import (
     CALC_ERROR,
     PLAN_ERROR,
@@ -269,6 +269,17 @@ def test_read_records_rejects_malformed_record(tmp_path):
         read_records(path)
 
 
+def test_read_records_names_the_file_and_line_of_a_line_that_is_not_json(tmp_path):
+    # a run killed inside append_record leaves a record cut short
+    path = str(tmp_path / "m.jsonl")
+    append_record(path, {"kind": "train_step", "step": 1, "task": "planning",
+                         "model_kind": "diffusion", "seed": 0, "loss": 1.5})
+    with open(path, "a") as f:
+        f.write('{"kind": "tra')
+    with pytest.raises(ValueError, match=r"m\.jsonl:2: not JSON: Unterminated string"):
+        read_records(path)
+
+
 def test_read_records_rejects_a_record_kind_no_code_writes(tmp_path):
     path = str(tmp_path / "m.jsonl")
     with open(path, "w") as f:
@@ -339,7 +350,7 @@ class LookupOracle:
         self.config = type("C", (), {"attention": "causal" if causal else "bidirectional"})()
         self.causal = causal
 
-    def forward(self, tokens, pad_mask=None, cache=None, queries_from=0):
+    def forward(self, tokens, pad_mask, cache=None, queries_from=0):
         b, s = tokens.shape
         logits = np.full((b, s, self.k), np.log((1 - self.p) / (self.k - 1)))
         for i in range(b):
@@ -365,7 +376,7 @@ def test_evaluate_oracle_reaches_full_accuracy(planning_eval_set, monkeypatch):
     vocab = task.vocabulary()
     model = LookupOracle(task, insts, vocab)
     res = evaluate_model(model, "diffusion", task, vocab, insts,
-                         DecodeConfig(steps=5, seed=0))
+                         DecodeConfig(steps=5, temperature=0.5, strategy="topk", seed=0))
     assert res.accuracy == 1.0
     assert res.n == len(insts)
     assert set(res.per_pd) == {"0", "1", "2"}
@@ -377,11 +388,12 @@ def test_evaluate_chunking_is_worker_invariant(planning_eval_set, monkeypatch):
     task, insts = planning_eval_set
     vocab = task.vocabulary()
     model = LookupOracle(task, insts, vocab, p=0.7)  # noisy: outputs vary
-    cfg = DecodeConfig(steps=5, seed=3)
+    cfg = DecodeConfig(steps=5, temperature=0.5, strategy="topk", seed=3)
+    monkeypatch.setattr(evaluate_mod, "EVAL_CHUNK", 5)
     monkeypatch.setenv(THREADS_ENV, "1")
-    a = evaluate_model(model, "diffusion", task, vocab, insts, cfg, chunk=5)
+    a = evaluate_model(model, "diffusion", task, vocab, insts, cfg)
     monkeypatch.setenv(THREADS_ENV, "4")
-    b = evaluate_model(model, "diffusion", task, vocab, insts, cfg, chunk=5)
+    b = evaluate_model(model, "diffusion", task, vocab, insts, cfg)
     assert a.outputs == b.outputs
     assert a.accuracy == b.accuracy
 
@@ -395,7 +407,7 @@ def test_evaluate_scores_generated_and_read_back_instances_alike(planning_eval_s
     read_back = read_instances(path)
     vocab = task.vocabulary()
     model = LookupOracle(task, generated, vocab, p=0.7)  # noisy: accuracy differs by distance
-    cfg = DecodeConfig(steps=5, seed=3)
+    cfg = DecodeConfig(steps=5, temperature=0.5, strategy="topk", seed=3)
     want = evaluate_model(model, "diffusion", task, vocab, generated, cfg)
     got = evaluate_model(model, "diffusion", task, vocab, read_back, cfg)
     assert got == want
@@ -416,9 +428,10 @@ def test_evaluate_pool_runs_one_blas_thread_per_worker(planning_eval_set, monkey
         return _real(*a, **kw)
 
     monkeypatch.setattr(evaluate_mod, "_decode_chunk", recording)
+    monkeypatch.setattr(evaluate_mod, "EVAL_CHUNK", 5)
     monkeypatch.setenv(THREADS_ENV, str(threads))
     evaluate_model(LookupOracle(task, insts, vocab), "diffusion", task, vocab, insts,
-                   DecodeConfig(steps=2, seed=0), chunk=5)
+                   DecodeConfig(steps=2, temperature=0.5, strategy="topk", seed=0))
     assert seen == [1 if expect_one else default] * 3
     assert get() == default
 
@@ -433,11 +446,12 @@ def test_evaluate_outputs_do_not_depend_on_the_blas_thread_count(kind, monkeypat
     model = DenoiserModel(ModelConfig(
         vocab_size=vocab.size, max_seq_len=task.seq_len, n_layers=2, n_heads=4,
         hidden_dim=96, attention="causal" if kind == "ar" else "bidirectional"), seed=3)
-    cfg = DecodeConfig(steps=4, temperature=1.0, seed=2)
+    cfg = DecodeConfig(steps=4, temperature=1.0, strategy="topk", seed=2)
+    monkeypatch.setattr(evaluate_mod, "EVAL_CHUNK", 8)
     monkeypatch.setenv(THREADS_ENV, "1")
-    a = evaluate_model(model, kind, task, vocab, insts, cfg, chunk=8)
+    a = evaluate_model(model, kind, task, vocab, insts, cfg)
     monkeypatch.setenv(THREADS_ENV, "2")
-    b = evaluate_model(model, kind, task, vocab, insts, cfg, chunk=8)
+    b = evaluate_model(model, kind, task, vocab, insts, cfg)
     assert a.outputs == b.outputs
     assert len(set(a.outputs)) > 1
 
@@ -459,8 +473,10 @@ def test_evaluate_decodes_without_a_graph_on_worker_threads(kind, monkeypatch):
         return out
 
     model.forward = forward
+    monkeypatch.setattr(evaluate_mod, "EVAL_CHUNK", 3)
     monkeypatch.setenv(THREADS_ENV, "2")
-    evaluate_model(model, kind, task, vocab, insts, DecodeConfig(steps=2, seed=0), chunk=3)
+    evaluate_model(model, kind, task, vocab, insts,
+                   DecodeConfig(steps=2, temperature=0.5, strategy="topk", seed=0))
     assert seen and all(name.startswith(WORKER_PREFIX) for name, *_ in seen)
     assert all(back is None and not grad for _, back, grad in seen)
 
@@ -471,7 +487,7 @@ def test_evaluate_ar_path(planning_eval_set, monkeypatch):
     vocab = task.vocabulary()
     model = LookupOracle(task, insts, vocab, causal=True)
     res = evaluate_model(model, "ar", task, vocab, insts,
-                         DecodeConfig(steps=1, temperature=0.1, seed=0))
+                         DecodeConfig(steps=1, temperature=0.1, strategy="topk", seed=0))
     assert res.accuracy == 1.0
 
 
@@ -479,7 +495,7 @@ def test_evaluate_rejects_empty():
     task = get_task("planning")
     with pytest.raises(ValueError):
         evaluate_model(None, "diffusion", task, task.vocabulary(), [],
-                       DecodeConfig(steps=1))
+                       DecodeConfig(steps=1, temperature=0.5, strategy="topk", seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +586,11 @@ def test_train_drops_its_instances_once_encoded(tmp_path, monkeypatch):
     cfg = _tiny_cfg(tmp_path, eval_path="", train_steps=2, log_every=1)
     refs, alive = [], []
 
+    class Tracked(TaskInstance):
+        __slots__ = ("__weakref__",)  # a slotted TaskInstance takes no weak reference
+
     def read(path, _real=train_mod.read_instances):
-        out = _real(path)
+        out = [Tracked(inst.input_text, inst.output_text) for inst in _real(path)]
         refs.extend(weakref.ref(inst) for inst in out)
         return out
 
@@ -1294,7 +1313,7 @@ task = get_task("countdown3")
 vocab = task.vocabulary()
 model = DenoiserModel(ModelConfig(vocab.size, task.seq_len, 1, 2, 16), seed=0)
 res = h.evaluate_model(model, "diffusion", task, vocab, task.generate(0, 3, seed=1)[1],
-                       DecodeConfig(steps=2))
+                       DecodeConfig(steps=2, temperature=0.5, strategy="topk", seed=0))
 assert res.n == 3
 print(sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema"))
 """

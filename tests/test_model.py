@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import weakref
 
 import numpy as np
@@ -22,7 +23,7 @@ from absorb_diffuse.model import (
 )
 from absorb_diffuse.tasks import encode_instances, get_task
 
-from helpers import pack_rows, traced_peak, zero_grads
+from helpers import no_pad, pack_rows, traced_peak, zero_grads
 
 RNG = np.random.default_rng(99)
 
@@ -58,7 +59,7 @@ def test_forward_shapes_and_head_excludes_specials():
     cfg = tiny_config()
     model = DenoiserModel(cfg, seed=1)
     tokens = RNG.integers(0, cfg.vocab_size, size=(3, cfg.max_seq_len)).astype(np.int32)
-    logits = model.forward(tokens)
+    logits = model.forward(tokens, no_pad(tokens))
     assert logits.value.shape == (3, cfg.max_seq_len, cfg.content_vocab)
 
 
@@ -438,21 +439,21 @@ def test_queries_from_outside_the_canvas_is_rejected():
     tokens = RNG.integers(0, 9, size=(2, 6)).astype(np.int32)
     for q0 in (-1, 6, 7):
         with pytest.raises(ValueError, match="queries_from"):
-            model.forward(tokens, queries_from=q0)
+            model.forward(tokens, no_pad(tokens), queries_from=q0)
         with pytest.raises(ValueError, match="queries_from"):
-            model.forward(tokens, cache={}, queries_from=q0)
+            model.forward(tokens, no_pad(tokens), cache={}, queries_from=q0)
 
 
 def test_kv_cache_rejected_where_invalid():
     tokens = RNG.integers(0, 9, size=(2, 6)).astype(np.int32)
     bidir = DenoiserModel(tiny_config("bidirectional"), seed=5)
     with pytest.raises(ValueError, match="causal"):
-        bidir.forward(tokens, cache={})
+        bidir.forward(tokens, no_pad(tokens), cache={})
     causal = DenoiserModel(tiny_config("causal"), seed=5)
     cache = {}
-    causal.forward(tokens, cache=cache)
+    causal.forward(tokens, no_pad(tokens), cache=cache)
     with pytest.raises(ValueError, match="already holds"):
-        causal.forward(tokens, cache=cache)
+        causal.forward(tokens, no_pad(tokens), cache=cache)
 
 
 def test_bidirectional_model_sees_future_tokens():
@@ -461,8 +462,8 @@ def test_bidirectional_model_sees_future_tokens():
     a = RNG.integers(0, cfg.content_vocab, size=(1, cfg.max_seq_len)).astype(np.int32)
     b = a.copy()
     b[0, -1] = (b[0, -1] + 1) % cfg.content_vocab
-    la = model.forward(a).value
-    lb = model.forward(b).value
+    la = model.forward(a, no_pad(a)).value
+    lb = model.forward(b, no_pad(b)).value
     assert not np.allclose(la[0, 0], lb[0, 0], atol=1e-6)
 
 
@@ -486,8 +487,8 @@ def test_params_reconstruct_exactly():
     arrays = {k: p.value for k, p in model.params.items()}
     clone = DenoiserModel(cfg, params={k: v.copy() for k, v in arrays.items()})
     tokens = RNG.integers(0, cfg.vocab_size, size=(2, cfg.max_seq_len)).astype(np.int32)
-    np.testing.assert_array_equal(model.forward(tokens).value,
-                                  clone.forward(tokens).value)
+    np.testing.assert_array_equal(model.forward(tokens, no_pad(tokens)).value,
+                                  clone.forward(tokens, no_pad(tokens)).value)
     bad = {k: v.copy() for k, v in arrays.items()}
     first = next(iter(bad))
     bad[first] = bad[first][..., :-1]
@@ -612,7 +613,7 @@ def test_composed_model_gradient_fd():
     weights = RNG.random((2, 6))
 
     def loss_value():
-        logits = model.forward(tokens)
+        logits = model.forward(tokens, no_pad(tokens))
         flat = ad.reshape(logits, (12, cfg.content_vocab))
         return ad.softmax_cross_entropy(flat, targets.reshape(-1), weights.reshape(-1))
 
@@ -644,7 +645,7 @@ def _trained_tiny(seed):
     model = DenoiserModel(cfg, seed=seed)
     opt = ad.Adam(model.params)
     batch_tokens = RNG.integers(0, cfg.content_vocab, size=(2, cfg.max_seq_len)).astype(np.int32)
-    logits = model.forward(batch_tokens)
+    logits = model.forward(batch_tokens, no_pad(batch_tokens))
     flat = ad.reshape(logits, (-1, cfg.content_vocab))
     n = flat.value.shape[0]
     loss = ad.softmax_cross_entropy(flat, np.zeros(n, np.int64), np.ones(n) / n)
@@ -671,8 +672,8 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         np.testing.assert_array_equal(ck.optimizer_state["m"][name], opt.m[name])
         np.testing.assert_array_equal(ck.optimizer_state["v"][name], opt.v[name])
     restored = DenoiserModel(ModelConfig(**ck.model_config), params=ck.params)
-    np.testing.assert_array_equal(restored.forward(batch_tokens).value,
-                                  model.forward(batch_tokens).value)
+    np.testing.assert_array_equal(restored.forward(batch_tokens, no_pad(batch_tokens)).value,
+                                  model.forward(batch_tokens, no_pad(batch_tokens)).value)
     o2 = ad.Adam(restored.params)
     o2.load_state_dict(ck.optimizer_state)
     assert o2.t == opt.t
@@ -686,6 +687,16 @@ def test_checkpoint_rejects_corrupt_manifest(tmp_path):
     text = manifest.read_text().replace('"f32le"', '"f64be"')
     manifest.write_text(text)
     with pytest.raises(ValueError):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_refuses_a_manifest_that_is_not_an_object(tmp_path):
+    model, opt, _ = _trained_tiny(seed=10)
+    path = tmp_path / "ckpt"
+    _save(path, model, opt, 0)
+    manifest = path / "manifest.json"
+    manifest.write_text(json.dumps([json.loads(manifest.read_text())]))
+    with pytest.raises(ValueError, match=re.escape(f"{manifest}: manifest is not a JSON object")):
         load_checkpoint(str(path))
 
 

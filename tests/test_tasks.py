@@ -88,7 +88,7 @@ def test_reference_rows_fit_canvases():
         task = get_task(name)
         assert len(inp) <= task.cond_width, name
         assert len(outp) <= task.target_width, name
-        batch = encode_instances(task, [TaskInstance(inp, outp)])
+        batch = encode_instances(task, [TaskInstance(inp, outp)], task.vocabulary())
         assert batch.tokens.shape == (1, task.seq_len)
 
 
@@ -354,14 +354,14 @@ def test_vocab_roundtrip_and_specials():
     v = Vocabulary(sorted("0123456789,-/"))
     text = GOLD_PLANNING[0]
     ids, lengths = v.encode_texts([text])
-    assert v.decode(ids) == text and lengths.tolist() == [len(text)]
+    assert v.decode(ids[None]) == [text] and lengths.tolist() == [len(text)]
     assert v.mask_id == 13 and v.pad_id == 14 and v.size == 15
     assert len(v.chars) == 13
     with pytest.raises(ValueError):
         v.encode_texts(["x"])
     with pytest.raises(ValueError):
-        v.decode([v.mask_id])
-    assert v.decode([0, v.pad_id, 1]) == v.chars[0] + v.chars[1]
+        v.decode([[v.mask_id]])
+    assert v.decode([[0, v.pad_id, 1]]) == [v.chars[0] + v.chars[1]]
 
 
 def _decode_per_id(vocab, ids):
@@ -386,13 +386,12 @@ def test_vocab_decode_matches_the_per_id_reference():
         rows[:50, 10:] = vocab.pad_id
         want = [_decode_per_id(vocab, row) for row in rows]
         for dtype in (np.int32, np.int64):
-            assert [vocab.decode(row) for row in rows.astype(dtype)] == want
             assert vocab.decode(rows.astype(dtype)) == want  # a chunk: one lookup
-        assert vocab.decode([]) == "" and vocab.decode([vocab.pad_id] * 3) == ""
         assert vocab.decode(np.zeros((0, 23), dtype=np.int64)) == []
         assert vocab.decode(np.full((2, 3), vocab.pad_id)) == ["", ""]
-    with pytest.raises(ValueError, match="a row or"):
-        vocab.decode(np.zeros((2, 2, 2), dtype=np.int64))
+    for shape in ((3,), (2, 2, 2)):  # only a [rows, width] chunk decodes
+        with pytest.raises(ValueError, match=re.escape("ids must be [rows, width]")):
+            vocab.decode(np.zeros(shape, dtype=np.int64))
 
 
 @pytest.mark.parametrize("ids, message", [
@@ -406,7 +405,7 @@ def test_vocab_decode_reports_the_first_bad_id_as_the_reference_does(ids, messag
     vocab = get_task("planning").vocabulary()
     specials = {"mask": vocab.mask_id, "pad": vocab.pad_id}
     row = np.array([specials.get(i, i) for i in ids])
-    for decode in (vocab.decode, lambda r: _decode_per_id(vocab, r)):
+    for decode in (lambda r: vocab.decode(r[None]), lambda r: _decode_per_id(vocab, r)):
         with pytest.raises(ValueError, match=re.escape(message)):
             decode(row)
     # in a chunk the first bad row reports, as a per-row loop would
@@ -485,15 +484,15 @@ def test_planning_generation_refuses_a_repeated_distance():
 
 def test_encode_instances_layout():
     task = get_task("countdown3")
-    batch = encode_instances(task, [TaskInstance(*GOLD_CD3)])
     vocab = task.vocabulary()
+    batch = encode_instances(task, [TaskInstance(*GOLD_CD3)], vocab)
     s = batch.tokens[0]
     assert batch.cond_width == 12
     # right-aligned condition: one leading pad for the 11-char reference input
     assert s[0] == vocab.pad_id
-    assert vocab.decode(s[1:12]) == GOLD_CD3[0]
+    assert vocab.decode(batch.tokens[:, 1:12]) == [GOLD_CD3[0]]
     n = len(GOLD_CD3[1])
-    assert vocab.decode(s[12:12 + n]) == GOLD_CD3[1]
+    assert vocab.decode(batch.tokens[:, 12:12 + n]) == [GOLD_CD3[1]]
     assert batch.target_mask.sum(axis=1)[0] == n
     assert not batch.pad_mask[0, 0]
     assert batch.pad_mask[0, 1:12 + n].all()
@@ -597,14 +596,14 @@ def test_an_encoded_planning_set_holds_one_byte_a_slot(planning_12000):
     # the masks derive from the canvas; int32 tokens and two stored bool
     # masks held 6 bytes a slot, 5.2 MB here
     task, instances = planning_12000
-    batch = encode_instances(task, instances)
+    batch = encode_instances(task, instances, task.vocabulary())
     held = sum(a.nbytes for a in vars(batch).values() if isinstance(a, np.ndarray))
     assert held <= 12000 * task.seq_len, f"{held / (12000 * task.seq_len):.1f} bytes a slot"
 
 
 def test_encode_conditions_reserves_lengths():
     task = get_task("planning")
-    batch = encode_conditions(task, [GOLD_PLANNING[0]], [21])
+    batch = encode_conditions(task, [GOLD_PLANNING[0]], [21], task.vocabulary())
     assert batch.target_mask.sum(axis=1)[0] == 21
     assert batch.target_mask[0, batch.cond_width:batch.cond_width + 21].all()
 
@@ -612,7 +611,7 @@ def test_encode_conditions_reserves_lengths():
 def test_segment_map_alignment():
     task = get_task("countdown3")
     inst = TaskInstance(*GOLD_CD3)
-    batch = encode_instances(task, [inst])
+    batch = encode_instances(task, [inst], task.vocabulary())
     seg = segment_map(task, batch, [inst])
     assert seg.shape == batch.tokens.shape
     assert (seg[0, :batch.cond_width] == -1).all()
@@ -629,7 +628,7 @@ def test_all_tasks_generate_and_encode():
         assert len(train) == 4 and len(test) == 2
         for inst in train + test:
             assert task.verify(inst.input_text, inst.output_text).ok
-        batch = encode_instances(task, train)
+        batch = encode_instances(task, train, task.vocabulary())
         assert batch.tokens.shape == (4, task.seq_len)
 
 
