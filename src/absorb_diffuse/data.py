@@ -12,7 +12,7 @@ and the cond width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,8 +46,12 @@ class Batch:
     def size(self) -> int:
         return self.tokens.shape[0]
 
-    def take(self, idx) -> "Batch":
-        return Batch(self.tokens[idx], self.cond_width, self.pad_id)
+    def take(self, idx) -> Batch:
+        """The rows `idx` of every array field, views for a slice, in a batch
+        of this one's kind."""
+        return replace(self, **{
+            f.name: v[idx] for f in fields(self)
+            if isinstance(v := getattr(self, f.name), np.ndarray)})
 
 
 def pack_ids(cond_ids, cond_lengths, target_ids, target_lengths,

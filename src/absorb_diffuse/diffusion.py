@@ -73,17 +73,19 @@ class NoiseSchedule:
 
 @dataclass
 class CorruptedBatch(Batch):
-    """A Batch whose tokens hold the mask at its corrupted target slots. The
-    mask id is not the pad id, so the derived masks are those of the clean
-    canvas."""
+    """A Batch whose tokens hold the mask id at its corrupted target slots.
+    No content token or pad is the mask id, so the canvas shows which slots
+    are corrupted, and its derived pad and target masks are those of the
+    clean canvas."""
 
     x0: np.ndarray            # TOKEN_DTYPE [B, S], clean canvas
-    corrupted: np.ndarray     # bool [B, S]
     t: np.ndarray             # int [B], noise level per row
+    mask_id: int              # the id of every corrupted slot, and of no other
 
-    def __post_init__(self):
-        if (self.corrupted & (self.tokens == self.pad_id)).any():
-            raise ValueError("corrupted positions must not be padding")
+    @property
+    def corrupted(self) -> np.ndarray:
+        """bool [B, S], True at the corrupted slots."""
+        return self.tokens == self.mask_id
 
 
 def sample_xt(schedule: NoiseSchedule, batch: Batch, t, rng: np.random.Generator,
@@ -101,10 +103,9 @@ def sample_xt(schedule: NoiseSchedule, batch: Batch, t, rng: np.random.Generator
     schedule._check_t(t)
     keep = schedule.alpha[t]
     u = rng.random(batch.tokens.shape)
-    corrupted = batch.target_mask & (u >= keep[:, None])
-    tokens = np.where(corrupted, mask_id, batch.tokens)
+    tokens = np.where(batch.target_mask & (u >= keep[:, None]), mask_id, batch.tokens)
     return CorruptedBatch(tokens=tokens, cond_width=batch.cond_width, pad_id=batch.pad_id,
-                          x0=batch.tokens.copy(), corrupted=corrupted, t=t)
+                          x0=batch.tokens.copy(), t=t, mask_id=mask_id)
 
 
 def draw_t(schedule: NoiseSchedule, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,13 +175,14 @@ def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
     """
     b, s = cbatch.tokens.shape
     w = cbatch.cond_width
-    if cbatch.corrupted[:, :w].any():
+    corrupted = cbatch.corrupted
+    if corrupted[:, :w].any():
         raise ValueError("corrupted positions must lie in the target region")
     logits = model.forward(cbatch.tokens, cbatch.pad_mask, queries_from=w)
     k = logits.value.shape[-1]
     st = s - w  # the target columns, the only ones the model scores here
     flat = ad.reshape(logits, (b * st, k))
-    mask = cbatch.corrupted[:, w:].reshape(-1)
+    mask = corrupted[:, w:].reshape(-1)
     targets = np.where(mask, cbatch.x0[:, w:].reshape(-1), 0)
     if mask.any() and targets[mask].max() >= k:
         raise ValueError("corrupted positions must hold content tokens")
@@ -231,13 +233,14 @@ def subgoal_loss_profile(model, batch: Batch, schedule: NoiseSchedule, mask_id: 
     for ti in range(1, T + 1):
         for _ in range(n_samples):
             cb = sample_xt(schedule, batch, ti, rng, mask_id)
-            if not cb.corrupted.any():
+            corrupted = cb.corrupted
+            if not corrupted.any():
                 continue
             with ad.no_grad():
-                u = diffusion_loss(model, cb, schedule, plain_bound)[1][cb.corrupted]
+                u = diffusion_loss(model, cb, schedule, plain_bound)[1][corrupted]
             u_sum[ti - 1] += u.sum()
             count[ti - 1] += u.size
-            j = np.searchsorted(seg_ids, segments[cb.corrupted])
+            j = np.searchsorted(seg_ids, segments[corrupted])
             seg_sum[ti - 1] += np.bincount(j, weights=u, minlength=seg_ids.size)
             seg_count[ti - 1] += np.bincount(j, minlength=seg_ids.size)
     lam = schedule.survival(np.arange(1, T + 1))

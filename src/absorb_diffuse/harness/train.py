@@ -66,13 +66,6 @@ class TrainResult:
     final_eval: dict | None
 
 
-def _rows(batch, lo: int, hi: int):
-    """Rows [lo, hi) of a Batch or CorruptedBatch, as views."""
-    return dataclasses.replace(batch, **{
-        f.name: getattr(batch, f.name)[lo:hi] for f in dataclasses.fields(batch)
-        if isinstance(getattr(batch, f.name), np.ndarray)})
-
-
 def _shard_step(model, kind: str, shard, share: float, schedule, reweight):
     """Forward and backward of one shard, its loss weighted by its share of
     the batch's scored tokens. -> (weighted loss value, {parameter: grad})."""
@@ -102,7 +95,7 @@ def _run_shards(model, kind: str, batch, schedule, reweight) -> tuple[float, flo
     per_row = scored.sum(axis=1)
     total = int(per_row.sum())
     cuts = [-(-len(per_row) * i // SHARDS) for i in range(SHARDS + 1)]
-    jobs = [functools.partial(_shard_step, model, kind, _rows(batch, lo, hi),
+    jobs = [functools.partial(_shard_step, model, kind, batch.take(slice(lo, hi)),
                               int(per_row[lo:hi].sum()) / total, schedule, reweight)
             for lo, hi in zip(cuts, cuts[1:]) if per_row[lo:hi].any()]
     loss, summed = 0.0, {}

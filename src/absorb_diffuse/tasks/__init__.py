@@ -2,10 +2,10 @@
 
 from .base import TaskInstance, Verdict, read_instances, write_instances
 from .vocab import Vocabulary
-from .registry import TASKS, TaskSpec, get_task, encode_conditions, encode_instances
+from .registry import TASKS, TaskSpec, get_task, encode_instances
 
 __all__ = [
     "TaskInstance", "Verdict", "read_instances", "write_instances",
     "Vocabulary", "TASKS", "TaskSpec", "get_task",
-    "encode_conditions", "encode_instances",
+    "encode_instances",
 ]

@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from ..data import TOKEN_DTYPE, Batch, pack_ids
+from ..data import Batch, pack_ids
 from . import countdown, planning, sat, sudoku
 from .base import split_segments
 from .vocab import Vocabulary
@@ -111,14 +111,6 @@ def encode_instances(task: TaskSpec, instances, vocab: Vocabulary) -> Batch:
     conds = vocab.encode_texts([inst.input_text for inst in instances])
     tgts = vocab.encode_texts([inst.output_text for inst in instances])
     return pack_ids(*conds, *tgts, task.cond_width, task.target_width, vocab.pad_id)
-
-
-def encode_conditions(task: TaskSpec, inputs, target_lengths, vocab: Vocabulary) -> Batch:
-    """Canvas with known condition text and target slots reserved by length."""
-    lengths = np.asarray(target_lengths, dtype=np.int64)
-    dummies = np.zeros(int(lengths.sum()), dtype=TOKEN_DTYPE)
-    return pack_ids(*vocab.encode_texts(list(inputs)), dummies, lengths,
-                    task.cond_width, task.target_width, vocab.pad_id)
 
 
 def segment_map(task: TaskSpec, batch: Batch, instances) -> np.ndarray:

@@ -220,15 +220,39 @@ def test_sample_xt_rate_matches_one_minus_alpha():
         assert abs(rate - t / 4) < 0.02, (t, rate)
 
 
-def test_corrupted_batch_rejects_a_target_slot_that_is_padding():
-    batch = _planning_like_batch(rows=2)
-    corrupted = np.zeros_like(batch.target_mask)
-    corrupted[0, -1] = True
-    tokens = batch.tokens.copy()
-    tokens[0, -1] = batch.pad_id  # the canvas pads the slot that corruption marks
-    with pytest.raises(ValueError, match="padding"):
-        CorruptedBatch(tokens=tokens, cond_width=batch.cond_width, pad_id=batch.pad_id,
-                       x0=tokens.copy(), corrupted=corrupted, t=np.array([1, 1]))
+def test_sample_xt_corrupts_exactly_the_slots_its_draw_picks():
+    # CorruptedBatch derives its corrupted slots from the canvas, so the
+    # slots that show the mask id must be the draw's, and no others
+    sched = NoiseSchedule.linear(8)
+    batch = _planning_like_batch(rows=40)
+    mask_id = 7
+    rng = np.random.default_rng(3)
+    t = draw_t(sched, batch.size, rng)
+    state = rng.bit_generator.state
+    cb = sample_xt(sched, batch, t, rng, mask_id)
+    rng.bit_generator.state = state  # replay sample_xt's one uniform a slot
+    drawn = batch.target_mask & (rng.random(batch.tokens.shape) >= sched.alpha[t][:, None])
+    assert drawn.any() and not drawn.all()
+    assert (drawn == (cb.tokens == mask_id)).all()
+    assert (cb.corrupted == drawn).all()
+    assert (cb.x0 == batch.tokens).all()
+
+
+@pytest.mark.parametrize("idx", [slice(1, 4), np.array([4, 0, 2])], ids=["slice", "index"])
+def test_take_keeps_a_corrupted_batchs_rows(idx):
+    sched = NoiseSchedule.linear(8)
+    batch = _planning_like_batch()
+    rng = np.random.default_rng(4)
+    cb = sample_xt(sched, batch, draw_t(sched, batch.size, rng), rng, mask_id=7)
+    rows = cb.take(idx)
+    assert isinstance(rows, CorruptedBatch)
+    assert (rows.cond_width, rows.pad_id, rows.mask_id) == (cb.cond_width, cb.pad_id, 7)
+    for name in ("tokens", "x0", "t", "corrupted", "target_mask"):
+        assert (getattr(rows, name) == getattr(cb, name)[idx]).all(), name
+    # a slice's rows are views: training cuts its shards this way
+    views = isinstance(idx, slice)
+    assert np.shares_memory(rows.tokens, cb.tokens) == views
+    assert np.shares_memory(rows.x0, cb.x0) == views
 
 
 def test_draw_t_range_and_coverage():
@@ -306,9 +330,8 @@ def test_loss_zero_when_nothing_corrupted():
     model = _tiny_model()
     batch = _planning_like_batch(rows=3, cond=4, width=10)
     cb = CorruptedBatch(
-        tokens=batch.tokens.copy(), x0=batch.tokens.copy(),
-        corrupted=np.zeros_like(batch.target_mask), t=np.array([1, 2, 3]),
-        cond_width=batch.cond_width, pad_id=batch.pad_id)
+        tokens=batch.tokens.copy(), x0=batch.tokens.copy(), t=np.array([1, 2, 3]),
+        mask_id=7, cond_width=batch.cond_width, pad_id=batch.pad_id)
     rw = ReweightConfig()
     loss, u = diffusion_loss(model, cb, sched, rw)
     assert float(loss.value) == 0.0
@@ -326,7 +349,7 @@ def test_loss_rejects_corrupted_condition_positions():
     corrupted[0, batch.cond_width - 1] = True
     cb = CorruptedBatch(
         tokens=np.where(corrupted, 7, batch.tokens), x0=batch.tokens.copy(),
-        corrupted=corrupted, t=np.array([1, 2]), cond_width=batch.cond_width,
+        t=np.array([1, 2]), mask_id=7, cond_width=batch.cond_width,
         pad_id=batch.pad_id)
     with pytest.raises(ValueError, match="target region"):
         diffusion_loss(model, cb, NoiseSchedule.linear(5), ReweightConfig())

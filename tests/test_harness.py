@@ -731,7 +731,8 @@ def test_batches_are_epoch_shuffles_that_drop_the_remainder(tmp_path, monkeypatc
     real_take = Batch.take
 
     def recording(self, idx):
-        taken.append(np.asarray(idx).copy())
+        if not isinstance(idx, slice):  # a slice cuts a step's batch into shards
+            taken.append(np.asarray(idx).copy())
         return real_take(self, idx)
 
     monkeypatch.setattr(Batch, "take", recording)
@@ -1324,6 +1325,42 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema"))
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_perfbench_tracer_installs_and_traces_a_training_step(tmp_path):
+    # perfbench patches library names from outside the library, so a rename
+    # or removal breaks its traced runs: install it as its worker does, then
+    # check that a diffusion step reaches the patched names
+    perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    code = f"""
+import sys
+sys.path.insert(0, {str(perfbench)!r})
+import numpy as np
+import worker
+from absorb_diffuse.data import Batch
+from absorb_diffuse.diffusion import CorruptedBatch, NoiseSchedule, ReweightConfig
+from absorb_diffuse.model import DenoiserModel, ModelConfig
+from absorb_diffuse.tasks import encode_instances, get_task
+tracer = worker.Tracer()
+tracer.install()
+assert CorruptedBatch.take is Batch.take
+train_mod = sys.modules["absorb_diffuse.harness.train"]
+task = get_task("countdown3")
+vocab = task.vocabulary()
+batch = encode_instances(task, task.generate(4, 0, seed=1)[0], vocab)
+model = DenoiserModel(ModelConfig(vocab.size, task.seq_len, 1, 2, 16), seed=0)
+schedule = NoiseSchedule.linear(4)
+rng = np.random.default_rng(0)
+cb = train_mod.sample_xt(schedule, batch, train_mod.draw_t(schedule, 4, rng), rng, vocab.mask_id)
+train_mod._run_shards(model, "diffusion", cb, schedule, ReweightConfig())
+print(" ".join(sorted(tracer.fired())))
+"""
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    fired = set(res.stdout.split())
+    assert {"data.take", "diffusion.loss", "model.forward", "autodiff.tape",
+            "autodiff.matmul.fwd", "autodiff.matmul.bwd"} <= fired, sorted(fired)
 
 
 def test_cli_rejects_a_negative_limit(capsys):

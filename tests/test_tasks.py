@@ -20,7 +20,6 @@ from absorb_diffuse.tasks.base import (
 from absorb_diffuse.tasks import countdown, planning, sat, sudoku
 from absorb_diffuse.tasks.registry import (
     TASKS,
-    encode_conditions,
     encode_instances,
     get_task,
     segment_map,
@@ -599,13 +598,6 @@ def test_an_encoded_planning_set_holds_one_byte_a_slot(planning_12000):
     batch = encode_instances(task, instances, task.vocabulary())
     held = sum(a.nbytes for a in vars(batch).values() if isinstance(a, np.ndarray))
     assert held <= 12000 * task.seq_len, f"{held / (12000 * task.seq_len):.1f} bytes a slot"
-
-
-def test_encode_conditions_reserves_lengths():
-    task = get_task("planning")
-    batch = encode_conditions(task, [GOLD_PLANNING[0]], [21], task.vocabulary())
-    assert batch.target_mask.sum(axis=1)[0] == 21
-    assert batch.target_mask[0, batch.cond_width:batch.cond_width + 21].all()
 
 
 def test_segment_map_alignment():
