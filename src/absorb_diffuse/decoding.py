@@ -42,13 +42,14 @@ class DecodeConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
 
 
-def _sample(logits: np.ndarray, temperature: float, rng: np.random.Generator):
-    """Gumbel-max draw from softmax(logits / temperature) over the last axis.
+def _sample(logits: np.ndarray, temperature: float, gumbel: np.ndarray):
+    """Gumbel-max draw from softmax(logits / temperature) over the last
+    axis, with the standard Gumbel noise `gumbel` of the logits' shape.
 
     -> (ids, log-probability of each drawn id).
     """
     logp = log_softmax(logits / temperature)
-    ids = np.argmax(logp + rng.gumbel(size=logp.shape), axis=-1)
+    ids = np.argmax(logp + gumbel, axis=-1)
     return ids, np.take_along_axis(logp, ids[..., None], axis=-1)[..., 0]
 
 
@@ -58,6 +59,9 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int,
 
     Target lengths come from the batch layout; every target slot is decoded
     (the model cannot emit pad or mask, so output length is fixed up front).
+    Each forward reads only the still-masked slots and keeps layer 0's
+    q/k/v table in a per-call cache; Gumbel noise is drawn at every target
+    column, so the random stream does not depend on which slots are masked.
     Returns the copy's target columns, [B, target_width] in the canvas
     dtype: the canvas's pad stays beyond each row's length.
     """
@@ -68,19 +72,20 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int,
     xt = x[:, w:]  # a view: writing it writes x
     xt[target] = mask_id
     lengths = target.sum(axis=1)
+    cache = {}
 
     for s in range(1, cfg.steps + 1):
-        # the model scores, and the sampler draws for, the target columns only
+        read = x == mask_id  # no condition or pad slot holds the mask id
         with no_grad():  # on the thread that decodes: the mode is per thread
-            logits = model.forward(x, pad_mask, queries_from=w).value
-        sampled, conf = _sample(logits, cfg.temperature, rng)
+            logits = model.forward(x, pad_mask, read, cache).value
+        masked = read[:, w:]
         # The reverse model is the forward posterior with the network's
         # prediction in place of the clean sequence, so at positions already
         # revealed the predictive distribution is a point mass on the current
         # token: the draw returns it and its confidence is log 1 = 0.
-        visible = target & (xt != mask_id)
-        sampled = np.where(visible, xt, sampled)
-        conf = np.where(visible, 0.0, conf)
+        sampled, conf = xt.copy(), np.zeros(xt.shape)
+        sampled[masked], conf[masked] = _sample(
+            logits, cfg.temperature, rng.gumbel(size=(*xt.shape, logits.shape[-1]))[masked])
         if cfg.strategy == "random":
             conf = rng.random(conf.shape)
         conf = np.where(target, conf, -np.inf)
@@ -101,10 +106,11 @@ def ar_decode(model, batch: Batch, cfg: DecodeConfig, rng: np.random.Generator) 
 
     The first forward runs the condition prefix and fills a key/value
     cache; each later forward feeds only the token sampled last. The last
-    logits row of each forward scores the next token. Every row draws at
-    each column, so the random stream does not depend on the lengths, but
-    a draw is written only into rows whose target reaches that column. The
-    cache lives for this call only.
+    column of each forward, the only one it reads, scores the next token.
+    Every row draws at each column, so the random stream does not depend
+    on the lengths, but a draw is written only into rows whose target
+    reaches that column. The cache, layer 0's q/k/v table with it, lives
+    for this call only.
 
     Returns the copy's target columns, [B, target_width] in the canvas
     dtype: the canvas's pad stays beyond each row's length.
@@ -120,10 +126,11 @@ def ar_decode(model, batch: Batch, cfg: DecodeConfig, rng: np.random.Generator) 
     cache = {}
     for pos in range(w, w + int(lengths.max(initial=0))):
         # only the last position's logits are read: the prefill runs one query
+        read = np.zeros((x.shape[0], pos), dtype=bool)
+        read[:, -1] = True
         with no_grad():
-            logits = model.forward(x[:, :pos], pad_mask[:, :pos], cache=cache,
-                                   queries_from=pos - 1).value[:, -1]
-        sampled, _ = _sample(logits, cfg.temperature, rng)
+            logits = model.forward(x[:, :pos], pad_mask[:, :pos], read, cache).value
+        sampled, _ = _sample(logits, cfg.temperature, rng.gumbel(size=logits.shape))
         active = target[:, pos]
         x[active, pos] = sampled[active]
         pad_mask[:, pos] = active

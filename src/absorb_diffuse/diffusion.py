@@ -178,10 +178,11 @@ def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
     corrupted = cbatch.corrupted
     if corrupted[:, :w].any():
         raise ValueError("corrupted positions must lie in the target region")
-    logits = model.forward(cbatch.tokens, cbatch.pad_mask, queries_from=w)
-    k = logits.value.shape[-1]
-    st = s - w  # the target columns, the only ones the model scores here
-    flat = ad.reshape(logits, (b * st, k))
+    read = np.zeros((b, s), dtype=bool)
+    read[:, w:] = True  # the target columns, the only ones the model scores here
+    flat = model.forward(cbatch.tokens, cbatch.pad_mask, read)
+    k = flat.value.shape[-1]
+    st = s - w
     mask = corrupted[:, w:].reshape(-1)
     targets = np.where(mask, cbatch.x0[:, w:].reshape(-1), 0)
     if mask.any() and targets[mask].max() >= k:

@@ -152,29 +152,30 @@ class DenoiserModel:
         allowed = allowed[None, start:] & (pad_mask[:, None, :] | own_key)
         return np.where(allowed, dtype.type(0), dtype.type(NEG_INF))[:, None]
 
-    def forward(self, tokens, pad_mask, cache: dict | None = None,
-                queries_from: int = 0) -> ad.Node:
-        """Score content tokens at positions q0..N-1, q0 = max(m, queries_from).
+    def forward(self, tokens, pad_mask, read, cache: dict | None = None) -> ad.Node:
+        """Score content tokens at the slots a caller reads.
 
         tokens: int [B, N]; pad_mask: bool [B, N], False at padding (all
-        True when a row has none).
-        Returns logits over the content vocabulary, shape [B, N - q0, content].
+        True when a row has none); read: bool [B, N], True at the slots
+        whose logits the caller reads. Returns their logits over the
+        content vocabulary, flat in row-major order: [read.sum(), content].
+        Keys and values cover every position. The last block narrows its
+        queries to the first read column, and after attention runs wo, the
+        residual, ln2, the MLP, ln_f and the head on the read slots only.
+        The logits are the full forward's bit for bit while two or more
+        query rows remain: BLAS rounds a one-row product differently, so a
+        row block that reads one slot runs it twice.
 
-        queries_from skips the logits a caller never reads, such as those
-        of the condition. Keys and values still cover every position; only
-        the last block's queries, attention rows, output projection, MLP
-        and the head run on fewer positions. The logits are the full
-        forward's bit for bit while at least two positions remain (BLAS
-        rounds a single-row product differently).
-
-        cache (causal models only) belongs to one caller and maps layer
-        index -> (keys, values) of the first m positions, each [B, H, m, hd];
-        pass {} on the first call (m = 0). Only positions m..N-1 are then
-        embedded and their keys and values are appended to the cache. The
-        logits equal the full forward's for two reasons: causal attention
-        makes a position's hidden states independent of every later
-        position, and a position's pad_mask entry never changes after it
-        has been fed, so its cached key stays masked or unmasked for good.
+        cache belongs to one caller, such as one decode call; pass {} on
+        the first call. Under no_grad() the first call fills cache["qkv"]
+        with layer 0's q, k and v of every (id, position) pair, and every
+        call gathers them from it; a recording forward computes them per
+        slot, as their gradient is per slot. A causal model also keeps in
+        cache[i] layer i's (keys, values) of the first m positions, each
+        [B, H, m, hd]; only positions m..N-1 then run, and none of the
+        cached ones may be read. The logits equal the full forward's:
+        causal attention makes a position independent of every later one,
+        and a fed position's pad_mask entry never changes.
 
         Under no_grad() the rows run in near-equal blocks of at most
         NO_GRAD_BLOCK positions (rows x (N - m)), none of a single row, and
@@ -187,9 +188,7 @@ class DenoiserModel:
         pre-activation and gelu's buffer, each four times the residual
         stream. A cached layer grows its keys, drops the old keys, then
         grows its values, so one grown array is in flight beside the
-        cache. The logits are those of one forward over every row, bit for
-        bit.
-        A recording forward is one row block and keeps only the arrays that
+        cache. A recording forward is one row block and keeps only the arrays that
         backward reads.
         """
         tokens = np.asarray(tokens)
@@ -198,82 +197,129 @@ class DenoiserModel:
         b, n = tokens.shape
         if n > self.config.max_seq_len:
             raise ValueError(f"sequence length {n} exceeds max_seq_len {self.config.max_seq_len}")
-        if not 0 <= queries_from < n:
-            raise ValueError(f"queries_from {queries_from} is outside [0, {n})")
-        m = 0
-        if cache is not None:
-            if self.config.attention != "causal":
-                raise ValueError("a key/value cache needs a causal model")
-            m = cache[0][0].shape[2] if cache else 0
-            if m >= n:
-                raise ValueError(f"the cache already holds {m} of the {n} positions")
+        read = np.asarray(read, dtype=bool)
+        if read.shape != tokens.shape:
+            raise ValueError(f"read {read.shape} does not match tokens {tokens.shape}")
+        causal = self.config.attention == "causal"
+        m = cache[0][0].shape[2] if causal and cache is not None and 0 in cache else 0
+        if m >= n:
+            raise ValueError(f"the cache already holds {m} of the {n} positions")
+        if read[:, :m].any():
+            raise ValueError(f"read includes the {m} cached positions, whose logits are gone")
+        tabled = cache is not None and not ad.is_grad_enabled()
+        if tabled and "qkv" not in cache:
+            cache["qkv"] = self._qkv_table()
+        table, kv = cache["qkv"] if tabled else None, cache if causal else None
 
         blocks = [slice(None)] if ad.is_grad_enabled() else _row_blocks(b, n - m)
         if len(blocks) == 1:
-            return self._forward_rows(tokens, pad_mask, cache, queries_from, m)
+            return self._forward_rows(tokens, pad_mask, read, kv, m, table)
         logits, caches = [], []
         for rows in blocks:
-            part = None if cache is None else {i: (k[rows], v[rows]) for i, (k, v) in cache.items()}
-            logits.append(self._forward_rows(tokens[rows], pad_mask[rows], part, queries_from, m))
+            part = None if kv is None else {i: (kv[i][0][rows], kv[i][1][rows])
+                                            for i in range(self.config.n_layers) if i in kv}
+            logits.append(self._forward_rows(tokens[rows], pad_mask[rows], read[rows],
+                                             part, m, table))
             caches.append(part)
-        if cache is not None:
+        if kv is not None:
             for i in range(self.config.n_layers):
                 # each layer's parts go as it is joined: one joined layer in flight
                 parts = [part.pop(i) for part in caches]
-                cache[i] = tuple(np.concatenate([kv[j] for kv in parts]) for j in (0, 1))
+                kv[i] = tuple(np.concatenate([p[j] for p in parts]) for j in (0, 1))
         return ad.concat(logits, axis=0)
 
-    def _forward_rows(self, tokens: np.ndarray, pad_mask, cache: dict | None,
-                      queries_from: int, m: int) -> ad.Node:
-        """The forward over all of these rows at once; m positions are cached."""
-        b, n = tokens.shape
+    def _embed(self, ids: np.ndarray, start: int) -> ad.Node:
+        """The residual stream entering layer 0, [B, s, d], of ids [B, s] at
+        positions start..start+s-1."""
+        p = self.params
+        return ad.add(ad.embedding_lookup(p["tok_emb"], ids),
+                      ad.embedding_lookup(p["pos_emb"], np.arange(start, start + ids.shape[1])))
+
+    def _qkv(self, i: int, x: ad.Node, skip: int) -> tuple:
+        """Block i's flat q (on the rows from skip on), k and v of the
+        residual stream x [B, s, d]."""
         p, c = self.params, self.config
-        x = ad.add(ad.embedding_lookup(p["tok_emb"], tokens[:, m:]),
-                   ad.embedding_lookup(p["pos_emb"], np.arange(m, n)))
+        h = f"h{i}"
+        b, s, d = x.value.shape
+        ln = ad.layer_norm(x, p[f"{h}.ln1.gain"], p[f"{h}.ln1.bias"])
+        flat = ad.reshape(ln, (b * s, d))
+        qflat = flat
+        if skip:
+            qflat = ad.reshape(ad.narrow(ln, 1, skip, s - skip), (b * (s - skip), d))
+        # the 1/sqrt(hd) score scale goes on q, which is smaller than the scores
+        q = ad.scale(ad.matmul(qflat, p[f"{h}.attn.wq"], p[f"{h}.attn.bq"]),
+                     1.0 / np.sqrt(c.head_dim))
+        del qflat
+        return (q, ad.matmul(flat, p[f"{h}.attn.wk"], p[f"{h}.attn.bk"]),
+                ad.matmul(flat, p[f"{h}.attn.wv"], p[f"{h}.attn.bv"]))
+
+    def _qkv_table(self) -> tuple:
+        """Layer 0's (q, k, v), each [V * S, d], at row id * S + position,
+        S = max_seq_len: the per-slot values bit for bit, as both come
+        from _qkv."""
+        c = self.config
+        ids = np.broadcast_to(np.arange(c.vocab_size)[:, None], (c.vocab_size, c.max_seq_len))
+        return self._qkv(0, self._embed(ids, 0), 0)
+
+    def _forward_rows(self, tokens: np.ndarray, pad_mask, read: np.ndarray, cache: dict | None,
+                      m: int, table: tuple | None) -> ad.Node:
+        """The forward over all of these rows at once; m positions are cached."""
+        n = tokens.shape[1]
+        p, c = self.params, self.config
+        x = self._embed(tokens[:, m:], m)
         bias = self._attention_bias(pad_mask, n, x.value.dtype, start=m)
+        # the last block's queries start at the first read column
+        q0 = m + int(np.argmax(read[:, m:].any(axis=0)))
+        sel = np.flatnonzero(read[:, q0:])
+        n_read = sel.size
+        if n_read == read[:, q0:].size:
+            sel = None  # every slot from q0 on is read
+        elif n_read == 1:
+            sel = np.repeat(sel, 2)
+        lookup = None if table is None else (
+            table, tokens[:, m:].astype(np.int64) * c.max_seq_len + np.arange(m, n))
 
         for i in range(c.n_layers):
-            # the last block's output feeds only the head: keep its query rows
-            skip = max(queries_from - m, 0) if i == c.n_layers - 1 else 0
-            x = self._attention(i, x, bias, skip, cache)
+            last = i == c.n_layers - 1
+            x = self._attention(i, x, bias, q0 - m if last else 0, cache,
+                                lookup if i == 0 else None, sel if last else None)
             x = self._mlp(i, x)
 
-        rows = x.value.shape[1]
+        b, rows = x.value.shape[:2]
         xf = ad.layer_norm(x, p["ln_f.gain"], p["ln_f.bias"])
         logits = ad.matmul(ad.reshape(xf, (b * rows, c.hidden_dim)), p["out.w"], p["out.b"])
-        return ad.reshape(logits, (b, rows, c.content_vocab))
+        return ad.narrow(logits, 0, 0, 1) if n_read == 1 and sel is not None else logits
 
     def _attention(self, i: int, x: ad.Node, bias: np.ndarray, skip: int,
-                   cache: dict | None) -> ad.Node:
+                   cache: dict | None, lookup: tuple | None, sel: np.ndarray | None) -> ad.Node:
         """Block i's attention sub-block: the residual stream after it, on
-        the rows from skip on. Each intermediate goes once its last reader
-        has run: the ln1 output once q, k and v exist, q and k once the
-        scores do, the scores once softmax has run, the softmax and v once
-        att @ v has. Under no_grad() its peak is therefore the residual
-        stream, v, the mask, the scores and their softmax. With a cache
-        the layer's keys grow first and the old keys go before its values
-        grow, so one grown array is in flight at a time."""
+        the rows from skip on, or [1, len(sel), d] at their flat indices
+        sel. lookup is (the q/k/v table, each slot's row in it) when layer
+        0 gathers q, k and v. Each intermediate goes once its last reader
+        has run: q and k once the scores exist, the scores once softmax
+        has run, the softmax and v once att @ v has. Under no_grad() its
+        peak is therefore the residual stream, v, the mask, the scores and
+        their softmax. With a cache the layer's keys grow first and the old
+        keys go before its values grow, so one grown array is in flight."""
         p, c = self.params, self.config
         h = f"h{i}"
         b, s, d = x.value.shape
         nh, hd = c.n_heads, c.head_dim
-        ln = ad.layer_norm(x, p[f"{h}.ln1.gain"], p[f"{h}.ln1.bias"])
-        flat = ad.reshape(ln, (b * s, d))
-        rows, qflat = s - skip, flat
+        rows = s - skip
+        if lookup is None:
+            q, k, v = self._qkv(i, x, skip)
+        else:
+            (tq, tk, tv), at = lookup
+            q, k, v = (ad.embedding_lookup(tq, at[:, skip:]), ad.embedding_lookup(tk, at),
+                       ad.embedding_lookup(tv, at))
         if skip:
-            qflat = ad.reshape(ad.narrow(ln, 1, skip, rows), (b * rows, d))
             x = ad.narrow(x, 1, skip, rows)
             bias = bias[:, :, skip:]
 
         def heads(y, n_pos):
             return ad.transpose(ad.reshape(y, (b, n_pos, nh, hd)), (0, 2, 1, 3))
 
-        # the 1/sqrt(hd) score scale goes on q, which is smaller than the scores
-        q = heads(ad.scale(ad.matmul(qflat, p[f"{h}.attn.wq"], p[f"{h}.attn.bq"]),
-                           1.0 / np.sqrt(hd)), rows)
-        k = heads(ad.matmul(flat, p[f"{h}.attn.wk"], p[f"{h}.attn.bk"]), s)
-        v = heads(ad.matmul(flat, p[f"{h}.attn.wv"], p[f"{h}.attn.bv"]), s)
-        del ln, flat, qflat
+        q, k, v = heads(q, rows), heads(k, s), heads(v, s)
         if cache is not None:
             if i in cache:
                 # the old keys go before the values grow: one grown array in flight
@@ -290,6 +336,11 @@ class DenoiserModel:
         ctx = ad.matmul(att, v)
         del att, v
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * rows, d))
+        if sel is not None:
+            # only the read slots go on to the head
+            ctx = ad.embedding_lookup(ctx, sel)
+            x = ad.embedding_lookup(ad.reshape(x, (b * rows, d)), sel[None])
+            b, rows = 1, sel.size
         proj = ad.matmul(ctx, p[f"{h}.attn.wo"], p[f"{h}.attn.bo"])
         return ad.add(x, ad.reshape(proj, (b, rows, d)))
 
@@ -309,14 +360,17 @@ class DenoiserModel:
         return ad.add(x, ad.reshape(hout, (b, rows, d)))
 
 
-def ar_nll(model: DenoiserModel, batch) -> tuple[ad.Node, int]:
+def ar_nll(model: DenoiserModel, batch) -> tuple[ad.Node, np.ndarray]:
     """Teacher-forced negative log likelihood of target tokens, causal mode.
 
     Position j is predicted from the prefix ending at j-1, so only target
-    positions contribute. Returns (mean NLL over target tokens, token count).
+    positions contribute. Returns (mean NLL over target tokens, the
+    detached token NLL u as a [B, S] float64 canvas, zero outside the
+    target slots).
     """
     if model.config.attention != "causal":
         raise ValueError("ar_nll requires a causal model")
+    b, s = batch.tokens.shape
     # position j predicts token j + 1, so the logits start one slot before the target
     q0 = max(batch.cond_width - 1, 0)
     targets = batch.tokens[:, q0 + 1:].reshape(-1)
@@ -325,10 +379,12 @@ def ar_nll(model: DenoiserModel, batch) -> tuple[ad.Node, int]:
     if n_tok == 0:
         raise ValueError("batch contains no target tokens")
     # the last position predicts nothing; causal attention lets the rest ignore it
-    logits = model.forward(batch.tokens[:, :-1], batch.pad_mask[:, :-1], queries_from=q0)
-    b, s, k = logits.value.shape
-    pred = ad.reshape(logits, (b * s, k))
+    read = np.zeros((b, s - 1), dtype=bool)
+    read[:, q0:] = True
+    logits = model.forward(batch.tokens[:, :-1], batch.pad_mask[:, :-1], read)
     # pad ids sit outside the content vocab; zero-weight slots get a dummy target
     targets = np.where(weights > 0, targets, 0)
-    loss = ad.softmax_cross_entropy(pred, targets, weights / n_tok)
-    return loss, n_tok
+    logp = ad.log_softmax(logits.value)  # shared with the loss kernel below
+    u = np.where(weights > 0, -logp[np.arange(targets.size), targets], 0.0)
+    loss = ad.softmax_cross_entropy(logits, targets, weights / n_tok, logp=logp)
+    return loss, np.pad(u.reshape(b, s - 1 - q0), ((0, 0), (q0 + 1, 0)))

@@ -93,6 +93,21 @@ def no_pad(tokens) -> np.ndarray:
     return np.ones(np.shape(tokens), dtype=bool)
 
 
+def columns_from(tokens, q0: int = 0) -> np.ndarray:
+    """A forward's read mask of every slot from column q0 on."""
+    read = np.zeros(np.shape(tokens), dtype=bool)
+    read[:, q0:] = True
+    return read
+
+
+def forward_columns(model, tokens, pad_mask, q0: int = 0, cache=None) -> ad.Node:
+    """`model.forward` reading every slot from column q0 on, reshaped to
+    [B, N - q0, content]."""
+    b, n = np.shape(tokens)
+    logits = model.forward(tokens, pad_mask, columns_from(tokens, q0), cache)
+    return ad.reshape(logits, (b, n - q0, logits.value.shape[-1]))
+
+
 def random_logits(rng: np.random.Generator, shape, scale: float = 2.0,
                   dtype=np.float32) -> np.ndarray:
     return (rng.standard_normal(shape) * scale).astype(dtype)
@@ -195,8 +210,8 @@ def elbo_exact(model, batch, schedule: NoiseSchedule, mask_id: int) -> float:
             tokens = row.tokens.copy()
             masked = positions[pat]
             tokens[0, masked] = mask_id
-            logits = model.forward(tokens, row.pad_mask)
-            u = ad.token_log_losses(logits.value[0, masked], row.tokens[0, masked])
+            logits = model.forward(tokens, row.pad_mask, tokens == mask_id)
+            u = ad.token_log_losses(logits.value, row.tokens[0, masked])
             # weight of this pattern at each t, times lam_t, summed over t
             for ti in range(1, schedule.T + 1):
                 p_mask = masked_prob[ti - 1]
@@ -250,13 +265,46 @@ def lookahead_solve(input_text: str, lookahead: int) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# left-to-right decoding without a key/value cache
+# decoding without a cache, reading every target column
+
+
+def diffusion_decode_full_canvas(model, batch, cfg, mask_id, rng) -> np.ndarray:
+    """`decoding.diffusion_decode` as a full-canvas loop: every step runs
+    the model with no cache, reads every target column and draws at each
+    of them, then keeps revealed slots as point masses. Same arguments,
+    sampling order and output."""
+    w = batch.cond_width
+    pad_mask = batch.pad_mask
+    target = pad_mask[:, w:]
+    x = batch.tokens.copy()
+    xt = x[:, w:]
+    xt[target] = mask_id
+    lengths = target.sum(axis=1)
+    for s in range(1, cfg.steps + 1):
+        with ad.no_grad():
+            logits = forward_columns(model, x, pad_mask, w).value
+        logp = ad.log_softmax(logits / cfg.temperature)
+        sampled = np.argmax(logp + rng.gumbel(size=logp.shape), axis=-1)
+        conf = np.take_along_axis(logp, sampled[..., None], axis=-1)[..., 0]
+        visible = target & (xt != mask_id)
+        sampled = np.where(visible, xt, sampled)
+        conf = np.where(visible, 0.0, conf)
+        if cfg.strategy == "random":
+            conf = rng.random(conf.shape)
+        conf = np.where(target, conf, -np.inf)
+        keep = np.ceil(s * lengths / cfg.steps).astype(np.int64)
+        ranks = np.argsort(np.argsort(-conf, axis=1, kind="stable"), axis=1)
+        chosen = (ranks < keep[:, None]) & target
+        xt[target] = mask_id
+        xt[chosen] = sampled[chosen]
+    return xt
 
 
 def ar_decode_full_canvas(model, batch, cfg, rng) -> np.ndarray:
     """`decoding.ar_decode` as a full-canvas loop: every step runs the
-    model over the whole canvas and reads the logits one slot before the
-    position being generated. Same arguments, sampling order and output."""
+    model over the whole canvas with no cache, reads every column from one
+    slot before the target, and draws from the one before the position
+    being generated. Same arguments, sampling order and output."""
     w = batch.cond_width
     lengths = batch.target_mask.sum(axis=1)
 
@@ -264,7 +312,7 @@ def ar_decode_full_canvas(model, batch, cfg, rng) -> np.ndarray:
     pad_mask = batch.pad_mask & ~batch.target_mask
     for j in range(int(lengths.max(initial=0))):
         pos = w + j
-        logits = model.forward(x, pad_mask).value[:, pos - 1]
+        logits = forward_columns(model, x, pad_mask, w - 1).value[:, j]
         logp = ad.log_softmax(logits / cfg.temperature)
         sampled = np.argmax(logp + rng.gumbel(size=logp.shape), axis=-1)
         active = j < lengths

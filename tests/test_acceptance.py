@@ -40,8 +40,8 @@ from absorb_diffuse.tasks.registry import TASKS, encode_instances, segment_map
 from absorb_diffuse.tasks.sat import clause_count
 
 from conftest import record_criterion
-from helpers import (check_gradient, elbo_exact, forward_marginal, kl_term, no_pad, pack_rows,
-                     posterior, reveals_per_step, strip_wall_clock, zero_grads)
+from helpers import (check_gradient, elbo_exact, forward_columns, forward_marginal, kl_term,
+                     no_pad, pack_rows, posterior, reveals_per_step, strip_wall_clock, zero_grads)
 from test_tasks import (
     GOLD_CD3,
     GOLD_CD4,
@@ -143,7 +143,7 @@ class _TableModel:
         self.seed = seed
         self.cache = {}
 
-    def forward(self, tokens, pad_mask, cache=None, queries_from=0):
+    def forward(self, tokens, pad_mask, read, cache=None):
         tokens = np.asarray(tokens)
         b, s = tokens.shape
         out = np.zeros((b, s, 2))
@@ -154,7 +154,7 @@ class _TableModel:
                     [self.seed, *tokens[i].astype(np.int64)])
                 self.cache[key] = mix.standard_normal((s, 2)) * 2.0
             out[i] = self.cache[key]
-        return ad.constant(out[:, queries_from:], dtype=np.float64)
+        return ad.constant(out[read], dtype=np.float64)
 
 
 def test_criterion_2_elbo_soundness():
@@ -171,7 +171,7 @@ def test_criterion_2_elbo_soundness():
         # the net on the masked canvas, and content states carry over, so the
         # chain sum collapses to the model's masked-canvas probability of g
         masked = np.array([[0, mask_id]], dtype=np.int32)
-        logits = model.forward(masked, no_pad(masked)).value[0, 1]
+        logits = forward_columns(model, masked, no_pad(masked)).value[0, 1]
         logp = logits - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
         exact = -logp[g]
         gaps.append(nelbo - exact)
@@ -301,7 +301,7 @@ def test_criterion_3_gradient_correctness():
 def _mirrored_weighted_ce(model, cbatch, schedule):
     # independent rendering; reduction order mirrors the production kernel
     cw = cbatch.cond_width  # the kernel sums over the target columns only
-    logits = model.forward(cbatch.tokens, cbatch.pad_mask).value[:, cw:]
+    logits = forward_columns(model, cbatch.tokens, cbatch.pad_mask).value[:, cw:]
     b, s, k = logits.shape
     flat = logits.reshape(b * s, k)
     z = (flat - flat.max(axis=-1, keepdims=True)).astype(np.float64)
@@ -354,13 +354,13 @@ class _OracleDenoiser:
         self.content = content
         self.canvases = []
 
-    def forward(self, tokens, pad_mask, cache=None, queries_from=0):
+    def forward(self, tokens, pad_mask, read, cache=None):
         self.canvases.append(np.array(tokens))  # a copy: the decoder writes its canvas
         b, s = np.asarray(tokens).shape
         logits = np.zeros((b, s, self.content))
         rows = np.arange(b)[:, None], np.arange(s)[None, :], self.truth
         logits[rows] = 9.0
-        return ad.constant(logits[:, queries_from:], dtype=np.float64)
+        return ad.constant(logits[read], dtype=np.float64)
 
 
 def test_criterion_5_decoder_contract():

@@ -1,5 +1,6 @@
 """Decoder contracts driven by oracle models with controllable behaviour."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 
 from absorb_diffuse import autodiff as ad
 from absorb_diffuse.decoding import DecodeConfig, ar_decode, diffusion_decode
+from absorb_diffuse.harness import evaluate_model
 from absorb_diffuse.harness.config import ExperimentConfig
 from absorb_diffuse.model import ModelConfig, DenoiserModel
 from absorb_diffuse.tasks import encode_instances, get_task
 
-from helpers import ar_decode_full_canvas, pack_rows, reveals_per_step, traced_peak
+from helpers import (ar_decode_full_canvas, diffusion_decode_full_canvas, pack_rows,
+                     reveals_per_step, traced_peak)
 
 RNG = np.random.default_rng(515)
 
@@ -34,7 +37,7 @@ class OracleDenoiser:
         self.conf_fn = conf_fn or (lambda pos: 0.999)
         self.canvases = []
 
-    def forward(self, tokens, pad_mask, cache=None, queries_from=0):
+    def forward(self, tokens, pad_mask, read, cache=None):
         self.canvases.append(np.array(tokens))  # a copy: the decoder writes its canvas
         b, s = tokens.shape
         k = VOCAB - 2
@@ -48,7 +51,7 @@ class OracleDenoiser:
                 true_tok = int(self.truth[i, pos])
                 if true_tok < k:
                     logits[i, pos, true_tok] = np.log(p_true)
-        return ad.constant(logits[:, queries_from:], dtype=np.float64)
+        return ad.constant(logits[read], dtype=np.float64)
 
 
 def _rng(cfg):
@@ -169,7 +172,7 @@ class OracleCausal:
         self.config = type("C", (), {"attention": "causal"})()
         self.canvases = []
 
-    def forward(self, tokens, pad_mask, cache=None, queries_from=0):
+    def forward(self, tokens, pad_mask, read, cache=None):
         self.canvases.append(np.array(tokens))  # a copy: the decoder writes its canvas
         b, s = tokens.shape
         k = VOCAB - 2
@@ -179,7 +182,7 @@ class OracleCausal:
                 nxt = int(self.truth[i, pos + 1])
                 if nxt < k:
                     logits[i, pos, nxt] = np.log(0.999)
-        return ad.constant(logits[:, queries_from:], dtype=np.float64)
+        return ad.constant(logits[read], dtype=np.float64)
 
 
 def test_ar_decode_recovers_truth():
@@ -213,14 +216,17 @@ def test_ar_decode_matches_full_canvas_loop():
     batch = pack_rows(conds, outs, 4, 8, PAD_ID)
     cfg = ModelConfig(vocab_size=VOCAB, max_seq_len=batch.tokens.shape[1], n_layers=2,
                       n_heads=2, hidden_dim=16, attention="causal")
-    with ad.using_dtype(np.float64):
-        model = DenoiserModel(cfg, seed=6)
-    for param in model.params.values():
-        param.value *= 5.0  # above init scale, so a wrong key or position moves the draws
-    dcfg = DecodeConfig(steps=1, temperature=1.0, strategy="topk", seed=4)
-    got = ar_decode(model, batch, dcfg, _rng(dcfg))
-    want = ar_decode_full_canvas(model, batch, dcfg, _rng(dcfg))
-    np.testing.assert_array_equal(got, want)
+    for seed in (4, 5, 6):
+        with ad.using_dtype(np.float64):
+            model = DenoiserModel(cfg, seed=seed + 2)
+        for param in model.params.values():
+            param.value *= 5.0  # above init scale, so a wrong key or position moves the draws
+        dcfg = DecodeConfig(steps=1, temperature=1.0, strategy="topk", seed=seed)
+        # the decoder reads one column a step and gathers layer 0 from its table;
+        # the reference reads every column with no cache
+        got = ar_decode(model, batch, dcfg, _rng(dcfg))
+        want = ar_decode_full_canvas(model, batch, dcfg, _rng(dcfg))
+        np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
 
 
 def test_ar_decode_requires_causal_model():
@@ -234,13 +240,61 @@ def test_ar_decode_requires_causal_model():
                   np.random.default_rng(0))
 
 
+def _desk_profile(kind):
+    return ExperimentConfig.from_json(os.path.join(
+        os.path.dirname(__file__), "..", "src", "absorb_diffuse", "profiles",
+        f"desk_planning_{kind}.json"))
+
+
+@pytest.mark.parametrize("strategy", ["topk", "random"])
+@pytest.mark.parametrize("steps", [1, 5, 20])
+def test_diffusion_decode_matches_full_canvas_loop(steps, strategy):
+    # a float32 desk planning model over 40 rows (two no-grad row blocks):
+    # the decoder reads only the still-masked slots and gathers layer 0 from
+    # its q/k/v table; the reference reads every target column with no
+    # cache. The logits agree bit for bit, so the outputs agree exactly. The
+    # parameters are scaled up so the model, not only the noise, moves the
+    # draws.
+    task = get_task("planning")
+    vocab = task.vocabulary()
+    cfg = _desk_profile("diffusion")
+    for seed in (1, 2, 3):
+        model = DenoiserModel(cfg.model_config(vocab.size), seed=seed)
+        for param in model.params.values():
+            param.value *= 3.0
+        batch = encode_instances(task, task.generate(0, 40, seed)[1], vocab)
+        dcfg = DecodeConfig(steps=steps, temperature=0.5, strategy=strategy, seed=seed)
+        got = diffusion_decode(model, batch, dcfg, vocab.mask_id, _rng(dcfg))
+        want = diffusion_decode_full_canvas(model, batch, dcfg, vocab.mask_id, _rng(dcfg))
+        np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
+
+
+@pytest.mark.parametrize("kind, steps, want", [
+    ("diffusion", 1, "c3ba2a6d743751ca54e13e0a24f2cf808e951d3b9037ba269650fdcf5033ae73"),
+    ("diffusion", 5, "38a2bfcae07e93d96231dd3742829664dbc6bc6c7d9065e94f037b6cfc0b5061"),
+    ("diffusion", 20, "c0c2f50b06c075cb8a03a010a0a3ce73a0e5f68966dbc3160f8800b9009520bb"),
+    ("ar", None, "26a7084b6eed01f976a00286df18ef36337f9257c586b4adcb15538b58a8916e"),
+])
+def test_evaluate_model_output_bits_are_pinned(kind, steps, want):
+    # sha256 of evaluate_model's outputs for a seeded desk model on 64
+    # planning instances (one eval chunk, two no-grad row blocks): a change
+    # to what the decoders draw shows here, across commits (with numpy's
+    # bundled OpenBLAS)
+    task = get_task("planning")
+    vocab = task.vocabulary()
+    cfg = _desk_profile(kind).replace(seed=7)
+    if steps is not None:
+        cfg = cfg.replace(decode_steps=steps)
+    model = DenoiserModel(cfg.model_config(vocab.size), seed=7)
+    res = evaluate_model(model, kind, task, vocab, task.generate(0, 64, 41)[1], cfg.decode_config())
+    assert hashlib.sha256("\n".join(res.outputs).encode()).hexdigest() == want
+
+
 @pytest.mark.parametrize("kind", ["diffusion", "ar"])
 def test_a_desk_decode_chunk_peaks_below_9_5_mb(kind):
     # one 64-row eval chunk of the desk planning profile (72-token canvas,
     # 2 layers, d=96, 4 heads) on one thread
-    cfg = ExperimentConfig.from_json(os.path.join(
-        os.path.dirname(__file__), "..", "src", "absorb_diffuse", "profiles",
-        f"desk_planning_{kind}.json"))
+    cfg = _desk_profile(kind)
     task = get_task("planning")
     vocab = task.vocabulary()
     batch = encode_instances(task, task.generate(64, 0, 7)[0], vocab)
@@ -250,10 +304,13 @@ def test_a_desk_decode_chunk_peaks_below_9_5_mb(kind):
         peak = traced_peak(lambda: diffusion_decode(model, batch, dcfg, vocab.mask_id, _rng(dcfg)))
     else:
         peak = traced_peak(lambda: ar_decode(model, batch, dcfg, _rng(dcfg)))
-    # diffusion: two row blocks of 32, whose MLP peaks at the residual stream,
-    # the mask, the pre-activation and gelu's buffer: about 8.8 MB. ar: the
-    # prefill's two row blocks hold both blocks' caches, about 9.4 MB; the
-    # last column a 7.0 MB cache plus one 1.7 MB grown array, about 8.8 MB.
-    # Sub-blocks that keep every name bound until they return, and a cache
-    # that grows keys and values before the old ones go, peak near 10.7 MB.
-    assert peak < 9.5e6, f"peak {peak / 1e6:.2f} MB"
+    # Beside layer 0's q/k/v table, which both decoders hold for the whole
+    # call (3 float32 [V * S, d] arrays, 1.24 MB here): diffusion runs two
+    # row blocks of 32, whose MLP peaks at the residual stream, the mask, the
+    # pre-activation and gelu's buffer: about 8.8 MB. ar: the prefill's two
+    # row blocks hold both blocks' caches, about 9.4 MB; the last column a
+    # 7.0 MB cache plus one 1.7 MB grown array, about 8.8 MB. Sub-blocks
+    # that keep every name bound until they return, and a cache that grows
+    # keys and values before the old ones go, peak near 10.7 MB.
+    table = 3 * vocab.size * cfg.model_config(vocab.size).max_seq_len * cfg.hidden_dim * 4
+    assert peak - table < 9.5e6, f"peak {peak / 1e6:.2f} MB with a {table / 1e6:.2f} MB table"

@@ -17,7 +17,8 @@ from absorb_diffuse.diffusion import (
 )
 from absorb_diffuse.model import ModelConfig, DenoiserModel
 
-from helpers import beta, elbo_exact, forward_marginal, kl_term, pack_rows, posterior, zero_grads
+from helpers import (beta, elbo_exact, forward_columns, forward_marginal, kl_term, pack_rows,
+                     posterior, zero_grads)
 
 RNG = np.random.default_rng(20240818)
 
@@ -281,7 +282,7 @@ def mirrored_weighted_ce(model, cbatch, schedule) -> float:
     equality is exact, not approximate.
     """
     cw = cbatch.cond_width  # the kernel sums over the target columns only
-    logits = model.forward(cbatch.tokens, cbatch.pad_mask).value[:, cw:]
+    logits = forward_columns(model, cbatch.tokens, cbatch.pad_mask).value[:, cw:]
     b, s, k = logits.shape
     flat = logits.reshape(b * s, k)
     z = (flat - flat.max(axis=-1, keepdims=True)).astype(np.float64)
@@ -421,10 +422,10 @@ class StubModel:
     def __init__(self, probs: np.ndarray):
         self.probs = np.asarray(probs, dtype=np.float64)
 
-    def forward(self, tokens, pad_mask, cache=None, queries_from=0):
+    def forward(self, tokens, pad_mask, read, cache=None):
         b, s = np.asarray(tokens).shape
         logits = np.tile(np.log(self.probs)[None, None, :], (b, s, 1))
-        return ad.constant(logits[:, queries_from:].astype(np.float64), dtype=np.float64)
+        return ad.constant(logits[read].astype(np.float64), dtype=np.float64)
 
 
 def _one_segment(batch):
@@ -504,13 +505,13 @@ def reverse_chain_nll(model, batch, schedule: NoiseSchedule, mask_id: int) -> fl
     """
     positions = np.flatnonzero(batch.target_mask[0])
     L = positions.size
-    content = list(range(model.forward(batch.tokens, batch.pad_mask).value.shape[-1])) \
+    content = list(range(forward_columns(model, batch.tokens, batch.pad_mask).value.shape[-1])) \
         if not isinstance(model, StubModel) else list(range(model.probs.size))
     states = content + [mask_id]
     T = schedule.T
 
     def model_probs(tokens):
-        logits = model.forward(tokens, batch.pad_mask).value[0]
+        logits = forward_columns(model, tokens, batch.pad_mask).value[0]
         z = logits - logits.max(axis=-1, keepdims=True)
         p = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
         return p  # [S, content]
@@ -613,7 +614,7 @@ def test_subgoal_profile_per_segment():
         us, segs = [], []
         for _ in range(3):
             cb = sample_xt(sched, batch, ti, rng, mask_id=7)
-            logits = model.forward(cb.tokens, cb.pad_mask).value
+            logits = forward_columns(model, cb.tokens, cb.pad_mask).value
             us.append(ad.token_log_losses(logits[cb.corrupted], cb.x0[cb.corrupted]))
             segs.append(segments[cb.corrupted])
         u, seg = np.concatenate(us), np.concatenate(segs)

@@ -350,7 +350,7 @@ class LookupOracle:
         self.config = type("C", (), {"attention": "causal" if causal else "bidirectional"})()
         self.causal = causal
 
-    def forward(self, tokens, pad_mask, cache=None, queries_from=0):
+    def forward(self, tokens, pad_mask, read, cache=None):
         b, s = tokens.shape
         logits = np.full((b, s, self.k), np.log((1 - self.p) / (self.k - 1)))
         for i in range(b):
@@ -361,7 +361,7 @@ class LookupOracle:
                 want = row[pos + 1] if self.causal else row[pos]
                 if want < self.k:
                     logits[i, pos, want] = np.log(self.p)
-        return ad.constant(logits[:, queries_from:], dtype=np.float64)
+        return ad.constant(logits[read], dtype=np.float64)
 
 
 @pytest.fixture(scope="module")
@@ -1361,6 +1361,42 @@ print(" ".join(sorted(tracer.fired())))
     fired = set(res.stdout.split())
     assert {"data.take", "diffusion.loss", "model.forward", "autodiff.tape",
             "autodiff.matmul.fwd", "autodiff.matmul.bwd"} <= fired, sorted(fired)
+
+
+def test_perfbench_tracer_installs_and_traces_a_decode_pass(tmp_path):
+    # the decoders' q/k/v table moves layer 0's embedding_lookup and
+    # layer_norm calls: install perfbench's tracer as its worker does, run
+    # one evaluate_model pass per decoder, and check that every op, forward
+    # and decoder span that perfbench's decode self-check expects fires
+    perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    code = f"""
+import sys
+sys.path.insert(0, {str(perfbench)!r})
+import worker
+from absorb_diffuse.decoding import DecodeConfig
+from absorb_diffuse.harness import evaluate_model
+from absorb_diffuse.model import DenoiserModel, ModelConfig
+from absorb_diffuse.tasks import get_task
+tracer = worker.Tracer()
+tracer.install()
+task = get_task("planning")
+vocab = task.vocabulary()
+instances = task.generate(0, 4, 1)[1]
+dcfg = DecodeConfig(steps=2, temperature=0.5, strategy="topk", seed=0)
+for kind, attention in (("diffusion", "bidirectional"), ("ar", "causal")):
+    model = DenoiserModel(ModelConfig(vocab.size, task.seq_len, 2, 2, 16, attention), seed=0)
+    evaluate_model(model, kind, task, vocab, instances, dcfg)
+print(" ".join(sorted(tracer.fired())))
+print(" ".join(sorted(worker.EXPECTED_SPANS["decode"])))
+"""
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    fired, expected = (set(line.split()) for line in res.stdout.splitlines())
+    spans = {s for s in expected if s.startswith(("autodiff.", "decoding.")) or s == "model.forward"}
+    assert {"autodiff.embedding_lookup.fwd", "autodiff.layer_norm.fwd", "decoding.diffusion",
+            "decoding.ar", "model.forward"} <= spans
+    assert spans <= fired, sorted(spans - fired)
 
 
 def test_cli_rejects_a_negative_limit(capsys):

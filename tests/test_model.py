@@ -23,7 +23,7 @@ from absorb_diffuse.model import (
 )
 from absorb_diffuse.tasks import encode_instances, get_task
 
-from helpers import no_pad, pack_rows, traced_peak, zero_grads
+from helpers import columns_from, forward_columns, no_pad, pack_rows, traced_peak, zero_grads
 
 RNG = np.random.default_rng(99)
 
@@ -59,7 +59,7 @@ def test_forward_shapes_and_head_excludes_specials():
     cfg = tiny_config()
     model = DenoiserModel(cfg, seed=1)
     tokens = RNG.integers(0, cfg.vocab_size, size=(3, cfg.max_seq_len)).astype(np.int32)
-    logits = model.forward(tokens, no_pad(tokens))
+    logits = forward_columns(model, tokens, no_pad(tokens))
     assert logits.value.shape == (3, cfg.max_seq_len, cfg.content_vocab)
 
 
@@ -72,11 +72,11 @@ def test_causal_model_ignores_future_tokens():
     pad_mask = np.ones((3, n), dtype=bool)
     pad_mask[1, :3] = False
     pad_mask[2, :7] = False
-    la = model.forward(a, pad_mask).value
+    la = forward_columns(model, a, pad_mask).value
     for j in range(1, n):
         b = a.copy()
         b[:, j:] = (b[:, j:] + 1) % cfg.content_vocab  # only positions >= j differ
-        lb = model.forward(b, pad_mask).value
+        lb = forward_columns(model, b, pad_mask).value
         np.testing.assert_allclose(la[:, :j], lb[:, :j], rtol=0, atol=1e-6, err_msg=f"cut {j}")
         assert not np.allclose(la[0, j:], lb[0, j:], atol=1e-6)
 
@@ -91,11 +91,13 @@ def test_kv_cache_logits_match_full_forward(dtype, atol):
     conds = [[1, 2, 3, 4], [5, 6], [7]]
     outs = [[1, 2, 3, 4, 5, 6, 7, 8], [3, 1, 4, 1, 5], [2, 7, 1]]
     batch = pack_rows(conds, outs, 4, 8, pad_id)
-    full = model.forward(batch.tokens, batch.pad_mask).value
+    full = forward_columns(model, batch.tokens, batch.pad_mask).value
 
-    cache = {}
-    pieces = [model.forward(batch.tokens[:, :n], batch.pad_mask[:, :n], cache=cache).value
-              for n in (4, 6, *range(7, cfg.max_seq_len + 1))]
+    cache, pieces, m = {}, [], 0
+    for n in (4, 6, *range(7, cfg.max_seq_len + 1)):
+        pieces.append(forward_columns(model, batch.tokens[:, :n], batch.pad_mask[:, :n], m,
+                                      cache).value)
+        m = n
     assert [piece.shape[1] for piece in pieces] == [4, 2] + [1] * 6
     assert sorted(cache) == list(range(cfg.n_layers))
     assert cache[0][0].shape == (3, cfg.n_heads, cfg.max_seq_len, cfg.head_dim)
@@ -119,14 +121,15 @@ def test_queries_from_logits_equal_full_forward_bitwise(attention, dtype):
     with ad.using_dtype(dtype):
         model = DenoiserModel(cfg, seed=14)
     batch = _padded_batch(cfg)
-    full = model.forward(batch.tokens, batch.pad_mask).value
+    full = forward_columns(model, batch.tokens, batch.pad_mask).value
     w = batch.cond_width
     # the diffusion loss and decoder start at the target, ar_nll one slot before
     for q0 in (w, w - 1, 1, cfg.max_seq_len - 2):
-        part = model.forward(batch.tokens, batch.pad_mask, queries_from=q0).value
+        part = model.forward(batch.tokens, batch.pad_mask, columns_from(batch.tokens, q0)).value
         assert part.dtype == full.dtype == dtype
-        assert part.shape == (batch.size, cfg.max_seq_len - q0, cfg.content_vocab)
-        np.testing.assert_array_equal(part, full[:, q0:], err_msg=f"queries_from {q0}")
+        assert part.shape == (batch.size * (cfg.max_seq_len - q0), cfg.content_vocab)
+        np.testing.assert_array_equal(part, full[:, q0:].reshape(part.shape),
+                                      err_msg=f"queries from {q0}")
 
 
 @pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -136,15 +139,14 @@ def test_queries_from_with_kv_cache_matches_full_forward(dtype, atol):
         model = DenoiserModel(cfg, seed=15)
     batch = _padded_batch(cfg)
     tokens, pad_mask, w = batch.tokens, batch.pad_mask, batch.cond_width
-    full = model.forward(tokens, pad_mask).value
+    full = forward_columns(model, tokens, pad_mask).value
 
     # as in ar_decode: each call, the prefill too, runs only its last query
     cache, plain = {}, {}
-    model.forward(tokens[:, :w], pad_mask[:, :w], cache=plain)
+    forward_columns(model, tokens[:, :w], pad_mask[:, :w], cache=plain)
     rows = []
     for n in range(w, cfg.max_seq_len + 1):
-        rows.append(model.forward(tokens[:, :n], pad_mask[:, :n], cache=cache,
-                                  queries_from=n - 1).value)
+        rows.append(forward_columns(model, tokens[:, :n], pad_mask[:, :n], n - 1, cache).value)
         if n == w:  # keys and values still cover every position of the prefix
             for i in range(cfg.n_layers):
                 np.testing.assert_array_equal(cache[i][0], plain[i][0])
@@ -153,11 +155,11 @@ def test_queries_from_with_kv_cache_matches_full_forward(dtype, atol):
     np.testing.assert_allclose(np.concatenate(rows, axis=1), full[:, w - 1:],
                                rtol=0, atol=atol)
 
-    # a cached call that keeps several queries matches the cached call without
-    # queries_from bit for bit
+    # a cached call that keeps several queries matches the cached call that
+    # reads every uncached column bit for bit
     n = cfg.max_seq_len
-    with_q = model.forward(tokens, pad_mask, cache=dict(plain), queries_from=w + 2).value
-    without = model.forward(tokens, pad_mask, cache=dict(plain)).value
+    with_q = forward_columns(model, tokens, pad_mask, w + 2, dict(plain)).value
+    without = forward_columns(model, tokens, pad_mask, w, dict(plain)).value
     assert with_q.shape[1] == n - w - 2
     np.testing.assert_array_equal(with_q, without[:, 2:])
 
@@ -173,17 +175,80 @@ def test_queries_from_gradients_match_the_full_forward(attention):
     targets = RNG.integers(0, cfg.content_vocab, size=n)
     weights = RNG.random(n)
 
-    def grads(logits):
-        flat = ad.reshape(logits, (n, cfg.content_vocab))
+    def grads(flat):
         zero_grads(model.params)
         ad.softmax_cross_entropy(flat, targets, weights).backward()
         return {k: p.grad for k, p in model.params.items()}
 
-    full = model.forward(batch.tokens, batch.pad_mask)
-    want = grads(ad.narrow(full, 1, q0, cfg.max_seq_len - q0))
-    got = grads(model.forward(batch.tokens, batch.pad_mask, queries_from=q0))
+    full = forward_columns(model, batch.tokens, batch.pad_mask)
+    want = grads(ad.reshape(ad.narrow(full, 1, q0, cfg.max_seq_len - q0), (n, cfg.content_vocab)))
+    got = grads(model.forward(batch.tokens, batch.pad_mask, columns_from(batch.tokens, q0)))
     for name in want:
         np.testing.assert_allclose(got[name], want[name], rtol=1e-9, atol=1e-15, err_msg=name)
+
+
+@pytest.mark.parametrize("recording", [True, False])
+@pytest.mark.parametrize("attention", ["bidirectional", "causal"])
+def test_a_ragged_read_returns_the_full_forwards_logits_bitwise(attention, recording,
+                                                                monkeypatch):
+    # no-grad row blocks of two rows: the first block reads a ragged set, the
+    # second one slot (its other row reads none); a recording forward is one
+    # block, which also reads a single slot once
+    monkeypatch.setattr(model_mod, "NO_GRAD_BLOCK", 24)
+    cfg = tiny_config(attention)
+    model = DenoiserModel(cfg, seed=25)
+    batch = _padded_batch(cfg)
+    tokens, pad_mask = batch.tokens, batch.pad_mask
+    assert [b.stop - b.start for b in model_mod._row_blocks(4, cfg.max_seq_len)] == [2, 2]
+    full = forward_columns(model, tokens, pad_mask)
+    k = cfg.content_vocab
+    ragged = np.zeros(tokens.shape, dtype=bool)
+    ragged[0, [3, 5, 6, 11]] = True
+    ragged[1, [7, 8]] = True
+    ragged[2, 9] = True
+    single = np.zeros(tokens.shape, dtype=bool)
+    single[1, 6] = True
+    for read in (ragged, single, columns_from(tokens, 10)):
+        if recording:
+            got = model.forward(tokens, pad_mask, read)
+        else:
+            with ad.no_grad():
+                got = model.forward(tokens, pad_mask, read)
+        assert got.value.dtype == np.float32
+        np.testing.assert_array_equal(got.value, full.value[read])
+        if recording:
+            # and the gradient is that of the same slots of the full forward
+            n = int(read.sum())
+            targets, weights = RNG.integers(0, k, size=n), RNG.random(n)
+
+            def grads(flat):
+                out = {}
+                ad.softmax_cross_entropy(flat, targets, weights).backward(out)
+                return out
+
+            want = grads(ad.embedding_lookup(ad.reshape(full, (-1, k)), np.flatnonzero(read)))
+            full = forward_columns(model, tokens, pad_mask)  # backward consumed the graph
+            have = grads(got)
+            for name, p in model.params.items():
+                np.testing.assert_allclose(have[p], want[p], rtol=1e-5, atol=1e-7, err_msg=name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("config", ["tiny", "desk"])
+def test_the_qkv_table_equals_the_per_slot_values_bitwise(config, dtype):
+    cfg = tiny_config() if config == "tiny" else ModelConfig(
+        vocab_size=15, max_seq_len=72, n_layers=2, n_heads=4, hidden_dim=96)
+    with ad.using_dtype(dtype):
+        model = DenoiserModel(cfg, seed=26)
+    tokens = np.random.default_rng(26).integers(0, cfg.vocab_size, size=(40, cfg.max_seq_len))
+    with ad.no_grad():
+        table = model._qkv_table()
+    per_slot = model._qkv(0, model._embed(tokens, 0), 0)
+    at = (tokens * cfg.max_seq_len + np.arange(cfg.max_seq_len)).reshape(-1)
+    for t, want in zip(table, per_slot):
+        assert t.value.shape == (cfg.vocab_size * cfg.max_seq_len, cfg.hidden_dim)
+        assert t.value.dtype == want.value.dtype == dtype
+        np.testing.assert_array_equal(t.value[at], want.value)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -198,12 +263,11 @@ def test_no_grad_forward_is_bit_identical(attention, dtype):
     tokens, pad_mask, w = batch.tokens, batch.pad_mask, batch.cond_width
 
     def forwards():
-        out = [model.forward(tokens, pad_mask).value,
-               model.forward(tokens, pad_mask, queries_from=w).value]
+        out = [forward_columns(model, tokens, pad_mask, q0).value for q0 in (0, w)]
         if attention == "causal":
             cache = {}
-            model.forward(tokens[:, :w], pad_mask[:, :w], cache=cache)
-            out.append(model.forward(tokens, pad_mask, cache=cache, queries_from=w + 3).value)
+            forward_columns(model, tokens[:, :w], pad_mask[:, :w], cache=cache)
+            out.append(forward_columns(model, tokens, pad_mask, w + 3, cache).value)
             out.extend(cache[i][j] for i in range(cfg.n_layers) for j in (0, 1))
         return out
 
@@ -221,9 +285,10 @@ def test_no_grad_forward_is_bit_identical(attention, dtype):
     ("causal", "6997dd53023cbb64640a20ebafd2586d79c32185cf6e5cea6d1e8d0f58ccaef2"),
 ])
 def test_forward_logit_bits_are_pinned(attention, want):
-    # sha256 of the float32 logits of a full and a queries_from forward, the
-    # same recording and under no_grad(): a change to the forward's
-    # arithmetic shows here, across commits (with numpy's bundled OpenBLAS)
+    # sha256 of the float32 logits of a full forward and of one whose
+    # queries start at the target, the same recording and under no_grad():
+    # a change to the forward's arithmetic shows here, across commits (with
+    # numpy's bundled OpenBLAS)
     cfg = tiny_config(attention)
     model = DenoiserModel(cfg, seed=21)
     batch = _padded_batch(cfg)
@@ -231,7 +296,8 @@ def test_forward_logit_bits_are_pinned(attention, want):
     def digest():
         h = hashlib.sha256()
         for q0 in (0, batch.cond_width):
-            logits = model.forward(batch.tokens, batch.pad_mask, queries_from=q0).value
+            logits = model.forward(batch.tokens, batch.pad_mask,
+                                   columns_from(batch.tokens, q0)).value
             assert logits.dtype == np.float32
             h.update(logits.tobytes())
         return h.hexdigest()
@@ -275,6 +341,7 @@ def test_gradient_bits_are_pinned(loss, want):
 
 @pytest.mark.parametrize("queries_from", [0, 48])
 def test_no_grad_forward_holds_one_sub_block_at_a_time(queries_from):
+    # the forward reads every column from queries_from on
     # desk shape: 64 rows of a 72-token canvas, 2 layers, d=96, 4 heads
     cfg = ModelConfig(vocab_size=17, max_seq_len=72, n_layers=2, n_heads=4, hidden_dim=96)
     model = DenoiserModel(cfg, seed=5)
@@ -283,7 +350,8 @@ def test_no_grad_forward_holds_one_sub_block_at_a_time(queries_from):
     pad_mask[:, :5] = False
     scores = 64 * 4 * 72 * 72 * 4  # bytes of one float32 [64, 4, 72, 72] score array
     with ad.no_grad():
-        peak = traced_peak(lambda: model.forward(tokens, pad_mask, queries_from=queries_from))
+        peak = traced_peak(lambda: model.forward(tokens, pad_mask,
+                                                 columns_from(tokens, queries_from)))
     # The forward runs two row blocks of 32, so a block's score array is half
     # of one here. Each intermediate dies after its last reader: the MLP's
     # peak is the residual stream (1/3 of a block's score array), the mask
@@ -320,19 +388,18 @@ def test_row_blocked_no_grad_forward_is_bit_identical(attention, dtype):
     assert len(model_mod._row_blocks(65, 72)) == 3
 
     def forwards():
-        out = [model.forward(tokens, pad_mask, queries_from=q0).value for q0 in (0, w)]
+        out = [forward_columns(model, tokens, pad_mask, q0).value for q0 in (0, w)]
         if attention == "causal":
             # the AR decoder's prefill and one incremental step
             cache = {}
-            out.append(model.forward(tokens[:, :w], pad_mask[:, :w], cache=cache,
-                                     queries_from=w - 1).value)
-            out.append(model.forward(tokens[:, :w + 1], pad_mask[:, :w + 1], cache=cache,
-                                     queries_from=w).value)
+            out.append(forward_columns(model, tokens[:, :w], pad_mask[:, :w], w - 1, cache).value)
+            out.append(forward_columns(model, tokens[:, :w + 1], pad_mask[:, :w + 1], w,
+                                       cache).value)
             out.extend(cache[i][j] for i in range(cfg.n_layers) for j in (0, 1))
             # a cached forward wide enough to split: each block reads its rows of the cache
             cache = {}
-            model.forward(tokens[:, :10], pad_mask[:, :10], cache=cache)
-            out.append(model.forward(tokens, pad_mask, cache=cache).value)
+            forward_columns(model, tokens[:, :10], pad_mask[:, :10], cache=cache)
+            out.append(forward_columns(model, tokens, pad_mask, 10, cache).value)
             out.extend(cache[i][j] for i in range(cfg.n_layers) for j in (0, 1))
         return out
 
@@ -368,7 +435,7 @@ def test_no_grad_forward_peak_does_not_grow_with_the_batch():
 
     def peak(rows):
         with ad.no_grad():
-            return traced_peak(lambda: model.forward(tokens[:rows], pad_mask[:rows]))
+            return traced_peak(lambda: forward_columns(model, tokens[:rows], pad_mask[:rows]))
 
     scores = 32 * 4 * 72 * 72 * 4  # bytes of one float32 [32, 4, 72, 72] score array
     small, large = peak(32), peak(256)
@@ -435,25 +502,34 @@ def test_recording_forward_frees_what_no_backward_reads(monkeypatch):
 
 
 def test_queries_from_outside_the_canvas_is_rejected():
+    # a read mask that is not the canvas's shape, or that reads a cached slot
     model = DenoiserModel(tiny_config("causal"), seed=17)
     tokens = RNG.integers(0, 9, size=(2, 6)).astype(np.int32)
-    for q0 in (-1, 6, 7):
-        with pytest.raises(ValueError, match="queries_from"):
-            model.forward(tokens, no_pad(tokens), queries_from=q0)
-        with pytest.raises(ValueError, match="queries_from"):
-            model.forward(tokens, no_pad(tokens), cache={}, queries_from=q0)
+    for shape in ((2, 7), (2, 5), (1, 6), (6,)):
+        with pytest.raises(ValueError, match="read"):
+            model.forward(tokens, no_pad(tokens), np.ones(shape, dtype=bool))
+        with pytest.raises(ValueError, match="read"):
+            model.forward(tokens, no_pad(tokens), np.ones(shape, dtype=bool), {})
+    cache = {}
+    forward_columns(model, tokens[:, :4], no_pad(tokens[:, :4]), cache=cache)
+    with pytest.raises(ValueError, match="cached"):
+        model.forward(tokens, no_pad(tokens), columns_from(tokens, 3), cache)
 
 
 def test_kv_cache_rejected_where_invalid():
     tokens = RNG.integers(0, 9, size=(2, 6)).astype(np.int32)
+    # a bidirectional model's cache holds layer 0's q/k/v table only
     bidir = DenoiserModel(tiny_config("bidirectional"), seed=5)
-    with pytest.raises(ValueError, match="causal"):
-        bidir.forward(tokens, no_pad(tokens), cache={})
+    cache = {}
+    with ad.no_grad():
+        bidir.forward(tokens, no_pad(tokens), columns_from(tokens), cache)
+        bidir.forward(tokens, no_pad(tokens), columns_from(tokens), cache)
+    assert list(cache) == ["qkv"]
     causal = DenoiserModel(tiny_config("causal"), seed=5)
     cache = {}
-    causal.forward(tokens, no_pad(tokens), cache=cache)
+    forward_columns(causal, tokens, no_pad(tokens), cache=cache)
     with pytest.raises(ValueError, match="already holds"):
-        causal.forward(tokens, no_pad(tokens), cache=cache)
+        forward_columns(causal, tokens, no_pad(tokens), 6, cache)
 
 
 def test_bidirectional_model_sees_future_tokens():
@@ -462,8 +538,8 @@ def test_bidirectional_model_sees_future_tokens():
     a = RNG.integers(0, cfg.content_vocab, size=(1, cfg.max_seq_len)).astype(np.int32)
     b = a.copy()
     b[0, -1] = (b[0, -1] + 1) % cfg.content_vocab
-    la = model.forward(a, no_pad(a)).value
-    lb = model.forward(b, no_pad(b)).value
+    la = forward_columns(model, a, no_pad(a)).value
+    lb = forward_columns(model, b, no_pad(b)).value
     assert not np.allclose(la[0, 0], lb[0, 0], atol=1e-6)
 
 
@@ -473,11 +549,11 @@ def test_pad_mask_blocks_attention():
     tokens = RNG.integers(0, cfg.content_vocab, size=(1, cfg.max_seq_len)).astype(np.int32)
     pad_mask = np.ones((1, cfg.max_seq_len), dtype=bool)
     pad_mask[0, 9:] = False
-    la = model.forward(tokens, pad_mask).value
+    la = forward_columns(model, tokens, pad_mask).value
     # changing a masked-out position must not affect attended positions
     tokens2 = tokens.copy()
     tokens2[0, 10] = (tokens2[0, 10] + 3) % cfg.content_vocab
-    lb = model.forward(tokens2, pad_mask).value
+    lb = forward_columns(model, tokens2, pad_mask).value
     np.testing.assert_allclose(la[0, :9], lb[0, :9], rtol=0, atol=1e-6)
 
 
@@ -487,8 +563,8 @@ def test_params_reconstruct_exactly():
     arrays = {k: p.value for k, p in model.params.items()}
     clone = DenoiserModel(cfg, params={k: v.copy() for k, v in arrays.items()})
     tokens = RNG.integers(0, cfg.vocab_size, size=(2, cfg.max_seq_len)).astype(np.int32)
-    np.testing.assert_array_equal(model.forward(tokens, no_pad(tokens)).value,
-                                  clone.forward(tokens, no_pad(tokens)).value)
+    np.testing.assert_array_equal(forward_columns(model, tokens, no_pad(tokens)).value,
+                                  forward_columns(clone, tokens, no_pad(tokens)).value)
     bad = {k: v.copy() for k, v in arrays.items()}
     first = next(iter(bad))
     bad[first] = bad[first][..., :-1]
@@ -544,10 +620,12 @@ def test_ar_nll_counts_target_tokens_only():
     cfg = tiny_config("causal")
     model = DenoiserModel(cfg, seed=6)
     batch = _toy_batch(cfg)
-    loss, n_tok = ar_nll(model, batch)
-    assert n_tok == int(batch.target_mask.sum())
+    loss, u = ar_nll(model, batch)
+    assert u.shape == batch.tokens.shape and u.dtype == np.float64
+    assert (u[~batch.target_mask] == 0).all() and (u[batch.target_mask] > 0).all()
+    # the loss is the mean of u over the target tokens
     assert loss.value.dtype == np.float64
-    assert float(loss.value) > 0
+    np.testing.assert_allclose(float(loss.value), u.sum() / batch.target_mask.sum(), rtol=1e-12)
 
 
 def test_ar_nll_matches_the_full_canvas_computation():
@@ -557,15 +635,18 @@ def test_ar_nll_matches_the_full_canvas_computation():
         model = DenoiserModel(cfg, seed=19)
     batch = _padded_batch(cfg)
     q0 = batch.cond_width - 1
-    logits = model.forward(batch.tokens, batch.pad_mask, queries_from=q0)
+    logits = forward_columns(model, batch.tokens, batch.pad_mask, q0)
     b, s, k = logits.value.shape
     pred = ad.reshape(ad.narrow(logits, 1, 0, s - 1), (b * (s - 1), k))
     weights = batch.target_mask[:, q0 + 1:].reshape(-1).astype(np.float64)
     targets = np.where(weights > 0, batch.tokens[:, q0 + 1:].reshape(-1), 0)
     want = ad.softmax_cross_entropy(pred, targets, weights / weights.sum())
-    got, n_tok = ar_nll(model, batch)
-    assert n_tok == int(weights.sum())
+    got, u = ar_nll(model, batch)
     np.testing.assert_allclose(float(got.value), float(want.value), rtol=1e-13, atol=0)
+    # u is the teacher-forced token NLL at each target slot, zero elsewhere
+    want_u = np.zeros(batch.tokens.shape)
+    want_u[:, q0 + 1:] = np.where(weights > 0, ad.token_log_losses(pred, targets), 0.0).reshape(b, -1)
+    np.testing.assert_array_equal(u, want_u)
     want_grads, got_grads = {}, {}
     want.backward(want_grads)
     got.backward(got_grads)
@@ -613,7 +694,7 @@ def test_composed_model_gradient_fd():
     weights = RNG.random((2, 6))
 
     def loss_value():
-        logits = model.forward(tokens, no_pad(tokens))
+        logits = forward_columns(model, tokens, no_pad(tokens))
         flat = ad.reshape(logits, (12, cfg.content_vocab))
         return ad.softmax_cross_entropy(flat, targets.reshape(-1), weights.reshape(-1))
 
@@ -645,7 +726,7 @@ def _trained_tiny(seed):
     model = DenoiserModel(cfg, seed=seed)
     opt = ad.Adam(model.params)
     batch_tokens = RNG.integers(0, cfg.content_vocab, size=(2, cfg.max_seq_len)).astype(np.int32)
-    logits = model.forward(batch_tokens, no_pad(batch_tokens))
+    logits = forward_columns(model, batch_tokens, no_pad(batch_tokens))
     flat = ad.reshape(logits, (-1, cfg.content_vocab))
     n = flat.value.shape[0]
     loss = ad.softmax_cross_entropy(flat, np.zeros(n, np.int64), np.ones(n) / n)
@@ -672,8 +753,8 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         np.testing.assert_array_equal(ck.optimizer_state["m"][name], opt.m[name])
         np.testing.assert_array_equal(ck.optimizer_state["v"][name], opt.v[name])
     restored = DenoiserModel(ModelConfig(**ck.model_config), params=ck.params)
-    np.testing.assert_array_equal(restored.forward(batch_tokens, no_pad(batch_tokens)).value,
-                                  model.forward(batch_tokens, no_pad(batch_tokens)).value)
+    np.testing.assert_array_equal(forward_columns(restored, batch_tokens, no_pad(batch_tokens)).value,
+                                  forward_columns(model, batch_tokens, no_pad(batch_tokens)).value)
     o2 = ad.Adam(restored.params)
     o2.load_state_dict(ck.optimizer_state)
     assert o2.t == opt.t
