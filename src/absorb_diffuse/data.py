@@ -2,12 +2,13 @@
 
 A batch row is a fixed-width canvas: the condition (task input) right-aligned
 in the first `cond_width` slots, the target (task output) left-aligned in the
-remaining slots, everything else filled with the pad id. Attention never
-reads pad positions; losses only ever score real target positions.
+remaining slots, everything else filled with the pad id. The model reads
+padding off the canvas, so attention never reads pad positions; losses only
+ever score real target positions.
 
 The canvas is the only array a Batch stores, one TOKEN_DTYPE byte a slot:
-the pad id marks padding, so the pad and target masks are derived from it
-and the cond width.
+the pad id marks padding, so the target mask is derived from it and the
+cond width.
 """
 
 from __future__ import annotations
@@ -16,29 +17,24 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-# Every task's vocabulary, mask and pad included, fits in one byte; the
-# Vocabulary refuses a charset that would not.
+# A Vocabulary holds at most the 128 ASCII characters, so its ids, mask and
+# pad included, fit in one byte.
 TOKEN_DTYPE = np.uint8
 
 
 @dataclass
 class Batch:
-    """Rows of the canvas above. Its masks are computed from the canvas on
-    each read, so a caller that reads one repeatedly keeps the array."""
+    """Rows of the canvas above. Its target mask is computed from the canvas
+    on each read, so a caller that reads it repeatedly keeps the array."""
 
     tokens: np.ndarray       # TOKEN_DTYPE [B, S], full canvas
     cond_width: int          # canvas column where targets begin
     pad_id: int              # the id of every padding slot, and of no other
 
     @property
-    def pad_mask(self) -> np.ndarray:
-        """bool [B, S], True everywhere except padding."""
-        return self.tokens != self.pad_id
-
-    @property
     def target_mask(self) -> np.ndarray:
         """bool [B, S], True at real target tokens."""
-        mask = self.pad_mask
+        mask = self.tokens != self.pad_id
         mask[:, :self.cond_width] = False
         return mask
 

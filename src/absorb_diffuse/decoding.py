@@ -53,12 +53,13 @@ def _sample(logits: np.ndarray, temperature: float, gumbel: np.ndarray):
     return ids, np.take_along_axis(logp, ids[..., None], axis=-1)[..., 0]
 
 
-def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int,
+def diffusion_decode(model, batch: Batch, cfg: DecodeConfig,
                      rng: np.random.Generator) -> np.ndarray:
     """Fill the target slots of a copy of the canvas by parallel refinement.
 
-    Target lengths come from the batch layout; every target slot is decoded
-    (the model cannot emit pad or mask, so output length is fixed up front).
+    Target lengths come from the batch layout; every target slot starts as
+    the model config's mask id and is decoded (the model cannot emit pad or
+    mask, so output length is fixed up front).
     Each forward reads only the still-masked slots and keeps layer 0's
     q/k/v table in a per-call cache; Gumbel noise is drawn at every target
     column, so the random stream does not depend on which slots are masked.
@@ -66,8 +67,8 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int,
     dtype: the canvas's pad stays beyond each row's length.
     """
     w = batch.cond_width
-    pad_mask = batch.pad_mask  # holds while targets show the mask: it is not the pad
-    target = pad_mask[:, w:]
+    mask_id = model.config.mask_id
+    target = batch.target_mask[:, w:]
     x = batch.tokens.copy()
     xt = x[:, w:]  # a view: writing it writes x
     xt[target] = mask_id
@@ -77,7 +78,7 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig, mask_id: int,
     for s in range(1, cfg.steps + 1):
         read = x == mask_id  # no condition or pad slot holds the mask id
         with no_grad():  # on the thread that decodes: the mode is per thread
-            logits = model.forward(x, pad_mask, read, cache).value
+            logits = model.forward(x, read, cache).value
         masked = read[:, w:]
         # The reverse model is the forward posterior with the network's
         # prediction in place of the clean sequence, so at positions already
@@ -109,8 +110,9 @@ def ar_decode(model, batch: Batch, cfg: DecodeConfig, rng: np.random.Generator) 
     column of each forward, the only one it reads, scores the next token.
     Every row draws at each column, so the random stream does not depend
     on the lengths, but a draw is written only into rows whose target
-    reaches that column. The cache, layer 0's q/k/v table with it, lives
-    for this call only.
+    reaches that column; past a row's length its canvas keeps the pad,
+    which the forward reads as padding. The cache, layer 0's q/k/v table
+    with it, lives for this call only.
 
     Returns the copy's target columns, [B, target_width] in the canvas
     dtype: the canvas's pad stays beyond each row's length.
@@ -122,16 +124,14 @@ def ar_decode(model, batch: Batch, cfg: DecodeConfig, rng: np.random.Generator) 
     lengths = target[:, w:].sum(axis=1)
 
     x = batch.tokens.copy()
-    pad_mask = batch.pad_mask & ~target
     cache = {}
     for pos in range(w, w + int(lengths.max(initial=0))):
         # only the last position's logits are read: the prefill runs one query
         read = np.zeros((x.shape[0], pos), dtype=bool)
         read[:, -1] = True
         with no_grad():
-            logits = model.forward(x[:, :pos], pad_mask[:, :pos], read, cache).value
+            logits = model.forward(x[:, :pos], read, cache).value
         sampled, _ = _sample(logits, cfg.temperature, rng.gumbel(size=logits.shape))
         active = target[:, pos]
         x[active, pos] = sampled[active]
-        pad_mask[:, pos] = active
     return x[:, w:]

@@ -75,8 +75,8 @@ class NoiseSchedule:
 class CorruptedBatch(Batch):
     """A Batch whose tokens hold the mask id at its corrupted target slots.
     No content token or pad is the mask id, so the canvas shows which slots
-    are corrupted, and its derived pad and target masks are those of the
-    clean canvas."""
+    are corrupted, and its padding and derived target mask are those of
+    the clean canvas."""
 
     x0: np.ndarray            # TOKEN_DTYPE [B, S], clean canvas
     t: np.ndarray             # int [B], noise level per row
@@ -180,7 +180,7 @@ def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
         raise ValueError("corrupted positions must lie in the target region")
     read = np.zeros((b, s), dtype=bool)
     read[:, w:] = True  # the target columns, the only ones the model scores here
-    flat = model.forward(cbatch.tokens, cbatch.pad_mask, read)
+    flat = model.forward(cbatch.tokens, read)
     k = flat.value.shape[-1]
     st = s - w
     mask = corrupted[:, w:].reshape(-1)
@@ -208,19 +208,19 @@ def diffusion_loss(model, cbatch: CorruptedBatch, schedule: NoiseSchedule,
 # diagnostics
 
 
-def subgoal_loss_profile(model, batch: Batch, schedule: NoiseSchedule, mask_id: int,
+def subgoal_loss_profile(model, batch: Batch, schedule: NoiseSchedule,
                          rng: np.random.Generator, segments: np.ndarray,
                          n_samples: int = 4) -> dict:
     """Mean reconstruction loss per noise level and per output segment, and
     the Monte Carlo negative ELBO.
 
-    For each t, corrupt the batch n_samples times and read u at the
-    corrupted positions from `diffusion_loss`; the [B, S] integer array
-    `segments` (e.g. equation index within each target) breaks the average
-    out by segment. The NELBO, in nats summed over the batch, is
-    sum_t lam_t * E[sum of u at level t]: an upper bound on the targets'
-    negative log likelihood given the conditions when alpha_T = 0 (the
-    terminal state carries no information), else None.
+    For each t, corrupt the batch n_samples times with the model config's
+    mask id and read u at the corrupted positions from `diffusion_loss`;
+    the [B, S] integer array `segments` (e.g. equation index within each
+    target) breaks the average out by segment. The NELBO, in nats summed
+    over the batch, is sum_t lam_t * E[sum of u at level t]: an upper bound
+    on the targets' negative log likelihood given the conditions when
+    alpha_T = 0 (the terminal state carries no information), else None.
     Returns {"t": [T], "mean_u": [T], "segments": sorted ids,
     "per_segment": [T, n_segments], "nelbo": float or None}.
     """
@@ -233,7 +233,7 @@ def subgoal_loss_profile(model, batch: Batch, schedule: NoiseSchedule, mask_id: 
     plain_bound = ReweightConfig()
     for ti in range(1, T + 1):
         for _ in range(n_samples):
-            cb = sample_xt(schedule, batch, ti, rng, mask_id)
+            cb = sample_xt(schedule, batch, ti, rng, model.config.mask_id)
             corrupted = cb.corrupted
             if not corrupted.any():
                 continue

@@ -118,7 +118,7 @@ def _cmd_analyze(args) -> int:
         segs = segment_map(task, batch, instances)
         rng = np.random.default_rng(dc.seed)
         schedule = NoiseSchedule.linear(cfg.schedule_T)
-        prof = subgoal_loss_profile(model, batch, schedule, vocab.mask_id, rng, segs)
+        prof = subgoal_loss_profile(model, batch, schedule, rng, segs)
         with open(args.out, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["t", "mean_u"] + [f"segment_{s}" for s in prof["segments"]])

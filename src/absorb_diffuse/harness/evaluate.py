@@ -35,11 +35,8 @@ class EvalResult:
 def _decode_chunk(model, model_kind: str, batch: Batch, cfg: DecodeConfig,
                   vocab, chunk_seed: int) -> list:
     rng = np.random.default_rng(np.random.SeedSequence([chunk_seed, cfg.seed]))
-    if model_kind == "diffusion":
-        ids = diffusion_decode(model, batch, cfg, vocab.mask_id, rng)
-    else:
-        ids = ar_decode(model, batch, cfg, rng)
-    return vocab.decode(ids)
+    decode = diffusion_decode if model_kind == "diffusion" else ar_decode
+    return vocab.decode(decode(model, batch, cfg, rng))
 
 
 def evaluate_model(model, model_kind: str, task: TaskSpec, vocab, instances,

@@ -74,9 +74,17 @@ class ModelConfig:
         return self.hidden_dim // self.n_heads
 
     @property
+    def mask_id(self) -> int:
+        return self.vocab_size - 2  # the absorbing state of the corruption
+
+    @property
+    def pad_id(self) -> int:
+        return self.vocab_size - 1  # every padding slot holds it
+
+    @property
     def content_vocab(self) -> int:
-        # mask and pad are input-only specials
-        return self.vocab_size - 2
+        # mask and pad are the top two ids, input-only: the head scores the rest
+        return self.mask_id
 
 
 def param_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -140,25 +148,26 @@ class DenoiserModel:
                 f"unexpected {extra}, shape mismatches {bad}"
             )
 
-    def _attention_bias(self, pad_mask, seq_len: int, dtype, start: int) -> np.ndarray:
+    def _attention_bias(self, tokens: np.ndarray, dtype, start: int) -> np.ndarray:
         """Additive [B, 1, S - start, S] bias for the queries at positions
-        start..S-1: NEG_INF on forbidden keys. Pad keys are forbidden,
-        except that every query may attend to itself: a causal pad query
-        then depends on no later token."""
+        start..S-1 of tokens [B, S]: NEG_INF on forbidden keys. Pad keys
+        are forbidden, except that every query may attend to itself: a
+        causal pad query then depends on no later token."""
+        seq_len = tokens.shape[1]
         allowed = np.ones((seq_len, seq_len), dtype=bool)
         if self.config.attention == "causal":
             allowed = np.tril(allowed)
         own_key = np.eye(seq_len, dtype=bool)[start:]
-        allowed = allowed[None, start:] & (pad_mask[:, None, :] | own_key)
+        allowed = allowed[None, start:] & ((tokens != self.config.pad_id)[:, None, :] | own_key)
         return np.where(allowed, dtype.type(0), dtype.type(NEG_INF))[:, None]
 
-    def forward(self, tokens, pad_mask, read, cache: dict | None = None) -> ad.Node:
+    def forward(self, tokens, read, cache: dict | None = None) -> ad.Node:
         """Score content tokens at the slots a caller reads.
 
-        tokens: int [B, N]; pad_mask: bool [B, N], False at padding (all
-        True when a row has none); read: bool [B, N], True at the slots
-        whose logits the caller reads. Returns their logits over the
-        content vocabulary, flat in row-major order: [read.sum(), content].
+        tokens: int [B, N], padding shown by the config's pad_id; read:
+        bool [B, N], True at the slots whose logits the caller reads.
+        Returns their logits over the content vocabulary, flat in row-major
+        order: [read.sum(), content].
         Keys and values cover every position. The last block narrows its
         queries to the first read column, and after attention runs wo, the
         residual, ln2, the MLP, ln_f and the head on the read slots only.
@@ -166,16 +175,15 @@ class DenoiserModel:
         query rows remain: BLAS rounds a one-row product differently, so a
         row block that reads one slot runs it twice.
 
-        cache belongs to one caller, such as one decode call; pass {} on
-        the first call. Under no_grad() the first call fills cache["qkv"]
-        with layer 0's q, k and v of every (id, position) pair, and every
-        call gathers them from it; a recording forward computes them per
-        slot, as their gradient is per slot. A causal model also keeps in
-        cache[i] layer i's (keys, values) of the first m positions, each
-        [B, H, m, hd]; only positions m..N-1 then run, and none of the
-        cached ones may be read. The logits equal the full forward's:
-        causal attention makes a position independent of every later one,
-        and a fed position's pad_mask entry never changes.
+        cache belongs to one caller, such as one decode call, and only to a
+        forward under no_grad(): a recording forward refuses one. Pass {}
+        on the first call; it fills cache["qkv"] with layer 0's q, k and v
+        of every (id, position) pair, and every call gathers them from it.
+        A causal model also keeps in cache[i] layer i's (keys, values) of
+        the first m positions, each [B, H, m, hd]; only positions m..N-1
+        then run, and none of the cached ones may be read. The logits
+        equal the full forward's: causal attention makes a position
+        independent of every later one.
 
         Under no_grad() the rows run in near-equal blocks of at most
         NO_GRAD_BLOCK positions (rows x (N - m)), none of a single row, and
@@ -188,8 +196,8 @@ class DenoiserModel:
         pre-activation and gelu's buffer, each four times the residual
         stream. A cached layer grows its keys, drops the old keys, then
         grows its values, so one grown array is in flight beside the
-        cache. A recording forward is one row block and keeps only the arrays that
-        backward reads.
+        cache. A recording forward is one row block and keeps only the
+        arrays that backward reads.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
@@ -200,26 +208,26 @@ class DenoiserModel:
         read = np.asarray(read, dtype=bool)
         if read.shape != tokens.shape:
             raise ValueError(f"read {read.shape} does not match tokens {tokens.shape}")
+        if cache is not None and ad.is_grad_enabled():
+            raise ValueError("a cache serves only a forward under no_grad()")
         causal = self.config.attention == "causal"
         m = cache[0][0].shape[2] if causal and cache is not None and 0 in cache else 0
         if m >= n:
             raise ValueError(f"the cache already holds {m} of the {n} positions")
         if read[:, :m].any():
             raise ValueError(f"read includes the {m} cached positions, whose logits are gone")
-        tabled = cache is not None and not ad.is_grad_enabled()
-        if tabled and "qkv" not in cache:
+        if cache is not None and "qkv" not in cache:
             cache["qkv"] = self._qkv_table()
-        table, kv = cache["qkv"] if tabled else None, cache if causal else None
+        table, kv = None if cache is None else cache["qkv"], cache if causal else None
 
         blocks = [slice(None)] if ad.is_grad_enabled() else _row_blocks(b, n - m)
         if len(blocks) == 1:
-            return self._forward_rows(tokens, pad_mask, read, kv, m, table)
+            return self._forward_rows(tokens, read, kv, m, table)
         logits, caches = [], []
         for rows in blocks:
             part = None if kv is None else {i: (kv[i][0][rows], kv[i][1][rows])
                                             for i in range(self.config.n_layers) if i in kv}
-            logits.append(self._forward_rows(tokens[rows], pad_mask[rows], read[rows],
-                                             part, m, table))
+            logits.append(self._forward_rows(tokens[rows], read[rows], part, m, table))
             caches.append(part)
         if kv is not None:
             for i in range(self.config.n_layers):
@@ -261,13 +269,13 @@ class DenoiserModel:
         ids = np.broadcast_to(np.arange(c.vocab_size)[:, None], (c.vocab_size, c.max_seq_len))
         return self._qkv(0, self._embed(ids, 0), 0)
 
-    def _forward_rows(self, tokens: np.ndarray, pad_mask, read: np.ndarray, cache: dict | None,
-                      m: int, table: tuple | None) -> ad.Node:
+    def _forward_rows(self, tokens: np.ndarray, read: np.ndarray, cache: dict | None, m: int,
+                      table: tuple | None) -> ad.Node:
         """The forward over all of these rows at once; m positions are cached."""
         n = tokens.shape[1]
         p, c = self.params, self.config
         x = self._embed(tokens[:, m:], m)
-        bias = self._attention_bias(pad_mask, n, x.value.dtype, start=m)
+        bias = self._attention_bias(tokens, x.value.dtype, start=m)
         # the last block's queries start at the first read column
         q0 = m + int(np.argmax(read[:, m:].any(axis=0)))
         sel = np.flatnonzero(read[:, q0:])
@@ -381,7 +389,7 @@ def ar_nll(model: DenoiserModel, batch) -> tuple[ad.Node, np.ndarray]:
     # the last position predicts nothing; causal attention lets the rest ignore it
     read = np.zeros((b, s - 1), dtype=bool)
     read[:, q0:] = True
-    logits = model.forward(batch.tokens[:, :-1], batch.pad_mask[:, :-1], read)
+    logits = model.forward(batch.tokens[:, :-1], read)
     # pad ids sit outside the content vocab; zero-weight slots get a dummy target
     targets = np.where(weights > 0, targets, 0)
     logp = ad.log_softmax(logits.value)  # shared with the loss kernel below

@@ -1,9 +1,10 @@
 """Character-level vocabulary with mask and pad specials.
 
-Content tokens take ids 0..n-1 in sorted character order; mask and pad sit
-at the top of the id range so the model's output head (which scores content
-only) can use a contiguous [0, n) target space. Every id, mask and pad
-included, fits in the canvas dtype.
+Content tokens are ASCII characters and take ids 0..n-1 in sorted character
+order; mask and pad sit at the top of the id range so the model's output
+head (which scores content only) can use a contiguous [0, n) target space.
+At most 128 characters give at most 130 ids, so every id fits in the canvas
+dtype.
 """
 
 from __future__ import annotations
@@ -20,18 +21,15 @@ class Vocabulary:
             raise ValueError("duplicate characters in vocabulary")
         if any(len(c) != 1 for c in chars):
             raise ValueError("content tokens must be single characters")
-        top = int(np.iinfo(TOKEN_DTYPE).max)
-        if len(chars) + 1 > top:
-            raise ValueError(f"{len(chars)} characters leave no {np.dtype(TOKEN_DTYPE)} id for "
-                             f"mask and pad: at most {top - 1} fit")
+        if not "".join(chars).isascii():
+            raise ValueError("content tokens must be ASCII characters")
         self.chars = sorted(chars)
-        # id of each code point up to the largest content one, the mask id
-        # (which no character has) where none; the trailing entry stands for
-        # every larger code point
-        codes = [ord(c) for c in self.chars]
-        self._ids = np.full(max(codes, default=-1) + 2, self.mask_id, dtype=TOKEN_DTYPE)
-        self._ids[codes] = np.arange(len(codes))
-        self._codes = np.array(codes, dtype="<u4")  # code point of each content id
+        # byte of each content id, and the id of each byte value: the mask id
+        # (which no character has) where none, so at every byte of UTF-8 that
+        # is not an ASCII character
+        self._bytes = np.frombuffer("".join(self.chars).encode("ascii"), dtype=np.uint8)
+        self._ids = np.full(256, self.mask_id, dtype=TOKEN_DTYPE)
+        self._ids[self._bytes] = np.arange(len(self.chars))
 
     @property
     def mask_id(self) -> int:
@@ -49,12 +47,12 @@ class Vocabulary:
     def encode_texts(self, texts) -> tuple[np.ndarray, np.ndarray]:
         """-> (the texts' ids laid end to end as TOKEN_DTYPE, each text's length)."""
         lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-        joined = "".join(texts).encode("utf-32-le", "surrogatepass")
-        codes = np.frombuffer(joined, dtype="<u4")
-        ids = self._ids[np.minimum(codes, self._ids.size - 1)]  # np.take would cast codes to intp
+        joined = "".join(texts)
+        ids = self._ids[np.frombuffer(joined.encode(), dtype=np.uint8)]
         bad = ids == self.mask_id
         if bad.any():
-            raise ValueError(f"character {chr(codes[bad.argmax()])!r} not in vocabulary")
+            # every byte before the first bad one is an ASCII character's own
+            raise ValueError(f"character {joined[bad.argmax()]!r} not in vocabulary")
         return ids, lengths
 
     def decode(self, ids) -> list[str]:
@@ -72,7 +70,7 @@ class Vocabulary:
             if i == self.mask_id:
                 raise ValueError("mask id in decoded sequence")
             raise ValueError(f"id {i} outside vocabulary of size {self.size}")
-        text = self._codes[flat].tobytes().decode("utf-32-le", "surrogatepass")
+        text = self._bytes[flat].tobytes().decode("ascii")
         # one character per id, so each row's text ends at its running id count
         ends = np.cumsum(kept.sum(axis=1)).tolist()
         return [text[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]

@@ -14,6 +14,7 @@ from absorb_diffuse import autodiff as ad
 from absorb_diffuse.data import Batch, pack_ids
 from absorb_diffuse.diffusion import NoiseSchedule
 from absorb_diffuse.harness.metrics import WALL_CLOCK_FIELDS
+from absorb_diffuse.model import ModelConfig
 from absorb_diffuse.tasks.planning import parse_input
 
 
@@ -88,11 +89,6 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def no_pad(tokens) -> np.ndarray:
-    """The pad mask of a canvas that holds no padding: all True."""
-    return np.ones(np.shape(tokens), dtype=bool)
-
-
 def columns_from(tokens, q0: int = 0) -> np.ndarray:
     """A forward's read mask of every slot from column q0 on."""
     read = np.zeros(np.shape(tokens), dtype=bool)
@@ -100,17 +96,39 @@ def columns_from(tokens, q0: int = 0) -> np.ndarray:
     return read
 
 
-def forward_columns(model, tokens, pad_mask, q0: int = 0, cache=None) -> ad.Node:
+def forward_columns(model, tokens, q0: int = 0, cache=None) -> ad.Node:
     """`model.forward` reading every slot from column q0 on, reshaped to
     [B, N - q0, content]."""
     b, n = np.shape(tokens)
-    logits = model.forward(tokens, pad_mask, columns_from(tokens, q0), cache)
+    logits = model.forward(tokens, columns_from(tokens, q0), cache)
     return ad.reshape(logits, (b, n - q0, logits.value.shape[-1]))
 
 
 def random_logits(rng: np.random.Generator, shape, scale: float = 2.0,
                   dtype=np.float32) -> np.ndarray:
     return (rng.standard_normal(shape) * scale).astype(dtype)
+
+
+# ---------------------------------------------------------------------------
+# a model whose logits a test sets
+
+
+class StubDenoiser:
+    """A stand-in for `DenoiserModel`: a subclass's `logits(tokens)` gives
+    float64 [B, N, content] logits for the canvas tokens [B, N], and
+    `forward` returns them at the read slots. It holds a real ModelConfig
+    (its sizes but the vocabulary are placeholders), so callers read the
+    attention mode and the mask and pad ids from it as from a model."""
+
+    def __init__(self, vocab_size: int, attention: str = "bidirectional"):
+        self.config = ModelConfig(vocab_size=vocab_size, max_seq_len=1, n_layers=1, n_heads=1,
+                                  hidden_dim=1, attention=attention)
+
+    def logits(self, tokens: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def forward(self, tokens, read, cache=None) -> ad.Node:
+        return ad.constant(self.logits(np.asarray(tokens))[read], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +205,14 @@ def _check_token(tok: int, vocab: int, mask_id: int, name: str) -> None:
 # the bound by exhaustive enumeration
 
 
-def elbo_exact(model, batch, schedule: NoiseSchedule, mask_id: int) -> float:
+def elbo_exact(model, batch, schedule: NoiseSchedule) -> float:
     """Negative ELBO in nats summed over the batch, by enumerating every
-    corruption pattern of each row's targets (2^L forwards per row, so only
-    for L <= 16). Requires alpha_T = 0, so the terminal state carries no
-    information."""
+    corruption pattern of each row's targets with the model config's mask
+    id (2^L forwards per row, so only for L <= 16). Requires alpha_T = 0,
+    so the terminal state carries no information."""
     if schedule.alpha[-1] != 0.0:
         raise ValueError("elbo requires alpha[T] == 0 (fully absorbed terminal state)")
+    mask_id = model.config.mask_id
     lam = schedule.survival(np.arange(1, schedule.T + 1))
     masked_prob = 1.0 - schedule.alpha[1:]  # P(token masked at t)
     total = 0.0
@@ -210,7 +229,7 @@ def elbo_exact(model, batch, schedule: NoiseSchedule, mask_id: int) -> float:
             tokens = row.tokens.copy()
             masked = positions[pat]
             tokens[0, masked] = mask_id
-            logits = model.forward(tokens, row.pad_mask, tokens == mask_id)
+            logits = model.forward(tokens, tokens == mask_id)
             u = ad.token_log_losses(logits.value, row.tokens[0, masked])
             # weight of this pattern at each t, times lam_t, summed over t
             for ti in range(1, schedule.T + 1):
@@ -268,21 +287,21 @@ def lookahead_solve(input_text: str, lookahead: int) -> str | None:
 # decoding without a cache, reading every target column
 
 
-def diffusion_decode_full_canvas(model, batch, cfg, mask_id, rng) -> np.ndarray:
+def diffusion_decode_full_canvas(model, batch, cfg, rng) -> np.ndarray:
     """`decoding.diffusion_decode` as a full-canvas loop: every step runs
     the model with no cache, reads every target column and draws at each
     of them, then keeps revealed slots as point masses. Same arguments,
     sampling order and output."""
     w = batch.cond_width
-    pad_mask = batch.pad_mask
-    target = pad_mask[:, w:]
+    mask_id = model.config.mask_id
+    target = batch.target_mask[:, w:]
     x = batch.tokens.copy()
     xt = x[:, w:]
     xt[target] = mask_id
     lengths = target.sum(axis=1)
     for s in range(1, cfg.steps + 1):
         with ad.no_grad():
-            logits = forward_columns(model, x, pad_mask, w).value
+            logits = forward_columns(model, x, w).value
         logp = ad.log_softmax(logits / cfg.temperature)
         sampled = np.argmax(logp + rng.gumbel(size=logp.shape), axis=-1)
         conf = np.take_along_axis(logp, sampled[..., None], axis=-1)[..., 0]
@@ -304,20 +323,20 @@ def ar_decode_full_canvas(model, batch, cfg, rng) -> np.ndarray:
     """`decoding.ar_decode` as a full-canvas loop: every step runs the
     model over the whole canvas with no cache, reads every column from one
     slot before the target, and draws from the one before the position
-    being generated. Same arguments, sampling order and output."""
+    being generated. Same arguments, sampling order and output. The canvas
+    still shows the reference target past the position being generated,
+    which causal attention hides from the column read."""
     w = batch.cond_width
     lengths = batch.target_mask.sum(axis=1)
 
     x = batch.tokens.copy()
-    pad_mask = batch.pad_mask & ~batch.target_mask
     for j in range(int(lengths.max(initial=0))):
         pos = w + j
-        logits = forward_columns(model, x, pad_mask, w - 1).value[:, j]
+        logits = forward_columns(model, x, w - 1).value[:, j]
         logp = ad.log_softmax(logits / cfg.temperature)
         sampled = np.argmax(logp + rng.gumbel(size=logp.shape), axis=-1)
         active = j < lengths
         x[active, pos] = sampled[active]
-        pad_mask[active, pos] = True
     return x[:, w:]  # the canvas's pad stays beyond each row's length
 
 

@@ -40,8 +40,9 @@ from absorb_diffuse.tasks.registry import TASKS, encode_instances, segment_map
 from absorb_diffuse.tasks.sat import clause_count
 
 from conftest import record_criterion
-from helpers import (check_gradient, elbo_exact, forward_columns, forward_marginal, kl_term,
-                     no_pad, pack_rows, posterior, reveals_per_step, strip_wall_clock, zero_grads)
+from helpers import (StubDenoiser, check_gradient, elbo_exact, forward_columns, forward_marginal,
+                     kl_term, pack_rows, posterior, reveals_per_step, strip_wall_clock,
+                     zero_grads)
 from test_tasks import (
     GOLD_CD3,
     GOLD_CD4,
@@ -136,15 +137,15 @@ def test_criterion_1_diffusion_math_exactness():
 # 2. ELBO upper-bounds the exact NLL on the enumerable instance
 
 
-class _TableModel:
+class _TableModel(StubDenoiser):
     """Deterministic random logits per distinct canvas; content vocab of 2."""
 
     def __init__(self, seed):
+        super().__init__(4)
         self.seed = seed
         self.cache = {}
 
-    def forward(self, tokens, pad_mask, read, cache=None):
-        tokens = np.asarray(tokens)
+    def logits(self, tokens):
         b, s = tokens.shape
         out = np.zeros((b, s, 2))
         for i in range(b):
@@ -154,7 +155,7 @@ class _TableModel:
                     [self.seed, *tokens[i].astype(np.int64)])
                 self.cache[key] = mix.standard_normal((s, 2)) * 2.0
             out[i] = self.cache[key]
-        return ad.constant(out[read], dtype=np.float64)
+        return out
 
 
 def test_criterion_2_elbo_soundness():
@@ -166,12 +167,12 @@ def test_criterion_2_elbo_soundness():
         model = _TableModel(seed)
         g = seed % 2
         batch = Batch(tokens=np.array([[0, g]], dtype=np.uint8), cond_width=1, pad_id=pad_id)
-        nelbo = elbo_exact(model, batch, sched, mask_id)
+        nelbo = elbo_exact(model, batch, sched)
         # exact NLL by enumerating every reverse chain: each factor evaluates
         # the net on the masked canvas, and content states carry over, so the
         # chain sum collapses to the model's masked-canvas probability of g
         masked = np.array([[0, mask_id]], dtype=np.int32)
-        logits = forward_columns(model, masked, no_pad(masked)).value[0, 1]
+        logits = forward_columns(model, masked).value[0, 1]
         logp = logits - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
         exact = -logp[g]
         gaps.append(nelbo - exact)
@@ -301,7 +302,7 @@ def test_criterion_3_gradient_correctness():
 def _mirrored_weighted_ce(model, cbatch, schedule):
     # independent rendering; reduction order mirrors the production kernel
     cw = cbatch.cond_width  # the kernel sums over the target columns only
-    logits = forward_columns(model, cbatch.tokens, cbatch.pad_mask).value[:, cw:]
+    logits = forward_columns(model, cbatch.tokens).value[:, cw:]
     b, s, k = logits.shape
     flat = logits.reshape(b * s, k)
     z = (flat - flat.max(axis=-1, keepdims=True)).astype(np.float64)
@@ -348,19 +349,20 @@ def test_criterion_4_loss_family_reduction():
 # 5. decoder contract under an oracle denoiser
 
 
-class _OracleDenoiser:
+class _OracleDenoiser(StubDenoiser):
     def __init__(self, truth, content):
+        super().__init__(content + 2)
         self.truth = truth  # [B, S] int, correct token at every position
         self.content = content
         self.canvases = []
 
-    def forward(self, tokens, pad_mask, read, cache=None):
-        self.canvases.append(np.array(tokens))  # a copy: the decoder writes its canvas
-        b, s = np.asarray(tokens).shape
+    def logits(self, tokens):
+        self.canvases.append(tokens.copy())  # the decoder writes its canvas
+        b, s = tokens.shape
         logits = np.zeros((b, s, self.content))
         rows = np.arange(b)[:, None], np.arange(s)[None, :], self.truth
         logits[rows] = 9.0
-        return ad.constant(logits[read], dtype=np.float64)
+        return logits
 
 
 def test_criterion_5_decoder_contract():
@@ -377,7 +379,7 @@ def test_criterion_5_decoder_contract():
     for steps in (1, 6, 12):
         model.canvases = []
         cfg = DecodeConfig(steps=steps, temperature=0.5, strategy="topk", seed=0)
-        got = diffusion_decode(model, batch, cfg, mask_id, np.random.default_rng(0))
+        got = diffusion_decode(model, batch, cfg, np.random.default_rng(0))
         trace = reveals_per_step(model.canvases, got, batch, mask_id)
         for i, out in enumerate(outs):
             ok &= list(got[i][:lengths[i]]) == out
@@ -508,7 +510,7 @@ def test_criterion_8_ablation_machinery(tmp_path):
     insts = read_instances(str(DATA / "planning_eval.tsv"))[:256]
     batch = encode_instances(ptask, insts, vocab)
     sched = NoiseSchedule.linear(cfg.schedule_T)
-    prof = subgoal_loss_profile(model, batch, sched, vocab.mask_id, np.random.default_rng(17),
+    prof = subgoal_loss_profile(model, batch, sched, np.random.default_rng(17),
                                 segment_map(ptask, batch, insts), n_samples=6)
     mono = bool((np.diff(prof["mean_u"]) >= -1e-9).all())
     _criterion(8, "ablation grid + loss profile",

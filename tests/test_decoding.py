@@ -13,8 +13,8 @@ from absorb_diffuse.harness.config import ExperimentConfig
 from absorb_diffuse.model import ModelConfig, DenoiserModel
 from absorb_diffuse.tasks import encode_instances, get_task
 
-from helpers import (ar_decode_full_canvas, diffusion_decode_full_canvas, pack_rows,
-                     reveals_per_step, traced_peak)
+from helpers import (StubDenoiser, ar_decode_full_canvas, diffusion_decode_full_canvas,
+                     pack_rows, reveals_per_step, traced_peak)
 
 RNG = np.random.default_rng(515)
 
@@ -23,7 +23,7 @@ MASK_ID = 7
 PAD_ID = 8
 
 
-class OracleDenoiser:
+class OracleDenoiser(StubDenoiser):
     """Predicts the true canvas at every position with given confidence.
 
     conf_fn(position index) -> probability assigned to the true token;
@@ -33,12 +33,13 @@ class OracleDenoiser:
     """
 
     def __init__(self, truth: np.ndarray, conf_fn=None):
+        super().__init__(VOCAB)
         self.truth = truth  # [B, S] int
         self.conf_fn = conf_fn or (lambda pos: 0.999)
         self.canvases = []
 
-    def forward(self, tokens, pad_mask, read, cache=None):
-        self.canvases.append(np.array(tokens))  # a copy: the decoder writes its canvas
+    def logits(self, tokens):
+        self.canvases.append(tokens.copy())  # the decoder writes its canvas
         b, s = tokens.shape
         k = VOCAB - 2
         logits = np.zeros((b, s, k), dtype=np.float64)
@@ -51,7 +52,7 @@ class OracleDenoiser:
                 true_tok = int(self.truth[i, pos])
                 if true_tok < k:
                     logits[i, pos, true_tok] = np.log(p_true)
-        return ad.constant(logits[read], dtype=np.float64)
+        return logits
 
 
 def _rng(cfg):
@@ -79,7 +80,7 @@ def test_oracle_decode_recovers_truth(steps):
     batch = _oracle_batch()
     model = OracleDenoiser(batch.tokens)
     cfg = DecodeConfig(steps=steps, temperature=0.5, strategy="topk", seed=1)
-    out = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
+    out = diffusion_decode(model, batch, cfg, _rng(cfg))
     want = np.where(batch.target_mask[:, batch.cond_width:],
                     batch.tokens[:, batch.cond_width:], PAD_ID)
     np.testing.assert_array_equal(out, want)
@@ -91,7 +92,7 @@ def test_reveal_counts_match_schedule_exactly():
     model = OracleDenoiser(batch.tokens)
     steps = 3
     cfg = DecodeConfig(steps=steps, temperature=0.5, strategy="topk", seed=2)
-    out = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
+    out = diffusion_decode(model, batch, cfg, _rng(cfg))
     trace = reveals_per_step(model.canvases, out, batch, MASK_ID)
     assert len(trace) == steps
     lengths = batch.target_mask.sum(axis=1)
@@ -111,7 +112,7 @@ def test_easy_first_order_follows_confidence():
         conf = {batch.cond_width + j: 0.9999 - 1e-5 * i for i, j in enumerate(by_conf)}
         model = OracleDenoiser(batch.tokens, conf_fn=lambda pos: conf.get(pos, 0.9999))
         cfg = DecodeConfig(steps=3, temperature=1.0, strategy="topk", seed=3)
-        out = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
+        out = diffusion_decode(model, batch, cfg, _rng(cfg))
         trace = reveals_per_step(model.canvases, out, batch, MASK_ID)
         for step, n in ((0, 2), (1, 4)):
             np.testing.assert_array_equal(np.flatnonzero(trace[step][0]), sorted(by_conf[:n]))
@@ -121,7 +122,7 @@ def test_ties_break_toward_lowest_index():
     batch = _oracle_batch(rows=1, cond=2, width=6, lengths=(6,))
     model = OracleDenoiser(batch.tokens, conf_fn=lambda pos: 0.999)  # all equal
     cfg = DecodeConfig(steps=6, temperature=1e-6, strategy="topk", seed=4)
-    out = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
+    out = diffusion_decode(model, batch, cfg, _rng(cfg))
     trace = reveals_per_step(model.canvases, out, batch, MASK_ID)
     # equal confidences reveal in strict position order, one per step
     for s, revealed in enumerate(trace, start=1):
@@ -133,7 +134,7 @@ def test_random_strategy_recovers_with_oracle():
     batch = _oracle_batch()
     model = OracleDenoiser(batch.tokens)
     cfg = DecodeConfig(steps=4, temperature=0.5, strategy="random", seed=5)
-    out = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
+    out = diffusion_decode(model, batch, cfg, _rng(cfg))
     want = np.where(batch.target_mask[:, batch.cond_width:],
                     batch.tokens[:, batch.cond_width:], PAD_ID)
     np.testing.assert_array_equal(out, want)
@@ -143,8 +144,8 @@ def test_decode_determinism_same_seed():
     batch = _oracle_batch()
     model = OracleDenoiser(batch.tokens, conf_fn=lambda pos: 0.6)
     cfg = DecodeConfig(steps=5, temperature=1.0, strategy="topk", seed=9)
-    a = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
-    b = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
+    a = diffusion_decode(model, batch, cfg, _rng(cfg))
+    b = diffusion_decode(model, batch, cfg, _rng(cfg))
     np.testing.assert_array_equal(a, b)
 
 
@@ -152,7 +153,7 @@ def test_decode_fills_pads_beyond_length():
     batch = _oracle_batch(lengths=(4, 2, 6), width=8)
     model = OracleDenoiser(batch.tokens)
     cfg = DecodeConfig(steps=2, temperature=0.5, strategy="topk", seed=0)
-    out = diffusion_decode(model, batch, cfg, MASK_ID, _rng(cfg))
+    out = diffusion_decode(model, batch, cfg, _rng(cfg))
     lengths = batch.target_mask.sum(axis=1)
     for i, n in enumerate(lengths):
         assert (out[i, n:] == PAD_ID).all()
@@ -163,17 +164,17 @@ def test_decode_fills_pads_beyond_length():
 # autoregressive baseline
 
 
-class OracleCausal:
+class OracleCausal(StubDenoiser):
     """Scores the true next token of a fixed canvas; causal stand-in. Each
     canvas it is given is kept in `canvases`."""
 
     def __init__(self, truth: np.ndarray):
+        super().__init__(VOCAB, "causal")
         self.truth = truth
-        self.config = type("C", (), {"attention": "causal"})()
         self.canvases = []
 
-    def forward(self, tokens, pad_mask, read, cache=None):
-        self.canvases.append(np.array(tokens))  # a copy: the decoder writes its canvas
+    def logits(self, tokens):
+        self.canvases.append(tokens.copy())  # the decoder writes its canvas
         b, s = tokens.shape
         k = VOCAB - 2
         logits = np.full((b, s, k), np.log(0.001 / (k - 1)), dtype=np.float64)
@@ -182,7 +183,7 @@ class OracleCausal:
                 nxt = int(self.truth[i, pos + 1])
                 if nxt < k:
                     logits[i, pos, nxt] = np.log(0.999)
-        return ad.constant(logits[read], dtype=np.float64)
+        return logits
 
 
 def test_ar_decode_recovers_truth():
@@ -203,7 +204,7 @@ def test_ar_decode_feeds_no_draw_past_a_rows_length():
     cfg = DecodeConfig(steps=1, temperature=1.0, strategy="topk", seed=3)
     ar_decode(model, batch, cfg, _rng(cfg))
     assert len(model.canvases) == 8
-    pads = ~batch.pad_mask
+    pads = batch.tokens == PAD_ID
     for canvas in model.canvases:
         assert (canvas[pads[:, :canvas.shape[1]]] == PAD_ID).all()
 
@@ -264,8 +265,8 @@ def test_diffusion_decode_matches_full_canvas_loop(steps, strategy):
             param.value *= 3.0
         batch = encode_instances(task, task.generate(0, 40, seed)[1], vocab)
         dcfg = DecodeConfig(steps=steps, temperature=0.5, strategy=strategy, seed=seed)
-        got = diffusion_decode(model, batch, dcfg, vocab.mask_id, _rng(dcfg))
-        want = diffusion_decode_full_canvas(model, batch, dcfg, vocab.mask_id, _rng(dcfg))
+        got = diffusion_decode(model, batch, dcfg, _rng(dcfg))
+        want = diffusion_decode_full_canvas(model, batch, dcfg, _rng(dcfg))
         np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
 
 
@@ -301,7 +302,7 @@ def test_a_desk_decode_chunk_peaks_below_9_5_mb(kind):
     model = DenoiserModel(cfg.model_config(vocab.size), seed=3)
     dcfg = DecodeConfig(steps=2, temperature=0.5, strategy="topk", seed=1)
     if kind == "diffusion":
-        peak = traced_peak(lambda: diffusion_decode(model, batch, dcfg, vocab.mask_id, _rng(dcfg)))
+        peak = traced_peak(lambda: diffusion_decode(model, batch, dcfg, _rng(dcfg)))
     else:
         peak = traced_peak(lambda: ar_decode(model, batch, dcfg, _rng(dcfg)))
     # Beside layer 0's q/k/v table, which both decoders hold for the whole

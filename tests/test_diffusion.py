@@ -17,8 +17,8 @@ from absorb_diffuse.diffusion import (
 )
 from absorb_diffuse.model import ModelConfig, DenoiserModel
 
-from helpers import (beta, elbo_exact, forward_columns, forward_marginal, kl_term, pack_rows,
-                     posterior, zero_grads)
+from helpers import (StubDenoiser, beta, elbo_exact, forward_columns, forward_marginal, kl_term,
+                     pack_rows, posterior, zero_grads)
 
 RNG = np.random.default_rng(20240818)
 
@@ -282,7 +282,7 @@ def mirrored_weighted_ce(model, cbatch, schedule) -> float:
     equality is exact, not approximate.
     """
     cw = cbatch.cond_width  # the kernel sums over the target columns only
-    logits = forward_columns(model, cbatch.tokens, cbatch.pad_mask).value[:, cw:]
+    logits = forward_columns(model, cbatch.tokens).value[:, cw:]
     b, s, k = logits.shape
     flat = logits.reshape(b * s, k)
     z = (flat - flat.max(axis=-1, keepdims=True)).astype(np.float64)
@@ -416,16 +416,16 @@ def test_reweight_config_validation():
 # ELBO: analytic value, exact-vs-MC, and the NLL upper bound
 
 
-class StubModel:
+class StubModel(StubDenoiser):
     """Fixed per-position categorical output, independent of the canvas."""
 
     def __init__(self, probs: np.ndarray):
         self.probs = np.asarray(probs, dtype=np.float64)
+        super().__init__(self.probs.size + 2)
 
-    def forward(self, tokens, pad_mask, read, cache=None):
-        b, s = np.asarray(tokens).shape
-        logits = np.tile(np.log(self.probs)[None, None, :], (b, s, 1))
-        return ad.constant(logits[read].astype(np.float64), dtype=np.float64)
+    def logits(self, tokens):
+        b, s = tokens.shape
+        return np.tile(np.log(self.probs)[None, None, :], (b, s, 1))
 
 
 def _one_segment(batch):
@@ -445,7 +445,7 @@ def test_elbo_uniform_model_telescopes_to_ln2():
     stub = StubModel(np.array([0.5, 0.5]))
     for T in (2, 3, 7):
         sched = NoiseSchedule.linear(T)
-        got = elbo_exact(stub, batch, sched, mask_id=2)
+        got = elbo_exact(stub, batch, sched)
         assert abs(got - np.log(2)) < 1e-12, (T, got)
 
 
@@ -453,7 +453,7 @@ def test_elbo_perfect_model_is_zero():
     batch = _single_token_batch(value=0)
     stub = StubModel(np.array([1.0 - 1e-15, 1e-15]))
     sched = NoiseSchedule.linear(3)
-    assert abs(elbo_exact(stub, batch, sched, mask_id=2)) < 1e-10
+    assert abs(elbo_exact(stub, batch, sched)) < 1e-10
 
 
 def test_elbo_requires_fully_absorbed_schedule():
@@ -461,8 +461,8 @@ def test_elbo_requires_fully_absorbed_schedule():
     stub = StubModel(np.array([0.5, 0.5]))
     sched = NoiseSchedule(np.array([1.0, 0.4, 0.1]))
     with pytest.raises(ValueError):
-        elbo_exact(stub, batch, sched, mask_id=2)
-    prof = subgoal_loss_profile(stub, batch, sched, mask_id=2, rng=np.random.default_rng(0),
+        elbo_exact(stub, batch, sched)
+    prof = subgoal_loss_profile(stub, batch, sched, rng=np.random.default_rng(0),
                                 segments=_one_segment(batch), n_samples=50)
     assert prof["nelbo"] is None
     np.testing.assert_allclose(prof["mean_u"], np.log(2), atol=1e-12)
@@ -474,9 +474,8 @@ def test_elbo_exact_matches_monte_carlo():
     model = _tiny_model(vocab=6, seq=8)
     batch = pack_rows([[0, 1], [1], [2, 2]], [[2, 0, 3], [1, 1], [0, 3, 1]], 2, 6, 5)
     sched = NoiseSchedule.linear(4)
-    exact = sum(elbo_exact(model, batch.take(slice(i, i + 1)), sched, mask_id=4)
-                for i in range(batch.size))
-    prof = subgoal_loss_profile(model, batch, sched, mask_id=4, rng=np.random.default_rng(17),
+    exact = sum(elbo_exact(model, batch.take(slice(i, i + 1)), sched) for i in range(batch.size))
+    prof = subgoal_loss_profile(model, batch, sched, rng=np.random.default_rng(17),
                                 segments=_one_segment(batch), n_samples=1500)
     assert abs(prof["nelbo"] - exact) / max(exact, 1.0) < 0.05, (exact, prof["nelbo"])
 
@@ -491,12 +490,12 @@ def test_subgoal_loss_profile_builds_no_graph():
         return seen[-1]
 
     model.forward = forward
-    subgoal_loss_profile(model, batch, NoiseSchedule.linear(3), mask_id=4,
-                         rng=np.random.default_rng(1), segments=_one_segment(batch), n_samples=2)
+    subgoal_loss_profile(model, batch, NoiseSchedule.linear(3), rng=np.random.default_rng(1),
+                         segments=_one_segment(batch), n_samples=2)
     assert seen and all(out._backward is None and not out.requires_grad for out in seen)
 
 
-def reverse_chain_nll(model, batch, schedule: NoiseSchedule, mask_id: int) -> float:
+def reverse_chain_nll(model, batch, schedule: NoiseSchedule) -> float:
     """-log p(x_0) by summing over every reverse trajectory.
 
     The reverse kernel marginalizes the model prediction through the
@@ -505,13 +504,12 @@ def reverse_chain_nll(model, batch, schedule: NoiseSchedule, mask_id: int) -> fl
     """
     positions = np.flatnonzero(batch.target_mask[0])
     L = positions.size
-    content = list(range(forward_columns(model, batch.tokens, batch.pad_mask).value.shape[-1])) \
-        if not isinstance(model, StubModel) else list(range(model.probs.size))
-    states = content + [mask_id]
+    mask_id = model.config.mask_id
+    states = list(range(model.config.content_vocab)) + [mask_id]
     T = schedule.T
 
     def model_probs(tokens):
-        logits = forward_columns(model, tokens, batch.pad_mask).value[0]
+        logits = forward_columns(model, tokens).value[0]
         z = logits - logits.max(axis=-1, keepdims=True)
         p = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
         return p  # [S, content]
@@ -564,8 +562,8 @@ def test_elbo_upper_bounds_exact_nll_single_token():
         stub = StubModel(probs)
         value = int(rng.integers(0, 2))
         batch = _single_token_batch(value=value)
-        bound = elbo_exact(stub, batch, sched, mask_id=2)
-        nll = reverse_chain_nll(stub, batch, sched, mask_id=2)
+        bound = elbo_exact(stub, batch, sched)
+        nll = reverse_chain_nll(stub, batch, sched)
         worst_gap = min(worst_gap, bound - nll)
     assert worst_gap >= -1e-7, worst_gap
 
@@ -576,8 +574,8 @@ def test_elbo_upper_bounds_exact_nll_two_tokens_strictly():
     model = _tiny_model(vocab=5, seq=4, seed=11)
     pad = 4
     batch = pack_rows([[0]], [[1, 2]], 1, 3, pad)
-    bound = elbo_exact(model, batch, sched, mask_id=3)
-    nll = reverse_chain_nll(model, batch, sched, mask_id=3)
+    bound = elbo_exact(model, batch, sched)
+    nll = reverse_chain_nll(model, batch, sched)
     assert bound >= nll - 1e-9
     assert bound > 0
 
@@ -590,7 +588,7 @@ def test_subgoal_profile_shapes_and_flat_for_stub():
     batch = _planning_like_batch(rows=4, cond=4, width=8, vocab=9)
     sched = NoiseSchedule.linear(5)
     stub = StubModel(np.full(7, 1.0 / 7))
-    prof = subgoal_loss_profile(stub, batch, sched, mask_id=7, rng=np.random.default_rng(3),
+    prof = subgoal_loss_profile(stub, batch, sched, rng=np.random.default_rng(3),
                                 segments=_one_segment(batch), n_samples=6)
     assert prof["mean_u"].shape == (5,)
     np.testing.assert_allclose(prof["mean_u"], np.log(7), atol=1e-9)
@@ -604,7 +602,7 @@ def test_subgoal_profile_per_segment():
     segments = np.where(batch.target_mask,
                         np.arange(batch.tokens.shape[1])[None, :] % 3, -1)
     model = _tiny_model()
-    prof = subgoal_loss_profile(model, batch, sched, mask_id=7,
+    prof = subgoal_loss_profile(model, batch, sched,
                                 rng=np.random.default_rng(4), n_samples=3,
                                 segments=segments)
     np.testing.assert_array_equal(prof["segments"], [0, 1, 2])
@@ -614,7 +612,7 @@ def test_subgoal_profile_per_segment():
         us, segs = [], []
         for _ in range(3):
             cb = sample_xt(sched, batch, ti, rng, mask_id=7)
-            logits = forward_columns(model, cb.tokens, cb.pad_mask).value
+            logits = forward_columns(model, cb.tokens).value
             us.append(ad.token_log_losses(logits[cb.corrupted], cb.x0[cb.corrupted]))
             segs.append(segments[cb.corrupted])
         u, seg = np.concatenate(us), np.concatenate(segs)

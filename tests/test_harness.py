@@ -55,7 +55,7 @@ from absorb_diffuse.tasks.base import (
 from absorb_diffuse.tasks.planning import find_pd, gen_planning
 from absorb_diffuse.tasks.registry import encode_instances
 
-from helpers import strip_wall_clock, traced_peak, zero_grads
+from helpers import StubDenoiser, strip_wall_clock, traced_peak, zero_grads
 
 # the harness package re-exports a train() that shadows this module's name
 train_mod = importlib.import_module("absorb_diffuse.harness.train")
@@ -337,20 +337,20 @@ def test_strip_wall_clock():
 # evaluation with lookup oracles
 
 
-class LookupOracle:
+class LookupOracle(StubDenoiser):
     """Scores the true canvas for any batch row, keyed by its condition."""
 
     def __init__(self, task, instances, vocab, causal=False, p=0.999):
+        super().__init__(vocab.size, "causal" if causal else "bidirectional")
         batch = encode_instances(task, instances, vocab)
         self.w = batch.cond_width
         self.truth = {batch.tokens[i, :self.w].tobytes(): batch.tokens[i]
                       for i in range(batch.size)}
         self.k = len(vocab.chars)
         self.p = p
-        self.config = type("C", (), {"attention": "causal" if causal else "bidirectional"})()
         self.causal = causal
 
-    def forward(self, tokens, pad_mask, read, cache=None):
+    def logits(self, tokens):
         b, s = tokens.shape
         logits = np.full((b, s, self.k), np.log((1 - self.p) / (self.k - 1)))
         for i in range(b):
@@ -361,7 +361,7 @@ class LookupOracle:
                 want = row[pos + 1] if self.causal else row[pos]
                 if want < self.k:
                     logits[i, pos, want] = np.log(self.p)
-        return ad.constant(logits[read], dtype=np.float64)
+        return logits
 
 
 @pytest.fixture(scope="module")

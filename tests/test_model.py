@@ -23,7 +23,7 @@ from absorb_diffuse.model import (
 )
 from absorb_diffuse.tasks import encode_instances, get_task
 
-from helpers import columns_from, forward_columns, no_pad, pack_rows, traced_peak, zero_grads
+from helpers import columns_from, forward_columns, pack_rows, traced_peak, zero_grads
 
 RNG = np.random.default_rng(99)
 
@@ -45,7 +45,8 @@ def test_config_validation():
                     hidden_dim=16, attention="diagonal")
     cfg = tiny_config()
     assert cfg.head_dim == 8
-    assert cfg.content_vocab == 9
+    # the specials are the top two ids: the head scores every id below them
+    assert (cfg.content_vocab, cfg.mask_id, cfg.pad_id) == (9, 9, 10)
 
 
 def test_config_dict_roundtrip():
@@ -58,8 +59,8 @@ def test_config_dict_roundtrip():
 def test_forward_shapes_and_head_excludes_specials():
     cfg = tiny_config()
     model = DenoiserModel(cfg, seed=1)
-    tokens = RNG.integers(0, cfg.vocab_size, size=(3, cfg.max_seq_len)).astype(np.int32)
-    logits = forward_columns(model, tokens, no_pad(tokens))
+    tokens = RNG.integers(0, cfg.pad_id, size=(3, cfg.max_seq_len)).astype(np.int32)
+    logits = forward_columns(model, tokens)
     assert logits.value.shape == (3, cfg.max_seq_len, cfg.content_vocab)
 
 
@@ -69,14 +70,13 @@ def test_causal_model_ignores_future_tokens():
     model = DenoiserModel(cfg, seed=2)
     n = cfg.max_seq_len
     a = RNG.integers(0, cfg.content_vocab, size=(3, n)).astype(np.int32)
-    pad_mask = np.ones((3, n), dtype=bool)
-    pad_mask[1, :3] = False
-    pad_mask[2, :7] = False
-    la = forward_columns(model, a, pad_mask).value
+    a[1, :3] = cfg.pad_id
+    a[2, :7] = cfg.pad_id
+    la = forward_columns(model, a).value
     for j in range(1, n):
         b = a.copy()
         b[:, j:] = (b[:, j:] + 1) % cfg.content_vocab  # only positions >= j differ
-        lb = forward_columns(model, b, pad_mask).value
+        lb = forward_columns(model, b).value
         np.testing.assert_allclose(la[:, :j], lb[:, :j], rtol=0, atol=1e-6, err_msg=f"cut {j}")
         assert not np.allclose(la[0, j:], lb[0, j:], atol=1e-6)
 
@@ -91,15 +91,15 @@ def test_kv_cache_logits_match_full_forward(dtype, atol):
     conds = [[1, 2, 3, 4], [5, 6], [7]]
     outs = [[1, 2, 3, 4, 5, 6, 7, 8], [3, 1, 4, 1, 5], [2, 7, 1]]
     batch = pack_rows(conds, outs, 4, 8, pad_id)
-    full = forward_columns(model, batch.tokens, batch.pad_mask).value
+    full = forward_columns(model, batch.tokens).value
 
     cache, pieces, m = {}, [], 0
-    for n in (4, 6, *range(7, cfg.max_seq_len + 1)):
-        pieces.append(forward_columns(model, batch.tokens[:, :n], batch.pad_mask[:, :n], m,
-                                      cache).value)
-        m = n
+    with ad.no_grad():
+        for n in (4, 6, *range(7, cfg.max_seq_len + 1)):
+            pieces.append(forward_columns(model, batch.tokens[:, :n], m, cache).value)
+            m = n
     assert [piece.shape[1] for piece in pieces] == [4, 2] + [1] * 6
-    assert sorted(cache) == list(range(cfg.n_layers))
+    assert set(cache) == {"qkv", *range(cfg.n_layers)}
     assert cache[0][0].shape == (3, cfg.n_heads, cfg.max_seq_len, cfg.head_dim)
     inc = np.concatenate(pieces, axis=1)
     assert inc.dtype == full.dtype == dtype
@@ -121,11 +121,11 @@ def test_queries_from_logits_equal_full_forward_bitwise(attention, dtype):
     with ad.using_dtype(dtype):
         model = DenoiserModel(cfg, seed=14)
     batch = _padded_batch(cfg)
-    full = forward_columns(model, batch.tokens, batch.pad_mask).value
+    full = forward_columns(model, batch.tokens).value
     w = batch.cond_width
     # the diffusion loss and decoder start at the target, ar_nll one slot before
     for q0 in (w, w - 1, 1, cfg.max_seq_len - 2):
-        part = model.forward(batch.tokens, batch.pad_mask, columns_from(batch.tokens, q0)).value
+        part = model.forward(batch.tokens, columns_from(batch.tokens, q0)).value
         assert part.dtype == full.dtype == dtype
         assert part.shape == (batch.size * (cfg.max_seq_len - q0), cfg.content_vocab)
         np.testing.assert_array_equal(part, full[:, q0:].reshape(part.shape),
@@ -138,28 +138,29 @@ def test_queries_from_with_kv_cache_matches_full_forward(dtype, atol):
     with ad.using_dtype(dtype):
         model = DenoiserModel(cfg, seed=15)
     batch = _padded_batch(cfg)
-    tokens, pad_mask, w = batch.tokens, batch.pad_mask, batch.cond_width
-    full = forward_columns(model, tokens, pad_mask).value
+    tokens, w = batch.tokens, batch.cond_width
+    full = forward_columns(model, tokens).value
 
     # as in ar_decode: each call, the prefill too, runs only its last query
     cache, plain = {}, {}
-    forward_columns(model, tokens[:, :w], pad_mask[:, :w], cache=plain)
-    rows = []
-    for n in range(w, cfg.max_seq_len + 1):
-        rows.append(forward_columns(model, tokens[:, :n], pad_mask[:, :n], n - 1, cache).value)
-        if n == w:  # keys and values still cover every position of the prefix
-            for i in range(cfg.n_layers):
-                np.testing.assert_array_equal(cache[i][0], plain[i][0])
-                np.testing.assert_array_equal(cache[i][1], plain[i][1])
-    assert [r.shape[1] for r in rows] == [1] * len(rows)
-    np.testing.assert_allclose(np.concatenate(rows, axis=1), full[:, w - 1:],
-                               rtol=0, atol=atol)
+    with ad.no_grad():
+        forward_columns(model, tokens[:, :w], cache=plain)
+        rows = []
+        for n in range(w, cfg.max_seq_len + 1):
+            rows.append(forward_columns(model, tokens[:, :n], n - 1, cache).value)
+            if n == w:  # keys and values still cover every position of the prefix
+                for i in range(cfg.n_layers):
+                    np.testing.assert_array_equal(cache[i][0], plain[i][0])
+                    np.testing.assert_array_equal(cache[i][1], plain[i][1])
+        assert [r.shape[1] for r in rows] == [1] * len(rows)
+        np.testing.assert_allclose(np.concatenate(rows, axis=1), full[:, w - 1:],
+                                   rtol=0, atol=atol)
 
-    # a cached call that keeps several queries matches the cached call that
-    # reads every uncached column bit for bit
-    n = cfg.max_seq_len
-    with_q = forward_columns(model, tokens, pad_mask, w + 2, dict(plain)).value
-    without = forward_columns(model, tokens, pad_mask, w, dict(plain)).value
+        # a cached call that keeps several queries matches the cached call that
+        # reads every uncached column bit for bit
+        n = cfg.max_seq_len
+        with_q = forward_columns(model, tokens, w + 2, dict(plain)).value
+        without = forward_columns(model, tokens, w, dict(plain)).value
     assert with_q.shape[1] == n - w - 2
     np.testing.assert_array_equal(with_q, without[:, 2:])
 
@@ -180,9 +181,9 @@ def test_queries_from_gradients_match_the_full_forward(attention):
         ad.softmax_cross_entropy(flat, targets, weights).backward()
         return {k: p.grad for k, p in model.params.items()}
 
-    full = forward_columns(model, batch.tokens, batch.pad_mask)
+    full = forward_columns(model, batch.tokens)
     want = grads(ad.reshape(ad.narrow(full, 1, q0, cfg.max_seq_len - q0), (n, cfg.content_vocab)))
-    got = grads(model.forward(batch.tokens, batch.pad_mask, columns_from(batch.tokens, q0)))
+    got = grads(model.forward(batch.tokens, columns_from(batch.tokens, q0)))
     for name in want:
         np.testing.assert_allclose(got[name], want[name], rtol=1e-9, atol=1e-15, err_msg=name)
 
@@ -198,9 +199,9 @@ def test_a_ragged_read_returns_the_full_forwards_logits_bitwise(attention, recor
     cfg = tiny_config(attention)
     model = DenoiserModel(cfg, seed=25)
     batch = _padded_batch(cfg)
-    tokens, pad_mask = batch.tokens, batch.pad_mask
+    tokens = batch.tokens
     assert [b.stop - b.start for b in model_mod._row_blocks(4, cfg.max_seq_len)] == [2, 2]
-    full = forward_columns(model, tokens, pad_mask)
+    full = forward_columns(model, tokens)
     k = cfg.content_vocab
     ragged = np.zeros(tokens.shape, dtype=bool)
     ragged[0, [3, 5, 6, 11]] = True
@@ -210,10 +211,10 @@ def test_a_ragged_read_returns_the_full_forwards_logits_bitwise(attention, recor
     single[1, 6] = True
     for read in (ragged, single, columns_from(tokens, 10)):
         if recording:
-            got = model.forward(tokens, pad_mask, read)
+            got = model.forward(tokens, read)
         else:
             with ad.no_grad():
-                got = model.forward(tokens, pad_mask, read)
+                got = model.forward(tokens, read)
         assert got.value.dtype == np.float32
         np.testing.assert_array_equal(got.value, full.value[read])
         if recording:
@@ -227,7 +228,7 @@ def test_a_ragged_read_returns_the_full_forwards_logits_bitwise(attention, recor
                 return out
 
             want = grads(ad.embedding_lookup(ad.reshape(full, (-1, k)), np.flatnonzero(read)))
-            full = forward_columns(model, tokens, pad_mask)  # backward consumed the graph
+            full = forward_columns(model, tokens)  # backward consumed the graph
             have = grads(got)
             for name, p in model.params.items():
                 np.testing.assert_allclose(have[p], want[p], rtol=1e-5, atol=1e-7, err_msg=name)
@@ -260,20 +261,21 @@ def test_no_grad_forward_is_bit_identical(attention, dtype):
     with ad.using_dtype(dtype):
         model = DenoiserModel(cfg, seed=18)
     batch = _padded_batch(cfg, cond=49)
-    tokens, pad_mask, w = batch.tokens, batch.pad_mask, batch.cond_width
+    tokens, w = batch.tokens, batch.cond_width
 
     def forwards():
-        out = [forward_columns(model, tokens, pad_mask, q0).value for q0 in (0, w)]
-        if attention == "causal":
-            cache = {}
-            forward_columns(model, tokens[:, :w], pad_mask[:, :w], cache=cache)
-            out.append(forward_columns(model, tokens, pad_mask, w + 3, cache).value)
-            out.extend(cache[i][j] for i in range(cfg.n_layers) for j in (0, 1))
-        return out
+        return [forward_columns(model, tokens, q0).value for q0 in (0, w)]
 
     want = forwards()
     with ad.no_grad():
         got = forwards()
+        if attention == "causal":
+            # a cache serves only a no-grad forward; fed the prefix, its
+            # logits are the recording full forward's
+            cache = {}
+            forward_columns(model, tokens[:, :w], cache=cache)
+            got.append(forward_columns(model, tokens, w + 3, cache).value)
+            want.append(want[0][:, w + 3:])
     assert len(got) == len(want)
     for g, x in zip(got, want):
         assert g.dtype == x.dtype == dtype
@@ -296,8 +298,7 @@ def test_forward_logit_bits_are_pinned(attention, want):
     def digest():
         h = hashlib.sha256()
         for q0 in (0, batch.cond_width):
-            logits = model.forward(batch.tokens, batch.pad_mask,
-                                   columns_from(batch.tokens, q0)).value
+            logits = model.forward(batch.tokens, columns_from(batch.tokens, q0)).value
             assert logits.dtype == np.float32
             h.update(logits.tobytes())
         return h.hexdigest()
@@ -346,12 +347,10 @@ def test_no_grad_forward_holds_one_sub_block_at_a_time(queries_from):
     cfg = ModelConfig(vocab_size=17, max_seq_len=72, n_layers=2, n_heads=4, hidden_dim=96)
     model = DenoiserModel(cfg, seed=5)
     tokens = np.random.default_rng(5).integers(0, 15, size=(64, 72))
-    pad_mask = np.ones(tokens.shape, dtype=bool)
-    pad_mask[:, :5] = False
+    tokens[:, :5] = cfg.pad_id
     scores = 64 * 4 * 72 * 72 * 4  # bytes of one float32 [64, 4, 72, 72] score array
     with ad.no_grad():
-        peak = traced_peak(lambda: model.forward(tokens, pad_mask,
-                                                 columns_from(tokens, queries_from)))
+        peak = traced_peak(lambda: model.forward(tokens, columns_from(tokens, queries_from)))
     # The forward runs two row blocks of 32, so a block's score array is half
     # of one here. Each intermediate dies after its last reader: the MLP's
     # peak is the residual stream (1/3 of a block's score array), the mask
@@ -376,7 +375,7 @@ def _desk_batch(cfg, rows, seed):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("attention", ["bidirectional", "causal"])
-def test_row_blocked_no_grad_forward_is_bit_identical(attention, dtype):
+def test_row_blocked_no_grad_forward_is_bit_identical(attention, dtype, monkeypatch):
     # 65 desk rows: the no-grad forward runs three uneven row blocks, the
     # recording forward one
     cfg = ModelConfig(vocab_size=17, max_seq_len=72, n_layers=2, n_heads=4,
@@ -384,26 +383,31 @@ def test_row_blocked_no_grad_forward_is_bit_identical(attention, dtype):
     with ad.using_dtype(dtype):
         model = DenoiserModel(cfg, seed=24)
     batch = _desk_batch(cfg, 65, seed=24)
-    tokens, pad_mask, w = batch.tokens, batch.pad_mask, batch.cond_width
+    tokens, w = batch.tokens, batch.cond_width
     assert len(model_mod._row_blocks(65, 72)) == 3
 
     def forwards():
-        out = [forward_columns(model, tokens, pad_mask, q0).value for q0 in (0, w)]
+        out = [forward_columns(model, tokens, q0).value for q0 in (0, w)]
         if attention == "causal":
-            # the AR decoder's prefill and one incremental step
-            cache = {}
-            out.append(forward_columns(model, tokens[:, :w], pad_mask[:, :w], w - 1, cache).value)
-            out.append(forward_columns(model, tokens[:, :w + 1], pad_mask[:, :w + 1], w,
-                                       cache).value)
-            out.extend(cache[i][j] for i in range(cfg.n_layers) for j in (0, 1))
-            # a cached forward wide enough to split: each block reads its rows of the cache
-            cache = {}
-            forward_columns(model, tokens[:, :10], pad_mask[:, :10], cache=cache)
-            out.append(forward_columns(model, tokens, pad_mask, 10, cache).value)
-            out.extend(cache[i][j] for i in range(cfg.n_layers) for j in (0, 1))
+            # a cache serves only a no-grad forward, so the cached calls run
+            # under no_grad() either way, in one row block or in three
+            with ad.no_grad():
+                # the AR decoder's prefill and one incremental step
+                cache = {}
+                out.append(forward_columns(model, tokens[:, :w], w - 1, cache).value)
+                out.append(forward_columns(model, tokens[:, :w + 1], w, cache).value)
+                out.extend(cache[i][j] for i in range(cfg.n_layers) for j in (0, 1))
+                # a cached forward wide enough to split: each block reads its rows of the cache
+                cache = {}
+                forward_columns(model, tokens[:, :10], cache=cache)
+                out.append(forward_columns(model, tokens, 10, cache).value)
+                out.extend(cache[i][j] for i in range(cfg.n_layers) for j in (0, 1))
         return out
 
-    want = forwards()
+    with monkeypatch.context() as one_block:
+        one_block.setattr(model_mod, "NO_GRAD_BLOCK", 72 * 65)
+        assert len(model_mod._row_blocks(65, 72)) == 1
+        want = forwards()
     with ad.no_grad():
         got = forwards()
     assert len(got) == len(want)
@@ -430,12 +434,11 @@ def test_no_grad_forward_peak_does_not_grow_with_the_batch():
     cfg = ModelConfig(vocab_size=17, max_seq_len=72, n_layers=2, n_heads=4, hidden_dim=96)
     model = DenoiserModel(cfg, seed=6)
     tokens = np.random.default_rng(6).integers(0, 15, size=(256, 72))
-    pad_mask = np.ones(tokens.shape, dtype=bool)
-    pad_mask[:, :5] = False
+    tokens[:, :5] = cfg.pad_id
 
     def peak(rows):
         with ad.no_grad():
-            return traced_peak(lambda: forward_columns(model, tokens[:rows], pad_mask[:rows]))
+            return traced_peak(lambda: forward_columns(model, tokens[:rows]))
 
     scores = 32 * 4 * 72 * 72 * 4  # bytes of one float32 [32, 4, 72, 72] score array
     small, large = peak(32), peak(256)
@@ -507,13 +510,14 @@ def test_queries_from_outside_the_canvas_is_rejected():
     tokens = RNG.integers(0, 9, size=(2, 6)).astype(np.int32)
     for shape in ((2, 7), (2, 5), (1, 6), (6,)):
         with pytest.raises(ValueError, match="read"):
-            model.forward(tokens, no_pad(tokens), np.ones(shape, dtype=bool))
+            model.forward(tokens, np.ones(shape, dtype=bool))
         with pytest.raises(ValueError, match="read"):
-            model.forward(tokens, no_pad(tokens), np.ones(shape, dtype=bool), {})
+            model.forward(tokens, np.ones(shape, dtype=bool), {})
     cache = {}
-    forward_columns(model, tokens[:, :4], no_pad(tokens[:, :4]), cache=cache)
-    with pytest.raises(ValueError, match="cached"):
-        model.forward(tokens, no_pad(tokens), columns_from(tokens, 3), cache)
+    with ad.no_grad():
+        forward_columns(model, tokens[:, :4], cache=cache)
+        with pytest.raises(ValueError, match="cached"):
+            model.forward(tokens, columns_from(tokens, 3), cache)
 
 
 def test_kv_cache_rejected_where_invalid():
@@ -522,14 +526,19 @@ def test_kv_cache_rejected_where_invalid():
     bidir = DenoiserModel(tiny_config("bidirectional"), seed=5)
     cache = {}
     with ad.no_grad():
-        bidir.forward(tokens, no_pad(tokens), columns_from(tokens), cache)
-        bidir.forward(tokens, no_pad(tokens), columns_from(tokens), cache)
+        bidir.forward(tokens, columns_from(tokens), cache)
+        bidir.forward(tokens, columns_from(tokens), cache)
     assert list(cache) == ["qkv"]
     causal = DenoiserModel(tiny_config("causal"), seed=5)
     cache = {}
-    forward_columns(causal, tokens, no_pad(tokens), cache=cache)
-    with pytest.raises(ValueError, match="already holds"):
-        forward_columns(causal, tokens, no_pad(tokens), 6, cache)
+    with ad.no_grad():
+        forward_columns(causal, tokens, cache=cache)
+        with pytest.raises(ValueError, match="already holds"):
+            forward_columns(causal, tokens, 6, cache)
+    # a cache means no tape: a recording forward refuses one
+    for model in (bidir, causal):
+        with pytest.raises(ValueError, match="no_grad"):
+            forward_columns(model, tokens, cache={})
 
 
 def test_bidirectional_model_sees_future_tokens():
@@ -538,23 +547,24 @@ def test_bidirectional_model_sees_future_tokens():
     a = RNG.integers(0, cfg.content_vocab, size=(1, cfg.max_seq_len)).astype(np.int32)
     b = a.copy()
     b[0, -1] = (b[0, -1] + 1) % cfg.content_vocab
-    la = forward_columns(model, a, no_pad(a)).value
-    lb = forward_columns(model, b, no_pad(b)).value
+    la = forward_columns(model, a).value
+    lb = forward_columns(model, b).value
     assert not np.allclose(la[0, 0], lb[0, 0], atol=1e-6)
 
 
 def test_pad_mask_blocks_attention():
+    # the model reads padding off the canvas: no real position attends to a
+    # slot holding the pad id, so a padded tail is as good as none
     cfg = tiny_config()
     model = DenoiserModel(cfg, seed=3)
     tokens = RNG.integers(0, cfg.content_vocab, size=(1, cfg.max_seq_len)).astype(np.int32)
-    pad_mask = np.ones((1, cfg.max_seq_len), dtype=bool)
-    pad_mask[0, 9:] = False
-    la = forward_columns(model, tokens, pad_mask).value
-    # changing a masked-out position must not affect attended positions
-    tokens2 = tokens.copy()
-    tokens2[0, 10] = (tokens2[0, 10] + 3) % cfg.content_vocab
-    lb = forward_columns(model, tokens2, pad_mask).value
-    np.testing.assert_allclose(la[0, :9], lb[0, :9], rtol=0, atol=1e-6)
+    padded = tokens.copy()
+    padded[0, 9:] = cfg.pad_id
+    la = forward_columns(model, padded).value
+    lb = forward_columns(model, tokens[:, :9]).value
+    np.testing.assert_allclose(la[0, :9], lb[0], rtol=0, atol=1e-6)
+    # content in those slots is attended to
+    assert not np.allclose(forward_columns(model, tokens).value[0, :9], lb[0], atol=1e-6)
 
 
 def test_params_reconstruct_exactly():
@@ -562,9 +572,9 @@ def test_params_reconstruct_exactly():
     model = DenoiserModel(cfg, seed=4)
     arrays = {k: p.value for k, p in model.params.items()}
     clone = DenoiserModel(cfg, params={k: v.copy() for k, v in arrays.items()})
-    tokens = RNG.integers(0, cfg.vocab_size, size=(2, cfg.max_seq_len)).astype(np.int32)
-    np.testing.assert_array_equal(forward_columns(model, tokens, no_pad(tokens)).value,
-                                  forward_columns(clone, tokens, no_pad(tokens)).value)
+    tokens = RNG.integers(0, cfg.pad_id, size=(2, cfg.max_seq_len)).astype(np.int32)
+    np.testing.assert_array_equal(forward_columns(model, tokens).value,
+                                  forward_columns(clone, tokens).value)
     bad = {k: v.copy() for k, v in arrays.items()}
     first = next(iter(bad))
     bad[first] = bad[first][..., :-1]
@@ -635,7 +645,7 @@ def test_ar_nll_matches_the_full_canvas_computation():
         model = DenoiserModel(cfg, seed=19)
     batch = _padded_batch(cfg)
     q0 = batch.cond_width - 1
-    logits = forward_columns(model, batch.tokens, batch.pad_mask, q0)
+    logits = forward_columns(model, batch.tokens, q0)
     b, s, k = logits.value.shape
     pred = ad.reshape(ad.narrow(logits, 1, 0, s - 1), (b * (s - 1), k))
     weights = batch.target_mask[:, q0 + 1:].reshape(-1).astype(np.float64)
@@ -694,7 +704,7 @@ def test_composed_model_gradient_fd():
     weights = RNG.random((2, 6))
 
     def loss_value():
-        logits = forward_columns(model, tokens, no_pad(tokens))
+        logits = forward_columns(model, tokens)
         flat = ad.reshape(logits, (12, cfg.content_vocab))
         return ad.softmax_cross_entropy(flat, targets.reshape(-1), weights.reshape(-1))
 
@@ -726,7 +736,7 @@ def _trained_tiny(seed):
     model = DenoiserModel(cfg, seed=seed)
     opt = ad.Adam(model.params)
     batch_tokens = RNG.integers(0, cfg.content_vocab, size=(2, cfg.max_seq_len)).astype(np.int32)
-    logits = forward_columns(model, batch_tokens, no_pad(batch_tokens))
+    logits = forward_columns(model, batch_tokens)
     flat = ad.reshape(logits, (-1, cfg.content_vocab))
     n = flat.value.shape[0]
     loss = ad.softmax_cross_entropy(flat, np.zeros(n, np.int64), np.ones(n) / n)
@@ -753,8 +763,8 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         np.testing.assert_array_equal(ck.optimizer_state["m"][name], opt.m[name])
         np.testing.assert_array_equal(ck.optimizer_state["v"][name], opt.v[name])
     restored = DenoiserModel(ModelConfig(**ck.model_config), params=ck.params)
-    np.testing.assert_array_equal(forward_columns(restored, batch_tokens, no_pad(batch_tokens)).value,
-                                  forward_columns(model, batch_tokens, no_pad(batch_tokens)).value)
+    np.testing.assert_array_equal(forward_columns(restored, batch_tokens).value,
+                                  forward_columns(model, batch_tokens).value)
     o2 = ad.Adam(restored.params)
     o2.load_state_dict(ck.optimizer_state)
     assert o2.t == opt.t

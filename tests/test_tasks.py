@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from absorb_diffuse.data import TOKEN_DTYPE, pack_ids
+from absorb_diffuse.model import ModelConfig
 from absorb_diffuse.tasks.base import (
     CALC_ERROR,
     FORMAT_ERROR,
@@ -379,7 +380,7 @@ def _decode_per_id(vocab, ids):
 
 def test_vocab_decode_matches_the_per_id_reference():
     rng = np.random.default_rng(4)
-    for vocab in (get_task("planning").vocabulary(), Vocabulary("ab\u00e9\U0001f600")):
+    for vocab in (get_task("planning").vocabulary(), Vocabulary("\x00ab~\x7f")):
         rows = rng.integers(0, vocab.size, size=(200, 23))
         rows[rows == vocab.mask_id] = vocab.pad_id  # pads anywhere, no mask
         rows[:50, 10:] = vocab.pad_id
@@ -421,17 +422,25 @@ def test_vocab_rejects_duplicates_and_strings():
 
 
 def test_vocab_refuses_a_charset_whose_ids_do_not_fit_the_canvas():
-    chars = [chr(0x100 + i) for i in range(255)]
-    with pytest.raises(ValueError, match="at most 254 fit"):
-        Vocabulary(chars)
-    vocab = Vocabulary(chars[:254])
-    assert vocab.pad_id == np.iinfo(TOKEN_DTYPE).max
-    # the largest id, the pad, still marks padding on a canvas
-    text = "".join(chars[250:254])
-    batch = pack_ids(*vocab.encode_texts([text]), *vocab.encode_texts([text[:2]]), 5, 3,
+    # content is ASCII: a larger charset holds a character past it, and the
+    # whole ASCII range leaves its largest id, the pad, inside the canvas dtype
+    chars = [chr(i) for i in range(128)]
+    for extra in ("\x80", "\u00e9", "\u4e2d"):
+        with pytest.raises(ValueError, match="must be ASCII"):
+            Vocabulary(chars[1:] + [extra])
+    vocab = Vocabulary(chars)
+    assert vocab.pad_id == 129 <= np.iinfo(TOKEN_DTYPE).max
+    # the pad still marks padding on a canvas, and every character round-trips
+    text = "".join(chars[::-1])
+    batch = pack_ids(*vocab.encode_texts([text[:5]]), *vocab.encode_texts([text[5:7]]), 6, 3,
                      vocab.pad_id)
-    assert batch.pad_mask.tolist() == [[False, True, True, True, True, True, True, False]]
-    assert vocab.decode(batch.tokens) == [text + text[:2]]
+    assert (batch.tokens != vocab.pad_id).tolist() == [
+        [False] + [True] * 7 + [False]]
+    assert vocab.decode(batch.tokens) == [text[:7]]
+    ids, lengths = vocab.encode_texts([text, "", text[40:]])
+    assert lengths.tolist() == [128, 0, 88]
+    assert vocab.decode(np.concatenate([ids[:128], ids[128:], [vocab.pad_id] * 40])
+                        .reshape(2, 128)) == [text, text[40:]]
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +457,18 @@ def test_registry_default_steps():
     assert {name: task.decode_steps for name, task in TASKS.items()} == {
         "planning": 20, "countdown3": 10, "countdown4": 20, "countdown5": 20,
         "sudoku": 20, "sat5": 10, "sat7": 10, "sat9": 10}
+
+
+@pytest.mark.parametrize("name", sorted(TASKS))
+def test_a_task_vocabulary_puts_its_specials_where_the_model_config_does(name):
+    # the decoders and the profile take the mask id from the model config,
+    # and the model reads padding as the config's pad id
+    task = get_task(name)
+    vocab = task.vocabulary()
+    cfg = ModelConfig(vocab_size=vocab.size, max_seq_len=task.seq_len, n_layers=1, n_heads=1,
+                      hidden_dim=1)
+    assert (vocab.mask_id, vocab.pad_id, len(vocab.chars)) == (
+        cfg.mask_id, cfg.pad_id, cfg.content_vocab)
 
 
 def test_planning_pool_prefix_is_balanced():
@@ -493,9 +514,8 @@ def test_encode_instances_layout():
     n = len(GOLD_CD3[1])
     assert vocab.decode(batch.tokens[:, 12:12 + n]) == [GOLD_CD3[1]]
     assert batch.target_mask.sum(axis=1)[0] == n
-    assert not batch.pad_mask[0, 0]
-    assert batch.pad_mask[0, 1:12 + n].all()
-    assert not batch.pad_mask[0, 12 + n:].any()
+    real = s != vocab.pad_id
+    assert not real[0] and real[1:12 + n].all() and not real[12 + n:].any()
 
 
 def _encode_per_row(task, instances, vocab):
@@ -509,7 +529,6 @@ def _encode_per_row(task, instances, vocab):
     shape = (len(instances), task.seq_len)
     tokens = np.full(shape, vocab.pad_id, dtype=np.uint8)
     target_mask = np.zeros(shape, dtype=bool)
-    pad_mask = np.zeros(shape, dtype=bool)
     w = task.cond_width
     for i, inst in enumerate(instances):
         cond = [to_id[c] for c in inst.input_text]
@@ -519,11 +538,9 @@ def _encode_per_row(task, instances, vocab):
         if len(tgt) > task.target_width:
             raise ValueError(f"row {i}: target length {len(tgt)} exceeds width {task.target_width}")
         tokens[i, w - len(cond):w] = cond
-        pad_mask[i, w - len(cond):w] = True
         tokens[i, w:w + len(tgt)] = tgt
-        pad_mask[i, w:w + len(tgt)] = True
         target_mask[i, w:w + len(tgt)] = True
-    return tokens, target_mask, pad_mask
+    return tokens, target_mask
 
 
 def test_encode_instances_matches_the_per_row_reference():
@@ -546,8 +563,8 @@ def test_encode_instances_matches_the_per_row_reference():
         rows = pack_rows([[to_id[c] for c in inst.input_text] for inst in insts],
                          [[to_id[c] for c in inst.output_text] for inst in insts],
                          task.cond_width, task.target_width, vocab.pad_id)
-        for got, ref, packed in zip((batch.tokens, batch.target_mask, batch.pad_mask), want,
-                                    (rows.tokens, rows.target_mask, rows.pad_mask)):
+        for got, ref, packed in zip((batch.tokens, batch.target_mask), want,
+                                    (rows.tokens, rows.target_mask)):
             assert got.dtype == ref.dtype == packed.dtype, task.name
             np.testing.assert_array_equal(got, ref, err_msg=task.name)
             np.testing.assert_array_equal(packed, ref, err_msg=task.name)
@@ -564,6 +581,9 @@ def test_encode_instances_matches_the_per_row_reference():
     ([("1" * 50, "2"), ("1", "x")], "character 'x' not in vocabulary"),
     ([("1", "\u00e9"), ("1.", "2")], "character '.' not in vocabulary"),
     ([("1", "2\U0001f600")], "character '\U0001f600' not in vocabulary"),
+    # the first character outside the vocabulary in text order, ASCII or not
+    ([("12", "3"), ("4\u00e9x", "5")], "character '\u00e9' not in vocabulary"),
+    ([("1x\u00e9", "2")], "character 'x' not in vocabulary"),
 ])
 def test_encode_instances_reports_what_the_per_row_reference_does(rows, message):
     task = get_task("planning")
@@ -589,6 +609,19 @@ def test_encode_instances_peak_stays_near_its_output(planning_12000):
     peak = traced_peak(lambda: encode_instances(task, instances, vocab))
     assert encode_instances(task, instances, vocab).tokens.shape == (12000, task.seq_len)
     assert peak < 7e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_encoding_planning_conditions_peaks_below_3_mb(planning_12000):
+    # 0.56 M characters: their UTF-8 bytes and the ids are one byte a
+    # character each. A UTF-32 copy of the joined texts beside a clipped
+    # uint32 copy of it peaked near 5.2 MB.
+    task, instances = planning_12000
+    vocab = task.vocabulary()
+    conds = [inst.input_text for inst in instances]
+    peak = traced_peak(lambda: vocab.encode_texts(conds))
+    ids, lengths = vocab.encode_texts(conds)
+    assert ids.size == lengths.sum() == sum(map(len, conds)) > 5e5
+    assert peak < 3e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_an_encoded_planning_set_holds_one_byte_a_slot(planning_12000):
