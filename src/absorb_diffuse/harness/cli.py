@@ -6,7 +6,6 @@ Subcommands: generate | train | eval | sample | analyze | sweep.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import os
@@ -20,10 +19,9 @@ from ..diffusion import NoiseSchedule, subgoal_loss_profile
 from ..tasks import TASKS, encode_instances, get_task, planning, read_instances, write_instances
 from ..tasks.registry import segment_map
 from .config import ExperimentConfig
-from .evaluate import evaluate_model
-from .metrics import append_record
+from .evaluate import error_taxonomy, evaluate_model
+from .metrics import append_record, write_table
 from .sweep import data_scaling_sweep, reweight_ablation
-from .taxonomy import error_taxonomy, taxonomy_csv
 from .train import load_model, train
 
 
@@ -106,7 +104,8 @@ def _cmd_analyze(args) -> int:
     if args.what == "taxonomy":
         res = evaluate_model(model, cfg.model_kind, task, vocab, instances, dc)
         rows = error_taxonomy(res.verdicts)
-        taxonomy_csv(rows, args.out)
+        write_table(args.out, ["kind", "step", "count", "rate"],
+                    ([r.kind, r.step, r.count, f"{r.rate:.6f}"] for r in rows))
         for r in rows:
             step = "" if r.step is None else f" step {r.step}"
             print(f"{r.kind}{step}: {r.count} ({r.rate:.1%})")
@@ -119,17 +118,13 @@ def _cmd_analyze(args) -> int:
         rng = np.random.default_rng(dc.seed)
         schedule = NoiseSchedule.linear(cfg.schedule_T)
         prof = subgoal_loss_profile(model, batch, schedule, rng, segs)
-        with open(args.out, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t", "mean_u"] + [f"segment_{s}" for s in prof["segments"]])
-            for t, mean_u, per_seg in zip(prof["t"], prof["mean_u"], prof["per_segment"]):
-                w.writerow([int(t), f"{mean_u:.6f}"] + [f"{x:.6f}" for x in per_seg])
+        write_table(args.out, ["t", "mean_u"] + [f"segment_{s}" for s in prof["segments"]],
+                    ([int(t), f"{mean_u:.6f}"] + [f"{x:.6f}" for x in per_seg]
+                     for t, mean_u, per_seg in zip(prof["t"], prof["mean_u"], prof["per_segment"])))
         print(f"profile over t=1..{cfg.schedule_T} -> {args.out}")
         print(f"NELBO {prof['nelbo'] / batch.size:.4f} nats per instance")
     elif args.what == "throughput":
-        with open(args.out, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["steps", "seconds", "samples_per_sec", "accuracy"])
+        def grid():
             # untimed warm-up: a process's first decode runs cold, which would slow row one
             evaluate_model(model, cfg.model_kind, task, vocab, instances,
                            dataclasses.replace(dc, steps=1))
@@ -140,8 +135,9 @@ def _cmd_analyze(args) -> int:
                     res = evaluate_model(model, cfg.model_kind, task, vocab, instances, step_cfg)
                 dt = time.perf_counter() - t0
                 rate = len(instances) * args.repeats / dt
-                w.writerow([steps, dt, rate, res.accuracy])
                 print(f"steps {steps:>3}: {rate:.2f} samples/s accuracy {res.accuracy:.3f}")
+                yield [steps, dt, rate, res.accuracy]
+        write_table(args.out, ["steps", "seconds", "samples_per_sec", "accuracy"], grid())
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Append-only JSONL metrics with schema validation.
+"""Run outputs: append-only JSONL metrics with schema validation, and CSV
+tables.
 
 A record is a plain dict, and the published schema is its one definition:
 every record is validated against the schema when it is appended and again
@@ -7,11 +8,13 @@ absent) in sorted key order. wall_time and samples_per_sec carry wall-clock
 measurements and are the only fields allowed to differ between same-seed
 runs. The validator is built on the first validation, so a process that
 writes and reads no record (sample, or eval without --metrics-out) never
-imports jsonschema.
+imports jsonschema. Every CSV table the harness writes (`analyze`, the
+sweeps) goes through `write_table`.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
 import importlib.resources
 import json
@@ -88,3 +91,12 @@ def read_records(path: str) -> list[dict]:
                 out.append(record)
     return out
 
+
+def write_table(path: str, header, rows) -> None:
+    """Write a CSV table: the header, then each row as `rows` yields it,
+    with `csv.writer`'s default dialect (CRLF line ends, None as an empty
+    cell). Callers format their own values."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)

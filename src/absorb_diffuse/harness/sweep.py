@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 import os
 
 from ..tasks import get_task, write_instances
 from .config import ExperimentConfig
+from .metrics import write_table
 from .train import train
 
 TOKEN_SETTINGS = ((1.0, 0.0), (0.25, 1.0), (1.0, 1.0), (0.25, 2.0))
@@ -42,7 +42,8 @@ def data_scaling_sweep(base: ExperimentConfig, pds, sizes, threshold: float,
                 met = size
                 break
         rows.append({"pd": pd, "size": met, "accuracy": None, "met": met is not None})
-    _write_csv(out_csv, rows, ["pd", "size", "accuracy", "met"])
+    fields = ["pd", "size", "accuracy", "met"]
+    write_table(out_csv, fields, ([r[k] for k in fields] for r in rows))
     return rows
 
 
@@ -66,13 +67,7 @@ def reweight_ablation(base: ExperimentConfig, out_csv: str,
             })
             log(f"{mode} alpha={alpha} beta={beta}: "
                 f"accuracy {acc if acc is not None else 'n/a'} loss {res.final_loss:.4f}")
-    _write_csv(out_csv, rows, ["sequence_mode", "token_alpha", "token_beta", "accuracy", "loss"])
+    fields = ["sequence_mode", "token_alpha", "token_beta", "accuracy", "loss"]
+    write_table(out_csv, fields, ([r[k] for k in fields] for r in rows))
     return rows
 
-
-def _write_csv(path: str, rows, fields) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=fields)
-        w.writeheader()
-        for r in rows:
-            w.writerow({k: ("" if r.get(k) is None else r.get(k)) for k in fields})

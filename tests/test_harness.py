@@ -1,9 +1,11 @@
 """Experiment harness: config, metrics, evaluation, training loop, CLI."""
 
+import csv
 import dataclasses
 import functools
 import importlib
 import importlib.resources
+import io
 import itertools
 import json
 import os
@@ -32,15 +34,15 @@ from absorb_diffuse.harness.config import (
     blas_threads,
     resolve_threads,
 )
-from absorb_diffuse.harness.evaluate import evaluate_model
+from absorb_diffuse.harness.evaluate import error_taxonomy, evaluate_model
 from absorb_diffuse.harness.metrics import (
     append_record,
     read_records,
     rewind_records,
     validate_record,
+    write_table,
 )
 from absorb_diffuse.harness.sweep import data_scaling_sweep, reweight_ablation
-from absorb_diffuse.harness.taxonomy import error_taxonomy, taxonomy_csv
 from absorb_diffuse.harness.train import TrainingDiverged, load_model, train
 from absorb_diffuse.model import DenoiserModel, ModelConfig, ar_nll
 from absorb_diffuse.tasks import TASKS, TaskInstance, get_task
@@ -498,6 +500,21 @@ def test_evaluate_rejects_empty():
                        DecodeConfig(steps=1, temperature=0.5, strategy="topk", seed=0))
 
 
+def test_evaluate_names_an_unreadable_planning_input_before_decoding(planning_eval_set,
+                                                                      monkeypatch):
+    # the planning distances are read before any chunk decodes, so a bad
+    # input costs no decode work and its error names the instance
+    task, insts = planning_eval_set
+    bad = [*insts[:3], TaskInstance("1,2/2,3", insts[3].output_text)]
+    calls = []
+    monkeypatch.setattr(evaluate_mod, "_decode_chunk", lambda *a: calls.append(a))
+    monkeypatch.setattr(evaluate_mod, "EVAL_CHUNK", 2)
+    with pytest.raises(ValueError, match=r"^instance 3: missing -start,goal suffix$"):
+        evaluate_model(None, "diffusion", task, task.vocabulary(), bad,
+                       DecodeConfig(steps=1, temperature=0.5, strategy="topk", seed=0))
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # error taxonomy
 
@@ -524,13 +541,42 @@ def test_error_taxonomy_empty_raises():
         error_taxonomy([])
 
 
-def test_taxonomy_csv(tmp_path):
+# ---------------------------------------------------------------------------
+# CSV tables
+
+
+def test_write_table_writes_the_header_then_one_line_per_row(tmp_path):
     rows = error_taxonomy([Verdict(VALID), Verdict(PLAN_ERROR, step=1)])
     path = str(tmp_path / "tax.csv")
-    taxonomy_csv(rows, path)
+    write_table(path, ["kind", "step", "count", "rate"],
+                ([r.kind, r.step, r.count, f"{r.rate:.6f}"] for r in rows))
     lines = pathlib.Path(path).read_text().strip().splitlines()
     assert lines[0] == "kind,step,count,rate"
     assert len(lines) == 3
+
+
+def test_write_table_writes_none_as_an_empty_cell(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(str(path), ["a", "b", "c"], [[None, 1, None]])
+    assert path.read_bytes() == b"a,b,c\r\n,1,\r\n"
+
+
+def test_write_table_writes_a_generators_rows_in_order(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(str(path), ["i", "sq"], ([i, i * i] for i in range(3)))
+    assert path.read_text().splitlines() == ["i,sq", "0,0", "1,1", "2,4"]
+
+
+def test_write_table_bytes_are_those_of_the_default_csv_writer(tmp_path):
+    header = ["name", "x", "note"]
+    rows = [["a", 0.1, 'say "hi", twice'], ["b\nc", 3, True], ["", 1e-20, None]]
+    want = io.StringIO(newline="")
+    w = csv.writer(want)
+    w.writerow(header)
+    w.writerows(rows)
+    path = tmp_path / "t.csv"
+    write_table(str(path), header, rows)
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------
@@ -1361,6 +1407,30 @@ print(" ".join(sorted(tracer.fired())))
     fired = set(res.stdout.split())
     assert {"data.take", "diffusion.loss", "model.forward", "autodiff.tape",
             "autodiff.matmul.fwd", "autodiff.matmul.bwd"} <= fired, sorted(fired)
+
+
+def test_perfbench_worker_calls_into_the_library(tmp_path):
+    # perfbench's worker calls evaluate_model, encode_instances, the model
+    # config, sample_xt, diffusion_loss and ar_nll positionally and reads
+    # p.grad: run its gradient check and the set-up of each workload
+    perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    code = f"""
+import sys
+sys.path.insert(0, {str(perfbench)!r})
+import worker
+from absorb_diffuse.tasks import get_task
+rows = get_task("planning").generate(8, 0, 5)[0]
+for kind in ("diffusion", "ar"):
+    err = worker._grad_check(kind, worker._profile(kind), rows, 5)
+    assert err < worker.GRAD_CHECK_TOL, (kind, err)
+    assert "setup_end" in worker.run_train(kind, 5, 1.0, 0, True, True, {str(tmp_path)!r})
+assert "setup_end" in worker.run_decode(5, 1.0, 0, True, 0, 1)
+print("ok")
+"""
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["ok"]
 
 
 def test_perfbench_tracer_installs_and_traces_a_decode_pass(tmp_path):

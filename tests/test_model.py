@@ -116,7 +116,7 @@ def _padded_batch(cfg, cond=5):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("attention", ["bidirectional", "causal"])
-def test_queries_from_logits_equal_full_forward_bitwise(attention, dtype):
+def test_a_suffix_read_equals_the_full_forward_bitwise(attention, dtype):
     cfg = tiny_config(attention)
     with ad.using_dtype(dtype):
         model = DenoiserModel(cfg, seed=14)
@@ -133,7 +133,7 @@ def test_queries_from_logits_equal_full_forward_bitwise(attention, dtype):
 
 
 @pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-def test_queries_from_with_kv_cache_matches_full_forward(dtype, atol):
+def test_a_suffix_read_with_kv_cache_matches_the_full_forward(dtype, atol):
     cfg = tiny_config("causal")
     with ad.using_dtype(dtype):
         model = DenoiserModel(cfg, seed=15)
@@ -166,7 +166,7 @@ def test_queries_from_with_kv_cache_matches_full_forward(dtype, atol):
 
 
 @pytest.mark.parametrize("attention", ["bidirectional", "causal"])
-def test_queries_from_gradients_match_the_full_forward(attention):
+def test_a_suffix_reads_gradients_match_the_full_forward(attention):
     cfg = tiny_config(attention)
     with ad.using_dtype(np.float64):
         model = DenoiserModel(cfg, seed=16)
@@ -340,9 +340,9 @@ def test_gradient_bits_are_pinned(loss, want):
     assert h.hexdigest() == want
 
 
-@pytest.mark.parametrize("queries_from", [0, 48])
-def test_no_grad_forward_holds_one_sub_block_at_a_time(queries_from):
-    # the forward reads every column from queries_from on
+@pytest.mark.parametrize("read_from", [0, 48])
+def test_no_grad_forward_holds_one_sub_block_at_a_time(read_from):
+    # the forward reads every column from read_from on
     # desk shape: 64 rows of a 72-token canvas, 2 layers, d=96, 4 heads
     cfg = ModelConfig(vocab_size=17, max_seq_len=72, n_layers=2, n_heads=4, hidden_dim=96)
     model = DenoiserModel(cfg, seed=5)
@@ -350,7 +350,7 @@ def test_no_grad_forward_holds_one_sub_block_at_a_time(queries_from):
     tokens[:, :5] = cfg.pad_id
     scores = 64 * 4 * 72 * 72 * 4  # bytes of one float32 [64, 4, 72, 72] score array
     with ad.no_grad():
-        peak = traced_peak(lambda: model.forward(tokens, columns_from(tokens, queries_from)))
+        peak = traced_peak(lambda: model.forward(tokens, columns_from(tokens, read_from)))
     # The forward runs two row blocks of 32, so a block's score array is half
     # of one here. Each intermediate dies after its last reader: the MLP's
     # peak is the residual stream (1/3 of a block's score array), the mask
@@ -359,7 +359,7 @@ def test_no_grad_forward_holds_one_sub_block_at_a_time(queries_from):
     # scores and their softmax, about 1.46. A sub-block that keeps every
     # name bound until it returns (q, k, ln and the MLP's input with them)
     # peaks at 2.0, and one that keeps each block's temporaries bound until
-    # the forward returns at 7.6 (queries_from 48) to 9.3 (a full forward).
+    # the forward returns at 7.6 (read_from 48) to 9.3 (a full forward).
     assert peak < 1.8 * scores, f"peak {peak / scores:.2f} score arrays"
 
 
@@ -504,7 +504,7 @@ def test_recording_forward_frees_what_no_backward_reads(monkeypatch):
     loss.backward({})
 
 
-def test_queries_from_outside_the_canvas_is_rejected():
+def test_a_read_mask_off_the_canvas_or_over_the_cache_is_rejected():
     # a read mask that is not the canvas's shape, or that reads a cached slot
     model = DenoiserModel(tiny_config("causal"), seed=17)
     tokens = RNG.integers(0, 9, size=(2, 6)).astype(np.int32)
