@@ -66,6 +66,8 @@ def diffusion_decode(model, batch: Batch, cfg: DecodeConfig,
     Returns the copy's target columns, [B, target_width] in the canvas
     dtype: the canvas's pad stays beyond each row's length.
     """
+    if model.config.attention != "bidirectional":
+        raise ValueError("diffusion_decode requires a bidirectional model")
     w = batch.cond_width
     mask_id = model.config.mask_id
     target = batch.target_mask[:, w:]

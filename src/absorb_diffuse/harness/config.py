@@ -107,10 +107,9 @@ def run_jobs(jobs: list):
             yield pending.popleft().result()
 
 
-def tune_malloc(libc=None) -> bool:
-    """Set MALLOC_OPTIONS through the mallopt of libc (default: this
-    process's); -> whether all were accepted. A no-op without mallopt."""
-    mallopt = getattr(ctypes.CDLL(None) if libc is None else libc, "mallopt", None)
+def tune_malloc() -> bool:
+    """Set MALLOC_OPTIONS with libc's mallopt; -> whether all were accepted."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
         return False
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int

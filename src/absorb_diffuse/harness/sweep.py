@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import os
 
+from ..diffusion import SEQUENCE_MODES
 from ..tasks import get_task, write_instances
 from .config import ExperimentConfig
 from .metrics import write_table
 from .train import train
 
 TOKEN_SETTINGS = ((1.0, 0.0), (0.25, 1.0), (1.0, 1.0), (0.25, 2.0))
+N_TEST = 100  # held-out instances per data-scaling run
 
 
 def data_scaling_sweep(base: ExperimentConfig, pds, sizes, threshold: float,
-                       out_csv: str, n_test: int = 100, log=print) -> list[dict]:
+                       out_csv: str, log=print) -> list[dict]:
     """Smallest training-set size per planning distance that reaches the
     accuracy threshold. Sizes are tried in ascending order; a pd that never
     clears the threshold reports size None.
@@ -29,7 +31,7 @@ def data_scaling_sweep(base: ExperimentConfig, pds, sizes, threshold: float,
             os.makedirs(run_dir, exist_ok=True)
             train_p = os.path.join(run_dir, "train.tsv")
             eval_p = os.path.join(run_dir, "eval.tsv")
-            tr, te = task.generate(size, n_test, base.seed, pds=(pd,))
+            tr, te = task.generate(size, N_TEST, base.seed, pds=(pd,))
             write_instances(train_p, tr)
             write_instances(eval_p, te)
             cfg = base.replace(out_dir=run_dir, train_path=train_p, eval_path=eval_p)
@@ -47,14 +49,12 @@ def data_scaling_sweep(base: ExperimentConfig, pds, sizes, threshold: float,
     return rows
 
 
-def reweight_ablation(base: ExperimentConfig, out_csv: str,
-                      sequence_modes=("none", "original", "linear"),
-                      token_settings=TOKEN_SETTINGS, log=print) -> list[dict]:
-    """Train one model per (sequence weighting, token weighting) cell and
-    report final accuracy and loss."""
+def reweight_ablation(base: ExperimentConfig, out_csv: str, log=print) -> list[dict]:
+    """Train one model per (sequence weighting, token weighting) cell of
+    SEQUENCE_MODES x TOKEN_SETTINGS and report final accuracy and loss."""
     rows = []
-    for mode in sequence_modes:
-        for alpha, beta in token_settings:
+    for mode in SEQUENCE_MODES:
+        for alpha, beta in TOKEN_SETTINGS:
             tag = f"{mode}_a{alpha}_b{beta}".replace(".", "p")
             cfg = base.replace(
                 out_dir=os.path.join(base.out_dir, f"ablation_{tag}"),

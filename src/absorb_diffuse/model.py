@@ -105,12 +105,9 @@ def param_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def _row_blocks(rows: int, cols: int) -> list[slice]:
-    """Near-equal blocks of rows, each of at most NO_GRAD_BLOCK // cols rows
-    but of two rows at least, unless the batch has one: in a one-row block
-    whose last layer runs one query, BLAS takes its single-row path and
-    rounds the logits differently."""
-    most = max(NO_GRAD_BLOCK // cols, 1)
-    k = max(min(-(-rows // most), rows // 2), 1)
+    """Near-equal blocks of rows, each of at most NO_GRAD_BLOCK // cols rows:
+    four or more on every task's canvas, so only a one-row batch runs one row."""
+    k = max(-(-rows // max(NO_GRAD_BLOCK // cols, 1)), 1)
     edges = [rows * j // k for j in range(k + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
@@ -154,11 +151,9 @@ class DenoiserModel:
         are forbidden, except that every query may attend to itself: a
         causal pad query then depends on no later token."""
         seq_len = tokens.shape[1]
-        allowed = np.ones((seq_len, seq_len), dtype=bool)
+        allowed = (tokens != self.config.pad_id)[:, None, :] | np.eye(seq_len, dtype=bool)[start:]
         if self.config.attention == "causal":
-            allowed = np.tril(allowed)
-        own_key = np.eye(seq_len, dtype=bool)[start:]
-        allowed = allowed[None, start:] & ((tokens != self.config.pad_id)[:, None, :] | own_key)
+            allowed &= np.tri(seq_len, dtype=bool)[start:]
         return np.where(allowed, dtype.type(0), dtype.type(NEG_INF))[:, None]
 
     def forward(self, tokens, read, cache: dict | None = None) -> ad.Node:
@@ -185,11 +180,11 @@ class DenoiserModel:
         equal the full forward's: causal attention makes a position
         independent of every later one.
 
-        Under no_grad() the rows run in near-equal blocks of at most
-        NO_GRAD_BLOCK positions (rows x (N - m)), none of a single row, and
-        the logits are concatenated; with a cache, each block reads and
-        extends its own rows of it, and the blocks' caches are then joined
-        one layer at a time, each layer's parts dropped as it is joined.
+        Under no_grad() a forward with no cached positions runs its rows in
+        near-equal blocks of at most NO_GRAD_BLOCK positions (rows x N) and
+        concatenates the logits; each block fills its own cache, and the
+        caches are joined one layer at a time, each layer's parts dropped
+        as it is joined. A forward that extends a cache runs one block.
         Each row block keeps alive only its residual stream, its mask and
         the live arrays of the sub-block that is running: at attention's
         peak v, the scores and their softmax; at the MLP's its
@@ -220,14 +215,14 @@ class DenoiserModel:
             cache["qkv"] = self._qkv_table()
         table, kv = None if cache is None else cache["qkv"], cache if causal else None
 
-        blocks = [slice(None)] if ad.is_grad_enabled() else _row_blocks(b, n - m)
+        # extending a cache runs one block, so no block slices a cached layer
+        blocks = [slice(None)] if ad.is_grad_enabled() or m else _row_blocks(b, n)
         if len(blocks) == 1:
             return self._forward_rows(tokens, read, kv, m, table)
         logits, caches = [], []
         for rows in blocks:
-            part = None if kv is None else {i: (kv[i][0][rows], kv[i][1][rows])
-                                            for i in range(self.config.n_layers) if i in kv}
-            logits.append(self._forward_rows(tokens[rows], read[rows], part, m, table))
+            part = None if kv is None else {}
+            logits.append(self._forward_rows(tokens[rows], read[rows], part, 0, table))
             caches.append(part)
         if kv is not None:
             for i in range(self.config.n_layers):

@@ -241,6 +241,19 @@ def test_ar_decode_requires_causal_model():
                   np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("steps", [1, 2])
+def test_diffusion_decode_requires_bidirectional_model(steps):
+    # refused before the first forward: at one step a causal model would
+    # return text, at two it would die on the cache its first forward filled
+    batch = _oracle_batch()
+    model = OracleCausal(batch.tokens)
+    with pytest.raises(ValueError, match="^diffusion_decode requires a bidirectional model$"):
+        diffusion_decode(model, batch,
+                         DecodeConfig(steps=steps, temperature=0.5, strategy="topk", seed=0),
+                         np.random.default_rng(0))
+    assert model.canvases == []
+
+
 def _desk_profile(kind):
     return ExperimentConfig.from_json(os.path.join(
         os.path.dirname(__file__), "..", "src", "absorb_diffuse", "profiles",

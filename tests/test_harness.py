@@ -26,6 +26,7 @@ from absorb_diffuse.decoding import DecodeConfig
 from absorb_diffuse.diffusion import NoiseSchedule, diffusion_loss, draw_t, sample_xt
 from absorb_diffuse.harness import config as config_mod
 from absorb_diffuse.harness import evaluate as evaluate_mod
+from absorb_diffuse.harness import sweep as sweep_mod
 from absorb_diffuse.harness.cli import build_parser, main as cli_main
 from absorb_diffuse.harness.config import (
     THREADS_ENV,
@@ -178,16 +179,19 @@ def test_blas_threads_is_a_no_op_without_the_symbols(monkeypatch):
     assert config_mod._openblas() is not None
 
 
-def test_tune_malloc_is_a_no_op_without_mallopt():
+def test_tune_malloc_is_a_no_op_without_mallopt(monkeypatch):
     calls = []
 
     def mallopt(param, value):
         calls.append((param, value))
         return 1
 
-    assert config_mod.tune_malloc(type("Libc", (), {"mallopt": staticmethod(mallopt)})())
+    libc = type("Libc", (), {"mallopt": staticmethod(mallopt)})()
+    monkeypatch.setattr(config_mod.ctypes, "CDLL", lambda name: libc)
+    assert config_mod.tune_malloc()
     assert calls == list(config_mod.MALLOC_OPTIONS)
-    assert config_mod.tune_malloc(object()) is False
+    monkeypatch.setattr(config_mod.ctypes, "CDLL", lambda name: object())
+    assert config_mod.tune_malloc() is False
 
 
 def test_run_jobs_keeps_job_order_and_restores_blas(monkeypatch):
@@ -1167,13 +1171,13 @@ def test_train_rejects_empty_dataset(tmp_path):
 # sweeps
 
 
-def test_reweight_ablation_smoke(tmp_path):
+def test_reweight_ablation_smoke(tmp_path, monkeypatch):
     base = _tiny_cfg(tmp_path, train_steps=4, log_every=2, eval_path="",
                      out_dir=str(tmp_path / "grid"))
     out_csv = str(tmp_path / "grid.csv")
-    rows = reweight_ablation(base, out_csv, sequence_modes=("none",),
-                             token_settings=((1.0, 0.0), (1.0, 1.0)),
-                             log=lambda *a: None)
+    monkeypatch.setattr(sweep_mod, "SEQUENCE_MODES", ("none",))
+    monkeypatch.setattr(sweep_mod, "TOKEN_SETTINGS", ((1.0, 0.0), (1.0, 1.0)))
+    rows = reweight_ablation(base, out_csv, log=lambda *a: None)
     assert len(rows) == 2
     assert {(r["sequence_mode"], r["token_beta"]) for r in rows} == {("none", 0.0), ("none", 1.0)}
     lines = pathlib.Path(out_csv).read_text().strip().splitlines()
@@ -1181,14 +1185,15 @@ def test_reweight_ablation_smoke(tmp_path):
     assert len(lines) == 3
 
 
-def test_data_scaling_sweep_smoke(tmp_path):
+def test_data_scaling_sweep_smoke(tmp_path, monkeypatch):
     base = _tiny_cfg(tmp_path, task="planning", train_steps=3, log_every=3)
+    monkeypatch.setattr(sweep_mod, "N_TEST", 4)
 
     def sweep(threshold, name):
         cfg = base.replace(out_dir=str(tmp_path / name))
         out_csv = str(tmp_path / f"{name}.csv")
         rows = data_scaling_sweep(cfg, pds=(1,), sizes=(16, 8), threshold=threshold,
-                                  out_csv=out_csv, n_test=4, log=lambda *a: None)
+                                  out_csv=out_csv, log=lambda *a: None)
         return rows, pathlib.Path(out_csv).read_text().strip().splitlines()
 
     # a 3-step model never reaches accuracy 1: both sizes run, smallest first
@@ -1349,20 +1354,23 @@ def test_cli_refuses_an_empty_data_file(tmp_path, argv):
 
 def test_decoding_never_imports_jsonschema(tmp_path):
     # the metrics validator is built on first use: an eval-only process
-    # writes no record, so it never pays for jsonschema
+    # writes no record, so it never pays for jsonschema; nor for numpy.ma,
+    # which the first np.unique imports, on planning's per-PD path
     code = """
 import sys
 import absorb_diffuse.harness as h
 from absorb_diffuse.decoding import DecodeConfig
 from absorb_diffuse.model import DenoiserModel, ModelConfig
 from absorb_diffuse.tasks import get_task
-task = get_task("countdown3")
-vocab = task.vocabulary()
-model = DenoiserModel(ModelConfig(vocab.size, task.seq_len, 1, 2, 16), seed=0)
-res = h.evaluate_model(model, "diffusion", task, vocab, task.generate(0, 3, seed=1)[1],
-                       DecodeConfig(steps=2, temperature=0.5, strategy="topk", seed=0))
-assert res.n == 3
-print(sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema"))
+cfg = DecodeConfig(steps=2, temperature=0.5, strategy="topk", seed=0)
+for name in ("countdown3", "planning"):
+    task = get_task(name)
+    vocab = task.vocabulary()
+    model = DenoiserModel(ModelConfig(vocab.size, task.seq_len, 1, 2, 16), seed=0)
+    res = h.evaluate_model(model, "diffusion", task, vocab, task.generate(0, 3, seed=1)[1], cfg)
+    assert res.n == 3 and (res.per_pd is not None) == (name == "planning")
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "jsonschema" or m.split(".")[:2] == ["numpy", "ma"]))
 """
     src = os.path.dirname(os.path.dirname(ad.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

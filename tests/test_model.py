@@ -21,7 +21,7 @@ from absorb_diffuse.model import (
     DenoiserModel,
     ar_nll,
 )
-from absorb_diffuse.tasks import encode_instances, get_task
+from absorb_diffuse.tasks import TASKS, encode_instances, get_task
 
 from helpers import columns_from, forward_columns, pack_rows, traced_peak, zero_grads
 
@@ -397,7 +397,8 @@ def test_row_blocked_no_grad_forward_is_bit_identical(attention, dtype, monkeypa
                 out.append(forward_columns(model, tokens[:, :w], w - 1, cache).value)
                 out.append(forward_columns(model, tokens[:, :w + 1], w, cache).value)
                 out.extend(cache[i][j] for i in range(cfg.n_layers) for j in (0, 1))
-                # a cached forward wide enough to split: each block reads its rows of the cache
+                # 62 new columns on a 10-column cache: a forward that extends a
+                # cache runs as one block, however many positions it adds
                 cache = {}
                 forward_columns(model, tokens[:, :10], cache=cache)
                 out.append(forward_columns(model, tokens, 10, cache).value)
@@ -418,7 +419,7 @@ def test_row_blocked_no_grad_forward_is_bit_identical(attention, dtype, monkeypa
 
 def test_row_blocks_are_near_equal_and_never_one_row():
     for rows in range(1, 300):
-        for cols in (1, 23, 49, 72, 162, 2304, 5000):
+        for cols in (1, 23, 49, 72, 162):
             sizes = [s.stop - s.start for s in model_mod._row_blocks(rows, cols)]
             assert sum(sizes) == rows and max(sizes) - min(sizes) <= 1
             assert min(sizes) >= 2 or sizes == [1]
@@ -427,6 +428,18 @@ def test_row_blocks_are_near_equal_and_never_one_row():
                 assert max(sizes) <= most
     # an AR decoder step (one new column) runs the whole eval chunk at once
     assert len(model_mod._row_blocks(64, 1)) == 1
+
+
+@pytest.mark.parametrize("name", sorted(TASKS))
+def test_row_blocks_of_every_task_canvas_hold_two_rows_or_more(name):
+    # no block of one row on any canvas that exists: a task wider than
+    # NO_GRAD_BLOCK // 3 columns would need a floor back in _row_blocks
+    cols = get_task(name).seq_len
+    most = model_mod.NO_GRAD_BLOCK // cols
+    for rows in range(2, 301):
+        sizes = [s.stop - s.start for s in model_mod._row_blocks(rows, cols)]
+        assert sum(sizes) == rows and max(sizes) - min(sizes) <= 1
+        assert 2 <= min(sizes) and max(sizes) <= most, (rows, sizes)
 
 
 def test_no_grad_forward_peak_does_not_grow_with_the_batch():
