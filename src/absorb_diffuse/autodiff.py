@@ -346,7 +346,12 @@ def matmul(a: Node, b: Node, bias: Node | None = None) -> Node:
     n = bv.shape[-1]
     if bias is not None and bias.value.shape != (n,):
         raise ValueError(f"matmul bias must have shape ({n},), got {bias.value.shape}")
-    out = av @ bv
+    # BLAS rounds a one-row product differently from the same row of a taller
+    # one, so a 2-D one-row forward runs that row stacked twice and keeps the
+    # first: a row's values do not depend on how many rows share its product
+    # (backward, and a [1, k] @ [k, 1] dot product, run as they come)
+    one_row = av.ndim == 2 and av.shape[0] == 1 and n > 1
+    out = (np.concatenate((av, av)) @ bv)[:1] if one_row else av @ bv
     has_bias = bias is not None
     if has_bias:
         out += bias.value

@@ -113,7 +113,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     groups = {"param": {}, "m": {}, "v": {}}
     with np.load(io.BytesIO(data), allow_pickle=False) as npz:
         for key in npz.files:
-            kind, name = key.split("/", 1)
+            kind, _, name = key.partition("/")
+            if kind not in groups or not name:
+                raise ValueError(f"{archive}: unexpected archive entry {key!r}")
             groups[kind][name] = npz[key]
     return Checkpoint(manifest, groups["param"],
                       {"t": manifest["adam_t"], "m": groups["m"], "v": groups["v"]})

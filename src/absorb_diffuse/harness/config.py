@@ -30,6 +30,8 @@ WORKER_PREFIX = "absorb-worker"
 # M_ARENA_MAX 1; M_MMAP_THRESHOLD 32 MiB, glibc's 64-bit cap (a rejected value
 # would mmap every large array); M_TRIM_THRESHOLD 1 GiB
 MALLOC_OPTIONS = ((-8, 1), (-3, 32 << 20), (-1, 1 << 30))
+# the values ExperimentConfig.from_dict accepts for each declared field type
+FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 def resolve_threads() -> int:
@@ -187,10 +189,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(d) - set(types)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        # JSON true is an int to Python, and a non-empty string is true
+        for name, v in d.items():
+            t = types[name]
+            if not isinstance(v, FIELD_TYPES[t]) or isinstance(v, bool) != (t == "bool"):
+                raise ValueError(f"config field {name} must be of type {t}, got {v!r}")
         return cls(**d)
 
     @classmethod

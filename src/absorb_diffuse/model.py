@@ -105,8 +105,8 @@ def param_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def _row_blocks(rows: int, cols: int) -> list[slice]:
-    """Near-equal blocks of rows, each of at most NO_GRAD_BLOCK // cols rows:
-    four or more on every task's canvas, so only a one-row batch runs one row."""
+    """Near-equal blocks of rows, each of at most NO_GRAD_BLOCK // cols rows
+    (four or more on every task's canvas)."""
     k = max(-(-rows // max(NO_GRAD_BLOCK // cols, 1)), 1)
     edges = [rows * j // k for j in range(k + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
@@ -166,9 +166,7 @@ class DenoiserModel:
         Keys and values cover every position. The last block narrows its
         queries to the first read column, and after attention runs wo, the
         residual, ln2, the MLP, ln_f and the head on the read slots only.
-        The logits are the full forward's bit for bit while two or more
-        query rows remain: BLAS rounds a one-row product differently, so a
-        row block that reads one slot runs it twice.
+        The logits are the full forward's bit for bit.
 
         cache belongs to one caller, such as one decode call, and only to a
         forward under no_grad(): a recording forward refuses one. Pass {}
@@ -274,11 +272,8 @@ class DenoiserModel:
         # the last block's queries start at the first read column
         q0 = m + int(np.argmax(read[:, m:].any(axis=0)))
         sel = np.flatnonzero(read[:, q0:])
-        n_read = sel.size
-        if n_read == read[:, q0:].size:
+        if sel.size == read[:, q0:].size:
             sel = None  # every slot from q0 on is read
-        elif n_read == 1:
-            sel = np.repeat(sel, 2)
         lookup = None if table is None else (
             table, tokens[:, m:].astype(np.int64) * c.max_seq_len + np.arange(m, n))
 
@@ -290,8 +285,7 @@ class DenoiserModel:
 
         b, rows = x.value.shape[:2]
         xf = ad.layer_norm(x, p["ln_f.gain"], p["ln_f.bias"])
-        logits = ad.matmul(ad.reshape(xf, (b * rows, c.hidden_dim)), p["out.w"], p["out.b"])
-        return ad.narrow(logits, 0, 0, 1) if n_read == 1 and sel is not None else logits
+        return ad.matmul(ad.reshape(xf, (b * rows, c.hidden_dim)), p["out.w"], p["out.b"])
 
     def _attention(self, i: int, x: ad.Node, bias: np.ndarray, skip: int,
                    cache: dict | None, lookup: tuple | None, sel: np.ndarray | None) -> ad.Node:

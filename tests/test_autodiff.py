@@ -110,6 +110,21 @@ def test_matmul_shape_errors_name_both_shapes():
         assert str(a_shape) in str(exc.value) and str(b_shape) in str(exc.value)
 
 
+@pytest.mark.parametrize("k, n", [(96, 96), (96, 384), (384, 96), (96, 13)])
+def test_a_one_row_matmul_equals_the_first_row_of_that_row_stacked(k, n):
+    # the desk's wq/wo, w1, w2 and head shapes: BLAS alone rounds the one-row
+    # product differently from the same row of a taller one
+    rng = np.random.default_rng(k + n)
+    a = rng.normal(size=(1, k)).astype(np.float32)
+    w = ad.constant(rng.normal(0.0, 0.02, size=(k, n)).astype(np.float32))
+    bias = ad.constant(rng.normal(size=n).astype(np.float32))
+    for b in (None, bias):
+        want = ad.matmul(ad.constant(np.concatenate([a, a, a])), w, b).value[:1]
+        got = ad.matmul(ad.constant(a), w, b).value
+        assert got.shape == (1, n) and got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+
 def test_narrow_and_concat_roundtrip_gradient():
     params = {"a": _p((4, 6))}
 

@@ -62,6 +62,8 @@ from helpers import StubDenoiser, strip_wall_clock, traced_peak, zero_grads
 
 # the harness package re-exports a train() that shadows this module's name
 train_mod = importlib.import_module("absorb_diffuse.harness.train")
+REPO = pathlib.Path(__file__).resolve().parents[1]
+PROFILES = REPO / "src" / "absorb_diffuse" / "profiles"
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +82,39 @@ def test_config_roundtrip(tmp_path):
 def test_config_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown config fields"):
         ExperimentConfig.from_dict({"task": "planning", "out_dir": "x", "nope": 1})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("full_gradient", "false"),  # a non-empty string is true: the focal objective
+    ("eval_every", True),        # JSON true is an int: an eval every step
+    ("n_heads", True),           # one head
+    ("batch_size", 128.0),
+    ("seed", "7"),
+    ("lr", "1e-3"),
+])
+def test_config_from_dict_rejects_a_value_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=f"config field {field} must be of type"):
+        ExperimentConfig.from_dict({"task": "planning", "out_dir": "x", field: value})
+
+
+def test_config_from_dict_takes_an_int_for_a_float_field():
+    cfg = ExperimentConfig.from_dict({"task": "planning", "out_dir": "x", "lr": 1,
+                                      "token_alpha": 2})
+    assert (cfg.lr, cfg.token_alpha) == (1, 2)
+    assert {f.type for f in dataclasses.fields(ExperimentConfig)} <= set(config_mod.FIELD_TYPES)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PROFILES.glob("*.json")) + ["cd3.json"])
+def test_every_shipped_config_loads(name, tmp_path):
+    # a shipped config of the wrong type fails here, not in a run
+    path = PROFILES / name
+    if name == "cd3.json":
+        # the README walkthrough's config, as its heredoc writes it
+        readme = (REPO / "README.md").read_text()
+        path = tmp_path / name
+        path.write_text(readme.split("cat > cd3.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0])
+    cfg = ExperimentConfig.from_json(str(path))
+    assert cfg == ExperimentConfig.from_dict(dataclasses.asdict(cfg))
 
 
 @pytest.mark.parametrize("kw", [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -373,6 +374,43 @@ def _desk_batch(cfg, rows, seed):
     return pack_rows(conds, outs, 49, 23, cfg.vocab_size - 1)
 
 
+@pytest.mark.parametrize("attention", ["bidirectional", "causal"])
+def test_a_one_row_batch_gets_the_logits_its_row_gets_in_a_three_row_batch(attention):
+    # a one-row batch's products have one row, which BLAS rounds differently
+    # from the same row of a taller product unless ad.matmul stacks it
+    cfg = ModelConfig(vocab_size=15, max_seq_len=72, n_layers=2, n_heads=4,
+                      hidden_dim=96, attention=attention)
+    model = DenoiserModel(cfg, seed=37)
+    batch = _desk_batch(cfg, 3, seed=37)
+    tokens, w = batch.tokens, batch.cond_width
+
+    def forwards(x):
+        """Each forward's logits, one read slot a row."""
+        read = np.zeros(x.shape, dtype=bool)
+        read[:, w] = True  # the first target column
+        with ad.no_grad():
+            out = [model.forward(x, read).value,
+                   # layer 0 from the q/k/v table; a causal model fills its cache
+                   model.forward(x, read, {}).value]
+            if attention == "causal":
+                # the AR decoder's calls: its prefill, then one column a step
+                cache = {}
+                for pos in range(w, x.shape[1]):
+                    step = np.zeros((len(x), pos), dtype=bool)
+                    step[:, -1] = True
+                    out.append(model.forward(x[:, :pos], step, cache).value)
+        return out
+
+    three = forwards(tokens)
+    assert len(three) == (2 if attention == "bidirectional" else 2 + 72 - w)
+    for r in range(3):
+        one = forwards(tokens[r:r + 1])
+        assert len(one) == len(three)
+        for got, want in zip(one, three):
+            assert got.shape == (1, cfg.content_vocab)
+            np.testing.assert_array_equal(got, want[r:r + 1])
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("attention", ["bidirectional", "causal"])
 def test_row_blocked_no_grad_forward_is_bit_identical(attention, dtype, monkeypatch):
@@ -432,8 +470,8 @@ def test_row_blocks_are_near_equal_and_never_one_row():
 
 @pytest.mark.parametrize("name", sorted(TASKS))
 def test_row_blocks_of_every_task_canvas_hold_two_rows_or_more(name):
-    # no block of one row on any canvas that exists: a task wider than
-    # NO_GRAD_BLOCK // 3 columns would need a floor back in _row_blocks
+    # near-equal blocks within the bound, of two rows or more, on every
+    # canvas that exists
     cols = get_task(name).seq_len
     most = model_mod.NO_GRAD_BLOCK // cols
     for rows in range(2, 301):
@@ -846,6 +884,27 @@ def test_checkpoint_rejects_damaged_archive(tmp_path, damage):
     else:
         archive.unlink()
     with pytest.raises(ValueError, match=archive.name):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("entry", ["extra/w", "param", "param/"])
+def test_checkpoint_refuses_an_archive_entry_outside_its_groups(tmp_path, entry):
+    # a hand-made archive whose manifest checksum matches
+    model, opt, _ = _trained_tiny(seed=14)
+    path = tmp_path / "ckpt"
+    _save(path, model, opt, 1)
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    archive = path / manifest["arrays"]
+    with np.load(archive) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    arrays[entry] = np.zeros(3, np.float32)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    archive.write_bytes(buf.getvalue())
+    manifest["sha256"] = hashlib.sha256(buf.getvalue()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(f"{archive}: unexpected archive entry {entry!r}")):
         load_checkpoint(str(path))
 
 
